@@ -41,6 +41,9 @@ cargo test -q -p mbp-predictors --test golden_vectors
 echo "== batch equivalence (SoA kernels vs scalar call sequence) =="
 cargo test -q -p mbp-predictors --test batch_equivalence
 
+echo "== cache discipline (predict -> train lookup caches never read stale) =="
+cargo test -q -p mbp-predictors --test cache_discipline
+
 echo "== utils property suite =="
 cargo test -q -p mbp-utils --test properties
 
@@ -283,6 +286,12 @@ if [ "$hash_a" != "$hash_b" ]; then
   exit 1
 fi
 cargo test -q -p mbp --test forensics
+
+echo "== benchmark self-tests (mbpbench units, smoke runs, seed-1 digests) =="
+# The benchmark's full-scale seed-1 digest pass pins every predictor's
+# output on its workloads, so a change in predictor output fails here, not
+# only when the benchmark next runs.
+cargo test --offline -q --manifest-path mbpbench/Cargo.toml
 
 echo "== bench guard (instrumented batch pipeline within 5% of baseline) =="
 # MBP_BENCH_TELEMETRY=1 runs the guard beside a live but unscraped

@@ -41,7 +41,7 @@ use mbp_core::{
     simulate, simulate_scalar, Branch, PredictionBits, Predictor, SimConfig, TraceSource,
 };
 use mbp_json::{json, Value};
-use mbp_predictors::{Bimodal, GSelect, Gshare, TwoLevel};
+use mbp_predictors::{Bimodal, GSelect, Gshare, TwoBcGskew, TwoLevel};
 use mbp_trace::sbbt::SbbtReader;
 use mbp_trace::{translate, BranchBatch};
 use mbp_workloads::Suite;
@@ -271,11 +271,12 @@ fn main() {
     let instructions: u64 = records.iter().map(|r| r.instructions()).sum();
     let batch = BranchBatch::from_records(&records);
     type MakePredictor = fn() -> Box<dyn Predictor>;
-    let kernel_rows: [(&str, MakePredictor); 4] = [
+    let kernel_rows: [(&str, MakePredictor); 5] = [
         ("bimodal", || Box::new(Bimodal::new(18))),
         ("gshare", || Box::new(Gshare::new(25, 18))),
         ("gselect", || Box::new(GSelect::new(6, 12))),
         ("twolevel-pap", || Box::new(TwoLevel::pap(8, 10, 10))),
+        ("2bc-gskew", || Box::new(TwoBcGskew::new(16, 21))),
     ];
     println!("kernel vs scalar-call loop ({}):", suite.traces[0].name);
     for (name, make) in kernel_rows {

@@ -147,7 +147,15 @@ pub trait Predictor {
     /// Predicts the outcome of the branch at `ip`.
     ///
     /// Must not change any state that affects future predictions; caching
-    /// for a same-`ip` `train` call is allowed.
+    /// for a same-`ip` `train` call is allowed (the paper's Listing 4:
+    /// TAGE, BATAGE, the hashed perceptron, 2bc-gskew, GShare and the
+    /// tournament keep their lookup so `train` need not repeat it).
+    ///
+    /// The invalidation rule that keeps such a cache invisible: `train`
+    /// reads the cached lookup only when its ip matches, and every `&mut`
+    /// call other than `predict` — `train`, `track`, `predict_batch` —
+    /// clears it. A `predict` on another ip replaces it; a `train` with no
+    /// `predict` before it recomputes the lookup.
     fn predict(&mut self, ip: u64) -> bool;
 
     /// Updates the prediction structures with the resolved branch.

@@ -12,6 +12,8 @@
 use mbp_core::{json, probe_counter_table, Branch, Predictor, TableProbe, Value};
 use mbp_utils::{xor_fold, FoldedHistory, HistoryRegister, Xorshift64, I2};
 
+use crate::tage::assert_tagged_geometry;
+
 const COUNT_MAX: u8 = 7;
 
 /// Confidence classes derived from a dual counter.
@@ -195,6 +197,11 @@ pub struct Batage {
     // Lookup scratch shared by predict/train.
     slots: Vec<(usize, u16)>,
     hits: Vec<usize>,
+    /// The ip `slots`/`hits` were computed for by `predict`, with its
+    /// `(provider, prediction)` decision: `train` on the same ip reuses
+    /// them instead of repeating the lookup (Listing 4). Every other `&mut`
+    /// call clears it.
+    cached: Option<(u64, Option<usize>, bool)>,
     /// Attribution of the latest misprediction (forensics hook).
     blame: Option<&'static str>,
 }
@@ -204,13 +211,17 @@ impl Batage {
     ///
     /// # Panics
     ///
-    /// Panics on an empty table list or non-increasing history lengths.
+    /// Panics on an empty table list, non-increasing history lengths, or a
+    /// table with a tag width outside 1..=15 or a log size of 0.
     pub fn new(cfg: BatageConfig) -> Self {
         assert!(!cfg.tables.is_empty(), "BATAGE needs at least one table");
         assert!(
             cfg.tables.windows(2).all(|w| w[0].1 < w[1].1),
             "history lengths must be strictly increasing"
         );
+        for &(log_size, _, tag_bits) in &cfg.tables {
+            assert_tagged_geometry(log_size, tag_bits);
+        }
         let max_hist = cfg.tables.last().expect("non-empty").1 as usize;
         Self {
             base: vec![I2::default(); 1 << cfg.base_log_size],
@@ -242,6 +253,7 @@ impl Batage {
             throttled: 0,
             slots: Vec::new(),
             hits: Vec::new(),
+            cached: None,
             blame: None,
             cfg,
         }
@@ -331,14 +343,21 @@ impl Predictor for Batage {
 
     fn predict(&mut self, ip: u64) -> bool {
         self.compute_lookup(ip);
-        self.decide(ip).1
+        let (provider, prediction) = self.decide(ip);
+        self.cached = Some((ip, provider, prediction));
+        prediction
     }
 
     fn train(&mut self, branch: &Branch) {
         let ip = branch.ip();
         let taken = branch.is_taken();
-        self.compute_lookup(ip);
-        let (provider, final_pred) = self.decide(ip);
+        let (provider, final_pred) = match self.cached.take() {
+            Some((cached_ip, provider, prediction)) if cached_ip == ip => (provider, prediction),
+            _ => {
+                self.compute_lookup(ip);
+                self.decide(ip)
+            }
+        };
 
         if final_pred != taken {
             // The Bayesian comparison elected either a tagged entry or the
@@ -415,6 +434,7 @@ impl Predictor for Batage {
     }
 
     fn track(&mut self, branch: &Branch) {
+        self.cached = None;
         let taken = branch.is_taken();
         for i in 0..self.idx_fold.len() {
             let evicted = self.ghist.bit(self.idx_fold[i].hist_len() - 1);
@@ -524,6 +544,44 @@ mod tests {
             d.decay();
         }
         assert!(d.is_useless());
+    }
+
+    fn with_tag_bits(tag_bits: u32) -> BatageConfig {
+        let mut cfg = BatageConfig::small();
+        for t in &mut cfg.tables {
+            t.2 = tag_bits;
+        }
+        cfg
+    }
+
+    #[test]
+    #[should_panic(expected = "tag widths must be in 1..=15")]
+    fn zero_width_tags_rejected() {
+        Batage::new(with_tag_bits(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "tag widths must be in 1..=15")]
+    fn sixteen_bit_tags_rejected() {
+        // A 16-bit mask wraps to zero, so every tag would match.
+        Batage::new(with_tag_bits(16));
+    }
+
+    #[test]
+    #[should_panic(expected = "table log sizes must be at least 1")]
+    fn zero_log_size_rejected() {
+        let mut cfg = BatageConfig::small();
+        cfg.tables[2].0 = 0;
+        Batage::new(cfg);
+    }
+
+    #[test]
+    fn one_bit_tags_run() {
+        let recs = loop_pattern(0x1000, 12, 200);
+        let mut p = Batage::new(with_tag_bits(1));
+        let (mis, total) = run(&mut p, &recs);
+        assert!(mis < total / 2, "mis = {mis} of {total}");
+        assert_eq!(p.storage_bits(), 2048 + 5 * 256 * 7);
     }
 
     #[test]

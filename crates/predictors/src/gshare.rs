@@ -32,7 +32,7 @@ pub struct Gshare {
     log_size: u32,
     /// Index computed by the latest `predict`, reused by `train` when the
     /// simulator issues the usual predict → train pair on one branch.
-    /// Invalidated by `track`, the only call that changes the history.
+    /// Every other `&mut` call clears it.
     cached_index: Option<(u64, usize)>,
 }
 
@@ -81,7 +81,7 @@ impl Predictor for Gshare {
     }
 
     fn train(&mut self, branch: &Branch) {
-        let idx = match self.cached_index {
+        let idx = match self.cached_index.take() {
             Some((ip, idx)) if ip == branch.ip() => idx,
             _ => self.hash(branch.ip()),
         };

@@ -37,6 +37,12 @@ pub struct HashedPerceptron {
     theta: i32,
     /// Dynamic-threshold training counter.
     tc: i32,
+    /// Per-table weight indices of the latest lookup.
+    indices: Vec<usize>,
+    /// The ip and weight sum `predict` computed `indices` for: `train` on
+    /// the same ip reuses them instead of repeating the lookup (Listing 4).
+    /// Every other `&mut` call clears it.
+    cached: Option<(u64, i32)>,
 }
 
 impl HashedPerceptron {
@@ -65,6 +71,8 @@ impl HashedPerceptron {
             .collect();
         Self {
             tables: vec![vec![0i8; 1 << log_size]; history_lengths.len() + 1],
+            indices: vec![0; history_lengths.len() + 1],
+            cached: None,
             history_lengths,
             folded,
             ghist: HistoryRegister::new(max_hist),
@@ -89,10 +97,16 @@ impl HashedPerceptron {
         }
     }
 
-    fn sum(&self, ip: u64) -> i32 {
-        (0..self.tables.len())
-            .map(|t| self.tables[t][self.index(t, ip)] as i32)
-            .sum()
+    /// Computes every table's index for `ip` into `indices` and returns
+    /// the weight sum they select.
+    fn lookup(&mut self, ip: u64) -> i32 {
+        let mut sum = 0;
+        for t in 0..self.tables.len() {
+            let idx = self.index(t, ip);
+            self.indices[t] = idx;
+            sum += self.tables[t][idx] as i32;
+        }
+        sum
     }
 
     /// Current adaptive threshold θ.
@@ -114,20 +128,24 @@ impl Predictor for HashedPerceptron {
     }
 
     fn predict(&mut self, ip: u64) -> bool {
-        self.sum(ip) >= 0
+        let sum = self.lookup(ip);
+        self.cached = Some((ip, sum));
+        sum >= 0
     }
 
     fn train(&mut self, branch: &Branch) {
         let ip = branch.ip();
         let taken = branch.is_taken();
-        let sum = self.sum(ip);
+        let sum = match self.cached.take() {
+            Some((cached_ip, sum)) if cached_ip == ip => sum,
+            _ => self.lookup(ip),
+        };
         let prediction = sum >= 0;
         let mispredicted = prediction != taken;
 
         if mispredicted || sum.abs() <= self.theta {
-            for t in 0..self.tables.len() {
-                let idx = self.index(t, ip);
-                let w = &mut self.tables[t][idx];
+            for (table, &idx) in self.tables.iter_mut().zip(&self.indices) {
+                let w = &mut table[idx];
                 if taken {
                     *w = (*w + 1).min(WEIGHT_MAX);
                 } else {
@@ -154,6 +172,7 @@ impl Predictor for HashedPerceptron {
     }
 
     fn track(&mut self, branch: &Branch) {
+        self.cached = None;
         let taken = branch.is_taken();
         for f in &mut self.folded {
             f.update(taken, self.ghist.bit(f.hist_len() - 1));

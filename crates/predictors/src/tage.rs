@@ -20,7 +20,7 @@ pub struct TageTableSpec {
     pub log_size: u32,
     /// History length used to index this table.
     pub hist_len: u32,
-    /// Tag width in bits (at most 15).
+    /// Tag width in bits, 1 to 15.
     pub tag_bits: u32,
 }
 
@@ -77,6 +77,24 @@ impl TageConfig {
     }
 }
 
+/// The geometry check TAGE and BATAGE share: a tag is 1 to 15 bits wide, so
+/// its `u16` mask never wraps to zero (which would let every tag match), and
+/// a table holds at least two entries, so its index fold has a width.
+///
+/// # Panics
+///
+/// Panics with the same message for both predictors.
+pub(crate) fn assert_tagged_geometry(log_size: u32, tag_bits: u32) {
+    assert!(
+        (1..=15).contains(&tag_bits),
+        "tag widths must be in 1..=15 (got {tag_bits})"
+    );
+    assert!(
+        log_size >= 1,
+        "table log sizes must be at least 1 (got {log_size})"
+    );
+}
+
 #[derive(Clone, Copy, Debug, Default)]
 struct Entry {
     tag: u16,
@@ -125,6 +143,10 @@ pub struct Tage {
     allocations: u64,
     alloc_failures: u64,
     scratch: Lookup,
+    /// The ip `scratch` was computed for by `predict`: `train` on the same
+    /// ip reuses it instead of repeating the lookup (Listing 4). Every
+    /// other `&mut` call clears it.
+    cached_ip: Option<u64>,
     /// Attribution of the latest misprediction (forensics hook).
     blame: Option<&'static str>,
 }
@@ -135,7 +157,8 @@ impl Tage {
     /// # Panics
     ///
     /// Panics if the configuration is empty, history lengths are not
-    /// strictly increasing, or a tag is wider than 15 bits.
+    /// strictly increasing, or a table has a tag width outside 1..=15 or a
+    /// log size of 0.
     pub fn new(cfg: TageConfig) -> Self {
         assert!(
             !cfg.tables.is_empty(),
@@ -145,10 +168,9 @@ impl Tage {
             cfg.tables.windows(2).all(|w| w[0].hist_len < w[1].hist_len),
             "history lengths must be strictly increasing"
         );
-        assert!(
-            cfg.tables.iter().all(|t| (1..=15).contains(&t.tag_bits)),
-            "tag widths must be in 1..=15"
-        );
+        for t in &cfg.tables {
+            assert_tagged_geometry(t.log_size, t.tag_bits);
+        }
         let max_hist = cfg.tables.last().expect("non-empty").hist_len as usize;
         let idx_fold = cfg
             .tables
@@ -163,7 +185,7 @@ impl Tage {
         let tag_fold1 = cfg
             .tables
             .iter()
-            .map(|t| FoldedHistory::new(t.hist_len as usize, t.tag_bits - 1))
+            .map(|t| FoldedHistory::new(t.hist_len as usize, (t.tag_bits - 1).max(1)))
             .collect();
         Self {
             base: vec![I2::default(); 1 << cfg.base_log_size],
@@ -182,6 +204,7 @@ impl Tage {
             allocations: 0,
             alloc_failures: 0,
             scratch: Lookup::default(),
+            cached_ip: None,
             blame: None,
             cfg,
         }
@@ -299,13 +322,16 @@ impl Predictor for Tage {
 
     fn predict(&mut self, ip: u64) -> bool {
         self.compute_lookup(ip);
+        self.cached_ip = Some(ip);
         self.scratch.final_pred
     }
 
     fn train(&mut self, branch: &Branch) {
         let ip = branch.ip();
         let taken = branch.is_taken();
-        self.compute_lookup(ip);
+        if self.cached_ip.take() != Some(ip) {
+            self.compute_lookup(ip);
+        }
         self.updates += 1;
 
         let (provider, alt) = (self.scratch.provider, self.scratch.alt);
@@ -376,6 +402,7 @@ impl Predictor for Tage {
     }
 
     fn track(&mut self, branch: &Branch) {
+        self.cached_ip = None;
         let taken = branch.is_taken();
         for i in 0..self.idx_fold.len() {
             let evicted = self.ghist.bit(self.idx_fold[i].hist_len() - 1);
@@ -451,6 +478,44 @@ mod tests {
         cfg.tables[1].hist_len = cfg.tables[0].hist_len;
         let res = std::panic::catch_unwind(|| Tage::new(cfg));
         assert!(res.is_err(), "non-increasing lengths must be rejected");
+    }
+
+    fn with_tag_bits(tag_bits: u32) -> TageConfig {
+        let mut cfg = TageConfig::small();
+        for t in &mut cfg.tables {
+            t.tag_bits = tag_bits;
+        }
+        cfg
+    }
+
+    #[test]
+    #[should_panic(expected = "tag widths must be in 1..=15")]
+    fn zero_width_tags_rejected() {
+        Tage::new(with_tag_bits(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "tag widths must be in 1..=15")]
+    fn sixteen_bit_tags_rejected() {
+        // A 16-bit mask wraps to zero, so every tag would match.
+        Tage::new(with_tag_bits(16));
+    }
+
+    #[test]
+    #[should_panic(expected = "table log sizes must be at least 1")]
+    fn zero_log_size_rejected() {
+        let mut cfg = TageConfig::small();
+        cfg.tables[2].log_size = 0;
+        Tage::new(cfg);
+    }
+
+    #[test]
+    fn one_bit_tags_run() {
+        let recs = loop_pattern(0x1000, 12, 200);
+        let mut p = Tage::new(with_tag_bits(1));
+        let (mis, total) = run(&mut p, &recs);
+        assert!(mis < total / 2, "mis = {mis} of {total}");
+        assert_eq!(p.storage_bits(), 2048 + 5 * 256 * 6);
     }
 
     #[test]

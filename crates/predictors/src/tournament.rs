@@ -33,9 +33,9 @@ pub struct Tournament {
     meta: Box<dyn Predictor + Send>,
     bp0: Box<dyn Predictor + Send>,
     bp1: Box<dyn Predictor + Send>,
-    // Cached data (Listing 4): predict() fills these; train() reuses them.
-    predicted_ip: u64,
-    tracked: bool,
+    // Cached data (Listing 4): predict() fills these for `cached_ip`;
+    // train() reuses them. Every other `&mut` call clears `cached_ip`.
+    cached_ip: Option<u64>,
     provider: bool,
     prediction: [bool; 2],
     /// Attribution of the latest misprediction (forensics hook).
@@ -53,8 +53,7 @@ impl Tournament {
             meta,
             bp0,
             bp1,
-            predicted_ip: u64::MAX,
-            tracked: true,
+            cached_ip: None,
             provider: false,
             prediction: [false; 2],
             blame: None,
@@ -73,12 +72,11 @@ impl Tournament {
 
     fn refresh(&mut self, ip: u64) {
         // Listing 4 line 18: reuse the cached lookups when predicting the
-        // same ip again before the next track().
-        if self.predicted_ip == ip && !self.tracked {
+        // same ip again before the next train() or track().
+        if self.cached_ip == Some(ip) {
             return;
         }
-        self.predicted_ip = ip;
-        self.tracked = false;
+        self.cached_ip = Some(ip);
         self.provider = self.meta.predict(ip);
         self.prediction = [self.bp0.predict(ip), self.bp1.predict(ip)];
     }
@@ -97,6 +95,8 @@ impl Predictor for Tournament {
 
     fn train(&mut self, branch: &Branch) {
         self.refresh(branch.ip());
+        // Training changes the components: the cached lookups go stale.
+        self.cached_ip = None;
         if self.prediction[self.provider as usize] != branch.is_taken() {
             // Either the chooser picked the wrong component (the other one
             // was right), or no choice could have helped.
@@ -121,7 +121,7 @@ impl Predictor for Tournament {
         self.meta.track(branch);
         self.bp0.track(branch);
         self.bp1.track(branch);
-        self.tracked = true;
+        self.cached_ip = None;
     }
 
     fn metadata(&self) -> Value {
@@ -174,8 +174,7 @@ impl Predictor for Tournament {
 impl std::fmt::Debug for Tournament {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tournament")
-            .field("predicted_ip", &self.predicted_ip)
-            .field("tracked", &self.tracked)
+            .field("cached_ip", &self.cached_ip)
             .field("provider", &self.provider)
             .finish_non_exhaustive()
     }
@@ -279,28 +278,29 @@ mod tests {
     }
 
     #[test]
-    fn cached_prediction_reused_within_one_branch() {
-        // Calling predict twice then train must behave identically to once.
-        let recs = correlated_pair(500, 4);
-        let mut a = Tournament::classic(10);
-        let mut b = Tournament::classic(10);
-        let mut mis_a = 0;
-        let mut mis_b = 0;
-        for r in &recs {
-            let br = r.branch;
-            if a.predict(br.ip()) != br.is_taken() {
-                mis_a += 1;
+    fn prediction_after_train_is_fresh() {
+        /// Flips its direction on every `train`.
+        struct Flipping(bool);
+        impl Predictor for Flipping {
+            fn predict(&mut self, _ip: u64) -> bool {
+                self.0
             }
-            a.train(&br);
-            a.track(&br);
-            b.predict(br.ip());
-            if b.predict(br.ip()) != br.is_taken() {
-                mis_b += 1;
+            fn train(&mut self, _b: &Branch) {
+                self.0 = !self.0;
             }
-            b.train(&br);
-            b.track(&br);
+            fn track(&mut self, _b: &Branch) {}
         }
-        assert_eq!(mis_a, mis_b);
+        // The chooser always picks bp1, which flips when trained: a
+        // `predict` after `train` must see the flip, not the cached lookup.
+        let mut t = Tournament::new(
+            Box::new(AlwaysTaken),
+            Box::new(NeverTaken),
+            Box::new(Flipping(false)),
+        );
+        let b = cond(0x100, true);
+        assert!(!t.predict(b.ip()));
+        t.train(&b);
+        assert!(t.predict(b.ip()), "stale cached prediction after train");
     }
 
     #[test]

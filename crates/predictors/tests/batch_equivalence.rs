@@ -2,20 +2,26 @@
 //!
 //! [`Predictor::predict_batch`] promises that its prediction bitstream and
 //! resulting predictor state are **bit-identical** to driving the scalar
-//! `predict` / `train` / `track` interface over the same records. The four
-//! predictors with hand-written vectorized kernels (bimodal, GShare,
-//! GSelect, two-level) are where that promise can actually break, so this
-//! suite replays each of them — plus a `Box<dyn Predictor>` to pin the
-//! forwarding path — over a mixed conditional/unconditional trace, cut into
-//! batches at randomized boundaries (including empty and single-record
-//! batches), under both `track_only_conditional` settings, and compares:
+//! `predict` / `train` / `track` interface over the same records. The
+//! predictors with hand-written kernels (bimodal, GShare, GSelect,
+//! two-level, 2bc-gskew) are where that promise can break in the kernel;
+//! TAGE, BATAGE and the hashed perceptron ride the default loop, where it
+//! can break in the lookup cache `predict` keeps for `train`: every batch
+//! cut must leave it cleared. This suite replays each of them — plus a
+//! `Box<dyn Predictor>` to pin the forwarding path — over a mixed
+//! conditional/unconditional trace, cut into batches at randomized
+//! boundaries (including empty and single-record batches), under both
+//! `track_only_conditional` settings, and compares:
 //!
 //! * the full prediction bitstream, bit for bit, and
 //! * the final state, by continuing both predictors scalar-only over a
 //!   probe tail and requiring identical predictions there too.
 
 use mbp_core::{Branch, BranchBatch, BranchRecord, Opcode, PredictionBits, Predictor};
-use mbp_predictors::{Bimodal, GSelect, Gshare, HistoryScope, TwoLevel};
+use mbp_predictors::{
+    by_name, Batage, BatageConfig, Bimodal, GSelect, Gshare, HashedPerceptron, HistoryScope, Tage,
+    TageConfig, TwoBcGskew, TwoLevel,
+};
 use mbp_utils::Xorshift64;
 
 /// A mixed trace: the golden-vector conditional behaviors (loop, bias,
@@ -196,6 +202,38 @@ fn twolevel_kernels_match_scalar() {
             assert_batch_equivalent("twolevel", move || TwoLevel::new(h, p, 10, 6, 6));
         }
     }
+}
+
+#[test]
+fn gskew_kernel_matches_scalar() {
+    // The shortest history gives META its one-bit floor, `(2 / 4).max(1)`;
+    // the full-width one exercises the all-ones history mask.
+    for hist_len in [2, 16, 64] {
+        assert_batch_equivalent("2bc-gskew", move || TwoBcGskew::new(hist_len, 12));
+    }
+    assert_batch_equivalent("2bc-gskew (stock)", || by_name("2bc-gskew").unwrap());
+}
+
+#[test]
+fn tage_cached_loop_matches_scalar() {
+    assert_batch_equivalent("tage (small)", || Tage::new(TageConfig::small()));
+    assert_batch_equivalent("tage (stock)", || by_name("tage").unwrap());
+}
+
+#[test]
+fn batage_cached_loop_matches_scalar() {
+    assert_batch_equivalent("batage (small)", || Batage::new(BatageConfig::small()));
+    assert_batch_equivalent("batage (stock)", || by_name("batage").unwrap());
+}
+
+#[test]
+fn perceptron_cached_loop_matches_scalar() {
+    assert_batch_equivalent("hashed-perceptron (small)", || {
+        HashedPerceptron::new(vec![4, 8, 16, 32], 12)
+    });
+    assert_batch_equivalent("hashed-perceptron (stock)", || {
+        by_name("hashed-perceptron").unwrap()
+    });
 }
 
 #[test]
