@@ -89,15 +89,40 @@ echo "== batch kernels engaged (kernel_branches > 0 in metrics) =="
 # A plain smoke run must ride the predict_batch fast path; a driver change
 # that silently diverts everything to the scalar fallback shows up here as
 # kernel_branches = 0 long before it shows up as a throughput regression.
+metric_of() { # metric_of <name> <metrics.json>
+  grep -o "\"$1\": *[0-9]*" "$2" | grep -o '[0-9]*$' | head -n 1
+}
 target/release/mbpsim run --predictor gshare \
   --trace "$obs_tmp/traces/SMOKE-mobile.sbbt.mzst" --quiet \
   --metrics --metrics-out "$obs_tmp/kernel_metrics.json" >/dev/null 2>/dev/null
-kb="$(grep -o '"kernel_branches": *[0-9]*' "$obs_tmp/kernel_metrics.json" \
-  | grep -o '[0-9]*$' | head -n 1)"
+kb="$(metric_of kernel_branches "$obs_tmp/kernel_metrics.json")"
 if [ -z "$kb" ] || [ "$kb" -eq 0 ]; then
   echo "batched driver did not take the kernel path (kernel_branches=${kb:-missing})" >&2
   exit 1
 fi
+# Warm-up, a cut-off, a time series and a phase-sampled sweep stay on the
+# same path: only forensics (per-record component blame) may leave it.
+target/release/mbpsim run --predictor gshare \
+  --trace "$obs_tmp/traces/SMOKE-mobile.sbbt.mzst" --quiet \
+  --warmup 5000 --max 90000 --window 10000 \
+  --timeseries-out "$obs_tmp/kernel_ts.csv" \
+  --metrics-out "$obs_tmp/kernel_observed.json" >/dev/null 2>/dev/null
+target/release/mbpsim simpoint --trace "$obs_tmp/traces/SMOKE-mobile.sbbt.mzst" \
+  --window 2000 --clusters 8 --warmup-windows 2 \
+  --out "$obs_tmp/kernel_phases.json" 2>/dev/null
+target/release/mbpsim sweep --predictors gshare,tage \
+  --trace "$obs_tmp/traces/SMOKE-mobile.sbbt.mzst" --jobs 1 --quiet \
+  --phases "$obs_tmp/kernel_phases.json" \
+  --metrics-out "$obs_tmp/kernel_sampled.json" >/dev/null 2>/dev/null
+for m in kernel_observed kernel_sampled; do
+  kb="$(metric_of kernel_branches "$obs_tmp/$m.json")"
+  fb="$(metric_of scalar_fallback_branches "$obs_tmp/$m.json")"
+  if [ -z "$kb" ] || [ "$kb" -eq 0 ] || [ "${fb:-missing}" != 0 ]; then
+    echo "$m left the kernel path (kernel_branches=${kb:-missing}," \
+      "scalar_fallback_branches=${fb:-missing})" >&2
+    exit 1
+  fi
+done
 
 echo "== sweep resilience gate (checkpoint -> torn tail -> resume) =="
 # A checkpointed smoke sweep whose checkpoint is torn mid-record (as a

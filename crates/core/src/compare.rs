@@ -1,15 +1,15 @@
 //! The comparison simulator (§VI-C): two predictors over one trace.
 
 use std::collections::HashMap;
-
-use mbp_utils::FastHashBuilder;
 use std::time::Instant;
 
 use mbp_json::{json, Value};
-use mbp_trace::TraceError;
+use mbp_trace::{BranchBatch, TraceError};
+use mbp_utils::FastHashBuilder;
 
 use crate::metrics::{accuracy, mpki};
-use crate::{Predictor, SimConfig, TableProbe, TraceSource};
+use crate::simulator::{next_batch, publish_run};
+use crate::{PredictionBits, Predictor, SimConfig, TableProbe, TraceSource};
 
 /// A branch that one predictor handles better than the other.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -118,6 +118,12 @@ impl ComparisonResult {
 /// Simulates two predictors "in parallel" over one trace and reports which
 /// occurrences are mispredicted by only one of them (§VI-C).
 ///
+/// Each batch goes through both predictors' `predict_batch` (the batched
+/// driver's cut-off and warm-up rules apply unchanged), then one pass over
+/// the measured records scores the two prediction columns side by side.
+/// The predictors share no state, so running them a batch apart instead of
+/// a record apart changes nothing.
+///
 /// # Errors
 ///
 /// Propagates trace decoding errors.
@@ -133,53 +139,66 @@ where
     B: Predictor + ?Sized,
 {
     let start = Instant::now();
+    mbp_stats::pipeline().sim.runs.inc();
+    let _run_event = mbp_stats::events::span(mbp_stats::events::EventName::SimSimulate);
+    let mut records = 0u64;
     let mut instructions = 0u64;
     let mut measured_instructions = 0u64;
     let mut conditional = 0u64;
     let mut mis = [0u64; 2];
     let mut only = [0u64; 2];
     let mut per_branch: HashMap<u64, (u64, u64, u64), FastHashBuilder> = HashMap::default();
-    let mut batch = mbp_trace::BranchBatch::new();
+    let mut batch = BranchBatch::new();
+    let (mut bits_a, mut bits_b) = (PredictionBits::new(), PredictionBits::new());
 
-    'trace: while trace.fill_batch(&mut batch)? > 0 {
-        for i in 0..batch.len() {
-            let rec = batch.record(i);
-            if let Some(max) = config.max_instructions {
-                if instructions >= max {
-                    break 'trace;
-                }
+    loop {
+        let (len, measured_from, cut) = next_batch(
+            trace,
+            &mut batch,
+            instructions,
+            config.warmup_instructions,
+            config.max_instructions,
+        )?;
+        if len == 0 {
+            break;
+        }
+        records += len as u64;
+        bits_a.clear();
+        bits_b.clear();
+        a.predict_batch(&batch, config.track_only_conditional, &mut bits_a);
+        b.predict_batch(&batch, config.track_only_conditional, &mut bits_b);
+        let (pcs, gaps, taken, ops) = (batch.pcs(), batch.gaps(), batch.taken(), batch.ops());
+        let retired = |from: usize| gaps[from..].iter().map(|&g| u64::from(g) + 1).sum::<u64>();
+        instructions += retired(0);
+        measured_instructions += retired(measured_from);
+        let mut bit = ops[..measured_from]
+            .iter()
+            .filter(|&&op| op & 0b1 != 0)
+            .count();
+        for i in measured_from..len {
+            if ops[i] & 0b1 == 0 {
+                continue;
             }
-            instructions += rec.instructions();
-            let in_measurement = instructions > config.warmup_instructions;
-            if in_measurement {
-                measured_instructions += rec.instructions();
-            }
-            let br = rec.branch;
-            if br.is_conditional() {
-                let pa = a.predict(br.ip());
-                let pb = b.predict(br.ip());
-                let wrong_a = pa != br.is_taken();
-                let wrong_b = pb != br.is_taken();
-                if in_measurement {
-                    conditional += 1;
-                    mis[0] += wrong_a as u64;
-                    mis[1] += wrong_b as u64;
-                    only[0] += (wrong_a && !wrong_b) as u64;
-                    only[1] += (wrong_b && !wrong_a) as u64;
-                    let e = per_branch.entry(br.ip()).or_insert((0, 0, 0));
-                    e.0 += 1;
-                    e.1 += wrong_a as u64;
-                    e.2 += wrong_b as u64;
-                }
-                a.train(&br);
-                b.train(&br);
-            }
-            if !config.track_only_conditional || br.is_conditional() {
-                a.track(&br);
-                b.track(&br);
-            }
+            let outcome = taken[i] != 0;
+            let wrong_a = bits_a.get(bit) != outcome;
+            let wrong_b = bits_b.get(bit) != outcome;
+            bit += 1;
+            conditional += 1;
+            mis[0] += wrong_a as u64;
+            mis[1] += wrong_b as u64;
+            only[0] += (wrong_a && !wrong_b) as u64;
+            only[1] += (wrong_b && !wrong_a) as u64;
+            let e = per_branch.entry(pcs[i]).or_insert((0, 0, 0));
+            e.0 += 1;
+            e.1 += wrong_a as u64;
+            e.2 += wrong_b as u64;
+        }
+        if cut {
+            break;
         }
     }
+    let elapsed = start.elapsed();
+    publish_run(records, records, instructions, elapsed);
 
     let mut most_diverging: Vec<DivergingBranch> = per_branch
         .into_iter()
@@ -225,7 +244,7 @@ where
         } else {
             [Vec::new(), Vec::new()]
         },
-        simulation_time: start.elapsed().as_secs_f64(),
+        simulation_time: elapsed.as_secs_f64(),
     })
 }
 

@@ -70,7 +70,7 @@ pub use simpoint::{
 };
 pub use simulator::{simulate, simulate_scalar, SimConfig, SimMetadata, SimResult};
 pub use source::{SliceSource, TraceSource, VecSource, BATCH_RECORDS};
-pub use status::{PredictorState, PredictorStatus, StatusPredictor, SweepStatusBoard};
+pub use status::{PredictorState, PredictorStatus, SweepStatusBoard};
 pub use sweep::{simulate_many, FailureKind, SweepConfig, SweepEntry, SweepFailure, SweepResult};
 pub use timeseries::{TimeSeries, TimeSeriesBuilder, Window, DEFAULT_WINDOW_INSTRUCTIONS};
 

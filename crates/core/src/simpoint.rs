@@ -16,11 +16,11 @@
 use std::time::Instant;
 
 use mbp_json::{json, Value};
-use mbp_trace::BranchRecord;
+use mbp_trace::{BranchRecord, TraceError};
 
-use crate::metrics::{accuracy, mpki, Metrics, MostFailed};
-use crate::simulator::{SimConfig, SimMetadata, SimResult};
-use crate::Predictor;
+use crate::metrics::{accuracy, mpki};
+use crate::simulator::{publish_run, SimConfig, SimResult, SimState};
+use crate::{Predictor, SliceSource, TraceSource};
 
 /// Version of the phases-document schema; bumped on incompatible change.
 pub const PHASES_SCHEMA_VERSION: u64 = 1;
@@ -587,55 +587,17 @@ pub fn extract_phases_with_warmup(
     }
 }
 
-/// Outcome of one replayed slice.
+/// Outcome of one measured slice.
 struct SliceStats {
     instructions: u64,
     conditional: u64,
     mispredictions: u64,
 }
 
-/// Replays `records[start..start+len]` through the predictor with the
-/// full per-record call discipline of the scalar driver. When `measured`
-/// the mispredictions land in `most_failed`; warmup slices only note
-/// static IPs (their counts are still returned for the error estimate).
-fn run_slice<P: Predictor + ?Sized>(
-    records: &[BranchRecord],
-    start: usize,
-    len: usize,
-    predictor: &mut P,
-    most_failed: &mut MostFailed,
-    measured: bool,
-    config: &SimConfig,
-) -> SliceStats {
+/// `records[start..start + len]`, clamped to the trace.
+fn slice(records: &[BranchRecord], start: usize, len: usize) -> &[BranchRecord] {
     let start = start.min(records.len());
-    let end = (start + len).min(records.len());
-    let mut st = SliceStats {
-        instructions: 0,
-        conditional: 0,
-        mispredictions: 0,
-    };
-    for rec in &records[start..end] {
-        st.instructions += rec.instructions();
-        let b = rec.branch;
-        if b.is_conditional() {
-            let prediction = predictor.predict(b.ip());
-            let mispredicted = prediction != b.is_taken();
-            st.conditional += 1;
-            st.mispredictions += mispredicted as u64;
-            if measured {
-                most_failed.record(b.ip(), b.is_taken(), mispredicted);
-            } else {
-                most_failed.note_static(b.ip());
-            }
-            predictor.train(&b);
-        } else {
-            most_failed.note_static(b.ip());
-        }
-        if !config.track_only_conditional || b.is_conditional() {
-            predictor.track(&b);
-        }
-    }
-    st
+    &records[start..start.saturating_add(len).min(records.len())]
 }
 
 /// Simulates only the weighted representative slices of `phases` and
@@ -645,6 +607,9 @@ fn run_slice<P: Predictor + ?Sized>(
 /// representative slice is preceded by a replay of the window immediately
 /// before it, so table state at the start of the measured slice is honest
 /// (the replay trains and tracks but its mispredictions are not counted).
+/// Every slice goes through the batched driver, so sampled runs ride the
+/// `predict_batch` kernels like full ones.
+///
 /// `metrics.mpki` and `metrics.accuracy` are the weight-reconstructed
 /// whole-trace estimates; `metrics.mispredictions` is the implied
 /// whole-trace count. The rendered result carries a top-level `simpoint`
@@ -663,6 +628,23 @@ pub fn simulate_sampled<P: Predictor + ?Sized>(
     phases: &PhasesDoc,
     config: &SimConfig,
 ) -> SimResult {
+    sample(records, predictor, phases, config, SliceSource::new)
+        .expect("in-memory slices always decode")
+}
+
+/// [`simulate_sampled`] reading each slice through the source `open`
+/// wraps it in (the sweep's cancellable source); propagates its errors.
+pub(crate) fn sample<'r, S, P>(
+    records: &'r [BranchRecord],
+    predictor: &mut P,
+    phases: &PhasesDoc,
+    config: &SimConfig,
+    mut open: impl FnMut(&'r [BranchRecord]) -> S,
+) -> Result<SimResult, TraceError>
+where
+    S: TraceSource,
+    P: Predictor + ?Sized,
+{
     let start = Instant::now();
     let stats = mbp_stats::pipeline();
     stats.sim.runs.inc();
@@ -671,54 +653,57 @@ pub fn simulate_sampled<P: Predictor + ?Sized>(
     let mut order: Vec<&Phase> = phases.phases.iter().collect();
     order.sort_by_key(|p| p.start_record);
 
-    let mut most_failed = MostFailed::new();
-    let mut measured_instr = 0u64;
-    let mut replayed_instr = 0u64;
-    let mut raw_conditional = 0u64;
-    let mut raw_mispredictions = 0u64;
-    let mut records_run = 0u64;
+    // Slices are not contiguous, so the time series and forensics (whole-
+    // run analyses) stay off; only the live status slot rides along.
+    let mut st = SimState::new(&SimConfig {
+        timeseries_window: None,
+        forensics: None,
+        ..config.clone()
+    });
     // (phase, measured stats, warmup mpki or None)
     let mut slices: Vec<(&Phase, SliceStats, Option<f64>)> = Vec::with_capacity(order.len());
 
     for phase in order {
         let warmup = if phase.warmup_records > 0 {
-            let w = run_slice(
-                records,
-                phase.warmup_start_record,
-                phase.warmup_records,
+            let (instructions, mispredictions) = (st.instructions, st.warmup_mispredictions);
+            let warm = slice(records, phase.warmup_start_record, phase.warmup_records);
+            st.replay(
+                &mut open(warm),
                 predictor,
-                &mut most_failed,
-                false,
-                config,
-            );
-            replayed_instr += w.instructions;
-            records_run += phase.warmup_records as u64;
-            stats.sweep.replayed_instructions.add(w.instructions);
-            Some(mpki(w.mispredictions, w.instructions))
+                u64::MAX,
+                None,
+                config.track_only_conditional,
+            )?;
+            let replayed = st.instructions - instructions;
+            stats.sweep.replayed_instructions.add(replayed);
+            Some(mpki(st.warmup_mispredictions - mispredictions, replayed))
         } else {
             None
         };
-        let m = run_slice(
-            records,
-            phase.start_record,
-            phase.num_records,
+        let before = (st.measured_instructions, st.conditional, st.mispredictions);
+        let measured = slice(records, phase.start_record, phase.num_records);
+        st.replay(
+            &mut open(measured),
             predictor,
-            &mut most_failed,
-            true,
-            config,
-        );
+            0,
+            None,
+            config.track_only_conditional,
+        )?;
+        let m = SliceStats {
+            instructions: st.measured_instructions - before.0,
+            conditional: st.conditional - before.1,
+            mispredictions: st.mispredictions - before.2,
+        };
         mbp_stats::events::instant(
             mbp_stats::events::EventName::SimpointSampledSlice,
             phase.representative_window as u64,
         );
         stats.sweep.sampled_slices.inc();
         stats.sweep.sampled_instructions.add(m.instructions);
-        measured_instr += m.instructions;
-        records_run += phase.num_records as u64;
-        raw_conditional += m.conditional;
-        raw_mispredictions += m.mispredictions;
         slices.push((phase, m, warmup));
     }
+    let measured_instr = st.measured_instructions;
+    let replayed_instr = st.instructions - measured_instr;
 
     // Weight-reconstructed whole-trace metrics, fixed phase order.
     let mut recon_mpki = 0.0f64;
@@ -799,47 +784,23 @@ pub fn simulate_sampled<P: Predictor + ?Sized>(
     });
 
     let elapsed = start.elapsed();
-    stats.sim.records.add(records_run);
-    stats.sim.instructions.add(measured_instr + replayed_instr);
-    stats.sim.scalar_fallback_branches.add(records_run);
-    stats
-        .sim
-        .simulate
-        .record_ns(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
+    publish_run(st.records, st.kernel_records, st.instructions, elapsed);
 
-    let implied_mispredictions = (recon_mpki * phases.instruction_count as f64 / 1000.0).round();
-    SimResult {
-        metadata: SimMetadata {
-            simulator: crate::SIMULATOR_NAME,
-            version: crate::SIMULATOR_VERSION,
-            trace: Value::from("in-memory trace"),
-            warmup_instr: replayed_instr,
-            simulation_instr: measured_instr,
-            exhausted_trace: true,
-            num_conditional_branches: raw_conditional,
-            num_branch_instructions: most_failed.distinct_branches(),
-            track_only_conditional: config.track_only_conditional,
-            predictor: predictor.metadata(),
-        },
-        metrics: Metrics {
-            mpki: recon_mpki,
-            mispredictions: implied_mispredictions as u64,
-            accuracy: recon_accuracy,
-            num_most_failed_branches: most_failed.half_coverage_count(raw_mispredictions),
-            simulation_time: elapsed.as_secs_f64(),
-        },
-        predictor_statistics: predictor.execution_statistics(),
-        most_failed: most_failed.top(config.most_failed_limit, measured_instr),
-        branch_taxonomy: most_failed.taxonomy(),
-        timeseries: None,
-        table_probes: if config.collect_probes {
-            predictor.table_probes()
-        } else {
-            Vec::new()
-        },
-        sampling: Some(sampling),
-        forensics: None,
-    }
+    // The whole-run sections come from the driver's state; the headline
+    // metrics are the reconstructed estimates.
+    let mut result = st.into_result(
+        Value::from("in-memory trace"),
+        predictor,
+        config,
+        elapsed.as_secs_f64(),
+    );
+    result.metadata.warmup_instr = replayed_instr;
+    result.metrics.mpki = recon_mpki;
+    result.metrics.mispredictions =
+        (recon_mpki * phases.instruction_count as f64 / 1000.0).round() as u64;
+    result.metrics.accuracy = recon_accuracy;
+    result.sampling = Some(sampling);
+    Ok(result)
 }
 
 #[cfg(test)]

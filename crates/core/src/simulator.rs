@@ -1,12 +1,15 @@
 //! The standard simulator: replay a trace through one predictor.
 
-use std::time::Instant;
+use std::ops::Range;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use mbp_json::Value;
-use mbp_trace::TraceError;
+use mbp_trace::{BranchBatch, TraceError};
 
 use crate::forensics::{Forensics, ForensicsConfig};
 use crate::metrics::{accuracy, mpki, BranchStat, BranchTaxonomy, Metrics, MostFailed};
+use crate::status::{StatusFeed, SweepStatusBoard};
 use crate::timeseries::{TimeSeries, TimeSeriesBuilder};
 use crate::{PredictionBits, Predictor, TableProbe, TraceSource};
 
@@ -38,19 +41,26 @@ pub struct SimConfig {
     /// Maximum entries in the `most_failed` report.
     pub most_failed_limit: usize,
     /// Accumulate windowed time-series telemetry with this window size in
-    /// instructions (`None` — the default — disables the telemetry and
-    /// keeps the batched driver on its per-batch steady-state fast path).
+    /// instructions (`None`, the default, disables it). The series reads
+    /// the prediction bits `predict_batch` returns, so it keeps the run on
+    /// the kernel path.
     pub timeseries_window: Option<u64>,
     /// Capture the predictor's [`TableProbe`] reports at the end of the
     /// run (the `--introspect` flag). Off by default; probes are read once
     /// from the final table state, so this never touches the record loop.
     pub collect_probes: bool,
     /// Accumulate per-branch misprediction forensics (the `mbpsim explain`
-    /// subcommand). Like the timeseries, enabling this needs per-record
-    /// attribution and pins the run to the scalar fallback loop; the
-    /// default `None` keeps results and throughput bit-identical to a
-    /// build without forensics.
+    /// subcommand). Component blame must be read right after each `train`,
+    /// so batches with measured records run the per-record blame loop,
+    /// which also fills the table, instead of `predict_batch`; the default
+    /// `None` keeps every batch on the kernel path.
     pub forensics: Option<ForensicsConfig>,
+    /// Publish live progress (instructions, conditional branches,
+    /// mispredictions, the worst branch so far) into this slot of a status
+    /// board, once per batch — the `/snapshot` telemetry row. Counts cover
+    /// warm-up too; the results are unaffected, and the reference
+    /// [`simulate_scalar`] ignores the slot.
+    pub status: Option<(Arc<SweepStatusBoard>, usize)>,
 }
 
 impl Default for SimConfig {
@@ -63,6 +73,7 @@ impl Default for SimConfig {
             timeseries_window: None,
             collect_probes: false,
             forensics: None,
+            status: None,
         }
     }
 }
@@ -122,43 +133,290 @@ pub struct SimResult {
     pub forensics: Option<Value>,
 }
 
-/// Per-record bookkeeping shared by the batched and scalar drivers.
-struct SimState {
-    instructions: u64,
-    measured_instructions: u64,
-    conditional: u64,
-    mispredictions: u64,
+/// Pulls the next batch of `trace` into `batch` and cuts it where the run
+/// ends: before the first record that starts at or past instruction `max`.
+/// Returns the records kept, the index of the first measured one (the
+/// first whose cumulative count ends past `warmup`, so the record crossing
+/// the boundary is measured whole), and whether the cut dropped a record —
+/// one exists past the cut-off, so the run stops here. `retired` is the
+/// instruction count before the batch.
+pub(crate) fn next_batch<S: TraceSource + ?Sized>(
+    trace: &mut S,
+    batch: &mut BranchBatch,
+    retired: u64,
+    warmup: u64,
+    max: Option<u64>,
+) -> Result<(usize, usize, bool), TraceError> {
+    // Time the decode share separately from the whole run; one span per
+    // 2048-record block keeps the instrumentation off the record loop.
+    let got = {
+        let _span = mbp_stats::pipeline().sim.fill_batch.span();
+        let _event = mbp_stats::events::span(mbp_stats::events::EventName::SimFillBatch);
+        trace.fill_batch(batch)?
+    };
+    // Per-batch heartbeat: every N-th batch samples the pipeline gauges
+    // into the event journal (throughput-over-time curves).
+    mbp_stats::events::batch_tick();
+    let len = match max {
+        Some(max) => std::iter::once(retired)
+            .chain(ends(batch.gaps(), retired))
+            .take(got)
+            .take_while(|&start| start < max)
+            .count(),
+        None => got,
+    };
+    batch.truncate(len);
+    let measured_from = ends(batch.gaps(), retired)
+        .take_while(|&end| end <= warmup)
+        .count();
+    Ok((len, measured_from, len < got))
+}
+
+/// The cumulative instruction count at the end of each record, starting
+/// from `retired`.
+fn ends(gaps: &[u32], retired: u64) -> impl Iterator<Item = u64> + '_ {
+    gaps.iter().scan(retired, |at, &g| {
+        *at += u64::from(g) + 1;
+        Some(*at)
+    })
+}
+
+/// The forensics path: the default `predict_batch` loop, plus each
+/// conditional record from `measured_from` on recorded into `forensics`
+/// with its component blame, read right after its `train` (the only point
+/// where [`Predictor::last_mispredict_blame`] is valid). Recording here,
+/// not in the scoring walk, lets the table lookups overlap the
+/// predictor's own work and needs no blame column.
+fn predict_with_forensics<P: Predictor + ?Sized>(
+    predictor: &mut P,
+    batch: &BranchBatch,
+    track_only_conditional: bool,
+    bits: &mut PredictionBits,
+    forensics: &mut Forensics,
+    measured_from: usize,
+) {
+    for i in 0..batch.len() {
+        let branch = batch.branch(i);
+        let conditional = branch.is_conditional();
+        if conditional {
+            let prediction = predictor.predict(branch.ip());
+            bits.push(prediction);
+            predictor.train(&branch);
+            if i >= measured_from {
+                let missed = prediction != branch.is_taken();
+                let blame = missed.then(|| predictor.last_mispredict_blame()).flatten();
+                forensics.record(branch.ip(), branch.is_taken(), missed, blame);
+            }
+        }
+        if conditional || !track_only_conditional {
+            predictor.track(&branch);
+        }
+    }
+}
+
+/// Adds one finished run to the pipeline counters; every record the run
+/// did not hand to `predict_batch` counts as a scalar-fallback branch.
+pub(crate) fn publish_run(records: u64, kernel_records: u64, instructions: u64, elapsed: Duration) {
+    let stats = &mbp_stats::pipeline().sim;
+    stats.records.add(records);
+    stats.instructions.add(instructions);
+    stats.kernel_branches.add(kernel_records);
+    stats.scalar_fallback_branches.add(records - kernel_records);
+    // One instant per run: how much of it rode the kernel path. Visible in
+    // Chrome traces next to the run's `sim.simulate` span.
+    mbp_stats::events::instant(
+        mbp_stats::events::EventName::SimKernelBranches,
+        kernel_records,
+    );
+    stats
+        .simulate
+        .record_ns(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
+}
+
+/// The running totals and observers of one replay. [`simulate`] feeds it
+/// the whole trace; the sampled executor feeds it one slice at a time.
+pub(crate) struct SimState {
+    /// Instructions retired, warm-up included.
+    pub(crate) instructions: u64,
+    pub(crate) measured_instructions: u64,
+    pub(crate) conditional: u64,
+    pub(crate) mispredictions: u64,
+    /// Mispredictions of warm-up records (the sampled executor's replay
+    /// error estimate reads them).
+    pub(crate) warmup_mispredictions: u64,
     most_failed: MostFailed,
     exhausted: bool,
+    pub(crate) records: u64,
+    pub(crate) kernel_records: u64,
     timeseries: Option<TimeSeriesBuilder>,
     forensics: Option<Forensics>,
+    status: Option<StatusFeed>,
 }
 
 impl SimState {
-    fn new(config: &SimConfig) -> Self {
+    pub(crate) fn new(config: &SimConfig) -> Self {
         Self {
             instructions: 0,
             measured_instructions: 0,
             conditional: 0,
             mispredictions: 0,
+            warmup_mispredictions: 0,
             most_failed: MostFailed::new(),
             exhausted: true,
+            records: 0,
+            kernel_records: 0,
             timeseries: config.timeseries_window.map(TimeSeriesBuilder::new),
             forensics: config.forensics.as_ref().map(Forensics::new),
+            status: config
+                .status
+                .as_ref()
+                .map(|(board, slot)| StatusFeed::new(Arc::clone(board), *slot)),
         }
     }
 
-    fn into_result<S, P>(
-        self,
-        trace: &S,
-        predictor: &P,
-        config: &SimConfig,
-        simulation_time: f64,
-    ) -> SimResult
+    /// Replays `trace` through `predictor` until it ends or reaches the
+    /// `max` instruction cut-off. Records ending at or before instruction
+    /// `warmup` train the predictor but are not measured.
+    pub(crate) fn replay<S, P>(
+        &mut self,
+        trace: &mut S,
+        predictor: &mut P,
+        warmup: u64,
+        max: Option<u64>,
+        track_only_conditional: bool,
+    ) -> Result<(), TraceError>
     where
         S: TraceSource + ?Sized,
         P: Predictor + ?Sized,
     {
+        let mut batch = BranchBatch::new();
+        let mut bits = PredictionBits::new();
+        loop {
+            let (len, measured_from, cut) =
+                next_batch(trace, &mut batch, self.instructions, warmup, max)?;
+            // A record past the cut-off means the trace was not exhausted:
+            // the scalar driver's contract.
+            self.exhausted &= !cut;
+            if len == 0 {
+                return Ok(());
+            }
+            bits.clear();
+            if let Some(forensics) = self.forensics.as_mut().filter(|_| measured_from < len) {
+                predict_with_forensics(
+                    predictor,
+                    &batch,
+                    track_only_conditional,
+                    &mut bits,
+                    forensics,
+                    measured_from,
+                );
+            } else {
+                predictor.predict_batch(&batch, track_only_conditional, &mut bits);
+                self.kernel_records += len as u64;
+            }
+            self.records += len as u64;
+            let bit = self.score(&batch, &bits, 0..measured_from, 0, false);
+            self.score(&batch, &bits, measured_from..len, bit, true);
+            if let Some(status) = self.status.as_mut() {
+                status.publish();
+            }
+            if cut {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Scores records `range` of `batch` against the prediction bits from
+    /// bit `bit` on and returns the bit after the range. The driver has
+    /// already run the predictor, so this never calls through its vtable.
+    fn score(
+        &mut self,
+        batch: &BranchBatch,
+        bits: &PredictionBits,
+        range: Range<usize>,
+        mut bit: usize,
+        measured: bool,
+    ) -> usize {
+        let (pcs, gaps, taken, ops) = (
+            &batch.pcs()[range.clone()],
+            &batch.gaps()[range.clone()],
+            &batch.taken()[range.clone()],
+            &batch.ops()[range],
+        );
+        // Instruction totals vectorize as one reduction over the gaps
+        // column; the loops keep their running counters in locals so only
+        // the per-branch tables see memory traffic.
+        let advanced = gaps.iter().map(|&g| u64::from(g)).sum::<u64>() + pcs.len() as u64;
+        let (mut conditional, mut mispredictions) = (0u64, 0u64);
+        if measured && self.timeseries.is_none() && self.status.is_none() {
+            for i in 0..pcs.len() {
+                if ops[i] & 0b1 != 0 {
+                    let outcome = taken[i] != 0;
+                    let mispredicted = bits.get(bit) != outcome;
+                    bit += 1;
+                    conditional += 1;
+                    mispredictions += mispredicted as u64;
+                    self.most_failed.record(pcs[i], outcome, mispredicted);
+                } else {
+                    self.most_failed.note_static(pcs[i]);
+                }
+            }
+        } else {
+            // Warm-up records and the observers' pass: the same scoring,
+            // plus the time series and the status slot fed from the same
+            // bits in one walk.
+            let mut at = self.instructions;
+            for i in 0..pcs.len() {
+                at += u64::from(gaps[i]) + 1;
+                if ops[i] & 0b1 != 0 {
+                    let (ip, outcome) = (pcs[i], taken[i] != 0);
+                    let mispredicted = bits.get(bit) != outcome;
+                    conditional += 1;
+                    mispredictions += mispredicted as u64;
+                    if measured {
+                        self.most_failed.record(ip, outcome, mispredicted);
+                    } else {
+                        self.most_failed.note_static(ip);
+                    }
+                    // Warm-up branches are in the series too: seeing the
+                    // warm-up transient is the point of the series.
+                    if let Some(ts) = self.timeseries.as_mut() {
+                        ts.branch(ip, outcome, mispredicted);
+                    }
+                    if let (true, Some(status)) = (mispredicted, self.status.as_mut()) {
+                        status.miss(ip);
+                    }
+                    bit += 1;
+                } else {
+                    self.most_failed.note_static(pcs[i]);
+                }
+                if let Some(ts) = self.timeseries.as_mut() {
+                    ts.advance(at);
+                }
+            }
+        }
+        self.instructions += advanced;
+        if measured {
+            self.measured_instructions += advanced;
+            self.conditional += conditional;
+            self.mispredictions += mispredictions;
+        } else {
+            self.warmup_mispredictions += mispredictions;
+        }
+        if let Some(status) = self.status.as_mut() {
+            status.add(advanced, conditional, mispredictions);
+        }
+        bit
+    }
+
+    /// The result of the replay so far, attributed to `trace`.
+    pub(crate) fn into_result<P: Predictor + ?Sized>(
+        self,
+        trace: Value,
+        predictor: &P,
+        config: &SimConfig,
+        simulation_time: f64,
+    ) -> SimResult {
         let timeseries = self.timeseries.map(|b| b.finish(self.instructions));
         let forensics = self
             .forensics
@@ -168,7 +426,7 @@ impl SimState {
             metadata: SimMetadata {
                 simulator: crate::SIMULATOR_NAME,
                 version: crate::SIMULATOR_VERSION,
-                trace: trace.description(),
+                trace,
                 warmup_instr: config.warmup_instructions,
                 simulation_instr: self.measured_instructions,
                 exhausted_trace: self.exhausted,
@@ -211,14 +469,20 @@ impl SimState {
 /// The trace is consumed through [`TraceSource::fill_batch`], so the source
 /// decodes whole struct-of-arrays blocks into one reusable
 /// [`BranchBatch`](mbp_trace::BranchBatch) instead of answering a virtual
-/// call per record. In steady state (warm-up elapsed, no cut-off, no
-/// timeseries) each block is handed to [`Predictor::predict_batch`] — one
-/// virtual call per 2048 records, with vectorized kernels for the table
-/// predictors — and the driver scores the returned prediction bits against
-/// the batch's outcome column. Results are identical to [`simulate_scalar`]
-/// (the one-record-at-a-time reference driver) on any source whose
-/// `fill_batch` agrees with its `next_record` stream; the driver-equivalence
-/// suite pins this byte-for-byte.
+/// call per record. Each block is truncated at the `max_instructions`
+/// cut-off and handed to [`Predictor::predict_batch`] — one virtual call per
+/// 2048 records, with vectorized kernels for the table predictors — and the
+/// driver scores the returned prediction bits against the batch's outcome
+/// column, split at the warm-up boundary. The time series and the status
+/// slot read the same bits in the same pass, so they keep the run on the
+/// kernel path; only forensics needs per-record component blame, so its
+/// measured batches run the literal predict → train → blame → track loop,
+/// which records each measured branch into the forensics table.
+///
+/// Results are identical to [`simulate_scalar`] (the one-record-at-a-time
+/// reference driver) on any source whose `fill_batch` agrees with its
+/// `next_record` stream; the driver-equivalence suite pins this
+/// byte-for-byte.
 ///
 /// # Errors
 ///
@@ -233,159 +497,27 @@ where
     P: Predictor + ?Sized,
 {
     let start = Instant::now();
-    let stats = &mbp_stats::pipeline().sim;
-    stats.runs.inc();
+    mbp_stats::pipeline().sim.runs.inc();
     // The run span closes when this guard drops — also during an unwind, so
     // a predictor panicking under a sweep's `catch_unwind` still pairs its
     // begin event with an end event.
     let _run_event = mbp_stats::events::span(mbp_stats::events::EventName::SimSimulate);
     let mut st = SimState::new(config);
-    let mut records = 0u64;
-    let mut kernel_records = 0u64;
-    let mut fallback_records = 0u64;
-    let mut batch = mbp_trace::BranchBatch::new();
-    let mut predictions = PredictionBits::new();
-
-    'trace: loop {
-        // Time the decode share separately from the whole run; one span per
-        // 2048-record block keeps the instrumentation off the record loop.
-        let got = {
-            let _span = stats.fill_batch.span();
-            let _event = mbp_stats::events::span(mbp_stats::events::EventName::SimFillBatch);
-            trace.fill_batch(&mut batch)?
-        };
-        // Per-batch heartbeat: every N-th batch samples the pipeline gauges
-        // into the event journal (throughput-over-time curves).
-        mbp_stats::events::batch_tick();
-        if got == 0 {
-            break;
-        }
-        records += got as u64;
-        // Steady state: once warm-up has elapsed and no cut-off is set,
-        // every record of the batch is measured, so the whole block goes
-        // through `predict_batch` (the kernel fast path) and the per-record
-        // window checks disappear. Any record advances the counter by at
-        // least one instruction, so `instructions >= warmup` here implies
-        // `instructions > warmup` after each record below. Timeseries
-        // accumulation needs per-record attribution, so it pins the run to
-        // the slow loop; the check is per batch, keeping the default
-        // (disabled) configuration at zero per-record cost.
-        if config.max_instructions.is_none()
-            && st.instructions >= config.warmup_instructions
-            && st.timeseries.is_none()
-            && st.forensics.is_none()
-        {
-            kernel_records += got as u64;
-            predictions.clear();
-            predictor.predict_batch(&batch, config.track_only_conditional, &mut predictions);
-            // Bookkeeping over the columns: the predictor already consumed
-            // the batch, so this loop touches only pcs/gaps/taken/ops (the
-            // targets column stays cold) and never calls through the
-            // predictor vtable.
-            let (pcs, gaps, taken, ops) = (
-                &batch.pcs()[..got],
-                &batch.gaps()[..got],
-                &batch.taken()[..got],
-                &batch.ops()[..got],
-            );
-            // Instruction totals vectorize as one reduction over the gaps
-            // column; the remaining loop keeps its running counters in
-            // locals so only the per-branch tables see memory traffic.
-            let advanced: u64 = gaps.iter().map(|&g| g as u64).sum::<u64>() + got as u64;
-            st.instructions += advanced;
-            st.measured_instructions += advanced;
-            let (mut conditional, mut mispredictions) = (0u64, 0u64);
-            let mut bit = 0usize;
-            for i in 0..got {
-                if ops[i] & 0b1 != 0 {
-                    let outcome = taken[i] != 0;
-                    let mispredicted = predictions.get(bit) != outcome;
-                    bit += 1;
-                    conditional += 1;
-                    mispredictions += mispredicted as u64;
-                    st.most_failed.record(pcs[i], outcome, mispredicted);
-                } else {
-                    st.most_failed.note_static(pcs[i]);
-                }
-            }
-            st.conditional += conditional;
-            st.mispredictions += mispredictions;
-            continue;
-        }
-        fallback_records += got as u64;
-        for i in 0..got {
-            if let Some(max) = config.max_instructions {
-                if st.instructions >= max {
-                    // A record exists beyond the cut-off, so the trace was
-                    // not exhausted — same contract as the scalar driver,
-                    // which pulls (but does not process) one more record.
-                    st.exhausted = false;
-                    break 'trace;
-                }
-            }
-            let rec = batch.record(i);
-            st.instructions += rec.instructions();
-            let in_measurement = st.instructions > config.warmup_instructions;
-            if in_measurement {
-                st.measured_instructions += rec.instructions();
-            }
-            let b = rec.branch;
-            if b.is_conditional() {
-                let prediction = predictor.predict(b.ip());
-                let mispredicted = prediction != b.is_taken();
-                if let Some(ts) = st.timeseries.as_mut() {
-                    // Warmup branches are recorded too: seeing the warmup
-                    // transient is the point of the series.
-                    ts.branch(b.ip(), b.is_taken(), mispredicted);
-                }
-                if in_measurement {
-                    st.conditional += 1;
-                    st.mispredictions += mispredicted as u64;
-                    st.most_failed.record(b.ip(), b.is_taken(), mispredicted);
-                } else {
-                    st.most_failed.note_static(b.ip());
-                }
-                predictor.train(&b);
-                if in_measurement {
-                    if let Some(f) = st.forensics.as_mut() {
-                        // Blame is only valid right after a mispredicted
-                        // branch's train call, which is exactly where we are.
-                        let blame = if mispredicted {
-                            predictor.last_mispredict_blame()
-                        } else {
-                            None
-                        };
-                        f.record(b.ip(), b.is_taken(), mispredicted, blame);
-                    }
-                }
-            } else {
-                st.most_failed.note_static(b.ip());
-            }
-            if !config.track_only_conditional || b.is_conditional() {
-                predictor.track(&b);
-            }
-            if let Some(ts) = st.timeseries.as_mut() {
-                ts.advance(st.instructions);
-            }
-        }
-    }
-
+    st.replay(
+        trace,
+        predictor,
+        config.warmup_instructions,
+        config.max_instructions,
+        config.track_only_conditional,
+    )?;
     let elapsed = start.elapsed();
-    stats.records.add(records);
-    stats.instructions.add(st.instructions);
-    stats.kernel_branches.add(kernel_records);
-    stats.scalar_fallback_branches.add(fallback_records);
-    // One instant per run: how much of it rode the kernel path (0 = the run
-    // never left the fallback). Visible in Chrome traces next to the run's
-    // `sim.simulate` span.
-    mbp_stats::events::instant(
-        mbp_stats::events::EventName::SimKernelBranches,
-        kernel_records,
-    );
-    stats
-        .simulate
-        .record_ns(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-    Ok(st.into_result(trace, predictor, config, elapsed.as_secs_f64()))
+    publish_run(st.records, st.kernel_records, st.instructions, elapsed);
+    Ok(st.into_result(
+        trace.description(),
+        predictor,
+        config,
+        elapsed.as_secs_f64(),
+    ))
 }
 
 /// The one-record-at-a-time reference driver.

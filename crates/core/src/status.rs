@@ -7,22 +7,15 @@
 //! writers beyond the atomics themselves: a snapshot is a statistically
 //! consistent view, which is all a dashboard needs.
 //!
-//! Progress counters come from [`StatusPredictor`], a transparent
-//! [`Predictor`] wrapper the sweep installs only when a board is attached:
-//! it forwards the whole interface bit-identically (metadata, statistics,
-//! probes, the vectorized `predict_batch` kernel) and, on the side, scores
-//! predictions against resolved outcomes to maintain live misprediction /
-//! instruction counts. Without a board the wrapper is never constructed and
-//! the hot path is untouched.
+//! Progress counters come from the driver itself: a run whose
+//! [`SimConfig::status`](crate::SimConfig::status) names a slot scores each
+//! batch's prediction bits once and publishes the batch's live instruction,
+//! branch and misprediction counts (plus a frequent-offender estimate of
+//! the worst branch) into it. Without a slot nothing is published and the
+//! scoring loop is untouched.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
-
-use mbp_json::Value;
-use mbp_trace::{Branch, BranchBatch};
-
-use crate::introspect::TableProbe;
-use crate::predictor::{PredictionBits, Predictor};
 
 /// Lifecycle of one predictor within a sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,8 +67,7 @@ struct StatusSlot {
     state: AtomicU8,
     /// Progress heartbeat: one tick per processed batch.
     epoch: AtomicU64,
-    /// Instructions retired so far (exact on the batch path; the scalar
-    /// fallback counts the branch instructions themselves).
+    /// Instructions retired so far.
     instructions: AtomicU64,
     /// Conditional branches predicted so far.
     conditional: AtomicU64,
@@ -106,7 +98,7 @@ pub struct PredictorStatus {
     /// Mispredicted conditional branches so far.
     pub mispredictions: u64,
     /// The currently worst `(ip, mispredictions)` branch, as estimated by
-    /// the wrapper's frequent-offender sketch; `None` before the first
+    /// the driver's frequent-offender sketch; `None` before the first
     /// misprediction.
     pub worst_branch: Option<(u64, u64)>,
 }
@@ -186,9 +178,9 @@ impl SweepStatusBoard {
         }
     }
 
-    /// Publishes the predictor's current worst branch (called by
-    /// [`StatusPredictor`] when its sketch's running maximum changes, and
-    /// by run drivers with final forensic totals at settle time).
+    /// Publishes the predictor's current worst branch (called by the driver
+    /// when its sketch's running maximum changes, and by run drivers with
+    /// final forensic totals at settle time).
     pub fn set_worst_branch(&self, index: usize, ip: u64, mispredictions: u64) {
         if let Some(slot) = self.slots.get(index) {
             slot.worst_ip.store(ip, Ordering::Relaxed);
@@ -197,7 +189,7 @@ impl SweepStatusBoard {
         }
     }
 
-    /// Adds one batch worth of progress (called by [`StatusPredictor`]).
+    /// Adds one batch worth of progress (called by the driver).
     fn add_progress(&self, index: usize, instructions: u64, conditional: u64, mispredicted: u64) {
         if let Some(slot) = self.slots.get(index) {
             slot.epoch.fetch_add(1, Ordering::Relaxed);
@@ -228,180 +220,82 @@ impl SweepStatusBoard {
     }
 }
 
-/// Direct-mapped slots in the [`WorstBranchSketch`]. Same sizing rationale
-/// as the taxonomy accumulator's cache: hot offender sets are small, and a
+/// Direct-mapped slots of the worst-branch sketch. Same sizing rationale as
+/// the taxonomy accumulator's cache: hot offender sets are small, and a
 /// collision only resets a cold branch's count.
 const WORST_SKETCH_SLOTS: usize = 256;
 
-/// A tiny deterministic frequent-offenders sketch: direct-mapped per-ip
-/// misprediction counts plus the running maximum. A hash collision evicts
-/// the resident branch and restarts the newcomer's count at one, so counts
-/// are lower bounds — which is all the live drill-down row needs; exact
-/// per-branch totals come from the forensics engine at end of run.
-struct WorstBranchSketch {
-    slots: Vec<(u64, u64)>,
-    worst_ip: u64,
-    worst_count: u64,
+/// The driver's side of one status slot. While the driver scores a batch
+/// it adds the batch's progress here and feeds each misprediction to a tiny
+/// deterministic frequent-offenders sketch: direct-mapped per-ip counts
+/// plus the running maximum. A collision evicts the resident branch and
+/// restarts the newcomer's count at one, so counts are lower bounds — all
+/// the live drill-down row needs; exact per-branch totals come from the
+/// end-of-run reports. [`publish`](Self::publish) hands both to the board
+/// once per batch, keeping the atomics off the scoring loop.
+pub(crate) struct StatusFeed {
+    board: Arc<SweepStatusBoard>,
+    slot: usize,
+    /// Unpublished `(instructions, conditional branches, mispredictions)`.
+    pending: (u64, u64, u64),
+    sketch: Vec<(u64, u64)>,
+    /// The sketch's running maximum `(ip, count)`.
+    worst: (u64, u64),
+    /// Whether `worst` moved since the last publish.
+    worst_moved: bool,
 }
 
-impl WorstBranchSketch {
-    fn new() -> Self {
+impl StatusFeed {
+    pub(crate) fn new(board: Arc<SweepStatusBoard>, slot: usize) -> Self {
         Self {
-            slots: vec![(u64::MAX, 0); WORST_SKETCH_SLOTS],
-            worst_ip: u64::MAX,
-            worst_count: 0,
+            board,
+            slot,
+            pending: (0, 0, 0),
+            sketch: vec![(u64::MAX, 0); WORST_SKETCH_SLOTS],
+            worst: (u64::MAX, 0),
+            worst_moved: false,
         }
     }
 
-    /// Counts one misprediction of `ip`; returns the new `(ip, count)`
-    /// maximum when it changed.
-    fn miss(&mut self, ip: u64) -> Option<(u64, u64)> {
+    /// Counts one misprediction of the branch at `ip`.
+    pub(crate) fn miss(&mut self, ip: u64) {
         let i = (ip.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize % WORST_SKETCH_SLOTS;
-        let slot = &mut self.slots[i];
+        let slot = &mut self.sketch[i];
         if slot.0 != ip {
             *slot = (ip, 0);
         }
         slot.1 += 1;
-        if slot.1 > self.worst_count {
-            self.worst_ip = ip;
-            self.worst_count = slot.1;
-            Some((ip, slot.1))
-        } else {
-            None
+        if slot.1 > self.worst.1 {
+            self.worst = *slot;
+            self.worst_moved = true;
         }
     }
-}
 
-/// A transparent [`Predictor`] wrapper that publishes live progress into a
-/// [`SweepStatusBoard`] slot.
-///
-/// The forwarded interface is bit-identical to the inner predictor — the
-/// driver-equivalence guarantees hold with or without the wrapper — and
-/// the counting adds one pass over each batch's prediction bits, far off
-/// the per-record hot path.
-pub struct StatusPredictor {
-    inner: Box<dyn Predictor + Send>,
-    board: Arc<SweepStatusBoard>,
-    slot: usize,
-    /// Last scalar prediction, consumed by the matching `train` call.
-    last_prediction: bool,
-    /// Live estimate of the worst (most-mispredicted) branch.
-    worst: WorstBranchSketch,
-}
-
-impl StatusPredictor {
-    /// Wraps `inner`, publishing into `board` slot `slot`.
-    pub fn new(
-        inner: Box<dyn Predictor + Send>,
-        board: Arc<SweepStatusBoard>,
-        slot: usize,
-    ) -> Self {
-        Self {
-            inner,
-            board,
-            slot,
-            last_prediction: false,
-            worst: WorstBranchSketch::new(),
-        }
-    }
-}
-
-impl Predictor for StatusPredictor {
-    fn predict(&mut self, ip: u64) -> bool {
-        let p = self.inner.predict(ip);
-        self.last_prediction = p;
-        p
+    /// Adds a scored piece of the current batch.
+    pub(crate) fn add(&mut self, instructions: u64, conditional: u64, mispredictions: u64) {
+        self.pending.0 += instructions;
+        self.pending.1 += conditional;
+        self.pending.2 += mispredictions;
     }
 
-    fn train(&mut self, branch: &Branch) {
-        // The driver pairs every conditional `train` with the immediately
-        // preceding `predict` on the same branch.
-        let missed = u64::from(self.last_prediction != branch.is_taken());
-        self.board.add_progress(self.slot, 1, 1, missed);
-        if missed != 0 {
-            if let Some((ip, count)) = self.worst.miss(branch.ip()) {
-                self.board.set_worst_branch(self.slot, ip, count);
-            }
-        }
-        self.inner.train(branch);
-    }
-
-    fn track(&mut self, branch: &Branch) {
-        self.inner.track(branch);
-    }
-
-    fn metadata(&self) -> Value {
-        self.inner.metadata()
-    }
-
-    fn execution_statistics(&self) -> Value {
-        self.inner.execution_statistics()
-    }
-
-    fn size_hint(&self) -> u64 {
-        self.inner.size_hint()
-    }
-
-    fn last_mispredict_blame(&self) -> Option<&'static str> {
-        self.inner.last_mispredict_blame()
-    }
-
-    fn table_probes(&self) -> Vec<TableProbe> {
-        self.inner.table_probes()
-    }
-
-    fn predict_batch(
-        &mut self,
-        batch: &BranchBatch,
-        track_only_conditional: bool,
-        out: &mut PredictionBits,
-    ) {
-        let first = out.len();
-        self.inner.predict_batch(batch, track_only_conditional, out);
-        // Score the freshly appended bits against the batch's resolved
-        // outcomes: one prediction bit per conditional branch, batch order.
-        let mut conditional = 0u64;
-        let mut missed = 0u64;
-        let mut bit = first;
-        let mut worst_change = None;
-        for i in 0..batch.len() {
-            if batch.is_conditional(i) {
-                if bit < out.len() {
-                    let taken = batch.taken()[i] != 0;
-                    if out.get(bit) != taken {
-                        missed += 1;
-                        if let Some(w) = self.worst.miss(batch.pcs()[i]) {
-                            worst_change = Some(w);
-                        }
-                    }
-                }
-                bit += 1;
-                conditional += 1;
-            }
-        }
-        let instructions: u64 = batch.gaps().iter().map(|&g| u64::from(g) + 1).sum();
+    /// Publishes the batch: one progress tick, plus the worst branch when
+    /// it moved.
+    pub(crate) fn publish(&mut self) {
+        let (instructions, conditional, mispredictions) = std::mem::take(&mut self.pending);
         self.board
-            .add_progress(self.slot, instructions, conditional, missed);
-        // One publish per batch keeps the atomics off the scoring loop.
-        if let Some((ip, count)) = worst_change {
-            self.board.set_worst_branch(self.slot, ip, count);
+            .add_progress(self.slot, instructions, conditional, mispredictions);
+        if std::mem::take(&mut self.worst_moved) {
+            self.board
+                .set_worst_branch(self.slot, self.worst.0, self.worst.1);
         }
-    }
-}
-
-impl std::fmt::Debug for StatusPredictor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StatusPredictor")
-            .field("slot", &self.slot)
-            .finish_non_exhaustive()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbp_json::json;
-    use mbp_trace::{BranchRecord, Opcode};
+    use crate::{simulate, ForensicsConfig, Predictor, SimConfig, SliceSource, BATCH_RECORDS};
+    use mbp_trace::{Branch, BranchRecord, Opcode};
 
     struct AlwaysTaken;
 
@@ -411,36 +305,37 @@ mod tests {
         }
         fn train(&mut self, _b: &Branch) {}
         fn track(&mut self, _b: &Branch) {}
-        fn metadata(&self) -> Value {
-            json!({"name": "always"})
-        }
-        fn size_hint(&self) -> u64 {
-            128
-        }
     }
 
-    fn mixed_batch() -> BranchBatch {
+    fn record(ip: u64, opcode: Opcode, taken: bool) -> BranchRecord {
+        BranchRecord::new(Branch::new(ip, 0x90, opcode, taken), 4)
+    }
+
+    fn mixed_records() -> Vec<BranchRecord> {
         // Three conditionals (taken, not-taken, taken) and one jump, with
         // 4 gap instructions each: 4 * (4 + 1) = 20 instructions.
-        let records = vec![
-            BranchRecord::new(
-                Branch::new(0x10, 0x90, Opcode::conditional_direct(), true),
-                4,
-            ),
-            BranchRecord::new(
-                Branch::new(0x20, 0x90, Opcode::conditional_direct(), false),
-                4,
-            ),
-            BranchRecord::new(
-                Branch::new(0x30, 0x90, Opcode::unconditional_direct(), true),
-                4,
-            ),
-            BranchRecord::new(
-                Branch::new(0x40, 0x90, Opcode::conditional_direct(), true),
-                4,
-            ),
-        ];
-        BranchBatch::from_records(&records)
+        vec![
+            record(0x10, Opcode::conditional_direct(), true),
+            record(0x20, Opcode::conditional_direct(), false),
+            record(0x30, Opcode::unconditional_direct(), true),
+            record(0x40, Opcode::conditional_direct(), true),
+        ]
+    }
+
+    /// Runs `records` through an always-taken predictor publishing into
+    /// slot 0 of a fresh board.
+    fn run(
+        records: &[BranchRecord],
+        config: SimConfig,
+    ) -> (Arc<SweepStatusBoard>, crate::SimResult) {
+        let board = Arc::new(SweepStatusBoard::new(["always"]));
+        let config = SimConfig {
+            status: Some((Arc::clone(&board), 0)),
+            ..config
+        };
+        let result = simulate(&mut SliceSource::new(records), &mut AlwaysTaken, &config)
+            .expect("in-memory run");
+        (board, result)
     }
 
     #[test]
@@ -458,19 +353,10 @@ mod tests {
     }
 
     #[test]
-    fn wrapper_counts_batch_progress_and_forwards() {
-        let board = Arc::new(SweepStatusBoard::new(["always"]));
-        let mut p = StatusPredictor::new(Box::new(AlwaysTaken), Arc::clone(&board), 0);
-        assert_eq!(p.metadata()["name"], Value::from("always"));
-        assert_eq!(p.size_hint(), 128);
-
-        let batch = mixed_batch();
-        let mut bits = PredictionBits::new();
-        p.predict_batch(&batch, false, &mut bits);
-        assert_eq!(bits.len(), 3, "one bit per conditional");
-
+    fn driver_counts_batch_progress_into_the_slot() {
+        let (board, _) = run(&mixed_records(), SimConfig::default());
         let s = &board.snapshot()[0];
-        assert_eq!(s.epoch, 1);
+        assert_eq!(s.epoch, 1, "one tick per batch");
         assert_eq!(s.instructions, 20);
         assert_eq!(s.conditional_branches, 3);
         // Always-taken misses only the single not-taken conditional.
@@ -479,40 +365,55 @@ mod tests {
     }
 
     #[test]
-    fn wrapper_counts_scalar_pairing() {
-        let board = Arc::new(SweepStatusBoard::new(["always"]));
-        let mut p = StatusPredictor::new(Box::new(AlwaysTaken), Arc::clone(&board), 0);
-        let taken = Branch::new(0x10, 0x90, Opcode::conditional_direct(), true);
-        let not_taken = Branch::new(0x20, 0x90, Opcode::conditional_direct(), false);
-        assert!(p.predict(0x10));
-        p.train(&taken);
-        assert!(p.predict(0x20));
-        p.train(&not_taken);
-        p.track(&not_taken);
+    fn live_counts_equal_the_result_before_settling() {
+        // Several batches, a time series and no warm-up: every record is
+        // measured, so the live counters must already equal the result
+        // before any settle-time `set_totals` overwrites them.
+        let records: Vec<BranchRecord> = (0..2 * BATCH_RECORDS as u64 + 77)
+            .map(|i| match i % 5 {
+                0 => record(0x100 + i % 64, Opcode::unconditional_direct(), true),
+                k => record(0x200 + i % 128, Opcode::conditional_direct(), k != 3),
+            })
+            .collect();
+        let (board, r) = run(
+            &records,
+            SimConfig {
+                timeseries_window: Some(1_000),
+                ..SimConfig::default()
+            },
+        );
         let s = &board.snapshot()[0];
-        assert_eq!(s.conditional_branches, 2);
-        assert_eq!(s.mispredictions, 1);
+        assert_eq!(s.epoch, 3);
+        assert_eq!(s.instructions, r.metadata.simulation_instr);
+        assert_eq!(s.conditional_branches, r.metadata.num_conditional_branches);
+        assert_eq!(s.mispredictions, r.metrics.mispredictions);
     }
 
     #[test]
-    fn wrapper_publishes_worst_branch() {
-        let board = Arc::new(SweepStatusBoard::new(["always"]));
-        let mut p = StatusPredictor::new(Box::new(AlwaysTaken), Arc::clone(&board), 0);
-        assert_eq!(board.snapshot()[0].worst_branch, None);
+    fn blame_loop_counts_like_the_kernel_path() {
+        let records = mixed_records();
+        let (kernel, _) = run(&records, SimConfig::default());
+        let (blame, _) = run(
+            &records,
+            SimConfig {
+                forensics: Some(ForensicsConfig::default()),
+                ..SimConfig::default()
+            },
+        );
+        assert_eq!(kernel.snapshot(), blame.snapshot());
+    }
 
-        // Batch path: 0x20 is the only miss.
-        let batch = mixed_batch();
-        let mut bits = PredictionBits::new();
-        p.predict_batch(&batch, false, &mut bits);
+    #[test]
+    fn driver_publishes_worst_branch() {
+        // 0x20 misses once; then 0x50 misses twice and overtakes it.
+        let mut records = mixed_records();
+        let (board, _) = run(&records, SimConfig::default());
         assert_eq!(board.snapshot()[0].worst_branch, Some((0x20, 1)));
-
-        // Scalar path: two more misses at 0x50 overtake it.
-        let miss = Branch::new(0x50, 0x90, Opcode::conditional_direct(), false);
-        for _ in 0..2 {
-            p.predict(0x50);
-            p.train(&miss);
-        }
+        records.extend([record(0x50, Opcode::conditional_direct(), false); 2]);
+        let (board, _) = run(&records, SimConfig::default());
         assert_eq!(board.snapshot()[0].worst_branch, Some((0x50, 2)));
+        let (board, _) = run(&[], SimConfig::default());
+        assert_eq!(board.snapshot()[0].worst_branch, None);
     }
 
     #[test]

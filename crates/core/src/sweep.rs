@@ -41,9 +41,9 @@ use mbp_json::{json, Value};
 use mbp_trace::{BranchBatch, BranchRecord, TraceError};
 
 use crate::checkpoint::{load_checkpoint, CheckpointWriter};
-use crate::simpoint::{simulate_sampled, PhasesDoc};
+use crate::simpoint::{sample, PhasesDoc};
 use crate::simulator::{simulate, SimConfig, SimResult};
-use crate::status::{PredictorState, StatusPredictor, SweepStatusBoard};
+use crate::status::{PredictorState, SweepStatusBoard};
 use crate::{Predictor, SliceSource, TraceSource};
 
 /// A named predictor awaiting simulation, claimed by exactly one worker.
@@ -57,6 +57,8 @@ type DoneSlot = Mutex<Option<Result<SimResult, SweepFailure>>>;
 #[derive(Clone, Debug, Default)]
 pub struct SweepConfig {
     /// Per-predictor simulation parameters (warm-up, instruction cap, …).
+    /// Its `status` slot is replaced per job by the predictor's slot on
+    /// [`SweepConfig::status`].
     pub sim: SimConfig,
     /// Worker threads; `0` means one per available core, capped at the
     /// number of predictors.
@@ -88,8 +90,8 @@ pub struct SweepConfig {
     /// Live status board (slots keyed by predictor name) that workers and
     /// the watchdog publish lifecycle transitions and progress counters
     /// into — the data source of the `/snapshot` telemetry endpoint. `None`
-    /// (the default) skips all publishing, including the per-batch
-    /// counting wrapper, so an unobserved sweep pays nothing.
+    /// (the default) skips all publishing, including the driver's per-batch
+    /// progress counts, so an unobserved sweep pays nothing.
     pub status: Option<Arc<SweepStatusBoard>>,
 }
 
@@ -344,9 +346,7 @@ struct SweepShared {
     /// memory are still good) and the error is surfaced at the end.
     writer_error: Mutex<Option<io::Error>>,
     /// Sampling plan: workers run the sampled executor instead of the full
-    /// trace when set. Note the sampled path does not bump progress epochs
-    /// (slices are short); a wedged predictor is still bounded by the
-    /// watchdog's abandon-after-grace path.
+    /// trace when set.
     phases: Option<PhasesDoc>,
     /// Live status board for the telemetry plane; `None` publishes nothing.
     status: Option<Arc<SweepStatusBoard>>,
@@ -368,7 +368,8 @@ fn ns_since(start: &Instant) -> u64 {
 /// Trace-source shim between the shared record block and one worker: bumps
 /// the job's progress epoch every batch and turns the watchdog's cancel
 /// flag into a clean [`TraceError::Cancelled`] unwind at the next batch
-/// boundary.
+/// boundary. It has no description of its own: the worker attributes
+/// every result to the real trace.
 struct CancelSource<'a> {
     inner: SliceSource<'a>,
     job: &'a JobState,
@@ -393,18 +394,6 @@ impl TraceSource for CancelSource<'_> {
     fn fill_batch(&mut self, out: &mut BranchBatch) -> Result<usize, TraceError> {
         self.check()?;
         self.inner.fill_batch(out)
-    }
-
-    fn description(&self) -> Value {
-        self.inner.description()
-    }
-
-    fn instruction_count_hint(&self) -> Option<u64> {
-        self.inner.instruction_count_hint()
-    }
-
-    fn record_count_hint(&self) -> Option<u64> {
-        self.inner.record_count_hint()
     }
 }
 
@@ -760,7 +749,7 @@ fn worker_loop(shared: &SweepShared) {
 }
 
 /// Admission, simulation, classification and reporting of one predictor.
-fn run_job(shared: &SweepShared, i: usize, name: String, predictor: Box<dyn Predictor + Send>) {
+fn run_job(shared: &SweepShared, i: usize, name: String, mut predictor: Box<dyn Predictor + Send>) {
     let stats = &mbp_stats::pipeline().sweep;
 
     // Memory-budget admission. The deadline clock starts only after
@@ -840,35 +829,30 @@ fn run_job(shared: &SweepShared, i: usize, name: String, predictor: Box<dyn Pred
         .store(ns_since(&shared.start).max(1), Ordering::Relaxed);
     publish_state(&shared.status, &name, PredictorState::Running);
 
-    // With a board attached, interpose the counting wrapper so the slot's
-    // progress counters move while the simulation runs. The wrapper
-    // forwards the interface bit-identically, so results are unchanged.
-    let mut predictor: Box<dyn Predictor + Send> = match shared
-        .status
-        .as_ref()
-        .and_then(|b| b.index_of(&name).map(|j| (Arc::clone(b), j)))
-    {
-        Some((board, j)) => Box::new(StatusPredictor::new(predictor, board, j)),
-        None => predictor,
+    // With a board attached, the driver publishes the slot's live progress
+    // while the simulation runs; results are unchanged.
+    let sim = SimConfig {
+        status: shared
+            .status
+            .as_ref()
+            .and_then(|b| b.index_of(&name).map(|j| (Arc::clone(b), j))),
+        ..shared.sim.clone()
     };
+    let job = &shared.jobs[i];
 
     // Fault isolation: a predictor that panics takes down this one
     // simulation, not the sweep. The predictor and source are owned by the
-    // closure, so no shared state is observed after an unwind.
+    // closure, so no shared state is observed after an unwind. Full and
+    // sampled runs read the records through the same cancellable source,
+    // so the watchdog sees their progress and can stop either.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        if let Some(phases) = &shared.phases {
-            Ok(simulate_sampled(
-                &shared.records,
-                &mut *predictor,
-                phases,
-                &shared.sim,
-            ))
-        } else {
-            let mut source = CancelSource {
-                inner: SliceSource::new(&shared.records),
-                job: &shared.jobs[i],
-            };
-            simulate(&mut source, &mut *predictor, &shared.sim)
+        let open = |records| CancelSource {
+            inner: SliceSource::new(records),
+            job,
+        };
+        match &shared.phases {
+            Some(phases) => sample(&shared.records, &mut *predictor, phases, &sim, open),
+            None => simulate(&mut open(&shared.records), &mut *predictor, &sim),
         }
     }));
     let outcome = match outcome {
@@ -1208,6 +1192,19 @@ mod tests {
         fn track(&mut self, _b: &Branch) {}
     }
 
+    /// Healthy but slow: sleeps on every prediction, so a run keeps making
+    /// progress for far longer than a tiny deadline.
+    struct Slow;
+
+    impl Predictor for Slow {
+        fn predict(&mut self, _ip: u64) -> bool {
+            std::thread::sleep(Duration::from_micros(200));
+            true
+        }
+        fn train(&mut self, _b: &Branch) {}
+        fn track(&mut self, _b: &Branch) {}
+    }
+
     /// Correct predictions, huge claimed footprint.
     struct Hog(u64);
 
@@ -1503,6 +1500,42 @@ mod tests {
             r.failures[0].message
         );
         assert!(!r.interrupted, "a deadline is a failure, not an interrupt");
+    }
+
+    #[test]
+    fn deadline_watchdog_cancels_a_sampled_run() {
+        // Sixteen single-branch working sets, one per 50-record
+        // (200-instruction) window, so the plan holds many phases of two
+        // 50-record slices each: every slice ends far inside the
+        // watchdog's stall and grace windows, and the whole run far
+        // outlasts the deadline.
+        let records: Vec<BranchRecord> = (0..3200u64)
+            .map(|i| {
+                // Consecutive ips land in distinct BBV buckets.
+                let ip = 0x40_0000 + (i / 50) % 16;
+                BranchRecord::new(Branch::new(ip, 0, Opcode::conditional_direct(), true), 3)
+            })
+            .collect();
+        let phases = crate::simpoint::extract_phases(&records, 200, 16);
+        assert!(phases.phases.len() >= 8, "{} phases", phases.phases.len());
+        let cfg = SweepConfig {
+            jobs: 1,
+            deadline: Some(Duration::from_millis(10)),
+            phases: Some(phases),
+            ..SweepConfig::default()
+        };
+        let predictors: Vec<(String, Box<dyn Predictor + Send>)> =
+            vec![("slow".to_string(), Box::new(Slow))];
+        let mut src = SliceSource::new(&records);
+        let r = simulate_many(&mut src, predictors, &cfg).unwrap();
+        assert!(r.entries.is_empty());
+        assert_eq!(r.failures.len(), 1);
+        assert_eq!(r.failures[0].kind, FailureKind::Deadline);
+        assert!(
+            r.failures[0].message.contains("simulation cancelled"),
+            "the sampled run observed the cancel flag: {:?}",
+            r.failures[0].message
+        );
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use std::collections::HashSet;
 
 use mbp_json::{json, Map, Value};
+use mbp_utils::FastHashBuilder;
 
 use crate::metrics::{accuracy, mpki};
 
@@ -231,7 +232,9 @@ pub struct TimeSeriesBuilder {
     conditional: u64,
     mispredictions: u64,
     taken: u64,
-    ips: HashSet<u64>,
+    /// Distinct ips of the open window; only its size is read, so the
+    /// hasher is the cheap one every other per-PC table uses.
+    ips: HashSet<u64, FastHashBuilder>,
     windows: Vec<Window>,
 }
 
@@ -246,7 +249,7 @@ impl TimeSeriesBuilder {
             conditional: 0,
             mispredictions: 0,
             taken: 0,
-            ips: HashSet::new(),
+            ips: HashSet::default(),
             windows: Vec::new(),
         }
     }

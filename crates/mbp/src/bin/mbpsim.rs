@@ -111,7 +111,7 @@ fn usage() -> &'static str {
      --introspect           collect end-of-run table-health probes into an\n                         \
      `introspection` output section (run, compare, sweep)\n  \
      --timeseries-out <f>   write per-window time-series rows as CSV and add\n                         \
-     `metrics.timeseries` to the JSON (run, sweep)\n  \
+     `metrics.timeseries` to the JSON (run, explain, sweep)\n  \
      --window <N>           time-series window size in instructions\n                         \
      (default 100000; implies `metrics.timeseries`)\n  \
      --quiet                suppress the live progress line on stderr\n\
@@ -406,16 +406,16 @@ fn codec_for(path: &Path) -> Option<(Codec, u32)> {
 
 fn cmd_run(args: &Args) -> Result<ExitCode, Failure> {
     let name = args.required("--predictor")?;
-    let predictor = by_name(name)
+    let mut predictor = by_name(name)
         .ok_or_else(|| Failure::usage(format!("unknown predictor {name:?}; try `mbpsim list`")))?;
     let trace_path = args.required("--trace")?;
     let mut trace = SbbtReader::open(trace_path)
         .map_err(|e| Failure::trace(format!("cannot open {trace_path}: {e}")))?;
-    let config = sim_config(args)?;
+    let mut config = sim_config(args)?;
     setup_events(args)?;
     // Telemetry wants a (single-slot) status board so /snapshot carries a
-    // predictor row; without the flag the run pays for neither board nor
-    // wrapper.
+    // predictor row, which the driver fills while it scores; without the
+    // flag the run pays for neither.
     let board = args
         .get("--telemetry-listen")
         .map(|_| std::sync::Arc::new(mbp::sim::SweepStatusBoard::new([name])));
@@ -427,17 +427,10 @@ fn cmd_run(args: &Args) -> Result<ExitCode, Failure> {
             ..Default::default()
         },
     )?;
-    let mut predictor: Box<dyn mbp::sim::Predictor + Send> = match &board {
-        Some(b) => {
-            b.set_state(0, mbp::sim::PredictorState::Running);
-            Box::new(mbp::sim::StatusPredictor::new(
-                predictor,
-                std::sync::Arc::clone(b),
-                0,
-            ))
-        }
-        None => predictor,
-    };
+    if let Some(b) = &board {
+        b.set_state(0, mbp::sim::PredictorState::Running);
+        config.status = Some((std::sync::Arc::clone(b), 0));
+    }
     let total = expected_instructions(trace.header().instruction_count, &config);
     let progress = mbp::progress::Progress::start(total, None, args.flag("--quiet"));
     let result = simulate(&mut trace, &mut predictor, &config);
@@ -512,6 +505,7 @@ fn cmd_explain(args: &Args) -> Result<ExitCode, Failure> {
     progress.finish();
     emit_events(args)?;
     let result = result.map_err(|e| Failure::trace(format!("simulation failed: {e}")))?;
+    emit_timeseries_csv(args, &[(None, result.timeseries.as_ref())])?;
     let mut doc = result.to_json();
     if let Some(meta) = doc
         .as_object_mut()

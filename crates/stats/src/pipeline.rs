@@ -60,8 +60,8 @@ pub struct SimStats {
     /// Records processed through `Predictor::predict_batch` (the batched
     /// kernel fast path of `simulate`).
     pub kernel_branches: Counter,
-    /// Records processed one at a time: warm-up and cut-off windows,
-    /// timeseries runs, and the scalar reference driver.
+    /// Records processed one at a time: forensic runs' blame loop and the
+    /// scalar reference driver.
     pub scalar_fallback_branches: Counter,
 }
 

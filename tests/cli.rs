@@ -116,6 +116,44 @@ fn explain_emits_versioned_forensic_report() {
 }
 
 #[test]
+fn explain_writes_the_timeseries_csv() {
+    let dir = temp_dir("explain-timeseries");
+    assert!(mbpsim()
+        .args(["gen", "--suite", "smoke", "--out"])
+        .arg(&dir)
+        .status()
+        .expect("spawn")
+        .success());
+    let csv = dir.join("explain_ts.csv");
+    let out = mbpsim()
+        .arg("explain")
+        .arg(dir.join("SMOKE-mobile.sbbt.mzst"))
+        .args(["gshare", "--quiet", "--window", "10000", "--timeseries-out"])
+        .arg(&csv)
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc: mbp::json::Value = String::from_utf8(out.stdout)
+        .expect("utf8")
+        .parse()
+        .expect("json");
+    let windows = doc["metrics"]["timeseries"]["num_windows"]
+        .as_u64()
+        .expect("metrics.timeseries");
+    let text = std::fs::read_to_string(&csv).expect("explain wrote the CSV");
+    assert!(text.starts_with("window,start_instruction,"), "{text}");
+    assert_eq!(
+        text.lines().count() as u64,
+        windows + 1,
+        "one row per window below the header"
+    );
+}
+
+#[test]
 fn translate_roundtrip_through_bt9() {
     let dir = temp_dir("translate");
     assert!(mbpsim()

@@ -3,12 +3,13 @@
 //! over `fill_batch`), and the parallel sweep (`simulate_many`) produce
 //! byte-identical JSON documents for the same predictor, trace and
 //! configuration — including warm-up and `max_instructions` cut-offs that
-//! land exactly on (or one instruction off) a batch boundary.
+//! land exactly on (or one instruction off) a batch boundary, with and
+//! without the forensics and time-series observers.
 
 use mbp::examples::{by_name, Gshare, Tage, TageConfig, PREDICTOR_NAMES};
 use mbp::sim::{
-    simulate, simulate_many, simulate_scalar, Predictor, SimConfig, SimResult, SliceSource,
-    SweepConfig, TraceSource,
+    simulate, simulate_many, simulate_scalar, ForensicsConfig, Predictor, SimConfig, SimResult,
+    SliceSource, SweepConfig, TraceSource,
 };
 use mbp::trace::sbbt::{SbbtReader, BATCH_RECORDS};
 use mbp::trace::{translate, BranchRecord};
@@ -90,6 +91,22 @@ fn edge_configs(records: &[BranchRecord]) -> Vec<(String, SimConfig)> {
             ..SimConfig::default()
         },
     ));
+    // The same cut-offs with the forensics engine and a time series armed:
+    // their reports must be as driver-invisible as the headline metrics.
+    let observed: Vec<(String, SimConfig)> = configs
+        .iter()
+        .map(|(label, config)| {
+            (
+                format!("{label}+forensics+timeseries"),
+                SimConfig {
+                    forensics: Some(ForensicsConfig::default()),
+                    timeseries_window: Some(1_000),
+                    ..config.clone()
+                },
+            )
+        })
+        .collect();
+    configs.extend(observed);
     configs
 }
 
