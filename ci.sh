@@ -289,13 +289,13 @@ echo "== misprediction forensics gate (explain coverage + report stability) =="
 # floor of all mispredictions (the smoke workload concentrates its miss
 # mass: measured coverage is 1.0 for every stock predictor, so the floor
 # is strict), must attribute mispredictions to a component for a composite
-# predictor, and must hash identically across two runs once wall-clock
-# fields are stripped.
+# predictor, must hash identically across two runs once wall-clock
+# fields are stripped, and must reach `stats-diff` through --metrics-out.
 target/release/mbpsim explain "$obs_tmp/traces/SMOKE-mobile.sbbt.mzst" \
   tournament --quiet > "$obs_tmp/explain_a.json" 2>/dev/null
 target/release/mbpsim explain "$obs_tmp/traces/SMOKE-mobile.sbbt.mzst" \
   tournament --quiet > "$obs_tmp/explain_b.json" 2>/dev/null
-grep -q '"schema_version": 1' "$obs_tmp/explain_a.json" \
+grep -q '"schema_version": 2' "$obs_tmp/explain_a.json" \
   || { echo "forensic report is missing its schema version" >&2; exit 1; }
 cov="$(grep -o '"fraction": *[0-9.]*' "$obs_tmp/explain_a.json" \
   | tail -n 1 | grep -o '[0-9.]*$')"
@@ -310,6 +310,18 @@ if [ "$hash_a" != "$hash_b" ]; then
   diff <(canon "$obs_tmp/explain_a.json") <(canon "$obs_tmp/explain_b.json") >&2 || true
   exit 1
 fi
+# Two more identical runs, with metrics files: the forensic counts diff as
+# unchanged; the loose threshold keeps wall-clock noise in the timing
+# leaves from gating.
+for run in a b; do
+  target/release/mbpsim explain "$obs_tmp/traces/SMOKE-mobile.sbbt.mzst" \
+    tournament --quiet --metrics-out "$obs_tmp/explain_$run.metrics.json" \
+    > /dev/null 2>&1
+done
+target/release/mbpsim stats-diff "$obs_tmp/explain_a.metrics.json" \
+  "$obs_tmp/explain_b.metrics.json" --threshold 5000 > "$obs_tmp/explain_diff.txt"
+grep -q ' forensics\.' "$obs_tmp/explain_diff.txt" \
+  || { echo "stats-diff skipped the forensics section" >&2; exit 1; }
 cargo test -q -p mbp --test forensics
 
 echo "== benchmark self-tests (mbpbench units, smoke runs, seed-1 digests) =="

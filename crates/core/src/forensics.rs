@@ -1,36 +1,25 @@
-//! Misprediction forensics: a bounded per-branch attribution engine.
+//! Misprediction forensics: the per-branch attribution report.
 //!
 //! Aggregate MPKI says *how much* a predictor loses; forensics says *where*
-//! and *why*. The engine keeps a capacity-bounded table of per-PC outcome
-//! structure (direction entropy, transition rate, streak and misprediction
-//! burst shape), classifies branches online against the hard-to-predict
-//! (H2P) thresholds of the workload-characterization literature, and — for
+//! and *why*. A forensic run's [`MostFailed`] accumulator also keeps each
+//! branch's outcome [`Shape`] — streaks, misprediction bursts and, for
 //! composite predictors implementing
-//! [`Predictor::last_mispredict_blame`](crate::Predictor::last_mispredict_blame)
-//! — attributes each misprediction to the component that caused it.
-//!
-//! The table is bounded (default [`ForensicsConfig::capacity`]) with
-//! clock-style eviction keyed by *misprediction mass*: each sweep of the
-//! clock hand halves a slot's decaying misprediction weight and evicts the
-//! first slot that reaches zero. A new branch may only claim a slot when it
-//! mispredicts, so residency is biased toward the branches that matter and
-//! slot churn is bounded by the misprediction rate, not the branch arrival
-//! rate. Everything is deterministic: no randomness, no wall clock, and
-//! address-ordered tie-breaking, so two runs over the same record stream
-//! produce byte-identical reports. Global totals are accumulated outside
-//! the table, so coverage fractions stay exact even after evictions.
-
-use std::collections::HashMap;
+//! [`Predictor::last_mispredict_blame`](crate::Predictor::last_mispredict_blame),
+//! the component each misprediction is attributed to — and [`report`]
+//! renders it from the same exact per-branch counts `most_failed` shows:
+//! the top branches in `most_failed` order, their direction entropy and
+//! transition rate, hard-to-predict (H2P) classification against the
+//! thresholds of the workload-characterization literature, and the
+//! misprediction coverage curve. Everything is deterministic: no
+//! randomness, no wall clock, and address-ordered tie-breaking, so two runs
+//! over the same record stream produce byte-identical reports.
 
 use mbp_json::{json, Map, Value};
-use mbp_utils::FastHashBuilder;
 
-use crate::metrics::{
-    direction_entropy, entropy_class_name, transition_class_name, transition_rate,
-};
+use crate::metrics::{entropy_class_name, transition_class_name, BranchStat, MostFailed};
 
 /// Schema version of the `"forensics"` report section.
-pub const FORENSICS_SCHEMA_VERSION: u64 = 1;
+pub const FORENSICS_SCHEMA_VERSION: u64 = 2;
 
 /// A branch must execute at least this often to be classified H2P.
 pub const H2P_MIN_OCCURRENCES: u64 = 16;
@@ -38,37 +27,48 @@ pub const H2P_MIN_OCCURRENCES: u64 = 16;
 /// A branch must miss at least this fraction of executions to be H2P.
 pub const H2P_MIN_MISPREDICTION_RATE: f64 = 0.05;
 
-/// Same sentinel as the taxonomy accumulator: 0/1 are outcomes, 2 is
-/// "no outcome observed yet".
-const NO_OUTCOME: u8 = 2;
-
-/// Configuration for the forensics engine.
+/// Configuration for the forensic report.
+///
+/// # Examples
+///
+/// ```
+/// use mbp_core::{simulate, Branch, BranchRecord, ForensicsConfig, Opcode, Predictor};
+/// use mbp_core::{SimConfig, SliceSource};
+///
+/// struct AlwaysTaken;
+/// impl Predictor for AlwaysTaken {
+///     fn predict(&mut self, _ip: u64) -> bool { true }
+///     fn train(&mut self, _b: &Branch) {}
+///     fn track(&mut self, _b: &Branch) {}
+/// }
+///
+/// // An alternating branch: always-taken misses half of it.
+/// let records: Vec<_> = (0..32)
+///     .map(|i| BranchRecord::new(Branch::new(0x40, 0x80, Opcode::conditional_direct(), i % 2 == 0), 0))
+///     .collect();
+/// let config = SimConfig { forensics: Some(ForensicsConfig::default()), ..SimConfig::default() };
+/// let result = simulate(&mut SliceSource::new(&records), &mut AlwaysTaken, &config)?;
+/// let report = result.forensics.expect("forensics requested");
+/// assert_eq!(report["top"][0]["ip"].as_u64(), Some(0x40));
+/// assert_eq!(report["h2p_branches"].as_u64(), Some(1));
+/// # Ok::<(), mbp_core::TraceError>(())
+/// ```
 #[derive(Clone, Debug)]
 pub struct ForensicsConfig {
-    /// Maximum number of per-branch slots resident at once.
-    pub capacity: usize,
     /// Branches reported in the `"top"` array and coverage curve.
     pub top_limit: usize,
 }
 
 impl Default for ForensicsConfig {
     fn default() -> Self {
-        Self {
-            capacity: 4096,
-            top_limit: 10,
-        }
+        Self { top_limit: 10 }
     }
 }
 
-/// Per-branch forensic accumulator.
-#[derive(Clone, Debug)]
-struct ForensicSlot {
-    ip: u64,
-    occurrences: u64,
-    mispredictions: u64,
-    taken: u64,
-    transitions: u64,
-    last_taken: u8,
+/// The outcome shape of one branch, which only a forensic accumulator
+/// keeps.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Shape {
     /// Length of the current same-direction outcome run.
     streak: u64,
     max_streak: u64,
@@ -77,48 +77,23 @@ struct ForensicSlot {
     max_burst: u64,
     /// Number of misprediction bursts (maximal runs of length ≥ 1).
     bursts: u64,
-    /// Decaying misprediction weight driving clock eviction.
-    mass: u64,
     /// Component attribution counts, insertion-ordered (sorted at render).
     blame: Vec<(&'static str, u64)>,
 }
 
-impl ForensicSlot {
-    fn new(ip: u64) -> Self {
-        Self {
-            ip,
-            occurrences: 0,
-            mispredictions: 0,
-            taken: 0,
-            transitions: 0,
-            last_taken: NO_OUTCOME,
-            streak: 0,
-            max_streak: 0,
-            burst: 0,
-            max_burst: 0,
-            bursts: 0,
-            mass: 0,
-            blame: Vec::new(),
-        }
-    }
-
-    fn record(&mut self, taken: bool, mispredicted: bool, blame: Option<&'static str>) {
-        self.occurrences += 1;
-        let outcome = taken as u8;
-        if self.last_taken == outcome {
-            self.streak += 1;
-        } else {
-            if self.last_taken != NO_OUTCOME {
-                self.transitions += 1;
-            }
-            self.streak = 1;
-        }
+impl Shape {
+    /// Adds one outcome; `repeats` says it equals the branch's previous
+    /// outcome, and `blame` names the component a misprediction is
+    /// attributed to.
+    pub(crate) fn record(
+        &mut self,
+        repeats: bool,
+        mispredicted: bool,
+        blame: Option<&'static str>,
+    ) {
+        self.streak = if repeats { self.streak + 1 } else { 1 };
         self.max_streak = self.max_streak.max(self.streak);
-        self.last_taken = outcome;
-        self.taken += taken as u64;
         if mispredicted {
-            self.mispredictions += 1;
-            self.mass = self.mass.saturating_add(1);
             self.burst += 1;
             if self.burst == 1 {
                 self.bursts += 1;
@@ -134,269 +109,111 @@ impl ForensicSlot {
             self.burst = 0;
         }
     }
-
-    fn misprediction_rate(&self) -> f64 {
-        if self.occurrences == 0 {
-            0.0
-        } else {
-            self.mispredictions as f64 / self.occurrences as f64
-        }
-    }
-
-    fn is_h2p(&self) -> bool {
-        self.occurrences >= H2P_MIN_OCCURRENCES
-            && self.misprediction_rate() >= H2P_MIN_MISPREDICTION_RATE
-    }
 }
 
-/// The bounded per-branch forensics table.
-///
-/// # Examples
-///
-/// ```
-/// use mbp_core::{Forensics, ForensicsConfig};
-///
-/// let mut f = Forensics::new(&ForensicsConfig::default());
-/// for i in 0..32 {
-///     f.record(0x40, i % 2 == 0, i % 2 == 0, None); // alternating, 50% missed
-/// }
-/// let report = f.report(32_000);
-/// assert_eq!(report["top"][0]["ip"].as_u64(), Some(0x40));
-/// assert_eq!(report["h2p_branches"].as_u64(), Some(1));
-/// ```
-#[derive(Clone, Debug)]
-pub struct Forensics {
-    capacity: usize,
-    top_limit: usize,
-    index: HashMap<u64, usize, FastHashBuilder>,
-    slots: Vec<ForensicSlot>,
-    /// Clock-eviction hand.
-    hand: usize,
-    evictions: u64,
-    /// Global totals, independent of table residency.
-    conditional_branches: u64,
-    mispredictions: u64,
+fn misprediction_rate(b: &BranchStat) -> f64 {
+    b.mispredictions as f64 / b.occurrences as f64
 }
 
-impl Forensics {
-    /// Builds an empty table with the configured bounds.
-    pub fn new(cfg: &ForensicsConfig) -> Self {
-        Self {
-            capacity: cfg.capacity.max(1),
-            top_limit: cfg.top_limit.max(1),
-            index: HashMap::default(),
-            slots: Vec::new(),
-            hand: 0,
-            evictions: 0,
-            conditional_branches: 0,
-            mispredictions: 0,
+fn is_h2p(b: &BranchStat) -> bool {
+    b.occurrences >= H2P_MIN_OCCURRENCES && misprediction_rate(b) >= H2P_MIN_MISPREDICTION_RATE
+}
+
+/// Renders the versioned forensic report of a forensic accumulator over
+/// `instructions` measured instructions. Branches come in `most_failed`
+/// order (mispredictions descending, then address ascending); attribution
+/// labels sort lexicographically; totals, H2P count and coverage span
+/// every measured branch.
+pub(crate) fn report(
+    most_failed: &MostFailed,
+    config: &ForensicsConfig,
+    instructions: u64,
+) -> Value {
+    let branches: Vec<_> = most_failed.ranked(instructions).collect();
+    let conditional_branches: u64 = branches.iter().map(|(b, _)| b.occurrences).sum();
+    let mispredictions: u64 = branches.iter().map(|(b, _)| b.mispredictions).sum();
+    let h2p_branches = branches.iter().filter(|(b, _)| is_h2p(b)).count() as u64;
+
+    let unshaped = Shape::default();
+    let mut top = Vec::new();
+    let mut coverage = Vec::new();
+    let mut covered = 0u64;
+    for (n, (b, shape)) in branches
+        .iter()
+        .take_while(|(b, _)| b.mispredictions > 0)
+        .take(config.top_limit.max(1))
+        .enumerate()
+    {
+        let shape = shape.unwrap_or(&unshaped);
+        let mut branch = Map::new();
+        branch.insert("ip", b.ip);
+        branch.insert("occurrences", b.occurrences);
+        branch.insert("mispredictions", b.mispredictions);
+        branch.insert("misprediction_rate", misprediction_rate(b));
+        branch.insert("taken_rate", b.taken as f64 / b.occurrences as f64);
+        branch.insert("direction_entropy", b.direction_entropy);
+        branch.insert("entropy_class", entropy_class_name(b.direction_entropy));
+        branch.insert("transition_rate", b.transition_rate);
+        branch.insert("transition_class", transition_class_name(b.transition_rate));
+        branch.insert("max_streak", shape.max_streak);
+        branch.insert("max_misprediction_burst", shape.max_burst);
+        branch.insert("misprediction_bursts", shape.bursts);
+        branch.insert("mpki", b.mpki);
+        branch.insert("h2p", is_h2p(b));
+        let mut labels: Vec<&(&'static str, u64)> = shape.blame.iter().collect();
+        labels.sort_by(|a, b| a.0.cmp(b.0));
+        let mut attribution = Map::new();
+        for (label, count) in labels {
+            attribution.insert(*label, *count);
         }
+        branch.insert("attribution", attribution);
+        top.push(Value::from(branch));
+
+        covered += b.mispredictions;
+        coverage.push(json!({
+            "top_n": (n + 1) as u64,
+            "mispredictions": covered,
+            "fraction": covered as f64 / mispredictions as f64,
+        }));
     }
 
-    /// Records one measured conditional branch outcome.
-    ///
-    /// `blame` is the component label reported by the predictor's
-    /// attribution hook for this misprediction (ignored unless
-    /// `mispredicted`).
-    pub fn record(
-        &mut self,
-        ip: u64,
-        taken: bool,
-        mispredicted: bool,
-        blame: Option<&'static str>,
-    ) {
-        self.conditional_branches += 1;
-        if mispredicted {
-            self.mispredictions += 1;
-        }
-        if let Some(&i) = self.index.get(&ip) {
-            self.slots[i].record(taken, mispredicted, blame);
-            return;
-        }
-        let i = if self.slots.len() < self.capacity {
-            self.slots.push(ForensicSlot::new(ip));
-            self.slots.len() - 1
-        } else if mispredicted {
-            // The table is full: only a mispredicting branch may claim a
-            // slot, by evicting the slot whose decaying misprediction mass
-            // first reaches zero under the clock hand.
-            let i = self.evict();
-            self.slots[i] = ForensicSlot::new(ip);
-            i
-        } else {
-            // Well-predicted new branches still count in the global totals
-            // above but do not displace resident offenders.
-            return;
-        };
-        self.index.insert(ip, i);
-        self.slots[i].record(taken, mispredicted, blame);
-    }
-
-    /// Clock eviction: halve the mass of each visited slot and evict the
-    /// first that reaches zero. Bounded at two full sweeps (after one full
-    /// sweep every mass has at least halved; after two, any slot with mass
-    /// below 2^sweeps is zero), then the hand position is evicted outright.
-    fn evict(&mut self) -> usize {
-        let mut victim = self.hand;
-        for _ in 0..2 * self.capacity {
-            let slot = &mut self.slots[self.hand];
-            slot.mass /= 2;
-            let here = self.hand;
-            self.hand = (self.hand + 1) % self.capacity;
-            if self.slots[here].mass == 0 {
-                victim = here;
-                break;
-            }
-            victim = self.hand;
-        }
-        self.index.remove(&self.slots[victim].ip);
-        self.evictions += 1;
-        victim
-    }
-
-    /// Number of branches currently resident in the table.
-    pub fn tracked_branches(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Global measured conditional-branch count (survives eviction).
-    pub fn conditional_branches(&self) -> u64 {
-        self.conditional_branches
-    }
-
-    /// Global misprediction count (survives eviction).
-    pub fn mispredictions(&self) -> u64 {
-        self.mispredictions
-    }
-
-    /// The currently worst resident branch `(ip, mispredictions)`, ties
-    /// broken toward the lower address.
-    pub fn worst_branch(&self) -> Option<(u64, u64)> {
-        self.index
-            .values()
-            .map(|&i| (self.slots[i].ip, self.slots[i].mispredictions))
-            .filter(|&(_, m)| m > 0)
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-    }
-
-    /// Renders the versioned forensic report over `instructions` measured
-    /// instructions. Deterministic: branches sort by mispredictions
-    /// descending then address ascending, attribution labels sort
-    /// lexicographically.
-    pub fn report(&self, instructions: u64) -> Value {
-        let mut order: Vec<&ForensicSlot> = self
-            .index
-            .values()
-            .map(|&i| &self.slots[i])
-            .filter(|s| s.mispredictions > 0)
-            .collect();
-        order.sort_by(|a, b| {
-            b.mispredictions
-                .cmp(&a.mispredictions)
-                .then(a.ip.cmp(&b.ip))
-        });
-
-        let h2p_branches = self
-            .index
-            .values()
-            .filter(|&&i| self.slots[i].is_h2p())
-            .count() as u64;
-
-        let mut top = Vec::new();
-        let mut coverage = Vec::new();
-        let mut covered = 0u64;
-        for (n, slot) in order.iter().take(self.top_limit).enumerate() {
-            let entropy = direction_entropy(slot.taken, slot.occurrences);
-            let transition = transition_rate(slot.transitions, slot.occurrences);
-            let mut branch = Map::new();
-            branch.insert("ip", slot.ip);
-            branch.insert("occurrences", slot.occurrences);
-            branch.insert("mispredictions", slot.mispredictions);
-            branch.insert("misprediction_rate", slot.misprediction_rate());
-            branch.insert(
-                "taken_rate",
-                if slot.occurrences == 0 {
-                    0.0
-                } else {
-                    slot.taken as f64 / slot.occurrences as f64
-                },
-            );
-            branch.insert("direction_entropy", entropy);
-            branch.insert("entropy_class", entropy_class_name(entropy));
-            branch.insert("transition_rate", transition);
-            branch.insert("transition_class", transition_class_name(transition));
-            branch.insert("max_streak", slot.max_streak);
-            branch.insert("max_misprediction_burst", slot.max_burst);
-            branch.insert("misprediction_bursts", slot.bursts);
-            branch.insert(
-                "mpki",
-                if instructions == 0 {
-                    0.0
-                } else {
-                    slot.mispredictions as f64 * 1000.0 / instructions as f64
-                },
-            );
-            branch.insert("h2p", slot.is_h2p());
-            let mut labels: Vec<&(&'static str, u64)> = slot.blame.iter().collect();
-            labels.sort_by(|a, b| a.0.cmp(b.0));
-            let mut attribution = Map::new();
-            for (label, count) in labels {
-                attribution.insert(*label, *count);
-            }
-            branch.insert("attribution", attribution);
-            top.push(Value::from(branch));
-
-            covered += slot.mispredictions;
-            coverage.push(json!({
-                "top_n": (n + 1) as u64,
-                "mispredictions": covered,
-                "fraction": if self.mispredictions == 0 {
-                    0.0
-                } else {
-                    covered as f64 / self.mispredictions as f64
-                },
-            }));
-        }
-
-        json!({
-            "schema_version": FORENSICS_SCHEMA_VERSION,
-            "capacity": self.capacity as u64,
-            "tracked_branches": self.tracked_branches() as u64,
-            "evictions": self.evictions,
-            "conditional_branches": self.conditional_branches,
-            "mispredictions": self.mispredictions,
-            "h2p_branches": h2p_branches,
-            "top": top,
-            "coverage": coverage,
-        })
-    }
+    json!({
+        "schema_version": FORENSICS_SCHEMA_VERSION,
+        "tracked_branches": branches.len() as u64,
+        "conditional_branches": conditional_branches,
+        "mispredictions": mispredictions,
+        "h2p_branches": h2p_branches,
+        "top": top,
+        "coverage": coverage,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn small() -> Forensics {
-        Forensics::new(&ForensicsConfig {
-            capacity: 4,
-            top_limit: 10,
-        })
+    fn forensic(records: &[(u64, bool, bool, Option<&'static str>)]) -> MostFailed {
+        let mut mf = MostFailed::with_shapes(true);
+        for &(ip, taken, missed, blame) in records {
+            mf.record_forensic(ip, taken, missed, blame);
+        }
+        mf
+    }
+
+    fn report_of(mf: &MostFailed, top_limit: usize, instructions: u64) -> Value {
+        report(mf, &ForensicsConfig { top_limit }, instructions)
     }
 
     #[test]
     fn accumulates_structure_per_branch() {
-        let mut f = Forensics::new(&ForensicsConfig::default());
         // T T T N T N: 3 transitions, streak max 3.
         let outcomes = [true, true, true, false, true, false];
-        for (i, &t) in outcomes.iter().enumerate() {
-            f.record(
-                0x100,
-                t,
-                i >= 3,
-                if i >= 3 { Some("provider") } else { None },
-            );
-        }
-        let doc = f.report(6_000);
+        let records: Vec<_> = outcomes
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (0x100, t, i >= 3, (i >= 3).then_some("provider")))
+            .collect();
+        let doc = report_of(&forensic(&records), 10, 6_000);
         let b = &doc["top"][0];
         assert_eq!(b["ip"].as_u64(), Some(0x100));
         assert_eq!(b["occurrences"].as_u64(), Some(6));
@@ -414,76 +231,24 @@ mod tests {
 
     #[test]
     fn h2p_requires_volume_and_rate() {
-        let mut f = Forensics::new(&ForensicsConfig::default());
+        let mut records = Vec::new();
         // 0x10: frequent and often missed -> H2P.
-        for i in 0..100 {
-            f.record(0x10, i % 2 == 0, i % 3 == 0, None);
-        }
+        records.extend((0..100).map(|i| (0x10, i % 2 == 0, i % 3 == 0, None)));
         // 0x20: frequent but rarely missed -> not H2P.
-        for i in 0..100 {
-            f.record(0x20, true, i == 0, None);
-        }
+        records.extend((0..100).map(|i| (0x20, true, i == 0, None)));
         // 0x30: missed every time but too rare -> not H2P.
-        for _ in 0..4 {
-            f.record(0x30, true, true, None);
-        }
-        assert_eq!(f.report(1)["h2p_branches"].as_u64(), Some(1));
-    }
-
-    #[test]
-    fn full_table_admits_only_mispredicting_branches() {
-        let mut f = small();
-        for ip in 0..4u64 {
-            f.record(ip, true, true, None);
-        }
-        // Well-predicted newcomer: counted globally, not resident.
-        f.record(100, true, false, None);
-        assert_eq!(f.tracked_branches(), 4);
-        assert_eq!(f.conditional_branches(), 5);
-        // Mispredicting newcomer evicts a resident slot.
-        f.record(101, true, true, None);
-        assert_eq!(f.tracked_branches(), 4);
-        assert_eq!(f.report(1)["evictions"].as_u64(), Some(1));
-    }
-
-    #[test]
-    fn eviction_prefers_low_misprediction_mass() {
-        let mut f = small();
-        for ip in 0..4u64 {
-            // Branch `ip` accumulates `4 + ip * 8` mispredictions of mass.
-            for _ in 0..(4 + ip * 8) {
-                f.record(ip, true, true, None);
-            }
-        }
-        // The clock halves masses until one hits zero; the lightest slot
-        // (ip 0, mass 4) zeroes first.
-        f.record(99, true, true, None);
-        assert_eq!(f.tracked_branches(), 4);
-        let doc = f.report(1);
-        let ips: Vec<u64> = doc["top"]
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|b| b["ip"].as_u64().unwrap())
-            .collect();
-        assert!(!ips.contains(&0), "lightest branch evicted: {ips:?}");
-        assert!(ips.contains(&3) && ips.contains(&99));
+        records.extend((0..4).map(|_| (0x30, true, true, None)));
+        let doc = report_of(&forensic(&records), 10, 1);
+        assert_eq!(doc["h2p_branches"].as_u64(), Some(1));
+        assert_eq!(doc["tracked_branches"].as_u64(), Some(3));
     }
 
     #[test]
     fn coverage_curve_is_cumulative_over_global_total() {
-        let mut f = Forensics::new(&ForensicsConfig {
-            capacity: 4096,
-            top_limit: 2,
-        });
-        for _ in 0..6 {
-            f.record(0xA, true, true, None);
-        }
-        for _ in 0..3 {
-            f.record(0xB, true, true, None);
-        }
-        f.record(0xC, true, true, None);
-        let doc = f.report(1);
+        let mut records = vec![(0xA, true, true, None); 6];
+        records.extend([(0xB, true, true, None); 3]);
+        records.push((0xC, true, true, None));
+        let doc = report_of(&forensic(&records), 2, 1);
         let cov = doc["coverage"].as_array().unwrap();
         assert_eq!(cov.len(), 2);
         assert_eq!(cov[0]["mispredictions"].as_u64(), Some(6));
@@ -494,17 +259,17 @@ mod tests {
 
     #[test]
     fn report_is_deterministic_and_address_ordered_on_ties() {
-        let mut a = Forensics::new(&ForensicsConfig::default());
-        let mut b = Forensics::new(&ForensicsConfig::default());
-        for f in [&mut a, &mut b] {
-            f.record(0x30, true, true, None);
-            f.record(0x10, false, true, None);
-            f.record(0x20, true, true, None);
-        }
-        let ra = a.report(3_000).to_pretty_string();
-        let rb = b.report(3_000).to_pretty_string();
+        let records = [
+            (0x30, true, true, None),
+            (0x10, false, true, None),
+            (0x20, true, true, None),
+            (0x40, true, false, None),
+        ];
+        let (a, b) = (forensic(&records), forensic(&records));
+        let ra = report_of(&a, 10, 3_000).to_pretty_string();
+        let rb = report_of(&b, 10, 3_000).to_pretty_string();
         assert_eq!(ra, rb);
-        let doc = a.report(3_000);
+        let doc = report_of(&a, 10, 3_000);
         let ips: Vec<u64> = doc["top"]
             .as_array()
             .unwrap()
@@ -512,17 +277,6 @@ mod tests {
             .map(|x| x["ip"].as_u64().unwrap())
             .collect();
         assert_eq!(ips, [0x10, 0x20, 0x30], "ties break toward low address");
-    }
-
-    #[test]
-    fn worst_branch_tracks_max_mispredictions() {
-        let mut f = small();
-        assert_eq!(f.worst_branch(), None);
-        f.record(0x10, true, false, None);
-        assert_eq!(f.worst_branch(), None, "no mispredictions yet");
-        f.record(0x20, true, true, None);
-        f.record(0x30, true, true, None);
-        f.record(0x30, true, true, None);
-        assert_eq!(f.worst_branch(), Some((0x30, 2)));
+        assert_eq!(doc["tracked_branches"].as_u64(), Some(4));
     }
 }

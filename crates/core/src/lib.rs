@@ -56,8 +56,7 @@ mod timeseries;
 pub use checkpoint::{load_checkpoint, CheckpointLoad, CheckpointWriter, CHECKPOINT_VERSION};
 pub use compare::{simulate_comparison, ComparisonResult, DivergingBranch};
 pub use forensics::{
-    Forensics, ForensicsConfig, FORENSICS_SCHEMA_VERSION, H2P_MIN_MISPREDICTION_RATE,
-    H2P_MIN_OCCURRENCES,
+    ForensicsConfig, FORENSICS_SCHEMA_VERSION, H2P_MIN_MISPREDICTION_RATE, H2P_MIN_OCCURRENCES,
 };
 pub use introspect::{probe_counter_table, probes_to_json, TableProbe};
 pub use metrics::{

@@ -4,6 +4,8 @@ use std::collections::HashMap;
 
 use mbp_utils::FastHashBuilder;
 
+use crate::forensics::Shape;
+
 /// Aggregate metrics of a simulation (the `metrics` section of Listing 1).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Metrics {
@@ -140,8 +142,8 @@ const SLOT_COUNT: usize = 1 << SLOT_BITS;
 /// can mark an empty slot.
 const EMPTY: u64 = u64::MAX;
 
-/// Exact per-branch outcome totals (slot-resident or spilled).
-#[derive(Clone, Copy, Debug, Default)]
+/// Exact per-branch outcome totals.
+#[derive(Clone, Copy, Debug)]
 struct Counts {
     occurrences: u64,
     mispredictions: u64,
@@ -149,26 +151,17 @@ struct Counts {
     transitions: u64,
 }
 
-impl Counts {
-    fn absorb(&mut self, other: &Counts) {
-        self.occurrences += other.occurrences;
-        self.mispredictions += other.mispredictions;
-        self.taken += other.taken;
-        self.transitions += other.transitions;
-    }
-}
-
 /// Sentinel for "no previous outcome observed" in [`Slot::last_taken`].
 const NO_OUTCOME: u8 = 2;
 
+/// One branch's outcome state. It lives in exactly one place, the
+/// branch's slot or the spill map, and moves between them whole, so its
+/// outcome chain — and with it the transition count — survives eviction.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     ip: u64,
     counts: Counts,
-    /// Previous outcome (0/1), or [`NO_OUTCOME`] right after a claim.
-    /// Transitions are only counted within a slot residency, so an evicted
-    /// branch restarts its outcome chain — deterministic for a fixed record
-    /// stream, which is all the taxonomy needs.
+    /// Previous outcome (0/1), or [`NO_OUTCOME`] before the first.
     last_taken: u8,
 }
 
@@ -183,22 +176,53 @@ const EMPTY_SLOT: Slot = Slot {
     last_taken: NO_OUTCOME,
 };
 
+impl Slot {
+    /// The branch's `most_failed` entry over `instructions` measured
+    /// instructions.
+    fn stat(&self, instructions: u64) -> BranchStat {
+        let c = &self.counts;
+        BranchStat {
+            ip: self.ip,
+            occurrences: c.occurrences,
+            mispredictions: c.mispredictions,
+            taken: c.taken,
+            mpki: mpki(c.mispredictions, instructions),
+            accuracy: accuracy(c.mispredictions, c.occurrences),
+            direction_entropy: direction_entropy(c.taken, c.occurrences),
+            transition_rate: transition_rate(c.transitions, c.occurrences),
+        }
+    }
+}
+
 /// Accumulates per-branch outcomes and derives the most-failed report.
 ///
-/// Counts live in a direct-mapped slot array while a branch stays hot;
-/// conflicting branches spill into the hash map and are merged back when a
-/// report is derived, so totals are exact regardless of collisions.
+/// A branch's state lives in a direct-mapped slot while the branch stays
+/// hot. A colliding branch moves the resident's state into the hash map
+/// and takes its own back from there, so every count is exact regardless
+/// of collisions. A forensic run's accumulator also keeps each branch's
+/// shape — streaks, misprediction bursts and component blame — which moves
+/// with the slot.
 #[derive(Clone, Debug)]
 pub struct MostFailed {
     slots: Box<[Slot; SLOT_COUNT]>,
-    spilled: HashMap<u64, Counts, FastHashBuilder>,
+    /// The resident branches' shapes, parallel to `slots`; empty unless
+    /// the accumulator is forensic.
+    shapes: Vec<Shape>,
+    spilled: HashMap<u64, (Slot, Shape), FastHashBuilder>,
+    /// The running worst branch of the outcomes recorded through
+    /// [`record_with_worst`](Self::record_with_worst), as the key
+    /// `mispredictions << 64 | !ip`: the larger key has more
+    /// mispredictions or, on a tie, the lower address.
+    worst: u128,
 }
 
 impl Default for MostFailed {
     fn default() -> Self {
         Self {
             slots: Box::new([EMPTY_SLOT; SLOT_COUNT]),
+            shapes: Vec::new(),
             spilled: HashMap::default(),
+            worst: 0,
         }
     }
 }
@@ -213,6 +237,19 @@ impl MostFailed {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty accumulator that, if `shapes`, also keeps each
+    /// branch's forensic shape.
+    pub(crate) fn with_shapes(shapes: bool) -> Self {
+        Self {
+            shapes: if shapes {
+                vec![Shape::default(); SLOT_COUNT]
+            } else {
+                Vec::new()
+            },
+            ..Self::default()
+        }
     }
 
     /// Records one measured conditional branch outcome.
@@ -230,6 +267,43 @@ impl MostFailed {
         slot.last_taken = taken as u8;
     }
 
+    /// Records one measured outcome as [`record`](Self::record) does and
+    /// also moves the running worst branch (the status slot's drill-down).
+    #[inline]
+    pub(crate) fn record_with_worst(&mut self, ip: u64, taken: bool, mispredicted: bool) {
+        self.record(ip, taken, mispredicted);
+        // A branch's count moves only when it mispredicts, so comparing on
+        // every outcome finds the same maximum without branching on the
+        // outcome; the branch below is taken only when the worst moves.
+        let misses = self.slots[slot_index(ip)].counts.mispredictions;
+        let key = u128::from(misses) << 64 | u128::from(!ip);
+        if key > self.worst {
+            self.worst = key;
+        }
+    }
+
+    /// Records one measured outcome as
+    /// [`record_with_worst`](Self::record_with_worst) does and, on a
+    /// forensic accumulator, also the branch's shape; `blame` names the
+    /// component a misprediction is attributed to.
+    pub(crate) fn record_forensic(
+        &mut self,
+        ip: u64,
+        taken: bool,
+        mispredicted: bool,
+        blame: Option<&'static str>,
+    ) {
+        let index = slot_index(ip);
+        if self.slots[index].ip != ip {
+            self.claim(index, ip);
+        }
+        if let Some(shape) = self.shapes.get_mut(index) {
+            let repeats = self.slots[index].last_taken == taken as u8;
+            shape.record(repeats, mispredicted, blame);
+        }
+        self.record_with_worst(ip, taken, mispredicted);
+    }
+
     /// Notes a static branch address without attributing an outcome
     /// (unconditional branches, or warm-up occurrences).
     #[inline]
@@ -240,42 +314,45 @@ impl MostFailed {
         }
     }
 
-    /// Evicts whatever occupies `index` into the spill map and claims the
-    /// slot for `ip` with zeroed counts.
+    /// Moves whatever occupies `index` into the spill map and gives the
+    /// slot to `ip`, with the state `ip` left in the map (none for a new
+    /// branch).
     #[cold]
     fn claim(&mut self, index: usize, ip: u64) {
-        let slot = &mut self.slots[index];
-        if slot.ip != EMPTY {
-            self.spilled
-                .entry(slot.ip)
-                .or_default()
-                .absorb(&slot.counts);
+        let (slot, shape) = self
+            .spilled
+            .remove(&ip)
+            .unwrap_or((Slot { ip, ..EMPTY_SLOT }, Shape::default()));
+        let evicted = std::mem::replace(&mut self.slots[index], slot);
+        let evicted_shape = self
+            .shapes
+            .get_mut(index)
+            .map(|resident| std::mem::replace(resident, shape))
+            .unwrap_or_default();
+        if evicted.ip != EMPTY {
+            self.spilled.insert(evicted.ip, (evicted, evicted_shape));
         }
-        *slot = Slot {
-            ip,
-            counts: Counts::default(),
-            last_taken: NO_OUTCOME,
-        };
-        // Spilled branches must keep their map entry even if they never
-        // return, so note_static semantics survive eviction; the new
-        // occupant gets its entry from the merge at report time.
-        self.spilled.entry(ip).or_default();
     }
 
-    /// Merges live slots and spilled entries into exact per-branch totals.
-    fn merged(&self) -> HashMap<u64, Counts, FastHashBuilder> {
-        let mut merged = self.spilled.clone();
-        for slot in self.slots.iter() {
-            if slot.ip != EMPTY {
-                merged.entry(slot.ip).or_default().absorb(&slot.counts);
-            }
-        }
-        merged
+    /// Every noted branch, with its shape (none for a resident branch of a
+    /// plain accumulator).
+    fn entries(&self) -> impl Iterator<Item = (&Slot, Option<&Shape>)> {
+        let resident = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| slot.ip != EMPTY)
+            .map(|(index, slot)| (slot, self.shapes.get(index)));
+        let spilled = self
+            .spilled
+            .values()
+            .map(|(slot, shape)| (slot, Some(shape)));
+        resident.chain(spilled)
     }
 
     /// Number of distinct measured branch addresses.
     pub fn distinct_branches(&self) -> u64 {
-        self.merged().len() as u64
+        self.entries().count() as u64
     }
 
     /// The minimum number of branches whose mispredictions sum to at least
@@ -285,8 +362,10 @@ impl MostFailed {
         if total_mispredictions == 0 {
             return 0;
         }
-        let merged = self.merged();
-        let mut counts: Vec<u64> = merged.values().map(|c| c.mispredictions).collect();
+        let mut counts: Vec<u64> = self
+            .entries()
+            .map(|(slot, _)| slot.counts.mispredictions)
+            .collect();
         counts.sort_unstable_by(|a, b| b.cmp(a));
         let mut acc = 0u64;
         for (i, m) in counts.iter().enumerate() {
@@ -298,38 +377,46 @@ impl MostFailed {
         counts.len() as u64
     }
 
+    /// Every measured branch in report order — mispredictions descending,
+    /// ties toward lower addresses — as its entry over `instructions`
+    /// measured instructions, with its shape.
+    pub(crate) fn ranked(
+        &self,
+        instructions: u64,
+    ) -> impl Iterator<Item = (BranchStat, Option<&Shape>)> {
+        let mut entries: Vec<(&Slot, Option<&Shape>)> = self
+            .entries()
+            .filter(|(slot, _)| slot.counts.occurrences > 0)
+            .collect();
+        entries.sort_unstable_by(|(a, _), (b, _)| {
+            b.counts
+                .mispredictions
+                .cmp(&a.counts.mispredictions)
+                .then(a.ip.cmp(&b.ip))
+        });
+        entries
+            .into_iter()
+            .map(move |(slot, shape)| (slot.stat(instructions), shape))
+    }
+
     /// The top-`limit` branches by misprediction count, with their stats.
     /// `instructions` is the measured instruction count used for per-branch
     /// MPKI. Ties break toward lower addresses so output is deterministic.
     pub fn top(&self, limit: usize, instructions: u64) -> Vec<BranchStat> {
-        let merged = self.merged();
-        let mut entries: Vec<(&u64, &Counts)> = merged.iter().collect();
-        entries.sort_unstable_by(|(ip_a, a), (ip_b, b)| {
-            b.mispredictions.cmp(&a.mispredictions).then(ip_a.cmp(ip_b))
-        });
-        entries
-            .into_iter()
-            .filter(|(_, c)| c.occurrences > 0)
+        self.ranked(instructions)
             .take(limit)
-            .map(|(&ip, c)| BranchStat {
-                ip,
-                occurrences: c.occurrences,
-                mispredictions: c.mispredictions,
-                taken: c.taken,
-                mpki: if instructions == 0 {
-                    0.0
-                } else {
-                    c.mispredictions as f64 * 1000.0 / instructions as f64
-                },
-                accuracy: if c.occurrences == 0 {
-                    1.0
-                } else {
-                    (c.occurrences - c.mispredictions) as f64 / c.occurrences as f64
-                },
-                direction_entropy: direction_entropy(c.taken, c.occurrences),
-                transition_rate: transition_rate(c.transitions, c.occurrences),
-            })
+            .map(|(stat, _)| stat)
             .collect()
+    }
+
+    /// The running worst `(ip, mispredictions)` of the outcomes recorded
+    /// through [`record_with_worst`](Self::record_with_worst), ties toward the
+    /// lower address; `None` before the first misprediction. Counts only
+    /// grow, so once recording ends this is the first [`top`](Self::top)
+    /// entry.
+    pub(crate) fn worst_branch(&self) -> Option<(u64, u64)> {
+        let misses = (self.worst >> 64) as u64;
+        (misses > 0).then_some((!(self.worst as u64), misses))
     }
 
     /// Characterizes every measured branch into the taxonomy classes.
@@ -338,15 +425,14 @@ impl MostFailed {
     /// are identical for any two accumulators that saw the same outcomes —
     /// regardless of hash-map iteration order.
     pub fn taxonomy(&self) -> BranchTaxonomy {
-        let merged = self.merged();
-        let mut entries: Vec<(&u64, &Counts)> = merged.iter().collect();
-        entries.sort_unstable_by_key(|(ip, _)| **ip);
+        let mut entries: Vec<&Slot> = self.entries().map(|(slot, _)| slot).collect();
+        entries.sort_unstable_by_key(|slot| slot.ip);
 
         let mut tax = BranchTaxonomy::default();
         let mut weighted_entropy = 0.0;
         let mut weighted_transition = 0.0;
         let mut occurrences = 0u64;
-        for (_, c) in entries {
+        for Slot { counts: c, .. } in entries {
             if c.occurrences == 0 {
                 continue; // never measured (warm-up only or unconditional)
             }
@@ -394,6 +480,9 @@ pub fn accuracy(mispredictions: u64, conditional_branches: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    use mbp_utils::Xorshift64;
 
     #[test]
     fn mpki_and_accuracy_formulas() {
@@ -513,7 +602,7 @@ mod tests {
     #[test]
     fn taxonomy_survives_slot_eviction() {
         // Two addresses that collide in the slot array thrash each other;
-        // totals must still be exact after the spill merge.
+        // every count must stay exact as their states trade places.
         let a = 0x100;
         let mut b = 0x101;
         while super::slot_index(b) != super::slot_index(a) {
@@ -533,9 +622,188 @@ mod tests {
         assert_eq!(sa.taken, 40);
         assert_eq!(sb.occurrences, 40);
         assert_eq!(sb.taken, 20);
-        // Each residency is a single record, so no within-residency pairs
-        // exist and the transition count stays zero — deterministically.
-        assert_eq!(sb.transition_rate, 0.0);
+        // Each residency is a single record, but the outcome chain moves
+        // with the state: b strictly alternates.
+        assert_eq!(sa.transition_rate, 0.0);
+        assert_eq!(sb.transition_rate, 1.0);
+    }
+
+    #[test]
+    fn worst_branch_tracks_max_mispredictions() {
+        let mut mf = MostFailed::new();
+        assert_eq!(mf.worst_branch(), None);
+        mf.record_with_worst(0x10, true, false);
+        assert_eq!(mf.worst_branch(), None, "no mispredictions yet");
+        mf.record_with_worst(0x30, true, true);
+        mf.record_with_worst(0x20, true, true);
+        assert_eq!(
+            mf.worst_branch(),
+            Some((0x20, 1)),
+            "ties go to the lower ip"
+        );
+        mf.record_with_worst(0x30, true, true);
+        assert_eq!(mf.worst_branch(), Some((0x30, 2)));
+    }
+
+    /// A branch's state in the naive reference of
+    /// [`exact_against_a_naive_map_under_slot_sharing`].
+    #[derive(Default)]
+    struct Naive {
+        occurrences: u64,
+        mispredictions: u64,
+        taken: u64,
+        transitions: u64,
+        last: Option<bool>,
+        streak: u64,
+        max_streak: u64,
+        burst: u64,
+        max_burst: u64,
+        bursts: u64,
+        blame: BTreeMap<&'static str, u64>,
+    }
+
+    #[test]
+    fn exact_against_a_naive_map_under_slot_sharing() {
+        // Four ips in one slot, three in another, and three loners, recorded
+        // and noted in a seeded random order.
+        let sharing = |base: u64, n: usize| -> Vec<u64> {
+            (base..)
+                .filter(|&ip| slot_index(ip) == slot_index(base))
+                .take(n)
+                .collect()
+        };
+        let mut ips = sharing(0x40_0000, 4);
+        ips.extend(sharing(0x41_0004, 3));
+        ips.extend([0x42_0000, 0x42_0010, 0x42_0020]);
+        let mut rng = Xorshift64::new(0x5eed);
+        let mut plain = MostFailed::new();
+        let mut forensic = MostFailed::with_shapes(true);
+        let mut naive: HashMap<u64, Naive> = HashMap::new();
+        for _ in 0..20_000 {
+            let ip = ips[rng.below(ips.len() as u64) as usize];
+            if rng.one_in(5) {
+                plain.note_static(ip);
+                forensic.note_static(ip);
+                naive.entry(ip).or_default();
+                continue;
+            }
+            let taken = rng.chance((ip % 7) as f64 / 6.0);
+            let missed = rng.one_in(3);
+            let blame = [None, Some("alt"), Some("provider")][rng.below(3) as usize];
+            plain.record(ip, taken, missed);
+            forensic.record_forensic(ip, taken, missed, blame);
+            let n = naive.entry(ip).or_default();
+            n.occurrences += 1;
+            n.mispredictions += missed as u64;
+            n.taken += taken as u64;
+            n.transitions += (n.last == Some(!taken)) as u64;
+            n.streak = if n.last == Some(taken) {
+                n.streak + 1
+            } else {
+                1
+            };
+            n.max_streak = n.max_streak.max(n.streak);
+            n.last = Some(taken);
+            if missed {
+                n.burst += 1;
+                n.bursts += (n.burst == 1) as u64;
+                n.max_burst = n.max_burst.max(n.burst);
+                if let Some(label) = blame {
+                    *n.blame.entry(label).or_default() += 1;
+                }
+            } else {
+                n.burst = 0;
+            }
+        }
+
+        let instructions = 1_000_000;
+        let mut expected: Vec<BranchStat> = naive
+            .iter()
+            .filter(|(_, n)| n.occurrences > 0)
+            .map(|(&ip, n)| BranchStat {
+                ip,
+                occurrences: n.occurrences,
+                mispredictions: n.mispredictions,
+                taken: n.taken,
+                mpki: mpki(n.mispredictions, instructions),
+                accuracy: accuracy(n.mispredictions, n.occurrences),
+                direction_entropy: direction_entropy(n.taken, n.occurrences),
+                transition_rate: transition_rate(n.transitions, n.occurrences),
+            })
+            .collect();
+        expected.sort_by(|a, b| {
+            b.mispredictions
+                .cmp(&a.mispredictions)
+                .then(a.ip.cmp(&b.ip))
+        });
+        let mut tax = BranchTaxonomy::default();
+        let (mut entropy, mut transition, mut occurrences) = (0.0, 0.0, 0u64);
+        let mut by_ip = expected.clone();
+        by_ip.sort_by_key(|b| b.ip);
+        for b in &by_ip {
+            tax.measured_branches += 1;
+            occurrences += b.occurrences;
+            entropy += b.direction_entropy * b.occurrences as f64;
+            transition += b.transition_rate * b.occurrences as f64;
+            for stat in [
+                &mut tax.entropy_classes[entropy_class(b.direction_entropy)],
+                &mut tax.transition_classes[transition_class(b.transition_rate)],
+            ] {
+                stat.branches += 1;
+                stat.occurrences += b.occurrences;
+                stat.mispredictions += b.mispredictions;
+            }
+        }
+        tax.mean_direction_entropy = entropy / occurrences as f64;
+        tax.mean_transition_rate = transition / occurrences as f64;
+        let total: u64 = expected.iter().map(|b| b.mispredictions).sum();
+        let mut covered = 0;
+        let half = 1 + expected
+            .iter()
+            .position(|b| {
+                covered += b.mispredictions;
+                2 * covered >= total
+            })
+            .unwrap() as u64;
+
+        for mf in [&plain, &forensic] {
+            let top = mf.top(usize::MAX, instructions);
+            for (got, want) in top.iter().zip(&expected) {
+                assert_eq!(got.ip, want.ip);
+                assert_eq!(
+                    got.transition_rate, want.transition_rate,
+                    "{:#x}: transition rate",
+                    want.ip
+                );
+            }
+            assert_eq!(top, expected);
+            assert_eq!(mf.taxonomy(), tax);
+            assert_eq!(mf.distinct_branches(), naive.len() as u64);
+            assert_eq!(mf.half_coverage_count(total), half);
+        }
+        assert_eq!(
+            forensic.worst_branch(),
+            Some((expected[0].ip, expected[0].mispredictions))
+        );
+        let config = crate::ForensicsConfig {
+            top_limit: usize::MAX,
+        };
+        let doc = crate::forensics::report(&forensic, &config, instructions);
+        let rows = doc["top"].as_array().expect("top rows");
+        assert_eq!(rows.len(), expected.len(), "every branch mispredicts");
+        for row in rows {
+            let n = &naive[&row["ip"].as_u64().expect("ip")];
+            assert_eq!(row["max_streak"].as_u64(), Some(n.max_streak));
+            assert_eq!(row["max_misprediction_burst"].as_u64(), Some(n.max_burst));
+            assert_eq!(row["misprediction_bursts"].as_u64(), Some(n.bursts));
+            let attribution: BTreeMap<&str, u64> = row["attribution"]
+                .as_object()
+                .expect("attribution")
+                .iter()
+                .map(|(label, count)| (label, count.as_u64().expect("count")))
+                .collect();
+            assert_eq!(attribution, n.blame);
+        }
     }
 
     #[test]

@@ -655,11 +655,12 @@ where
 
     // Slices are not contiguous, so the time series and forensics (whole-
     // run analyses) stay off; only the live status slot rides along.
-    let mut st = SimState::new(&SimConfig {
+    let config = &SimConfig {
         timeseries_window: None,
         forensics: None,
         ..config.clone()
-    });
+    };
+    let mut st = SimState::new(config);
     // (phase, measured stats, warmup mpki or None)
     let mut slices: Vec<(&Phase, SliceStats, Option<f64>)> = Vec::with_capacity(order.len());
 

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use mbp_json::Value;
 use mbp_trace::{BranchBatch, TraceError};
 
-use crate::forensics::{Forensics, ForensicsConfig};
+use crate::forensics::{self, ForensicsConfig};
 use crate::metrics::{accuracy, mpki, BranchStat, BranchTaxonomy, Metrics, MostFailed};
 use crate::status::{StatusFeed, SweepStatusBoard};
 use crate::timeseries::{TimeSeries, TimeSeriesBuilder};
@@ -49,17 +49,18 @@ pub struct SimConfig {
     /// run (the `--introspect` flag). Off by default; probes are read once
     /// from the final table state, so this never touches the record loop.
     pub collect_probes: bool,
-    /// Accumulate per-branch misprediction forensics (the `mbpsim explain`
-    /// subcommand). Component blame must be read right after each `train`,
-    /// so batches with measured records run the per-record blame loop,
-    /// which also fills the table, instead of `predict_batch`; the default
+    /// Keep per-branch misprediction forensics and render the forensic
+    /// report (the `mbpsim explain` subcommand). Component blame must be
+    /// read right after each `train`, so batches with measured records run
+    /// the per-record blame loop instead of `predict_batch`; the default
     /// `None` keeps every batch on the kernel path.
     pub forensics: Option<ForensicsConfig>,
     /// Publish live progress (instructions, conditional branches,
     /// mispredictions, the worst branch so far) into this slot of a status
-    /// board, once per batch — the `/snapshot` telemetry row. Counts cover
-    /// warm-up too; the results are unaffected, and the reference
-    /// [`simulate_scalar`] ignores the slot.
+    /// board, once per batch — the `/snapshot` telemetry row. Progress
+    /// counts cover warm-up too; the worst branch is the running maximum
+    /// of the exact measured counts `most_failed` reports. The results are
+    /// unaffected, and the reference [`simulate_scalar`] ignores the slot.
     pub status: Option<(Arc<SweepStatusBoard>, usize)>,
 }
 
@@ -181,18 +182,19 @@ fn ends(gaps: &[u32], retired: u64) -> impl Iterator<Item = u64> + '_ {
     })
 }
 
-/// The forensics path: the default `predict_batch` loop, plus each
-/// conditional record from `measured_from` on recorded into `forensics`
-/// with its component blame, read right after its `train` (the only point
-/// where [`Predictor::last_mispredict_blame`] is valid). Recording here,
-/// not in the scoring walk, lets the table lookups overlap the
-/// predictor's own work and needs no blame column.
+/// The forensics path: the default `predict_batch` loop, plus the batch's
+/// per-branch bookkeeping: each conditional record from `measured_from` on
+/// recorded into `most_failed` with its component blame, read right after
+/// its `train` (the only point where [`Predictor::last_mispredict_blame`]
+/// is valid), and every other record noted. Recording here, not in the
+/// scoring walk, lets the accumulator's updates overlap the predictor's
+/// own work and needs no blame column.
 fn predict_with_forensics<P: Predictor + ?Sized>(
     predictor: &mut P,
     batch: &BranchBatch,
     track_only_conditional: bool,
     bits: &mut PredictionBits,
-    forensics: &mut Forensics,
+    most_failed: &mut MostFailed,
     measured_from: usize,
 ) {
     for i in 0..batch.len() {
@@ -205,8 +207,12 @@ fn predict_with_forensics<P: Predictor + ?Sized>(
             if i >= measured_from {
                 let missed = prediction != branch.is_taken();
                 let blame = missed.then(|| predictor.last_mispredict_blame()).flatten();
-                forensics.record(branch.ip(), branch.is_taken(), missed, blame);
+                most_failed.record_forensic(branch.ip(), branch.is_taken(), missed, blame);
+            } else {
+                most_failed.note_static(branch.ip());
             }
+        } else {
+            most_failed.note_static(branch.ip());
         }
         if conditional || !track_only_conditional {
             predictor.track(&branch);
@@ -244,12 +250,14 @@ pub(crate) struct SimState {
     /// Mispredictions of warm-up records (the sampled executor's replay
     /// error estimate reads them).
     pub(crate) warmup_mispredictions: u64,
+    /// Every branch's outcomes, with their shapes on forensic runs.
     most_failed: MostFailed,
     exhausted: bool,
     pub(crate) records: u64,
     pub(crate) kernel_records: u64,
     timeseries: Option<TimeSeriesBuilder>,
-    forensics: Option<Forensics>,
+    /// Measured batches run the forensics loop, which records them.
+    forensic: bool,
     status: Option<StatusFeed>,
 }
 
@@ -261,12 +269,12 @@ impl SimState {
             conditional: 0,
             mispredictions: 0,
             warmup_mispredictions: 0,
-            most_failed: MostFailed::new(),
+            most_failed: MostFailed::with_shapes(config.forensics.is_some()),
             exhausted: true,
             records: 0,
             kernel_records: 0,
             timeseries: config.timeseries_window.map(TimeSeriesBuilder::new),
-            forensics: config.forensics.as_ref().map(Forensics::new),
+            forensic: config.forensics.is_some(),
             status: config
                 .status
                 .as_ref()
@@ -301,13 +309,14 @@ impl SimState {
                 return Ok(());
             }
             bits.clear();
-            if let Some(forensics) = self.forensics.as_mut().filter(|_| measured_from < len) {
+            let recorded = self.forensic && measured_from < len;
+            if recorded {
                 predict_with_forensics(
                     predictor,
                     &batch,
                     track_only_conditional,
                     &mut bits,
-                    forensics,
+                    &mut self.most_failed,
                     measured_from,
                 );
             } else {
@@ -315,10 +324,10 @@ impl SimState {
                 self.kernel_records += len as u64;
             }
             self.records += len as u64;
-            let bit = self.score(&batch, &bits, 0..measured_from, 0, false);
-            self.score(&batch, &bits, measured_from..len, bit, true);
+            let bit = self.score(&batch, &bits, 0..measured_from, 0, false, recorded);
+            self.score(&batch, &bits, measured_from..len, bit, true, recorded);
             if let Some(status) = self.status.as_mut() {
-                status.publish();
+                status.publish(self.most_failed.worst_branch());
             }
             if cut {
                 return Ok(());
@@ -327,8 +336,10 @@ impl SimState {
     }
 
     /// Scores records `range` of `batch` against the prediction bits from
-    /// bit `bit` on and returns the bit after the range. The driver has
-    /// already run the predictor, so this never calls through its vtable.
+    /// bit `bit` on and returns the bit after the range; `recorded` says
+    /// the forensics loop has already fed the batch to `most_failed`. The
+    /// driver has already run the predictor, so this never calls through
+    /// its vtable.
     fn score(
         &mut self,
         batch: &BranchBatch,
@@ -336,6 +347,7 @@ impl SimState {
         range: Range<usize>,
         mut bit: usize,
         measured: bool,
+        recorded: bool,
     ) -> usize {
         let (pcs, gaps, taken, ops) = (
             &batch.pcs()[range.clone()],
@@ -348,7 +360,7 @@ impl SimState {
         // the per-branch tables see memory traffic.
         let advanced = gaps.iter().map(|&g| u64::from(g)).sum::<u64>() + pcs.len() as u64;
         let (mut conditional, mut mispredictions) = (0u64, 0u64);
-        if measured && self.timeseries.is_none() && self.status.is_none() {
+        if measured && !recorded && self.timeseries.is_none() && self.status.is_none() {
             for i in 0..pcs.len() {
                 if ops[i] & 0b1 != 0 {
                     let outcome = taken[i] != 0;
@@ -362,9 +374,10 @@ impl SimState {
                 }
             }
         } else {
-            // Warm-up records and the observers' pass: the same scoring,
-            // plus the time series and the status slot fed from the same
-            // bits in one walk.
+            // Warm-up records, recorded batches and the observers' pass: the
+            // same scoring, plus the time series and the status slot's worst
+            // branch fed from the same bits in one walk.
+            let worst = self.status.is_some();
             let mut at = self.instructions;
             for i in 0..pcs.len() {
                 at += u64::from(gaps[i]) + 1;
@@ -373,21 +386,22 @@ impl SimState {
                     let mispredicted = bits.get(bit) != outcome;
                     conditional += 1;
                     mispredictions += mispredicted as u64;
-                    if measured {
-                        self.most_failed.record(ip, outcome, mispredicted);
-                    } else {
-                        self.most_failed.note_static(ip);
+                    match (recorded, measured) {
+                        (true, _) => {}
+                        (false, false) => self.most_failed.note_static(ip),
+                        (false, true) if worst => {
+                            self.most_failed
+                                .record_with_worst(ip, outcome, mispredicted);
+                        }
+                        (false, true) => self.most_failed.record(ip, outcome, mispredicted),
                     }
                     // Warm-up branches are in the series too: seeing the
                     // warm-up transient is the point of the series.
                     if let Some(ts) = self.timeseries.as_mut() {
                         ts.branch(ip, outcome, mispredicted);
                     }
-                    if let (true, Some(status)) = (mispredicted, self.status.as_mut()) {
-                        status.miss(ip);
-                    }
                     bit += 1;
-                } else {
+                } else if !recorded {
                     self.most_failed.note_static(pcs[i]);
                 }
                 if let Some(ts) = self.timeseries.as_mut() {
@@ -418,10 +432,10 @@ impl SimState {
         simulation_time: f64,
     ) -> SimResult {
         let timeseries = self.timeseries.map(|b| b.finish(self.instructions));
-        let forensics = self
+        let forensics = config
             .forensics
             .as_ref()
-            .map(|f| f.report(self.measured_instructions));
+            .map(|f| forensics::report(&self.most_failed, f, self.measured_instructions));
         SimResult {
             metadata: SimMetadata {
                 simulator: crate::SIMULATOR_NAME,
@@ -477,7 +491,8 @@ impl SimState {
 /// slot read the same bits in the same pass, so they keep the run on the
 /// kernel path; only forensics needs per-record component blame, so its
 /// measured batches run the literal predict → train → blame → track loop,
-/// which records each measured branch into the forensics table.
+/// which records each measured branch, with its blame, into the per-branch
+/// table.
 ///
 /// Results are identical to [`simulate_scalar`] (the one-record-at-a-time
 /// reference driver) on any source whose `fill_batch` agrees with its
@@ -549,10 +564,9 @@ where
     let mut measured_instructions = 0u64;
     let mut conditional = 0u64;
     let mut mispredictions = 0u64;
-    let mut most_failed = MostFailed::new();
+    let mut most_failed = MostFailed::with_shapes(config.forensics.is_some());
     let mut exhausted = true;
     let mut ts_builder = config.timeseries_window.map(TimeSeriesBuilder::new);
-    let mut forensics = config.forensics.as_ref().map(Forensics::new);
 
     while let Some(rec) = trace.next_record()? {
         records += 1;
@@ -574,23 +588,16 @@ where
             if let Some(ts) = ts_builder.as_mut() {
                 ts.branch(b.ip(), b.is_taken(), mispredicted);
             }
+            predictor.train(&b);
             if in_measurement {
                 conditional += 1;
                 mispredictions += mispredicted as u64;
-                most_failed.record(b.ip(), b.is_taken(), mispredicted);
+                let blame = mispredicted
+                    .then(|| predictor.last_mispredict_blame())
+                    .flatten();
+                most_failed.record_forensic(b.ip(), b.is_taken(), mispredicted, blame);
             } else {
                 most_failed.note_static(b.ip());
-            }
-            predictor.train(&b);
-            if in_measurement {
-                if let Some(f) = forensics.as_mut() {
-                    let blame = if mispredicted {
-                        predictor.last_mispredict_blame()
-                    } else {
-                        None
-                    };
-                    f.record(b.ip(), b.is_taken(), mispredicted, blame);
-                }
             }
         } else {
             most_failed.note_static(b.ip());
@@ -641,7 +648,10 @@ where
             Vec::new()
         },
         sampling: None,
-        forensics: forensics.map(|f| f.report(measured_instructions)),
+        forensics: config
+            .forensics
+            .as_ref()
+            .map(|f| forensics::report(&most_failed, f, measured_instructions)),
     })
 }
 

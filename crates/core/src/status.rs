@@ -10,9 +10,9 @@
 //! Progress counters come from the driver itself: a run whose
 //! [`SimConfig::status`](crate::SimConfig::status) names a slot scores each
 //! batch's prediction bits once and publishes the batch's live instruction,
-//! branch and misprediction counts (plus a frequent-offender estimate of
-//! the worst branch) into it. Without a slot nothing is published and the
-//! scoring loop is untouched.
+//! branch and misprediction counts, plus the worst branch of its exact
+//! per-branch counts so far, into it. Without a slot nothing is published
+//! and the scoring loop is untouched.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -97,9 +97,9 @@ pub struct PredictorStatus {
     pub conditional_branches: u64,
     /// Mispredicted conditional branches so far.
     pub mispredictions: u64,
-    /// The currently worst `(ip, mispredictions)` branch, as estimated by
-    /// the driver's frequent-offender sketch; `None` before the first
-    /// misprediction.
+    /// The `(ip, mispredictions)` branch with the most measured
+    /// mispredictions so far, ties toward the lower address; `None` before
+    /// the first. Once the run ends it is the first `most_failed` entry.
     pub worst_branch: Option<(u64, u64)>,
 }
 
@@ -179,8 +179,7 @@ impl SweepStatusBoard {
     }
 
     /// Publishes the predictor's current worst branch (called by the driver
-    /// when its sketch's running maximum changes, and by run drivers with
-    /// final forensic totals at settle time).
+    /// once per batch).
     pub fn set_worst_branch(&self, index: usize, ip: u64, mispredictions: u64) {
         if let Some(slot) = self.slots.get(index) {
             slot.worst_ip.store(ip, Ordering::Relaxed);
@@ -220,29 +219,15 @@ impl SweepStatusBoard {
     }
 }
 
-/// Direct-mapped slots of the worst-branch sketch. Same sizing rationale as
-/// the taxonomy accumulator's cache: hot offender sets are small, and a
-/// collision only resets a cold branch's count.
-const WORST_SKETCH_SLOTS: usize = 256;
-
 /// The driver's side of one status slot. While the driver scores a batch
-/// it adds the batch's progress here and feeds each misprediction to a tiny
-/// deterministic frequent-offenders sketch: direct-mapped per-ip counts
-/// plus the running maximum. A collision evicts the resident branch and
-/// restarts the newcomer's count at one, so counts are lower bounds — all
-/// the live drill-down row needs; exact per-branch totals come from the
-/// end-of-run reports. [`publish`](Self::publish) hands both to the board
-/// once per batch, keeping the atomics off the scoring loop.
+/// it adds the batch's progress here; [`publish`](Self::publish) hands it
+/// and the worst branch so far to the board once per batch, keeping the
+/// atomics off the scoring loop.
 pub(crate) struct StatusFeed {
     board: Arc<SweepStatusBoard>,
     slot: usize,
     /// Unpublished `(instructions, conditional branches, mispredictions)`.
     pending: (u64, u64, u64),
-    sketch: Vec<(u64, u64)>,
-    /// The sketch's running maximum `(ip, count)`.
-    worst: (u64, u64),
-    /// Whether `worst` moved since the last publish.
-    worst_moved: bool,
 }
 
 impl StatusFeed {
@@ -251,23 +236,6 @@ impl StatusFeed {
             board,
             slot,
             pending: (0, 0, 0),
-            sketch: vec![(u64::MAX, 0); WORST_SKETCH_SLOTS],
-            worst: (u64::MAX, 0),
-            worst_moved: false,
-        }
-    }
-
-    /// Counts one misprediction of the branch at `ip`.
-    pub(crate) fn miss(&mut self, ip: u64) {
-        let i = (ip.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize % WORST_SKETCH_SLOTS;
-        let slot = &mut self.sketch[i];
-        if slot.0 != ip {
-            *slot = (ip, 0);
-        }
-        slot.1 += 1;
-        if slot.1 > self.worst.1 {
-            self.worst = *slot;
-            self.worst_moved = true;
         }
     }
 
@@ -278,15 +246,14 @@ impl StatusFeed {
         self.pending.2 += mispredictions;
     }
 
-    /// Publishes the batch: one progress tick, plus the worst branch when
-    /// it moved.
-    pub(crate) fn publish(&mut self) {
+    /// Publishes the batch: one progress tick, plus the worst branch
+    /// `(ip, mispredictions)` once there is one.
+    pub(crate) fn publish(&mut self, worst: Option<(u64, u64)>) {
         let (instructions, conditional, mispredictions) = std::mem::take(&mut self.pending);
         self.board
             .add_progress(self.slot, instructions, conditional, mispredictions);
-        if std::mem::take(&mut self.worst_moved) {
-            self.board
-                .set_worst_branch(self.slot, self.worst.0, self.worst.1);
+        if let Some((ip, mispredictions)) = worst {
+            self.board.set_worst_branch(self.slot, ip, mispredictions);
         }
     }
 }
@@ -414,6 +381,34 @@ mod tests {
         assert_eq!(board.snapshot()[0].worst_branch, Some((0x50, 2)));
         let (board, _) = run(&[], SimConfig::default());
         assert_eq!(board.snapshot()[0].worst_branch, None);
+    }
+
+    #[test]
+    fn settled_worst_branch_is_the_first_most_failed_entry() {
+        // 0x60 misses through a warm-up longer than a batch and rarely
+        // after it; 0x70 misses only once measured. The worst branch counts
+        // measured mispredictions only, like `most_failed`.
+        let conditional = |ip, taken| record(ip, Opcode::conditional_direct(), taken);
+        let warmup = BATCH_RECORDS + 100;
+        let mut records = vec![conditional(0x60, false); warmup];
+        records.extend((0..3000).map(|i| match i % 3 {
+            0 => conditional(0x70, false),
+            1 => conditional(0x60, i % 10 != 1),
+            _ => conditional(0x80, true),
+        }));
+        let (board, r) = run(
+            &records,
+            SimConfig {
+                warmup_instructions: 5 * warmup as u64,
+                ..SimConfig::default()
+            },
+        );
+        let first = &r.most_failed[0];
+        assert_eq!((first.ip, first.mispredictions), (0x70, 1000));
+        assert_eq!(
+            board.snapshot()[0].worst_branch,
+            Some((first.ip, first.mispredictions))
+        );
     }
 
     #[test]

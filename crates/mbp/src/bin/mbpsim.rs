@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! mbpsim run --predictor tage --trace t.sbbt.mzst [--warmup N] [--max N]
-//! mbpsim explain t.sbbt.mzst tage [--top K] [--capacity N]
+//! mbpsim explain t.sbbt.mzst tage [--top K]
 //! mbpsim compare --predictors gshare,tage --trace t.sbbt.mzst
 //! mbpsim sweep --predictors gshare,tage,batage --trace t.sbbt.mzst [--jobs N]
 //! mbpsim simpoint --trace t.sbbt.mzst [--window N] [--clusters K] [--out phases.json]
@@ -82,7 +82,7 @@ impl Failure {
 fn usage() -> &'static str {
     "usage:\n  \
      mbpsim run --predictor <name> --trace <file> [--warmup N] [--max N] [--track-only-conditional]\n  \
-     mbpsim explain <trace> <predictor> [--top K] [--capacity N] [--warmup N] [--max N]\n               \
+     mbpsim explain <trace> <predictor> [--top K] [--warmup N] [--max N]\n               \
      [--out <report.json>] — misprediction forensics: per-branch\n               \
      attribution, H2P classification and coverage curve\n  \
      mbpsim compare --predictors <a>,<b> --trace <file> [--warmup N] [--max N]\n  \
@@ -475,7 +475,7 @@ fn cmd_explain(args: &Args) -> Result<ExitCode, Failure> {
         [] => (args.required("--trace")?, args.required("--predictor")?),
         _ => {
             return Err(Failure::usage(
-                "expected: mbpsim explain <trace> <predictor> [--top K] [--capacity N]",
+                "expected: mbpsim explain <trace> <predictor> [--top K]",
             ))
         }
     };
@@ -483,20 +483,12 @@ fn cmd_explain(args: &Args) -> Result<ExitCode, Failure> {
         .ok_or_else(|| Failure::usage(format!("unknown predictor {name:?}; try `mbpsim list`")))?;
     let mut trace = SbbtReader::open(trace_path)
         .map_err(|e| Failure::trace(format!("cannot open {trace_path}: {e}")))?;
-    let defaults = mbp::sim::ForensicsConfig::default();
-    let top_limit: usize = args.parsed("--top", defaults.top_limit)?;
+    let top_limit: usize = args.parsed("--top", mbp::sim::ForensicsConfig::default().top_limit)?;
     if top_limit == 0 {
         return Err(Failure::usage("--top must be at least 1"));
     }
-    let capacity: usize = args.parsed("--capacity", defaults.capacity)?;
-    if capacity == 0 {
-        return Err(Failure::usage("--capacity must be at least 1"));
-    }
     let mut config = sim_config(args)?;
-    config.forensics = Some(mbp::sim::ForensicsConfig {
-        capacity,
-        top_limit,
-    });
+    config.forensics = Some(mbp::sim::ForensicsConfig { top_limit });
     setup_events(args)?;
     let total = expected_instructions(trace.header().instruction_count, &config);
     let progress =

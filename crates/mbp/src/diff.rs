@@ -3,9 +3,9 @@
 //!
 //! The metrics schema (see `DESIGN.md`) has fixed sections — `decode`,
 //! `compress`, `simulate`, `sweep`, `generation`, plus the opt-in
-//! `timeseries` and `introspection` sections — of numeric leaves. The
-//! diff walks both documents in that order, flattens every numeric leaf to a
-//! dotted path, and classifies each delta:
+//! `timeseries`, `introspection`, `simpoint` and `forensics` sections — of
+//! numeric leaves. The diff walks both documents in that order, flattens
+//! every numeric leaf to a dotted path, and classifies each delta:
 //!
 //! * **time-like** metrics (`*time_s`, `*_busy_s`, fault counters) regress
 //!   when they *grow* beyond the threshold;
@@ -26,7 +26,7 @@
 use mbp_json::{Map, Value};
 
 /// The fixed section order of the metrics schema.
-pub const SECTIONS: [&str; 8] = [
+pub const SECTIONS: [&str; 9] = [
     "decode",
     "compress",
     "simulate",
@@ -35,6 +35,7 @@ pub const SECTIONS: [&str; 8] = [
     "timeseries",
     "introspection",
     "simpoint",
+    "forensics",
 ];
 
 /// Tuning knobs for a diff run.
@@ -477,5 +478,45 @@ mod tests {
             !paths.iter().any(|p| p.contains("doc_hash")),
             "string leaves stay out of the numeric diff: {paths:?}"
         );
+    }
+
+    #[test]
+    fn forensics_section_diffs_numerically_and_skips_the_classes() {
+        // `mbpsim explain --metrics-out` lifts the forensic report into the
+        // metrics file; the diff reports its numbers and ignores its class
+        // labels and H2P flags.
+        let explained = |mispredictions: u64| {
+            let mut m = metrics(1.0, 1e6, 2048);
+            if let Some(obj) = m.as_object_mut() {
+                obj.insert(
+                    "forensics",
+                    json!({
+                        "schema_version": 2,
+                        "mispredictions": mispredictions,
+                        "top": [{
+                            "ip": 0x4a0u64,
+                            "mispredictions": mispredictions,
+                            "entropy_class": "unbiased",
+                            "h2p": true,
+                        }],
+                    }),
+                );
+            }
+            m
+        };
+        let report = diff_metrics(&explained(80), &explained(90), &DiffOptions::default());
+        let paths: Vec<&str> = report.lines.iter().map(|l| l.path.as_str()).collect();
+        assert!(paths.contains(&"forensics.mispredictions"), "{paths:?}");
+        assert!(
+            paths.contains(&"forensics.top[0].mispredictions"),
+            "{paths:?}"
+        );
+        assert!(
+            !paths
+                .iter()
+                .any(|p| p.contains("entropy_class") || p.contains("h2p")),
+            "string and boolean leaves stay out of the numeric diff: {paths:?}"
+        );
+        assert!(!report.has_regressions(), "counts are informational");
     }
 }

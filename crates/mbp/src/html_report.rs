@@ -237,13 +237,10 @@ fn forensics_section(f: &Value) -> String {
     let mut out = String::from("<section><h2>Misprediction forensics</h2>");
     out.push_str(&format!(
         "<p>{} conditional branches, {} mispredictions — {} branches \
-         tracked (capacity {}, {} evictions), {} classified \
-         hard-to-predict.</p>",
+         tracked, {} classified hard-to-predict.</p>",
         scalar(field(f, "conditional_branches")),
         scalar(field(f, "mispredictions")),
         scalar(field(f, "tracked_branches")),
-        scalar(field(f, "capacity")),
-        scalar(field(f, "evictions")),
         scalar(field(f, "h2p_branches")),
     ));
     if let Some(top) = field(f, "top").as_array() {
@@ -491,10 +488,8 @@ mod tests {
             obj.insert(
                 "forensics",
                 json!({
-                    "schema_version": 1,
-                    "capacity": 4096,
+                    "schema_version": 2,
                     "tracked_branches": 2,
-                    "evictions": 0,
                     "conditional_branches": 1000,
                     "mispredictions": 100,
                     "h2p_branches": 1,
@@ -513,6 +508,10 @@ mod tests {
         }
         let html = render_html(&doc);
         assert!(html.contains("Misprediction forensics"));
+        assert!(
+            html.contains("2 branches tracked, 1 classified hard-to-predict"),
+            "summary line"
+        );
         assert!(html.contains("0x4a0"), "hex branch address");
         assert!(html.contains("16.0%"), "misprediction rate");
         assert!(html.contains("chooser_wrong:30"), "attribution breakdown");

@@ -95,7 +95,10 @@ fn explain_emits_versioned_forensic_report() {
         .parse()
         .expect("json");
     let forensics = doc.get("forensics").expect("forensics section");
-    assert_eq!(forensics["schema_version"].as_u64(), Some(1));
+    assert_eq!(
+        forensics["schema_version"].as_u64(),
+        Some(mbp::sim::FORENSICS_SCHEMA_VERSION)
+    );
     let top = forensics["top"].as_array().expect("top array");
     assert!(!top.is_empty() && top.len() <= 5, "top-K honored");
     assert!(

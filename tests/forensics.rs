@@ -2,7 +2,8 @@
 //! the attribution engine's top-10 hard-to-predict set must explain at
 //! least the pinned fraction of all mispredictions for every stock
 //! predictor, component attribution must be present for the composite
-//! predictors, and — the other side of the contract — forensics disabled
+//! predictors, the forensic report must agree with `most_failed` branch
+//! by branch, and — the other side of the contract — forensics disabled
 //! must leave the simulation output exactly as it was.
 
 use mbp::examples::by_name;
@@ -185,4 +186,69 @@ fn explain_report_is_deterministic() {
             .to_string()
     };
     assert_eq!(run(), run(), "forensic report must be run-to-run stable");
+}
+
+#[test]
+fn forensic_rows_equal_most_failed_rows_when_branches_share_slots() {
+    // Eight server programs back to back hold hundreds of static branches,
+    // so some share a slot of the per-branch accumulator's direct-mapped
+    // front and trade places all run long; the report must still read the
+    // exact counts `most_failed` shows.
+    let records: Vec<BranchRecord> = (0..8)
+        .flat_map(|seed| {
+            TraceGenerator::from_params(&ProgramParams::server(), seed).take_records(37_500)
+        })
+        .collect();
+    for name in ["gshare", "tournament"] {
+        let mut p = by_name(name).expect("stock predictor");
+        let config = SimConfig {
+            most_failed_limit: usize::MAX,
+            forensics: Some(ForensicsConfig {
+                top_limit: usize::MAX,
+            }),
+            ..SimConfig::default()
+        };
+        let r = simulate(&mut SliceSource::new(&records), &mut *p, &config).expect("forensic sim");
+        let report = r.forensics.as_ref().expect("forensics section");
+        let top = report["top"].as_array().expect("top rows");
+        assert!(
+            top.len() > 100,
+            "{name}: {} mispredicting branches",
+            top.len()
+        );
+        let mut covered = 0;
+        for (k, row) in top.iter().enumerate() {
+            let m = &r.most_failed[k];
+            let at = format!("{name}: row {k}, branch {:#x}", m.ip);
+            assert_eq!(row["ip"].as_u64(), Some(m.ip), "{at}");
+            assert_eq!(row["occurrences"].as_u64(), Some(m.occurrences), "{at}");
+            assert_eq!(
+                row["mispredictions"].as_u64(),
+                Some(m.mispredictions),
+                "{at}"
+            );
+            assert_eq!(
+                row["transition_rate"].as_f64(),
+                Some(m.transition_rate),
+                "{at}"
+            );
+            assert_eq!(
+                row["direction_entropy"].as_f64(),
+                Some(m.direction_entropy),
+                "{at}"
+            );
+            assert_eq!(row["mpki"].as_f64(), Some(m.mpki), "{at}");
+            covered += m.mispredictions;
+            assert_eq!(
+                report["coverage"][k]["mispredictions"].as_u64(),
+                Some(covered),
+                "{at}"
+            );
+        }
+        assert_eq!(
+            report["tracked_branches"].as_u64(),
+            Some(r.branch_taxonomy.measured_branches),
+            "{name}"
+        );
+    }
 }
