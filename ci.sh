@@ -324,6 +324,28 @@ grep -q ' forensics\.' "$obs_tmp/explain_diff.txt" \
   || { echo "stats-diff skipped the forensics section" >&2; exit 1; }
 cargo test -q -p mbp --test forensics
 
+echo "== verify-first open (a flipped checksum fails runs that stop early) =="
+# A compressed trace is checked whole when it is opened, before the first
+# batch is streamed, so a run cut off after a thousand instructions and a
+# sweep must both reject a smoke trace whose checksum trailer (its last
+# eight bytes) has one bit flipped: exit 3, naming the mismatch.
+flipped="$obs_tmp/flipped.sbbt.mzst"
+cp "$obs_tmp/traces/SMOKE-mobile.sbbt.mzst" "$flipped"
+size="$(stat -c %s "$flipped")"
+last="$(tail -c 1 "$flipped" | od -An -tu1 | tr -d ' ')"
+printf "$(printf '\\%03o' $((last ^ 1)))" \
+  | dd of="$flipped" bs=1 seek=$((size - 1)) conv=notrunc 2>/dev/null
+for cmd in "run --predictor gshare --max 1000" "sweep --predictors gshare,bimodal"; do
+  code=0
+  # shellcheck disable=SC2086
+  target/release/mbpsim $cmd --trace "$flipped" >/dev/null 2>"$obs_tmp/flipped.err" \
+    || code=$?
+  [ "$code" -eq 3 ] \
+    || { echo "mbpsim $cmd on a flipped trailer exited $code, not 3" >&2; exit 1; }
+  grep -q "content checksum mismatch" "$obs_tmp/flipped.err" \
+    || { echo "mbpsim $cmd did not report the checksum mismatch" >&2; exit 1; }
+done
+
 echo "== benchmark self-tests (mbpbench units, smoke runs, seed-1 digests) =="
 # The benchmark's full-scale seed-1 digest pass pins every predictor's
 # output on its workloads, so a change in predictor output fails here, not

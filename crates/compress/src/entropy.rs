@@ -136,13 +136,47 @@ pub(crate) struct BitReader<'a> {
     nbits: u32,
 }
 
+/// A [`BitReader`]'s cursor, saved so a suspended decode can resume it
+/// over the same data.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct BitPos {
+    pos: usize,
+    acc: u64,
+    nbits: u32,
+}
+
 impl<'a> BitReader<'a> {
+    #[cfg(test)]
     pub(crate) fn new(data: &'a [u8]) -> Self {
+        Self::at(data, 0)
+    }
+
+    /// A reader over `data` starting at byte `pos`.
+    pub(crate) fn at(data: &'a [u8], pos: usize) -> Self {
         Self {
             data,
-            pos: 0,
+            pos,
             acc: 0,
             nbits: 0,
+        }
+    }
+
+    /// A reader over `data` continuing from a saved cursor.
+    pub(crate) fn resume(data: &'a [u8], at: BitPos) -> Self {
+        Self {
+            data,
+            pos: at.pos,
+            acc: at.acc,
+            nbits: at.nbits,
+        }
+    }
+
+    /// The cursor, for [`BitReader::resume`].
+    pub(crate) fn save(&self) -> BitPos {
+        BitPos {
+            pos: self.pos,
+            acc: self.acc,
+            nbits: self.nbits,
         }
     }
 

@@ -15,9 +15,9 @@
 //!   much faster decoding (the table), and — crucially for Table IV — a
 //!   decode speed that does not depend on the compression level used.
 //!
-//! Both codecs share the same hash-chain match finder (`lzss` internally)
-//! and a common framing: a 4-byte magic, the uncompressed size, and a
-//! sequence of self-describing blocks. [`decompress`] auto-detects the codec
+//! Both codecs share the same hash-chain match finder (`lzss` internally),
+//! one resumable decoder ([`Inflater`]) and a common framing: a 4-byte
+//! magic, the uncompressed size, and a sequence of self-describing blocks. [`decompress`] auto-detects the codec
 //! from the magic, mirroring MBPlib's ability to read traces compressed with
 //! any of its supported algorithms.
 //!
@@ -35,12 +35,14 @@
 mod block;
 mod entropy;
 mod error;
+mod inflate;
 mod lzss;
 mod mgz;
 mod mzst;
 mod stream;
 
 pub use error::CompressError;
+pub use inflate::Inflater;
 pub use stream::{CompressWriter, DecompressReader};
 
 /// The compression algorithms understood by the trace tooling.
@@ -66,6 +68,16 @@ impl Codec {
         match self {
             Codec::Mgz => 9,
             Codec::Mzst => 22,
+        }
+    }
+
+    /// How far back a match may reach. A decoder that streams the content
+    /// must keep this many of the latest output bytes; matches reaching
+    /// further are corrupt.
+    pub fn window(self) -> usize {
+        match self {
+            Codec::Mgz => mgz::WINDOW,
+            Codec::Mzst => mzst::WINDOW,
         }
     }
 
@@ -118,16 +130,19 @@ pub fn compress(data: &[u8], codec: Codec, level: u32) -> Result<Vec<u8>, Compre
 
 /// Decompresses a buffer produced by [`compress`], auto-detecting the codec.
 ///
+/// This drains an [`Inflater`] in one call into a buffer sized from the
+/// (capped) declared length; use the `Inflater` directly to hold only the
+/// codec window instead of the whole content.
+///
 /// # Errors
 ///
 /// Returns [`CompressError::BadMagic`] if the buffer does not start with a
 /// known magic, or a corruption error if the stream is malformed.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CompressError> {
-    match detect(data) {
-        Some(Codec::Mgz) => mgz::decompress(data),
-        Some(Codec::Mzst) => mzst::decompress(data),
-        None => Err(CompressError::BadMagic),
-    }
+    let mut inflater = Inflater::new(data)?;
+    let mut out = vec![0; inflater.declared_len()];
+    inflater.inflate_into(&mut out, 0, usize::MAX)?;
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -2,14 +2,15 @@
 //! bit-by-bit Huffman decoder.
 
 use crate::block;
-use crate::entropy::BitwiseDecoder;
-use crate::error::CompressError;
 use crate::lzss::MatchParams;
 use crate::Codec;
 
+/// Matches reach at most 32 KiB back, as in DEFLATE.
+pub(crate) const WINDOW: usize = 1 << 15;
+
 fn match_params(level: u32) -> MatchParams {
     MatchParams {
-        window: 1 << 15,
+        window: WINDOW,
         min_match: 4,
         max_match: 258, // DEFLATE's limit — one reason gzip loses on trace data
         max_chain: (1usize << level).min(256),
@@ -22,13 +23,10 @@ pub(crate) fn compress(data: &[u8], level: u32) -> Vec<u8> {
     block::compress(data, Codec::Mgz.magic(), &match_params(level))
 }
 
-pub(crate) fn decompress(data: &[u8]) -> Result<Vec<u8>, CompressError> {
-    block::decompress::<BitwiseDecoder>(data, Codec::Mgz.magic())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decompress;
 
     #[test]
     fn roundtrip_text() {

@@ -3,17 +3,17 @@
 //! (the property §VII-D measures in Table IV).
 
 use crate::block;
-use crate::entropy::TableDecoder;
-use crate::error::CompressError;
 use crate::lzss::MatchParams;
 use crate::Codec;
 
+/// Matches reach up to a megabyte back. The large window is where zstd's
+/// ratio advantage over gzip comes from on trace data: SBBT's redundancy
+/// recurs at loop scale, far beyond 32 KiB.
+pub(crate) const WINDOW: usize = (1 << 20) - 1;
+
 fn match_params(level: u32) -> MatchParams {
     MatchParams {
-        // The large window is where zstd's ratio advantage over gzip comes
-        // from on trace data: SBBT's redundancy recurs at loop scale, far
-        // beyond 32 KiB.
-        window: (1 << 20) - 1,
+        window: WINDOW,
         min_match: 4,
         max_match: 2179, // the longest length the shared code table encodes
         // Levels 1..=22 scale search effort; decode cost is unaffected.
@@ -27,13 +27,10 @@ pub(crate) fn compress(data: &[u8], level: u32) -> Vec<u8> {
     block::compress(data, Codec::Mzst.magic(), &match_params(level))
 }
 
-pub(crate) fn decompress(data: &[u8]) -> Result<Vec<u8>, CompressError> {
-    block::decompress::<TableDecoder>(data, Codec::Mzst.magic())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decompress;
 
     #[test]
     fn roundtrip_long_range_redundancy() {

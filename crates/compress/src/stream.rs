@@ -9,9 +9,11 @@ use crate::{compress, decompress, detect, Codec, CompressError};
 ///
 /// Mirrors MBPlib's behaviour of accepting traces "compressed with xz, gzip,
 /// lz4 or zstd": the source is sniffed for a known magic; raw data passes
-/// through unchanged. The whole source is decoded eagerly — trace files in
-/// this workspace are small enough that streaming decode would only
-/// complicate the hot loop.
+/// through unchanged. The whole source is decoded eagerly, because its
+/// callers want the whole content at once (the BT9 text the CBP5-style
+/// framework parses, [`DecompressReader::into_bytes`]). A reader that walks
+/// its content once should drive an [`Inflater`](crate::Inflater) instead,
+/// as the SBBT reader does, and hold only the codec window.
 ///
 /// # Examples
 ///

@@ -156,4 +156,54 @@ fn corrupt_length_fields_cannot_inflate_allocations() {
         });
         assert!(grew <= budget, "{codec}: reader path peaked at {grew}");
     }
+
+    // Reading a valid 16 MB trace holds the compressed stream and the
+    // codec window, never the inflated trace: opening verifies the stream
+    // through the window, reading streams it a batch at a time.
+    let records = 1_000_000u64;
+    let mut rng = mbp_utils::Xorshift64::new(0xa110_c0de);
+    let mut w = SbbtWriter::new(Vec::new());
+    for i in 0..records {
+        // A loop nest over 64 branches, a few of them data-dependent.
+        let slot = i % 64;
+        let taken = match slot {
+            0..=47 => true,
+            48..=55 => i % 7 != 0,
+            _ => rng.next_bool(),
+        };
+        w.write_record(&BranchRecord::new(
+            Branch::new(
+                0x40_0000 + slot * 16,
+                0x40_0000,
+                Opcode::conditional_direct(),
+                taken,
+            ),
+            (slot % 5) as u32,
+        ))
+        .expect("encode");
+    }
+    let raw = w.finish().expect("in-memory sink");
+    let codec = mbp_compress::Codec::Mzst;
+    let packed = mbp_compress::compress(&raw, codec, 1).expect("compress");
+    const BATCH: usize = mbp_trace::sbbt::BATCH_RECORDS;
+    let grew = peak_growth(|| {
+        let mut r = SbbtReader::from_bytes(packed.clone()).expect("valid");
+        let mut batch = mbp_trace::BranchBatch::new();
+        let mut read = 0;
+        while r.fill_batch(&mut batch).expect("valid") > 0 {
+            read += batch.len() as u64;
+        }
+        assert_eq!(read, records);
+    });
+    // The copy of the stream, the window and one batch of packets, plus
+    // what decoding a batch needs: a coded block's two 32 K-entry lookup
+    // tables (128 KiB each), the batch's decoded columns (22 bytes a
+    // record) and 4 KiB of bookkeeping, as in the budgets above.
+    let tables = 256 << 10;
+    let bound = packed.len() + codec.window() + 16 * BATCH + tables + 22 * BATCH + 4096;
+    assert!(
+        grew < bound,
+        "streaming a {} MB trace peaked at {grew} bytes, over {bound}",
+        raw.len() / 1_000_000
+    );
 }

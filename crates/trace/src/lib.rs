@@ -17,7 +17,9 @@
 //!
 //! [`translate`] converts between them, reproducing MBPlib's trace
 //! translation tooling. All readers transparently accept raw or
-//! MGZ/MZST-compressed input via [`mbp_compress::DecompressReader`].
+//! MGZ/MZST-compressed input: the BT9 and ChampSim readers inflate it
+//! whole, the SBBT reader streams it through the codec window with an
+//! [`mbp_compress::Inflater`].
 //!
 //! # Examples
 //!

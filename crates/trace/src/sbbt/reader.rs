@@ -4,6 +4,8 @@ use std::fs::File;
 use std::io::Read;
 use std::path::Path;
 
+use mbp_compress::Inflater;
+
 use crate::sbbt::header::{SbbtHeader, HEADER_BYTES};
 use crate::sbbt::packet::{decode_packet, decode_packet_raw, PACKET_BYTES};
 use crate::{BranchBatch, BranchRecord, TraceError};
@@ -14,11 +16,22 @@ use crate::{BranchBatch, BranchRecord, TraceError};
 /// overhead and small enough to stay cache-resident.
 pub const BATCH_RECORDS: usize = 2048;
 
+/// Trace bytes per full batch.
+const BATCH_BYTES: usize = BATCH_RECORDS * PACKET_BYTES;
+
 /// Reads SBBT traces, raw or MGZ/MZST-compressed.
 ///
-/// The reader validates the header eagerly and then serves packets from a
-/// flat in-memory buffer — the "stream-like format" walk that §VII-D credits
-/// for most of MBPlib's speedup.
+/// The reader validates the header eagerly and then walks the packets in
+/// order — the "stream-like format" walk that §VII-D credits for most of
+/// MBPlib's speedup. Raw input is walked in place. Compressed input is
+/// verified first, then streamed: opening inflates and checksums the whole
+/// stream once without keeping it, so every codec error, the header checks
+/// and the length checks surface at open as before, and
+/// [`SbbtReader::remaining`] comes from the verified length. Reading then
+/// inflates the stream a second time, one batch at a time, into a ring
+/// as long as the codec window (1 MiB for MZST, 32 KiB for MGZ) however
+/// long the trace, where the whole inflated trace takes 16 bytes per
+/// branch. [`SbbtReader::rewind`] restarts the stream.
 ///
 /// # Examples
 ///
@@ -34,8 +47,21 @@ pub const BATCH_RECORDS: usize = 2048;
 #[derive(Debug)]
 pub struct SbbtReader {
     header: SbbtHeader,
+    /// Raw input: the whole trace. Compressed input: a ring of whole
+    /// batches covering the codec window, refilled a batch at a time. The
+    /// header goes into its last 24 bytes, so packet `i` lands at
+    /// `16 * i % data.len()` and no batch wraps.
     data: Vec<u8>,
+    /// Index in `data` of the next packet.
     pos: usize,
+    /// Index in `data` where the buffered packets end.
+    end: usize,
+    /// Trace offset of the next packet.
+    read: usize,
+    /// Trace length in bytes, checked against the header.
+    len: usize,
+    /// The compressed stream `data` is refilled from; `None` for raw input.
+    stream: Option<Inflater>,
 }
 
 impl SbbtReader {
@@ -65,18 +91,51 @@ impl SbbtReader {
 
     /// Parses an in-memory trace (decompressing if needed).
     ///
+    /// A compressed trace is inflated once here to verify it, keeping only
+    /// the codec window, and streamed again as it is read (see
+    /// [`SbbtReader`]).
+    ///
     /// # Errors
     ///
-    /// Header validation errors; also rejects a body whose length is not a
-    /// whole number of packets ([`TraceError::Truncated`]) or does not match
-    /// the declared branch count ([`TraceError::Corrupt`]).
+    /// Decompression errors (including a content checksum mismatch) and
+    /// header validation errors; also rejects a body whose length is not a
+    /// whole number of packets ([`TraceError::Truncated`]) or does not
+    /// match the declared branch count ([`TraceError::Corrupt`]).
     pub fn from_bytes(data: Vec<u8>) -> Result<Self, TraceError> {
-        let data = if mbp_compress::detect(&data).is_some() {
-            mbp_compress::decompress(&data)?
-        } else {
-            data
-        };
-        Self::from_decompressed(data)
+        if mbp_compress::detect(&data).is_none() {
+            return Self::from_decompressed(data);
+        }
+        let mut stream = Inflater::new(data)?;
+        // Whole batches covering the window: a batch is read before the
+        // next one is written over the oldest.
+        let mut ring = vec![0; stream.window().next_multiple_of(BATCH_BYTES)];
+        // Pass 1: inflate and checksum the whole stream, a batch at a time
+        // round the ring.
+        let mut at = 0;
+        while !stream.is_finished() {
+            at += stream.inflate_into(&mut ring, at, BATCH_BYTES)?;
+            if at == ring.len() {
+                at = 0;
+            }
+        }
+        // Pass 2 starts over. The header goes into the ring's last 24
+        // bytes, so that packet 0 lands at its front.
+        stream.rewind();
+        let head = ring.len() - HEADER_BYTES;
+        let got = stream.inflate_into(&mut ring, head, HEADER_BYTES)?;
+        let header = SbbtHeader::decode(&ring[head..head + got])?;
+        let len = stream.declared_len();
+        check_length(&header, len)?;
+        mbp_stats::pipeline().trace.bytes_read.add(len as u64);
+        Ok(Self {
+            header,
+            data: ring,
+            pos: 0,
+            end: 0,
+            read: HEADER_BYTES,
+            len,
+            stream: Some(stream),
+        })
     }
 
     /// Parses an in-memory trace known to be raw SBBT bytes, skipping the
@@ -87,39 +146,19 @@ impl SbbtReader {
     /// Same as [`SbbtReader::from_bytes`].
     pub fn from_decompressed(data: Vec<u8>) -> Result<Self, TraceError> {
         let header = SbbtHeader::decode(&data)?;
-        let body_len = data.len() - HEADER_BYTES;
-        if !body_len.is_multiple_of(PACKET_BYTES) {
-            return Err(TraceError::Truncated);
-        }
-        // Cross-check the declared totals against the actual stream before
-        // anything (here or downstream) sizes an allocation from them: a
-        // corrupt 192-bit header must never translate into an OOM.
-        let actual_branches = (body_len / PACKET_BYTES) as u64;
-        if actual_branches != header.branch_count {
-            return Err(TraceError::corrupt(
-                "branch_count",
-                header.branch_count,
-                actual_branches,
-            ));
-        }
-        // Every packet accounts for at least one instruction (the branch
-        // itself), so a trustworthy header can never declare fewer
-        // instructions than branches.
-        if header.instruction_count < header.branch_count {
-            return Err(TraceError::corrupt(
-                "instruction_count",
-                header.instruction_count,
-                header.branch_count,
-            ));
-        }
+        check_length(&header, data.len())?;
         mbp_stats::pipeline()
             .trace
             .bytes_read
             .add(data.len() as u64);
         Ok(Self {
             header,
-            data,
             pos: HEADER_BYTES,
+            end: data.len(),
+            read: HEADER_BYTES,
+            len: data.len(),
+            data,
+            stream: None,
         })
     }
 
@@ -130,13 +169,50 @@ impl SbbtReader {
 
     /// Branches remaining to be read.
     pub fn remaining(&self) -> u64 {
-        ((self.data.len() - self.pos) / PACKET_BYTES) as u64
+        ((self.len - self.read) / PACKET_BYTES) as u64
     }
 
-    /// Resets the reader to the first packet, so the same decoded buffer can
-    /// be replayed without reopening (or re-decompressing) the trace.
+    /// Resets the reader to the first packet, so the trace can be replayed
+    /// without reopening it. Raw input is replayed from memory; compressed
+    /// input is inflated again from its first block (without the checksum:
+    /// it was verified at open).
     pub fn rewind(&mut self) {
-        self.pos = HEADER_BYTES;
+        self.read = HEADER_BYTES;
+        match &mut self.stream {
+            Some(stream) => {
+                stream.rewind();
+                self.pos = 0;
+                self.end = 0;
+            }
+            None => self.pos = HEADER_BYTES,
+        }
+    }
+
+    /// Moves to the end of the trace without reading what is left.
+    fn skip_to_end(&mut self) {
+        self.read = self.len;
+        self.pos = self.end;
+    }
+
+    /// Inflates the next batch of a compressed trace into the ring once the
+    /// buffered packets are used up. After a rewind the header comes first,
+    /// back into the ring's last 24 bytes.
+    fn refill(&mut self) -> Result<(), TraceError> {
+        let Some(stream) = &mut self.stream else {
+            return Ok(());
+        };
+        if self.pos < self.end || self.read == self.len {
+            return Ok(());
+        }
+        let ring = self.data.len();
+        if stream.produced() == 0 {
+            stream.inflate_into(&mut self.data, ring - HEADER_BYTES, HEADER_BYTES)?;
+        }
+        let at = if self.end == ring { 0 } else { self.end };
+        let n = stream.inflate_into(&mut self.data, at, BATCH_BYTES)?;
+        self.pos = at;
+        self.end = at + n;
+        Ok(())
     }
 
     /// Decodes the next packet, or `None` at end of trace.
@@ -146,18 +222,21 @@ impl SbbtReader {
     /// [`TraceError::Invalid`] if the packet violates format rules.
     #[allow(clippy::should_implement_trait)]
     pub fn next_record(&mut self) -> Result<Option<BranchRecord>, TraceError> {
-        if self.pos >= self.data.len() {
+        if self.read == self.len {
             return Ok(None);
         }
-        // The constructor proved the body is whole packets, so this read is
-        // always in bounds; fail soft instead of panicking regardless.
+        self.refill()?;
+        // The constructor proved the body is whole packets and `refill`
+        // buffered this one, so this read is always in bounds; fail soft
+        // instead of panicking regardless.
         let bytes: &[u8; PACKET_BYTES] = self
             .data
             .get(self.pos..self.pos + PACKET_BYTES)
             .and_then(|s| s.first_chunk())
             .ok_or(TraceError::Truncated)?;
-        let rec = decode_packet(bytes, self.pos as u64)?;
+        let rec = decode_packet(bytes, self.read as u64)?;
         self.pos += PACKET_BYTES;
+        self.read += PACKET_BYTES;
         Ok(Some(rec))
     }
 
@@ -181,6 +260,9 @@ impl SbbtReader {
     /// [`TraceError::Invalid`] on the first malformed packet; `out` holds
     /// the records decoded before it.
     pub fn fill_batch(&mut self, out: &mut BranchBatch) -> Result<usize, TraceError> {
+        // A compressed trace inflates its next batch first, outside the
+        // decode span: that time is the codec's.
+        self.refill()?;
         // One span + two counter adds per 2048-packet block: the guard drop
         // also covers the error returns, so partially decoded batches are
         // still accounted for. The event span is journal-gated (off by
@@ -190,8 +272,13 @@ impl SbbtReader {
         let _event = mbp_stats::events::span(mbp_stats::events::EventName::TraceFillBatch);
         stats.batches.inc();
         let start = self.pos;
-        let end = self.data.len().min(start + BATCH_RECORDS * PACKET_BYTES);
+        let end = self.end.min(start + BATCH_BYTES);
         let n = (end - start) / PACKET_BYTES;
+        if n < BATCH_RECORDS && self.read + (end - start) < self.len {
+            // Only after `next_record` stopped inside a streamed batch: the
+            // rest of the batch comes from the next one, record by record.
+            return self.fill_batch_by_record(out);
+        }
         // Columns are resized once (a no-op at a steady batch size — no
         // per-push capacity checks, no re-zeroing of reused buffers) and
         // every packet field is written straight into its lane; the zips
@@ -203,7 +290,7 @@ impl SbbtReader {
         // packet), keeping the decode loop free of writes through `self`.
         let mut failed: Option<(usize, TraceError)> = None;
         for (i, (packet, ((((pc, target), gap), taken), op))) in packets.zip(lanes).enumerate() {
-            let position = start + i * PACKET_BYTES;
+            let position = self.read + i * PACKET_BYTES;
             // `chunks_exact` only yields full packets; degrade to a typed
             // error rather than panicking if that invariant ever breaks.
             let Some(bytes) = packet.first_chunk::<PACKET_BYTES>() else {
@@ -226,6 +313,7 @@ impl SbbtReader {
         }
         if let Some((i, e)) = failed {
             self.pos = start + i * PACKET_BYTES;
+            self.read += i * PACKET_BYTES;
             // Drop the unwritten tail so the batch holds exactly the
             // packets decoded before the failure.
             out.truncate(i);
@@ -234,9 +322,23 @@ impl SbbtReader {
             return Err(e);
         }
         self.pos = end;
+        self.read += end - start;
         stats.packets_decoded.add(n as u64);
         out.debug_assert_aligned();
         Ok(n)
+    }
+
+    /// [`SbbtReader::fill_batch`] through [`SbbtReader::next_record`], for
+    /// a batch that spans two streamed ones.
+    fn fill_batch_by_record(&mut self, out: &mut BranchBatch) -> Result<usize, TraceError> {
+        out.clear();
+        while out.len() < BATCH_RECORDS {
+            match self.next_record()? {
+                Some(rec) => out.push_record(&rec),
+                None => break,
+            }
+        }
+        Ok(out.len())
     }
 
     /// Reads every remaining record.
@@ -254,6 +356,36 @@ impl SbbtReader {
     }
 }
 
+/// Checks a header against a trace of `len` bytes (header included).
+fn check_length(header: &SbbtHeader, len: usize) -> Result<(), TraceError> {
+    let body_len = len - HEADER_BYTES;
+    if !body_len.is_multiple_of(PACKET_BYTES) {
+        return Err(TraceError::Truncated);
+    }
+    // Cross-check the declared totals against the actual stream before
+    // anything (here or downstream) sizes an allocation from them: a
+    // corrupt 192-bit header must never translate into an OOM.
+    let actual_branches = (body_len / PACKET_BYTES) as u64;
+    if actual_branches != header.branch_count {
+        return Err(TraceError::corrupt(
+            "branch_count",
+            header.branch_count,
+            actual_branches,
+        ));
+    }
+    // Every packet accounts for at least one instruction (the branch
+    // itself), so a trustworthy header can never declare fewer
+    // instructions than branches.
+    if header.instruction_count < header.branch_count {
+        return Err(TraceError::corrupt(
+            "instruction_count",
+            header.instruction_count,
+            header.branch_count,
+        ));
+    }
+    Ok(())
+}
+
 /// Iterates records, yielding `Err` once and then stopping on malformed
 /// input.
 impl Iterator for SbbtReader {
@@ -264,7 +396,7 @@ impl Iterator for SbbtReader {
             Ok(Some(rec)) => Some(Ok(rec)),
             Ok(None) => None,
             Err(e) => {
-                self.pos = self.data.len(); // stop iteration after an error
+                self.skip_to_end(); // stop iteration after an error
                 Some(Err(e))
             }
         }

@@ -321,6 +321,43 @@ fn truncated_compressed_trace_exits_3() {
     assert!(!stderr.contains("panicked at"), "{stderr}");
 }
 
+/// A run that stops after the first thousand instructions still checks
+/// the whole file: the reader verifies the content checksum when it opens
+/// a compressed trace, before anything is simulated.
+#[test]
+fn checksum_mismatch_exits_3_even_when_the_run_stops_early() {
+    let dir = temp_dir("checksum-trailer");
+    assert!(mbpsim()
+        .args(["gen", "--suite", "smoke", "--out"])
+        .arg(&dir)
+        .status()
+        .expect("spawn")
+        .success());
+    let path = dir.join("SMOKE-mobile.sbbt.mzst");
+    let mut bytes = std::fs::read(&path).expect("read");
+    // The trailer is the file's last eight bytes.
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x01;
+    std::fs::write(&path, bytes).expect("write");
+
+    let run = ["run", "--predictor", "gshare", "--max", "1000", "--trace"];
+    let sweep = ["sweep", "--predictors", "gshare,bimodal", "--trace"];
+    for args in [&run[..], &sweep[..]] {
+        let out = mbpsim().args(args).arg(&path).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("content checksum mismatch"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?}: no document on a bad trace"
+        );
+    }
+}
+
 #[test]
 fn sweep_with_faulty_predictor_exits_4_and_reports_failure() {
     let dir = temp_dir("faulty-sweep");
