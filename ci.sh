@@ -38,6 +38,12 @@ cargo test -q -p mbp-stats
 echo "== golden vectors (bit-exact predictor conformance) =="
 cargo test -q -p mbp-predictors --test golden_vectors
 
+echo "== reference oracle (composites vs naive full-history references) =="
+# Golden vectors pin stability; this pins truth: TAGE, BATAGE and the hashed
+# perceptron must predict bit for bit what references with no ip memo, no
+# fold bank and no lookup cache predict.
+cargo test -q -p mbp-predictors --test reference_oracle
+
 echo "== batch equivalence (SoA kernels vs scalar call sequence) =="
 cargo test -q -p mbp-predictors --test batch_equivalence
 

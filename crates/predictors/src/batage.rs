@@ -10,9 +10,9 @@
 //! bank interleaving) are simplified.
 
 use mbp_core::{json, probe_counter_table, Branch, Predictor, TableProbe, Value};
-use mbp_utils::{xor_fold, FoldedHistory, HistoryRegister, Xorshift64, I2};
+use mbp_utils::{Xorshift64, I2};
 
-use crate::tage::assert_tagged_geometry;
+use crate::tage::TaggedIndex;
 
 const COUNT_MAX: u8 = 7;
 
@@ -32,17 +32,12 @@ struct Dual {
 }
 
 impl Dual {
-    fn fresh(taken: bool) -> Self {
-        if taken {
-            Dual {
-                taken: 1,
-                not_taken: 0,
-            }
-        } else {
-            Dual {
-                taken: 0,
-                not_taken: 1,
-            }
+    /// `n` observations, all going the `taken` way.
+    fn split(taken: bool, n: u8) -> Self {
+        let (t, nt) = if taken { (n, 0) } else { (0, n) };
+        Dual {
+            taken: t,
+            not_taken: nt,
         }
     }
 
@@ -184,10 +179,7 @@ pub struct Batage {
     cfg: BatageConfig,
     base: Vec<I2>,
     tables: Vec<Vec<Entry>>,
-    ghist: HistoryRegister,
-    idx_fold: Vec<FoldedHistory>,
-    tag_fold0: Vec<FoldedHistory>,
-    tag_fold1: Vec<FoldedHistory>,
+    index: TaggedIndex,
     rng: Xorshift64,
     /// Controlled Allocation Throttling counter.
     cat: i32,
@@ -195,6 +187,7 @@ pub struct Batage {
     alloc_failures: u64,
     throttled: u64,
     // Lookup scratch shared by predict/train.
+    base_slot: usize,
     slots: Vec<(usize, u16)>,
     hits: Vec<usize>,
     /// The ip `slots`/`hits` were computed for by `predict`, with its
@@ -212,17 +205,14 @@ impl Batage {
     /// # Panics
     ///
     /// Panics on an empty table list, non-increasing history lengths, or a
-    /// table with a tag width outside 1..=15 or a log size of 0.
+    /// table with a tag width outside 1..=15 or a log size outside 1..=16.
     pub fn new(cfg: BatageConfig) -> Self {
         assert!(!cfg.tables.is_empty(), "BATAGE needs at least one table");
         assert!(
             cfg.tables.windows(2).all(|w| w[0].1 < w[1].1),
             "history lengths must be strictly increasing"
         );
-        for &(log_size, _, tag_bits) in &cfg.tables {
-            assert_tagged_geometry(log_size, tag_bits);
-        }
-        let max_hist = cfg.tables.last().expect("non-empty").1 as usize;
+        let index = TaggedIndex::new(cfg.base_log_size, cfg.tables.iter().copied());
         Self {
             base: vec![I2::default(); 1 << cfg.base_log_size],
             tables: cfg
@@ -230,27 +220,13 @@ impl Batage {
                 .iter()
                 .map(|&(log, _, _)| vec![Entry::default(); 1 << log])
                 .collect(),
-            ghist: HistoryRegister::new(max_hist),
-            idx_fold: cfg
-                .tables
-                .iter()
-                .map(|&(log, h, _)| FoldedHistory::new(h as usize, log))
-                .collect(),
-            tag_fold0: cfg
-                .tables
-                .iter()
-                .map(|&(_, h, t)| FoldedHistory::new(h as usize, t))
-                .collect(),
-            tag_fold1: cfg
-                .tables
-                .iter()
-                .map(|&(_, h, t)| FoldedHistory::new(h as usize, t.max(2) - 1))
-                .collect(),
+            index,
             rng: Xorshift64::new(cfg.seed),
             cat: 0,
             allocations: 0,
             alloc_failures: 0,
             throttled: 0,
+            base_slot: 0,
             slots: Vec::new(),
             hits: Vec::new(),
             cached: None,
@@ -259,57 +235,25 @@ impl Batage {
         }
     }
 
-    fn base_index(&self, ip: u64) -> usize {
-        xor_fold(ip, self.cfg.base_log_size) as usize
-    }
-
     fn compute_lookup(&mut self, ip: u64) {
-        self.slots.clear();
-        self.hits.clear();
-        for (i, &(log, _, tag_bits)) in self.cfg.tables.iter().enumerate() {
-            let idx = (xor_fold(ip ^ (ip >> (log / 2 + i as u32 + 1)), log)
-                ^ self.idx_fold[i].value()) as usize;
-            let tag = ((xor_fold(ip, tag_bits)
-                ^ self.tag_fold0[i].value()
-                ^ (self.tag_fold1[i].value() << 1)) as u16)
-                & ((1u16 << tag_bits) - 1);
-            self.slots.push((idx, tag));
-            if self.tables[i][idx].tag == tag {
-                self.hits.push(i);
-            }
-        }
+        let (slots, hits) = (&mut self.slots, &mut self.hits);
+        self.base_slot = self.index.lookup(ip, &self.tables, |e| e.tag, slots, hits);
     }
 
     /// The base counter viewed as a dual counter, so it can enter the same
     /// Bayesian comparison as the tagged entries.
-    fn base_as_dual(&self, ip: u64) -> Dual {
-        let c = self.base[self.base_index(ip)];
-        match (c.is_taken(), c.is_weak()) {
-            (true, false) => Dual {
-                taken: 5,
-                not_taken: 0,
-            },
-            (true, true) => Dual {
-                taken: 1,
-                not_taken: 0,
-            },
-            (false, true) => Dual {
-                taken: 0,
-                not_taken: 1,
-            },
-            (false, false) => Dual {
-                taken: 0,
-                not_taken: 5,
-            },
-        }
+    fn base_as_dual(&self) -> Dual {
+        let c = self.base[self.base_slot];
+        let n = if c.is_weak() { 1 } else { 5 };
+        Dual::split(c.is_taken(), n)
     }
 
     /// BATAGE's decision rule: every matching entry (and the base counter)
     /// competes on its posterior reliability; ties go to the longer
     /// history. This is the paper's dual-counter comparison, not TAGE's
     /// longest-match-first rule.
-    fn decide(&self, ip: u64) -> (Option<usize>, bool) {
-        let mut best = self.base_as_dual(ip);
+    fn decide(&self) -> (Option<usize>, bool) {
+        let mut best = self.base_as_dual();
         let mut pred = best.prediction();
         let mut provider = None;
         for &i in self.hits.iter() {
@@ -338,12 +282,12 @@ impl Batage {
 
 impl Predictor for Batage {
     fn size_hint(&self) -> u64 {
-        self.storage_bits().div_ceil(8)
+        self.storage_bits().div_ceil(8) + self.index.heap_bytes()
     }
 
     fn predict(&mut self, ip: u64) -> bool {
         self.compute_lookup(ip);
-        let (provider, prediction) = self.decide(ip);
+        let (provider, prediction) = self.decide();
         self.cached = Some((ip, provider, prediction));
         prediction
     }
@@ -355,7 +299,7 @@ impl Predictor for Batage {
             Some((cached_ip, provider, prediction)) if cached_ip == ip => (provider, prediction),
             _ => {
                 self.compute_lookup(ip);
-                self.decide(ip)
+                self.decide()
             }
         };
 
@@ -383,14 +327,10 @@ impl Predictor for Batage {
                 }
                 let idx = self.slots[i].0;
                 if self.tables[i][idx].dual.confidence() == Confidence::Low {
-                    let b = self.base_index(ip);
-                    self.base[b].sum_or_sub(taken);
+                    self.base[self.base_slot].sum_or_sub(taken);
                 }
             }
-            None => {
-                let b = self.base_index(ip);
-                self.base[b].sum_or_sub(taken);
-            }
+            None => self.base[self.base_slot].sum_or_sub(taken),
         }
 
         // Allocation with Controlled Allocation Throttling: on a
@@ -410,7 +350,7 @@ impl Predictor for Batage {
                     let e = &mut self.tables[i][idx];
                     if e.dual.is_useless() {
                         e.tag = self.slots[i].1;
-                        e.dual = Dual::fresh(taken);
+                        e.dual = Dual::split(taken, 1);
                         allocated = true;
                         self.allocations += 1;
                         // A successful clean allocation relaxes throttling.
@@ -435,14 +375,7 @@ impl Predictor for Batage {
 
     fn track(&mut self, branch: &Branch) {
         self.cached = None;
-        let taken = branch.is_taken();
-        for i in 0..self.idx_fold.len() {
-            let evicted = self.ghist.bit(self.idx_fold[i].hist_len() - 1);
-            self.idx_fold[i].update(taken, evicted);
-            self.tag_fold0[i].update(taken, evicted);
-            self.tag_fold1[i].update(taken, evicted);
-        }
-        self.ghist.push(taken);
+        self.index.hist.track(branch.is_taken());
     }
 
     fn metadata(&self) -> Value {
@@ -572,6 +505,14 @@ mod tests {
     fn zero_log_size_rejected() {
         let mut cfg = BatageConfig::small();
         cfg.tables[2].0 = 0;
+        Batage::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "fold widths must be at most 16 bits (got 40)")]
+    fn tables_wider_than_a_fold_rejected() {
+        let mut cfg = BatageConfig::small();
+        cfg.tables[1].0 = 40;
         Batage::new(cfg);
     }
 

@@ -307,5 +307,38 @@ mod tests {
         // Static predictors hold no tables; a zero hint opts them out of
         // admission gating.
         assert_eq!(by_name("always-taken").unwrap().size_hint(), 0);
+
+        // The composites also hold an ip memo (a key and one word per
+        // table per line) and a fold bank. The hint budgets host memory, so
+        // it counts them; `storage_bits` is the modelled hardware budget
+        // (Table II), which they are not part of.
+        let memo = |words: u64| mbp_utils::IpMemo::<()>::LINES as u64 * (8 + 4 * words);
+        let tage = Tage::new(TageConfig::default_64kb());
+        let batage = Batage::new(BatageConfig::default_64kb());
+        let perceptron = HashedPerceptron::default_config();
+        for (name, storage_bits, hint, words, modelled) in [
+            ("tage", tage.storage_bits(), tage.size_hint(), 13, 194_560),
+            (
+                "batage",
+                batage.storage_bits(),
+                batage.size_hint(),
+                13,
+                206_848,
+            ),
+            (
+                "hashed-perceptron",
+                perceptron.storage_bits(),
+                perceptron.size_hint(),
+                8,
+                458_944,
+            ),
+        ] {
+            assert_eq!(storage_bits, modelled, "{name}: modelled budget moved");
+            let host = hint - storage_bits.div_ceil(8);
+            assert!(
+                (memo(words)..memo(words) + 4096).contains(&host),
+                "{name}: {host} B beyond the tables is not the memo and bank"
+            );
+        }
     }
 }

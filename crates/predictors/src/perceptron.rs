@@ -3,10 +3,35 @@
 //! the global history.
 
 use mbp_core::{json, Branch, Predictor, TableProbe, Value};
-use mbp_utils::{mix64, xor_fold, FoldedHistory, HistoryRegister};
+use mbp_utils::{mix64, xor_fold, GeometricHistory, IpMemo, IpParts};
+
+use crate::tage::assert_fold_width;
 
 const WEIGHT_MAX: i8 = 63;
 const WEIGHT_MIN: i8 = -64;
+
+/// The ip part of every table's index: the bias table's is a fold of the
+/// ip, weight table `t`'s a fold of a mix of the ip odd-multiplied by `t`.
+/// A history fold is no wider than the table, so folding `mix ^ history`
+/// equals folding `mix` and XORing the history fold.
+#[derive(Clone, Debug)]
+struct PerceptronParts {
+    log_size: u32,
+    tables: usize,
+}
+
+impl IpParts for PerceptronParts {
+    fn width(&self) -> usize {
+        self.tables
+    }
+
+    fn fill(&self, ip: u64, out: &mut [u32]) {
+        out[0] = xor_fold(ip, self.log_size) as u32;
+        for (t, part) in out.iter_mut().enumerate().skip(1) {
+            *part = xor_fold(mix64(ip.wrapping_mul(2 * t as u64 + 1)), self.log_size) as u32;
+        }
+    }
+}
 
 /// A hashed perceptron predictor.
 ///
@@ -31,8 +56,9 @@ pub struct HashedPerceptron {
     /// `tables[t][index]` signed weights; table 0 is the bias table.
     tables: Vec<Vec<i8>>,
     history_lengths: Vec<u32>,
-    folded: Vec<FoldedHistory>,
-    ghist: HistoryRegister,
+    memo: IpMemo<PerceptronParts>,
+    /// One fold per weight table, of its history length to `log_size` bits.
+    hist: GeometricHistory,
     log_size: u32,
     theta: i32,
     /// Dynamic-threshold training counter.
@@ -53,7 +79,7 @@ impl HashedPerceptron {
     /// # Panics
     ///
     /// Panics if `history_lengths` is empty or unsorted, or `log_size` is
-    /// not in `1..=28`.
+    /// not in `1..=16`.
     pub fn new(history_lengths: Vec<u32>, log_size: u32) -> Self {
         assert!(
             !history_lengths.is_empty(),
@@ -63,19 +89,20 @@ impl HashedPerceptron {
             history_lengths.windows(2).all(|w| w[0] < w[1]),
             "history lengths must be strictly increasing"
         );
-        assert!((1..=28).contains(&log_size), "log_size must be in 1..=28");
-        let max_hist = *history_lengths.last().expect("non-empty") as usize;
-        let folded = history_lengths
+        assert!(log_size >= 1, "log_size must be at least 1");
+        assert_fold_width(log_size);
+        let folds: Vec<_> = history_lengths
             .iter()
-            .map(|&len| FoldedHistory::new(len as usize, log_size.min(63)))
+            .map(|&h| (h as usize, log_size))
             .collect();
+        let tables = history_lengths.len() + 1;
         Self {
-            tables: vec![vec![0i8; 1 << log_size]; history_lengths.len() + 1],
-            indices: vec![0; history_lengths.len() + 1],
+            tables: vec![vec![0i8; 1 << log_size]; tables],
+            indices: vec![0; tables],
             cached: None,
             history_lengths,
-            folded,
-            ghist: HistoryRegister::new(max_hist),
+            memo: IpMemo::new(PerceptronParts { log_size, tables }),
+            hist: GeometricHistory::new(&folds),
             log_size,
             theta: 12,
             tc: 0,
@@ -88,23 +115,16 @@ impl HashedPerceptron {
         Self::new(vec![3, 6, 12, 24, 48, 96, 192], 13)
     }
 
-    fn index(&self, t: usize, ip: u64) -> usize {
-        if t == 0 {
-            xor_fold(ip, self.log_size) as usize
-        } else {
-            let h = self.folded[t - 1].value();
-            xor_fold(mix64(ip.wrapping_mul(2 * t as u64 + 1)) ^ h, self.log_size) as usize
-        }
-    }
-
     /// Computes every table's index for `ip` into `indices` and returns
     /// the weight sum they select.
     fn lookup(&mut self, ip: u64) -> i32 {
+        let parts = self.memo.get(ip);
+        // The bias table's history part is zero.
+        let history = std::iter::once(&0).chain(self.hist.folds());
         let mut sum = 0;
-        for t in 0..self.tables.len() {
-            let idx = self.index(t, ip);
-            self.indices[t] = idx;
-            sum += self.tables[t][idx] as i32;
+        for (t, (&part, &h)) in parts.iter().zip(history).enumerate() {
+            self.indices[t] = (part ^ h as u32) as usize;
+            sum += self.tables[t][self.indices[t]] as i32;
         }
         sum
     }
@@ -124,7 +144,7 @@ impl HashedPerceptron {
 
 impl Predictor for HashedPerceptron {
     fn size_hint(&self) -> u64 {
-        self.storage_bits().div_ceil(8)
+        self.storage_bits().div_ceil(8) + self.memo.heap_bytes() + self.hist.heap_bytes()
     }
 
     fn predict(&mut self, ip: u64) -> bool {
@@ -173,11 +193,7 @@ impl Predictor for HashedPerceptron {
 
     fn track(&mut self, branch: &Branch) {
         self.cached = None;
-        let taken = branch.is_taken();
-        for f in &mut self.folded {
-            f.update(taken, self.ghist.bit(f.hist_len() - 1));
-        }
-        self.ghist.push(taken);
+        self.hist.track(branch.is_taken());
     }
 
     fn metadata(&self) -> Value {
@@ -303,6 +319,12 @@ mod tests {
                 assert!((WEIGHT_MIN..=WEIGHT_MAX).contains(&w));
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "fold widths must be at most 16 bits (got 17)")]
+    fn tables_wider_than_a_fold_rejected() {
+        HashedPerceptron::new(vec![4, 8], 17);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use mbp_core::{json, probe_counter_table, Branch, Predictor, TableProbe, Value};
 use mbp_utils::{
-    xor_fold, FoldedHistory, HistoryRegister, SatCounter, USatCounter, Xorshift64, I2,
+    xor_fold, GeometricHistory, IpMemo, IpParts, SatCounter, USatCounter, Xorshift64, I2,
 };
 
 /// Geometry of one tagged table.
@@ -93,6 +93,110 @@ pub(crate) fn assert_tagged_geometry(log_size: u32, tag_bits: u32) {
         log_size >= 1,
         "table log sizes must be at least 1 (got {log_size})"
     );
+    assert_fold_width(log_size);
+}
+
+/// The fold-width check every predictor on a [`GeometricHistory`] shares:
+/// a table index is one fold, so an indexed table holds at most
+/// `2^MAX_WIDTH` entries. Checked before any table is allocated.
+pub(crate) fn assert_fold_width(width: u32) {
+    let max = GeometricHistory::MAX_WIDTH;
+    assert!(
+        width <= max,
+        "fold widths must be at most {max} bits (got {width})"
+    );
+}
+
+/// The ip side of TAGE's and BATAGE's slots: the base table's index, then
+/// per tagged table a word with the index part in the high 16 bits and the
+/// tag part in the low ones.
+#[derive(Clone, Debug)]
+struct TaggedParts {
+    base_log_size: u32,
+    /// `(log_size, tag_bits)` per tagged table.
+    tables: Vec<(u32, u32)>,
+}
+
+impl IpParts for TaggedParts {
+    fn width(&self) -> usize {
+        1 + self.tables.len()
+    }
+
+    fn fill(&self, ip: u64, out: &mut [u32]) {
+        out[0] = xor_fold(ip, self.base_log_size) as u32;
+        for (i, (&(log, tag_bits), part)) in self.tables.iter().zip(&mut out[1..]).enumerate() {
+            let index = xor_fold(ip ^ (ip >> (log / 2 + i as u32 + 1)), log);
+            *part = (index << 16 | xor_fold(ip, tag_bits)) as u32;
+        }
+    }
+}
+
+/// The lookup TAGE and BATAGE share. A tagged table's index is a fold of
+/// the ip XORed with a fold of its history window, and its tag a fold of
+/// the ip XORed with two folds of that window. The ip side comes from an
+/// [`IpMemo`]; the history side, from three folds per table in one
+/// [`GeometricHistory`], packed the way the memo packs the ip side, so a
+/// slot is one XOR.
+#[derive(Clone, Debug)]
+pub(crate) struct TaggedIndex {
+    memo: IpMemo<TaggedParts>,
+    pub(crate) hist: GeometricHistory,
+    tag_masks: Vec<u16>,
+}
+
+impl TaggedIndex {
+    /// Indexes `2^base_log_size` base counters and one tagged table per
+    /// `(log_size, hist_len, tag_bits)`, each checked by
+    /// [`assert_tagged_geometry`].
+    pub(crate) fn new(base_log_size: u32, tables: impl Iterator<Item = (u32, u32, u32)>) -> Self {
+        let tables: Vec<_> = tables.collect();
+        let mut folds = Vec::new();
+        for &(log, h, tag) in &tables {
+            assert_tagged_geometry(log, tag);
+            folds.extend([log, tag, tag.max(2) - 1].map(|w| (h as usize, w)));
+        }
+        Self {
+            memo: IpMemo::new(TaggedParts {
+                base_log_size,
+                tables: tables.iter().map(|&(log, _, tag)| (log, tag)).collect(),
+            }),
+            hist: GeometricHistory::new(&folds),
+            tag_masks: tables.iter().map(|&(_, _, t)| (1u16 << t) - 1).collect(),
+        }
+    }
+
+    /// Writes every tagged table's `(index, tag)` for `ip` into `slots` and
+    /// the tables whose entry there holds the tag into `hits`, shortest
+    /// history first. Returns the base table's index.
+    #[inline]
+    pub(crate) fn lookup<E>(
+        &mut self,
+        ip: u64,
+        tables: &[Vec<E>],
+        tag_of: impl Fn(&E) -> u16,
+        slots: &mut Vec<(usize, u16)>,
+        hits: &mut Vec<usize>,
+    ) -> usize {
+        let parts = self.memo.get(ip);
+        let folds = self.hist.folds();
+        slots.clear();
+        hits.clear();
+        for (i, &part) in parts[1..].iter().enumerate() {
+            let f = &folds[3 * i..];
+            let word = part ^ ((f[0] as u32) << 16 | (f[1] ^ f[2] << 1) as u32);
+            let (index, tag) = ((word >> 16) as usize, word as u16 & self.tag_masks[i]);
+            slots.push((index, tag));
+            if tag_of(&tables[i][index]) == tag {
+                hits.push(i);
+            }
+        }
+        parts[0] as usize
+    }
+
+    /// Host memory the memo and the history hold, in bytes.
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        self.memo.heap_bytes() + self.hist.heap_bytes()
+    }
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -105,6 +209,8 @@ struct Entry {
 /// Per-lookup state shared between `predict` and `train`.
 #[derive(Clone, Debug, Default)]
 struct Lookup {
+    /// Index into the base table.
+    base: usize,
     /// `(index, tag)` per tagged table.
     slots: Vec<(usize, u16)>,
     /// Tables whose entry matched, shortest history first.
@@ -133,10 +239,7 @@ pub struct Tage {
     cfg: TageConfig,
     base: Vec<I2>,
     tables: Vec<Vec<Entry>>,
-    ghist: HistoryRegister,
-    idx_fold: Vec<FoldedHistory>,
-    tag_fold0: Vec<FoldedHistory>,
-    tag_fold1: Vec<FoldedHistory>,
+    index: TaggedIndex,
     use_alt_on_new: SatCounter<4>,
     rng: Xorshift64,
     updates: u64,
@@ -158,7 +261,7 @@ impl Tage {
     ///
     /// Panics if the configuration is empty, history lengths are not
     /// strictly increasing, or a table has a tag width outside 1..=15 or a
-    /// log size of 0.
+    /// log size outside 1..=16.
     pub fn new(cfg: TageConfig) -> Self {
         assert!(
             !cfg.tables.is_empty(),
@@ -168,25 +271,11 @@ impl Tage {
             cfg.tables.windows(2).all(|w| w[0].hist_len < w[1].hist_len),
             "history lengths must be strictly increasing"
         );
-        for t in &cfg.tables {
-            assert_tagged_geometry(t.log_size, t.tag_bits);
-        }
-        let max_hist = cfg.tables.last().expect("non-empty").hist_len as usize;
-        let idx_fold = cfg
+        let specs = cfg
             .tables
             .iter()
-            .map(|t| FoldedHistory::new(t.hist_len as usize, t.log_size))
-            .collect();
-        let tag_fold0 = cfg
-            .tables
-            .iter()
-            .map(|t| FoldedHistory::new(t.hist_len as usize, t.tag_bits))
-            .collect();
-        let tag_fold1 = cfg
-            .tables
-            .iter()
-            .map(|t| FoldedHistory::new(t.hist_len as usize, (t.tag_bits - 1).max(1)))
-            .collect();
+            .map(|t| (t.log_size, t.hist_len, t.tag_bits));
+        let index = TaggedIndex::new(cfg.base_log_size, specs);
         Self {
             base: vec![I2::default(); 1 << cfg.base_log_size],
             tables: cfg
@@ -194,10 +283,7 @@ impl Tage {
                 .iter()
                 .map(|t| vec![Entry::default(); 1 << t.log_size])
                 .collect(),
-            ghist: HistoryRegister::new(max_hist),
-            idx_fold,
-            tag_fold0,
-            tag_fold1,
+            index,
             use_alt_on_new: SatCounter::new(0),
             rng: Xorshift64::new(cfg.seed),
             updates: 0,
@@ -210,30 +296,12 @@ impl Tage {
         }
     }
 
-    fn base_index(&self, ip: u64) -> usize {
-        xor_fold(ip, self.cfg.base_log_size) as usize
-    }
-
     fn compute_lookup(&mut self, ip: u64) {
-        let base_pred = self.base[self.base_index(ip)].is_taken();
         let lk = &mut self.scratch;
-        lk.slots.clear();
-        lk.hits.clear();
-        for (i, spec) in self.cfg.tables.iter().enumerate() {
-            let idx = (xor_fold(
-                ip ^ (ip >> (spec.log_size / 2 + i as u32 + 1)),
-                spec.log_size,
-            ) ^ self.idx_fold[i].value()) as usize;
-            let tag_mask = (1u16 << spec.tag_bits) - 1;
-            let tag = ((xor_fold(ip, spec.tag_bits)
-                ^ self.tag_fold0[i].value()
-                ^ (self.tag_fold1[i].value() << 1)) as u16)
-                & tag_mask;
-            lk.slots.push((idx, tag));
-            if self.tables[i][idx].tag == tag {
-                lk.hits.push(i);
-            }
-        }
+        lk.base = self
+            .index
+            .lookup(ip, &self.tables, |e| e.tag, &mut lk.slots, &mut lk.hits);
+        let base_pred = self.base[lk.base].is_taken();
 
         lk.provider = lk.hits.last().copied();
         lk.alt = if lk.hits.len() >= 2 {
@@ -268,7 +336,7 @@ impl Tage {
     /// Allocation on a misprediction: claim an entry with zero usefulness in
     /// a table with a longer history than the provider; if none is free,
     /// age the candidates instead (Seznec's policy).
-    fn allocate(&mut self, ip: u64, taken: bool) {
+    fn allocate(&mut self, taken: bool) {
         let start = self.scratch.provider.map_or(0, |p| p + 1);
         if start >= self.tables.len() {
             return;
@@ -299,7 +367,6 @@ impl Tage {
                 self.tables[i][idx].useful -= 1;
             }
         }
-        let _ = ip;
     }
 
     /// Storage budget in bits.
@@ -317,7 +384,7 @@ impl Tage {
 
 impl Predictor for Tage {
     fn size_hint(&self) -> u64 {
-        self.storage_bits().div_ceil(8)
+        self.storage_bits().div_ceil(8) + self.index.heap_bytes()
     }
 
     fn predict(&mut self, ip: u64) -> bool {
@@ -367,10 +434,7 @@ impl Predictor for Tage {
                         let jdx = self.scratch.slots[j].0;
                         self.tables[j][jdx].ctr.sum_or_sub(taken);
                     }
-                    None => {
-                        let b = self.base_index(ip);
-                        self.base[b].sum_or_sub(taken);
-                    }
+                    None => self.base[self.scratch.base].sum_or_sub(taken),
                 }
             }
             let e = &mut self.tables[i][idx];
@@ -383,12 +447,11 @@ impl Predictor for Tage {
                 }
             }
         } else {
-            let b = self.base_index(ip);
-            self.base[b].sum_or_sub(taken);
+            self.base[self.scratch.base].sum_or_sub(taken);
         }
 
         if final_pred != taken {
-            self.allocate(ip, taken);
+            self.allocate(taken);
         }
 
         // Graceful aging of usefulness counters.
@@ -403,14 +466,7 @@ impl Predictor for Tage {
 
     fn track(&mut self, branch: &Branch) {
         self.cached_ip = None;
-        let taken = branch.is_taken();
-        for i in 0..self.idx_fold.len() {
-            let evicted = self.ghist.bit(self.idx_fold[i].hist_len() - 1);
-            self.idx_fold[i].update(taken, evicted);
-            self.tag_fold0[i].update(taken, evicted);
-            self.tag_fold1[i].update(taken, evicted);
-        }
-        self.ghist.push(taken);
+        self.index.hist.track(branch.is_taken());
     }
 
     fn metadata(&self) -> Value {
@@ -506,6 +562,15 @@ mod tests {
     fn zero_log_size_rejected() {
         let mut cfg = TageConfig::small();
         cfg.tables[2].log_size = 0;
+        Tage::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "fold widths must be at most 16 bits (got 17)")]
+    fn tables_wider_than_a_fold_rejected() {
+        // Checked before any table is allocated.
+        let mut cfg = TageConfig::small();
+        cfg.tables[2].log_size = 17;
         Tage::new(cfg);
     }
 

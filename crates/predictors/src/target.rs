@@ -8,7 +8,9 @@
 //! we used a 64 kB ITTAGE target predictor".
 
 use mbp_core::Branch;
-use mbp_utils::{mix64, xor_fold, FoldedHistory, HistoryRegister, LruSet, USatCounter};
+use mbp_utils::{mix64, xor_fold, GeometricHistory, HistoryRegister, LruSet, USatCounter};
+
+use crate::tage::assert_fold_width;
 
 /// A predictor of branch *targets* (as opposed to directions).
 ///
@@ -258,10 +260,8 @@ pub struct Ittage {
     cfg: IttageConfig,
     base: Vec<u64>,
     tables: Vec<Vec<IttageEntry>>,
-    ghist: HistoryRegister,
-    idx_fold: Vec<FoldedHistory>,
-    tag_fold: Vec<FoldedHistory>,
-    max_hist: usize,
+    /// Per table: the index fold, then the tag fold.
+    hist: GeometricHistory,
     /// `(table, index)` of the provider of the last prediction, if tagged.
     last_provider: Option<(usize, usize)>,
 }
@@ -272,7 +272,8 @@ impl Ittage {
     /// # Panics
     ///
     /// Panics if the configuration has no tagged tables, history lengths
-    /// are not strictly increasing, or a tag is wider than 15 bits.
+    /// are not strictly increasing, a tag is wider than 15 bits, or a log
+    /// size is wider than 16 bits.
     pub fn new(cfg: IttageConfig) -> Self {
         assert!(
             !cfg.tables.is_empty(),
@@ -286,17 +287,11 @@ impl Ittage {
             cfg.tables.iter().all(|t| (1..=15).contains(&t.tag_bits)),
             "tags must be 1..=15 bits"
         );
-        let max_hist = cfg.tables.last().map(|t| t.hist_len).unwrap() as usize;
-        let idx_fold = cfg
-            .tables
-            .iter()
-            .map(|t| FoldedHistory::new(t.hist_len as usize, t.log_size))
-            .collect();
-        let tag_fold = cfg
-            .tables
-            .iter()
-            .map(|t| FoldedHistory::new(t.hist_len as usize, t.tag_bits))
-            .collect();
+        let mut folds = Vec::new();
+        for t in &cfg.tables {
+            assert_fold_width(t.log_size);
+            folds.extend([t.log_size, t.tag_bits].map(|w| (t.hist_len as usize, w)));
+        }
         Self {
             base: vec![0; 1 << cfg.base_log_size],
             tables: cfg
@@ -304,10 +299,7 @@ impl Ittage {
                 .iter()
                 .map(|t| vec![IttageEntry::default(); 1 << t.log_size])
                 .collect(),
-            ghist: HistoryRegister::new(max_hist),
-            idx_fold,
-            tag_fold,
-            max_hist,
+            hist: GeometricHistory::new(&folds),
             last_provider: None,
             cfg,
         }
@@ -315,21 +307,10 @@ impl Ittage {
 
     fn slot(&self, table: usize, ip: u64) -> (usize, u16) {
         let spec = &self.cfg.tables[table];
-        let index = xor_fold(ip ^ self.idx_fold[table].value(), spec.log_size) as usize;
-        let tag = xor_fold(mix64(ip) ^ self.tag_fold[table].value(), spec.tag_bits) as u16;
+        let folds = &self.hist.folds()[2 * table..];
+        let index = xor_fold(ip ^ folds[0] as u64, spec.log_size) as usize;
+        let tag = xor_fold(mix64(ip) ^ folds[1] as u64, spec.tag_bits) as u16;
         (index, tag)
-    }
-
-    fn push_history(&mut self, bit: bool) {
-        let evicted = self.ghist.bit(self.max_hist - 1);
-        for (f, spec) in self.idx_fold.iter_mut().zip(&self.cfg.tables) {
-            f.update(bit, self.ghist.bit(spec.hist_len as usize - 1));
-        }
-        for (f, spec) in self.tag_fold.iter_mut().zip(&self.cfg.tables) {
-            f.update(bit, self.ghist.bit(spec.hist_len as usize - 1));
-        }
-        let _ = evicted;
-        self.ghist.push(bit);
     }
 }
 
@@ -407,8 +388,8 @@ impl TargetPredictor for Ittage {
 
         // Fold two target bits into the global history.
         let step = mix64(target);
-        self.push_history(step & 1 == 1);
-        self.push_history(step >> 1 & 1 == 1);
+        self.hist.track(step & 1 == 1);
+        self.hist.track(step >> 1 & 1 == 1);
     }
 }
 
@@ -569,6 +550,14 @@ mod tests {
             p.update(&taken(site, 0xB000, op));
         }
         assert_eq!(p.predict_target(site), Some(0xB000));
+    }
+
+    #[test]
+    #[should_panic(expected = "fold widths must be at most 16 bits (got 17)")]
+    fn ittage_tables_wider_than_a_fold_rejected() {
+        let mut cfg = IttageConfig::small();
+        cfg.tables[0].log_size = 17;
+        Ittage::new(cfg);
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! Branch predictors are overwhelmingly built from a small set of hardware
 //! idioms: fixed-width saturating counters, global/per-address history
 //! registers, folded (compressed) histories for indexing large tables, path
-//! histories, and cheap hash functions. Reimplementing these for every
+//! histories, and cheap hash functions. The geometric-history predictors
+//! also share one [`GeometricHistory`] (a circular history plus every fold
+//! they index with) and an [`IpMemo`] of the hash parts that depend only on
+//! the branch address. Reimplementing these for every
 //! predictor invites subtle bugs (forgotten saturation, off-by-one history
 //! lengths, non-reversible folds). This crate provides them once, tested,
 //! with a modern interface — mirroring MBPlib's `mbp::i2`, `mbp::XorFold`
@@ -34,18 +37,22 @@
 
 mod counter;
 mod folded;
+mod geometric;
 mod hash;
 mod history;
 mod lru;
+mod memo;
 mod path;
 mod plru;
 mod rng;
 
 pub use counter::{SatCounter, USatCounter, I2, I3, U2};
 pub use folded::FoldedHistory;
+pub use geometric::GeometricHistory;
 pub use hash::{mix64, xor_fold, xor_fold_columns, FastHashBuilder, FastHasher};
 pub use history::HistoryRegister;
 pub use lru::LruSet;
+pub use memo::{IpMemo, IpParts};
 pub use path::PathHistory;
 pub use plru::TreePlru;
 pub use rng::Xorshift64;

@@ -4,16 +4,20 @@
 //! drawn from the in-tree seeded [`Xorshift64`], so every run explores the
 //! same (large) input set and a failure reproduces exactly. Each test states
 //! an invariant that predictors rely on implicitly — counters that never
-//! leave their range, an incremental fold that always equals the naive one,
-//! replacement policies that never name an absent or just-used victim,
-//! hashes that are pure functions — and hammers it with a few thousand
-//! random operation sequences.
+//! leave their range, an incremental fold (alone or in a bank) that always
+//! equals the naive one, a memo that always answers what its fill function
+//! would, replacement policies that never name an absent or just-used
+//! victim, hashes that are pure functions — and hammers it with a few
+//! thousand random operation sequences.
 
+use std::cell::Cell;
+use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
+use std::rc::Rc;
 
 use mbp_utils::{
-    mix64, xor_fold, FastHashBuilder, FoldedHistory, HistoryRegister, LruSet, SatCounter, TreePlru,
-    USatCounter, Xorshift64,
+    mix64, xor_fold, FastHashBuilder, FoldedHistory, GeometricHistory, HistoryRegister, IpMemo,
+    IpParts, LruSet, SatCounter, TreePlru, USatCounter, Xorshift64,
 };
 
 /// Drives one signed saturating counter through random updates, checking
@@ -152,6 +156,137 @@ fn folded_history_equals_naive_fold_of_full_register() {
         folded.clear();
         hist.clear();
         assert_eq!(folded.value(), hist.fold(width), "clear() must match");
+    }
+}
+
+#[test]
+fn geometric_history_equals_naive_fold_of_every_window() {
+    // The fold bank must agree, after every push, with folding each fold's
+    // window of a full history register, and with a `FoldedHistory` of the
+    // same shape. Shapes are random, plus one with the width above the
+    // length and one with the two equal; one round holds a 1024-bit
+    // window. Every round pushes enough bits to wrap the circular buffer
+    // three times.
+    let mut rng = Xorshift64::new(0x6e0_0007);
+    for round in 0..12 {
+        let longest = if round == 0 {
+            1024
+        } else {
+            rng.range_inclusive(1, 700) as usize
+        };
+        let mut shapes = vec![(longest, rng.range_inclusive(1, 16) as u32)];
+        for _ in 0..rng.range_inclusive(0, 5) {
+            let len = rng.range_inclusive(1, longest as u64) as usize;
+            shapes.push((len, rng.range_inclusive(1, 16) as u32));
+        }
+        let short = rng.range_inclusive(1, 15) as usize;
+        shapes.push((short, short as u32 + 1));
+        shapes.push((short, short as u32));
+
+        let mut bank = GeometricHistory::new(&shapes);
+        let mut windows: Vec<HistoryRegister> = shapes
+            .iter()
+            .map(|&(l, _)| HistoryRegister::new(l))
+            .collect();
+        let mut singles: Vec<FoldedHistory> = shapes
+            .iter()
+            .map(|&(l, w)| FoldedHistory::new(l, w))
+            .collect();
+        let ring = (longest + 1).next_power_of_two();
+        for step in 0..3 * ring + 5 {
+            let taken = rng.next_bool();
+            bank.track(taken);
+            for (window, single) in windows.iter_mut().zip(&mut singles) {
+                single.update(taken, window.bit(window.len() - 1));
+                window.push(taken);
+            }
+            for (k, &(len, width)) in shapes.iter().enumerate() {
+                let fold = bank.folds()[k] as u64;
+                assert_eq!(
+                    fold,
+                    windows[k].fold(width),
+                    "fold {k} ({len} bits to {width}) diverged at step {step}"
+                );
+                assert_eq!(fold, singles[k].value(), "fold {k} vs FoldedHistory");
+            }
+        }
+    }
+}
+
+/// Parts that count their fills, so a test can tell a memo hit from a
+/// refill.
+#[derive(Clone, Debug, Default)]
+struct CountedParts {
+    fills: Rc<Cell<u64>>,
+}
+
+impl CountedParts {
+    fn expected(ip: u64) -> [u32; 3] {
+        [
+            mix64(ip) as u32,
+            (mix64(ip) >> 32) as u32,
+            xor_fold(ip, 13) as u32,
+        ]
+    }
+}
+
+impl IpParts for CountedParts {
+    fn width(&self) -> usize {
+        3
+    }
+
+    fn fill(&self, ip: u64, out: &mut [u32]) {
+        self.fills.set(self.fills.get() + 1);
+        out.copy_from_slice(&Self::expected(ip));
+    }
+}
+
+#[test]
+fn ip_memo_returns_the_fill_parts_for_every_ip() {
+    // The memo must answer every ip with exactly what the fill function
+    // gives it, and fill exactly when a direct-mapped shadow says the line
+    // holds another ip. The shadow starts with ip 0 in every line, so ip 0
+    // in an untouched line is a hit. The pool mixes ips that share lines
+    // (one group on ip 0's line), ip 0, `u64::MAX` and sign-extended
+    // kernel-half ips, so lines are evicted and refilled over and over.
+    let line = IpMemo::<()>::line;
+    let mut rng = Xorshift64::new(0x3e30_0008);
+    let mut pool = vec![0, u64::MAX, 0xffff_ffff_8000_0000, 0xffff_8000_0010_2040];
+    for anchor in [0, 0x40_1000, u64::MAX, rng.next_u64()] {
+        pool.push(anchor);
+        let mut found = 0;
+        while found < 3 {
+            let ip = rng.next_u64() >> rng.below(40);
+            if ip != anchor && line(ip) == line(anchor) {
+                pool.push(ip);
+                found += 1;
+            }
+        }
+    }
+    for _ in 0..8 {
+        pool.push(0x40_0000 + 4 * rng.below(1 << 14));
+    }
+
+    for _ in 0..20 {
+        let parts = CountedParts::default();
+        let fills = Rc::clone(&parts.fills);
+        let mut memo = IpMemo::new(parts);
+        assert_eq!(fills.get(), 1, "construction fills ip 0's parts once");
+        assert_eq!(memo.get(0), CountedParts::expected(0));
+        assert_eq!(fills.get(), 1, "ip 0 in an untouched line is a hit");
+
+        let mut shadow: HashMap<usize, u64> = HashMap::new();
+        for _ in 0..2000 {
+            let ip = pool[rng.below(pool.len() as u64) as usize];
+            let held = shadow.insert(line(ip), ip).unwrap_or(0);
+            let before = fills.get();
+            assert_eq!(memo.get(ip), CountedParts::expected(ip), "ip {ip:#x}");
+            assert_eq!(
+                fills.get() - before,
+                (held != ip) as u64,
+                "ip {ip:#x}: filled on a hit or reused another ip's line"
+            );
+        }
     }
 }
 
