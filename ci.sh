@@ -13,9 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== clippy (panic-free decode paths) =="
 # Library code of the crates that parse untrusted bytes must not contain
-# unwrap/expect at all — every failure is a typed error. Test code (the
-# --lib target excludes it) is exempt.
-cargo clippy -p mbp-trace -p mbp-compress --lib -- \
+# unwrap/expect at all — every failure is a typed error. That covers the
+# trace decoders and codecs, and mbp-json, which parses every file the CLI
+# reads back (checkpoints, phase plans, stats-diff and report inputs).
+# Test code (the --lib target excludes it) is exempt.
+cargo clippy -p mbp-trace -p mbp-compress -p mbp-json --lib -- \
   -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
 echo "== build (release) =="

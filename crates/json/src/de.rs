@@ -250,7 +250,10 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
+        // The scanner above only advanced over ASCII, so this cannot fail;
+        // it is still a typed error, not a panic.
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| ParseJsonError::new("invalid number", start))?;
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Value::Number(Number::Int(i)));

@@ -306,13 +306,13 @@ fn emit_events(args: &Args) -> Result<(), Failure> {
 /// Emits the pipeline-metrics object: merges its sections into `doc`'s
 /// `metrics` object (creating one for documents without it), writes it to
 /// `--metrics-out` when requested, and prints the one-screen summary on
-/// stderr. Call after the simulation work, so the snapshot covers it.
+/// stderr. Call after the simulation work, so the metrics cover it.
 fn emit_metrics(args: &Args, doc: Option<&mut mbp::json::Value>) -> Result<(), Failure> {
     if !wants_metrics(args) {
         return Ok(());
     }
-    let snap = mbp::stats::pipeline().snapshot();
-    let mut pipeline = mbp::report::pipeline_json(&snap);
+    let stats = mbp::stats::pipeline();
+    let mut pipeline = mbp::report::pipeline_json(stats);
     // The journal's drop counter belongs next to the pipeline sections:
     // a metrics file whose event exports are incomplete says so itself.
     if let Some(out) = pipeline.as_object_mut() {
@@ -358,7 +358,7 @@ fn emit_metrics(args: &Args, doc: Option<&mut mbp::json::Value>) -> Result<(), F
         std::fs::write(path, format!("{pipeline:#}\n"))
             .map_err(|e| Failure::internal(format!("cannot write {path}: {e}")))?;
     }
-    eprintln!("{}", mbp::report::human_summary(&snap));
+    eprintln!("{}", mbp::report::human_summary(stats));
     Ok(())
 }
 

@@ -1,11 +1,12 @@
 //! `mbpsim stats-diff`: section-by-section comparison of two `--metrics-out`
 //! files, with regression thresholds so CI can gate on it.
 //!
-//! The metrics schema (see `DESIGN.md`) has fixed sections — `decode`,
-//! `compress`, `simulate`, `sweep`, `generation`, plus the opt-in
-//! `timeseries`, `introspection`, `simpoint` and `forensics` sections — of
-//! numeric leaves. The diff walks both documents in that order, flattens
-//! every numeric leaf to a dotted path, and classifies each delta:
+//! The metrics schema (see `DESIGN.md`) has fixed sections — the pipeline
+//! sections of [`mbp_stats::PipelineStats::rows`] (`decode` … `generation`),
+//! plus the opt-in `timeseries`, `introspection`, `simpoint` and
+//! `forensics` sections — of numeric leaves. The diff walks both documents
+//! in that order, flattens every numeric leaf to a dotted path, and
+//! classifies each delta:
 //!
 //! * **time-like** metrics (`*time_s`, `*_busy_s`, fault counters) regress
 //!   when they *grow* beyond the threshold;
@@ -25,18 +26,21 @@
 
 use mbp_json::{Map, Value};
 
-/// The fixed section order of the metrics schema.
-pub const SECTIONS: [&str; 9] = [
-    "decode",
-    "compress",
-    "simulate",
-    "sweep",
-    "generation",
-    "timeseries",
-    "introspection",
-    "simpoint",
-    "forensics",
-];
+/// The opt-in sections, diffed after the pipeline sections.
+const OPT_IN_SECTIONS: [&str; 4] = ["timeseries", "introspection", "simpoint", "forensics"];
+
+/// The fixed section order of the metrics schema: the pipeline sections in
+/// table order, then the opt-in ones.
+fn sections() -> Vec<&'static str> {
+    let mut sections = Vec::new();
+    for row in mbp_stats::PipelineStats::new().rows() {
+        if !sections.contains(&row.section) {
+            sections.push(row.section);
+        }
+    }
+    sections.extend(OPT_IN_SECTIONS);
+    sections
+}
 
 /// Tuning knobs for a diff run.
 #[derive(Clone, Copy, Debug)]
@@ -198,7 +202,7 @@ fn fmt_delta(a: Option<f64>, b: Option<f64>) -> String {
 /// extra sections are ignored, and a section absent from both is skipped.
 pub fn diff_metrics(a: &Value, b: &Value, options: &DiffOptions) -> DiffReport {
     let mut lines = Vec::new();
-    for section in SECTIONS {
+    for section in sections() {
         flatten_pair(section, a.get(section), b.get(section), options, &mut lines);
     }
     DiffReport {

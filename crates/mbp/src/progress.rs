@@ -121,17 +121,19 @@ impl Progress {
         let stop_flag = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
             let started = Instant::now();
-            let base = mbp_stats::pipeline().snapshot();
+            let (sim, sweep) = (&mbp_stats::pipeline().sim, &mbp_stats::pipeline().sweep);
+            let (records0, instructions0) = (sim.records.get(), sim.instructions.get());
+            let (workers0, slices0) = (sweep.workers.get(), sweep.sampled_slices.get());
+            let busy0 = sweep.worker_busy.seconds();
             let mut painted = false;
             while !stop_flag.load(Ordering::Relaxed) {
                 std::thread::sleep(REFRESH);
                 if stop_flag.load(Ordering::Relaxed) {
                     break;
                 }
-                let snap = mbp_stats::pipeline().snapshot();
                 let elapsed = started.elapsed().as_secs_f64().max(1e-9);
-                let records = snap.sim_records.saturating_sub(base.sim_records);
-                let instructions = snap.sim_instructions.saturating_sub(base.sim_instructions);
+                let records = sim.records.get().saturating_sub(records0);
+                let instructions = sim.instructions.get().saturating_sub(instructions0);
                 let records_per_s = records as f64 / elapsed;
                 let (done, eta) = match total_instructions {
                     Some(total) if total > 0 && instructions > 0 => {
@@ -142,19 +144,13 @@ impl Progress {
                     }
                     _ => (None, None),
                 };
-                let workers = snap.sweep_workers.saturating_sub(base.sweep_workers);
+                let workers = sweep.workers.get().saturating_sub(workers0);
                 let busy = (workers > 0).then(|| {
-                    let busy_s =
-                        snap.sweep_worker_busy.seconds() - base.sweep_worker_busy.seconds();
+                    let busy_s = sweep.worker_busy.seconds() - busy0;
                     busy_s / (elapsed * workers as f64)
                 });
-                let sampled = sampled_fraction.map(|fraction| {
-                    (
-                        fraction,
-                        snap.sweep_sampled_slices
-                            .saturating_sub(base.sweep_sampled_slices),
-                    )
-                });
+                let sampled = sampled_fraction
+                    .map(|fraction| (fraction, sweep.sampled_slices.get().saturating_sub(slices0)));
                 let line = labeled_line(
                     label,
                     format_progress_line(records_per_s, done, eta, busy, sampled),

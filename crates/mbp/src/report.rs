@@ -1,14 +1,14 @@
-//! Rendering of [`mbp_stats`] pipeline snapshots: a JSON `"metrics"`
+//! Rendering of the [`mbp_stats`] pipeline metrics: a JSON `"metrics"`
 //! object for machines, a one-screen summary for stderr.
 //!
-//! The schema (documented field-by-field in `DESIGN.md`) has five fixed
+//! The JSON object is one loop over [`PipelineStats::rows`]: five fixed
 //! sections — `decode`, `compress`, `simulate`, `sweep`, `generation` —
-//! mirroring the [`mbp_stats::PipelineSnapshot`] domains. Sections for
-//! stages that did not run are still present with zero counts, so consumers
-//! can index unconditionally.
+//! documented field-by-field in `DESIGN.md`. Sections for stages that did
+//! not run are still present with zero counts, so consumers can index
+//! unconditionally.
 
-use mbp_json::{json, Value};
-use mbp_stats::{HistogramSnapshot, PipelineSnapshot};
+use mbp_json::{json, Map, Value};
+use mbp_stats::{HistogramSnapshot, PipelineStats, Reading};
 
 /// Renders a histogram as `{bounds, counts, overflow, count, mean}`.
 fn histogram_json(h: &HistogramSnapshot) -> Value {
@@ -21,59 +21,25 @@ fn histogram_json(h: &HistogramSnapshot) -> Value {
     })
 }
 
-/// Renders a pipeline snapshot as the `"metrics"` JSON object emitted by
-/// `mbpsim --metrics`.
-pub fn pipeline_json(snap: &PipelineSnapshot) -> Value {
-    json!({
-        "decode": {
-            "bytes_read": snap.trace_bytes_read,
-            "packets_decoded": snap.trace_packets_decoded,
-            "batches": snap.trace_batches,
-            "time_s": snap.trace_decode.seconds(),
-            "packets_per_second": snap.packets_per_second(),
-        },
-        "compress": {
-            "blocks_inflated": snap.compress_blocks,
-            "compressed_bytes": snap.compress_bytes_in,
-            "inflated_bytes": snap.compress_bytes_out,
-            "inflate_ratio": snap.inflate_ratio(),
-            "time_s": snap.compress_inflate.seconds(),
-            "block_ratio_pct": histogram_json(&snap.compress_block_ratio_pct),
-        },
-        "simulate": {
-            "runs": snap.sim_runs,
-            "records": snap.sim_records,
-            "instructions": snap.sim_instructions,
-            "kernel_branches": snap.sim_kernel_branches,
-            "scalar_fallback_branches": snap.sim_scalar_fallback_branches,
-            "fill_batch_time_s": snap.sim_fill_batch.seconds(),
-            "time_s": snap.sim_simulate.seconds(),
-            "branches_per_second": snap.branches_per_second(),
-            "instructions_per_second": snap.instructions_per_second(),
-        },
-        "sweep": {
-            "workers": snap.sweep_workers,
-            "predictors": snap.sweep_predictors,
-            "faults": snap.sweep_faults,
-            "trace_errors": snap.sweep_trace_errors,
-            "worker_busy_s": snap.sweep_worker_busy.seconds(),
-            "predictor_time_us": histogram_json(&snap.sweep_predictor_us),
-            "checkpoint_writes": snap.sweep_checkpoint_writes,
-            "resume_skips": snap.sweep_resume_skips,
-            "deadline_fired": snap.sweep_deadline_fired,
-            "deadline_extensions": snap.sweep_deadline_extensions,
-            "admission_waits": snap.sweep_admission_waits,
-            "shutdown_drains": snap.sweep_shutdown_drains,
-            "sampled_slices": snap.sweep_sampled_slices,
-            "sampled_instructions": snap.sweep_sampled_instructions,
-            "replayed_instructions": snap.sweep_replayed_instructions,
-        },
-        "generation": {
-            "records_generated": snap.workload_records,
-            "refills": snap.workload_refills,
-            "time_s": snap.workload_generate.seconds(),
-        },
-    })
+/// Renders the pipeline metrics as the `"metrics"` JSON object emitted by
+/// `mbpsim --metrics` and served under `/snapshot`'s `pipeline`.
+pub fn pipeline_json(stats: &PipelineStats) -> Value {
+    let mut doc = Map::new();
+    for row in stats.rows() {
+        let value = match &row.value {
+            Reading::Counter(v) => Value::from(*v),
+            Reading::Timer { total_ns, .. } => Value::from(*total_ns as f64 / 1e9),
+            Reading::Histogram(h) => histogram_json(h),
+            Reading::Derived(x) => Value::from(*x),
+        };
+        if !doc.contains_key(row.section) {
+            doc.insert(row.section, Map::new());
+        }
+        if let Some(section) = doc.get_mut(row.section).and_then(Value::as_object_mut) {
+            section.insert(row.key, value);
+        }
+    }
+    doc.into()
 }
 
 /// `1234567` → `"1.2M"`; keeps the summary lines one screen wide.
@@ -107,63 +73,65 @@ fn rate(r: f64) -> String {
 
 /// Renders the one-screen human summary printed to stderr by
 /// `mbpsim --metrics`. Stages that never ran are shown as `(idle)`.
-pub fn human_summary(snap: &PipelineSnapshot) -> String {
+pub fn human_summary(stats: &PipelineStats) -> String {
+    let (t, c, s) = (&stats.trace, &stats.compress, &stats.sim);
+    let (w, g) = (&stats.sweep, &stats.workload);
     let mut out = String::from("── pipeline metrics ──────────────────────────────\n");
-    if snap.trace_packets_decoded > 0 {
+    if t.packets_decoded.get() > 0 {
         out.push_str(&format!(
             "decode:    {} packets, {} in {:.3} s ({})\n",
-            count(snap.trace_packets_decoded),
-            bytes(snap.trace_bytes_read),
-            snap.trace_decode.seconds(),
-            rate(snap.packets_per_second()),
+            count(t.packets_decoded.get()),
+            bytes(t.bytes_read.get()),
+            t.decode.seconds(),
+            rate(stats.packets_per_second()),
         ));
     } else {
         out.push_str("decode:    (idle)\n");
     }
-    if snap.compress_blocks > 0 {
+    if c.blocks_inflated.get() > 0 {
         out.push_str(&format!(
             "compress:  {} blocks, {} -> {} ({:.2}x) in {:.3} s\n",
-            count(snap.compress_blocks),
-            bytes(snap.compress_bytes_in),
-            bytes(snap.compress_bytes_out),
-            snap.inflate_ratio(),
-            snap.compress_inflate.seconds(),
+            count(c.blocks_inflated.get()),
+            bytes(c.compressed_bytes.get()),
+            bytes(c.inflated_bytes.get()),
+            stats.inflate_ratio(),
+            c.inflate.seconds(),
         ));
     } else {
         out.push_str("compress:  (idle)\n");
     }
-    if snap.sim_runs > 0 {
+    if s.runs.get() > 0 {
         out.push_str(&format!(
             "simulate:  {} run(s), {} branches ({} kernel / {} scalar), {} instr in {:.3} s ({} branches)\n",
-            snap.sim_runs,
-            count(snap.sim_records),
-            count(snap.sim_kernel_branches),
-            count(snap.sim_scalar_fallback_branches),
-            count(snap.sim_instructions),
-            snap.sim_simulate.seconds(),
-            rate(snap.branches_per_second()),
+            s.runs.get(),
+            count(s.records.get()),
+            count(s.kernel_branches.get()),
+            count(s.scalar_fallback_branches.get()),
+            count(s.instructions.get()),
+            s.simulate.seconds(),
+            rate(stats.branches_per_second()),
         ));
     } else {
         out.push_str("simulate:  (idle)\n");
     }
-    if snap.sweep_predictors > 0 {
+    if w.predictors.get() > 0 {
         out.push_str(&format!(
             "sweep:     {} predictor(s) on {} worker(s), busy {:.3} s, {} fault(s), {} trace error(s)\n",
-            snap.sweep_predictors,
-            snap.sweep_workers,
-            snap.sweep_worker_busy.seconds(),
-            snap.sweep_faults,
-            snap.sweep_trace_errors,
+            w.predictors.get(),
+            w.workers.get(),
+            w.worker_busy.seconds(),
+            w.faults.get(),
+            w.trace_errors.get(),
         ));
     } else {
         out.push_str("sweep:     (idle)\n");
     }
-    if snap.workload_records > 0 {
+    if g.records_generated.get() > 0 {
         out.push_str(&format!(
             "generate:  {} records in {} refill(s), {:.3} s\n",
-            count(snap.workload_records),
-            snap.workload_refills,
-            snap.workload_generate.seconds(),
+            count(g.records_generated.get()),
+            g.refills.get(),
+            g.generate.seconds(),
         ));
     } else {
         out.push_str("generate:  (idle)\n");
@@ -176,8 +144,8 @@ pub fn human_summary(snap: &PipelineSnapshot) -> String {
 mod tests {
     use super::*;
 
-    fn sample() -> PipelineSnapshot {
-        let stats = mbp_stats::PipelineStats::new();
+    fn sample() -> PipelineStats {
+        let stats = PipelineStats::new();
         stats.trace.bytes_read.add(32 * 2048);
         stats.trace.packets_decoded.add(2048);
         stats.trace.batches.inc();
@@ -188,7 +156,7 @@ mod tests {
         stats.sim.kernel_branches.add(2000);
         stats.sim.scalar_fallback_branches.add(48);
         stats.sim.simulate.record_ns(2_000_000);
-        stats.snapshot()
+        stats
     }
 
     #[test]
@@ -207,6 +175,59 @@ mod tests {
         // The document parses back.
         let reparsed: Value = doc.to_pretty_string().parse().unwrap();
         assert_eq!(reparsed, doc);
+    }
+
+    /// The law between `/metrics` and `--metrics-out`: one state rendered
+    /// both ways agrees on every measured row — counters exactly, timers to
+    /// the nanosecond, histograms on count and sum. The loop runs over the
+    /// table, so a new row is checked without editing this test.
+    #[test]
+    fn openmetrics_and_json_agree_on_every_measured_row() {
+        let stats = sample();
+        stats.sim.instructions.add(1 << 53);
+        stats.compress.inflate.record_ns(1_234_567_891);
+        stats.sweep.worker_busy.record_ns(987_654_321);
+        stats.sweep.predictor_us.record(150);
+        stats.sweep.predictor_us.record(20_000_000);
+        stats.compress.block_ratio_pct.record(380);
+        let text = mbp_stats::render_openmetrics(&stats, 0, &[]);
+        let samples: std::collections::HashMap<&str, &str> = text
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .filter_map(|l| l.rsplit_once(' '))
+            .collect();
+        let om = |name: String| -> u64 {
+            let text = samples
+                .get(name.as_str())
+                .unwrap_or_else(|| panic!("no {name}"));
+            match text.split_once('.') {
+                Some((s, ns)) => {
+                    s.parse::<u64>().unwrap() * 1_000_000_000 + ns.parse::<u64>().unwrap()
+                }
+                None => text.parse().unwrap(),
+            }
+        };
+        let doc: Value = pipeline_json(&stats).to_pretty_string().parse().unwrap();
+        for row in stats.rows() {
+            let (family, json) = (row.family, &doc[row.section][row.key]);
+            let at = format!("{}.{}", row.section, row.key);
+            match row.value {
+                Reading::Counter(_) => {
+                    assert_eq!(json.as_u64(), Some(om(format!("{family}_total"))), "{at}");
+                }
+                Reading::Timer { .. } => {
+                    let ns = (json.as_f64().unwrap() * 1e9).round() as u64;
+                    assert_eq!(ns, om(format!("{family}_seconds_total")), "{at}");
+                }
+                Reading::Histogram(_) => {
+                    let count = json["count"].as_u64().unwrap();
+                    let sum = (json["mean"].as_f64().unwrap() * count as f64).round() as u64;
+                    assert_eq!(count, om(format!("{family}_count")), "{at}");
+                    assert_eq!(sum, om(format!("{family}_sum")), "{at}");
+                }
+                Reading::Derived(_) => assert!(json.as_f64().is_some(), "{at}"),
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! | Path        | Content                                                 |
 //! |-------------|---------------------------------------------------------|
-//! | `/metrics`  | OpenMetrics text: pipeline domains + global registry    |
+//! | `/metrics`  | OpenMetrics text: pipeline domains + H2P rows           |
 //! | `/snapshot` | Versioned JSON: pipeline, per-predictor status, config  |
 //! | `/healthz`  | `ok` — liveness only                                    |
 //!
@@ -13,7 +13,7 @@
 //! at a time, `Connection: close` on every response, no keep-alive, no
 //! TLS, no external dependencies — the same spirit as the checkpoint and
 //! shutdown machinery. Scrape cost lands entirely on the serving thread
-//! (snapshots of relaxed atomics plus string formatting); the simulation
+//! (reads of relaxed atomics plus string formatting); the simulation
 //! hot path is never locked or signalled. Listening on port 0 picks an
 //! ephemeral port; [`TelemetryServer::local_addr`] reports the binding.
 
@@ -59,7 +59,7 @@ pub struct TelemetryState {
 
 /// Builds the versioned `/snapshot` document from the live surfaces.
 pub fn snapshot_json(state: &TelemetryState, elapsed_s: f64, scrapes: u64) -> Value {
-    let pipeline = crate::report::pipeline_json(&mbp_stats::pipeline().snapshot());
+    let pipeline = crate::report::pipeline_json(mbp_stats::pipeline());
     let predictors: Vec<Value> = state
         .board
         .as_ref()
@@ -259,8 +259,7 @@ fn serve_connection(
                 })
                 .unwrap_or_default();
             let body = mbp_stats::render_openmetrics(
-                &mbp_stats::registry().snapshot(),
-                &mbp_stats::pipeline().snapshot(),
+                mbp_stats::pipeline(),
                 mbp_stats::events::dropped_events(),
                 &h2p,
             );

@@ -11,11 +11,10 @@
 //!
 //! # Design
 //!
-//! * **Off by default, near-zero when off.** Recording requires *both* the
-//!   existing global switch ([`crate::enabled`]) and the journal's own
-//!   opt-in ([`set_events_enabled`]); a disabled emit is one relaxed load
-//!   and a branch. Hot loops only call into the journal at *batch*
-//!   granularity, never per record.
+//! * **Off by default, near-zero when off.** Recording requires the
+//!   journal's opt-in ([`set_events_enabled`]); a disabled emit is one
+//!   relaxed load and a branch. Hot loops only call into the journal at
+//!   *batch* granularity, never per record.
 //! * **Lock-free, sharded rings.** Events land in one of [`SHARDS`] ring
 //!   buffers selected by thread id, so sweep workers never contend on a
 //!   lock. Writers claim a slot with one `fetch_add` and publish it with a
@@ -60,7 +59,7 @@ pub const SHARD_CAPACITY: usize = 2048;
 /// block size of 2048 records this samples roughly every 128k records.
 pub const DEFAULT_SAMPLE_EVERY: u64 = 64;
 
-/// Journal opt-in switch (the second gate; [`crate::enabled`] is the first).
+/// Journal opt-in switch.
 static EVENTS_ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Events dropped to ring wrap-around since the last [`clear`].
@@ -98,10 +97,10 @@ pub fn set_events_enabled(enabled: bool) {
     EVENTS_ENABLED.store(enabled, Ordering::Relaxed);
 }
 
-/// Whether event recording is currently on (both gates open).
+/// Whether event recording is currently on.
 #[inline]
 pub fn events_enabled() -> bool {
-    EVENTS_ENABLED.load(Ordering::Relaxed) && crate::enabled()
+    EVENTS_ENABLED.load(Ordering::Relaxed)
 }
 
 /// Nanoseconds since the journal epoch (zero before the first enable).

@@ -1,12 +1,11 @@
-//! Prometheus/OpenMetrics text exposition of stats snapshots.
+//! Prometheus/OpenMetrics text exposition of the pipeline metrics.
 //!
 //! This is the wire format of the live telemetry plane's `/metrics`
-//! endpoint: the static [`crate::pipeline`] domains and the process-wide
-//! [`crate::registry`] rendered as `# TYPE`-annotated metric families.
-//! The renderer is a pure function over snapshots, so it can be tested
-//! byte-for-byte and never touches the hot path — scrape cost is one
-//! registry snapshot plus string formatting, entirely on the serving
-//! thread.
+//! endpoint: the rows of [`PipelineStats::rows`] rendered as
+//! `# TYPE`-annotated metric families. The renderer is a function of the
+//! table, so it can be tested byte-for-byte, and it never touches the hot
+//! path — scrape cost is one read of the table's relaxed atomics plus
+//! string formatting, entirely on the serving thread.
 //!
 //! Formatting rules, chosen for diffability:
 //!
@@ -16,31 +15,13 @@
 //!   integer nanoseconds) plus a `_spans_total` counter;
 //! * histograms render with cumulative `_bucket{le="..."}` semantics, a
 //!   trailing `+Inf` bucket, `_sum` and `_count`;
-//! * families appear in a fixed order (pipeline domains first, then the
-//!   registry sorted by sanitized name), so repeat scrapes of an idle
-//!   process are byte-identical.
+//! * families appear in the fixed order of the table, so repeat scrapes of
+//!   an idle process are byte-identical.
 
 use std::fmt::Write as _;
 
 use crate::metric::HistogramSnapshot;
-use crate::pipeline::{PipelineSnapshot, TimerSnapshot};
-use crate::registry::{Snapshot, SnapshotValue};
-
-/// Rewrites `name` into the OpenMetrics metric-name charset
-/// `[a-zA-Z0-9_:]` (first character additionally `[a-zA-Z_:]`). Invalid
-/// characters become `_`; an empty input becomes a single `_`.
-pub fn sanitize_metric_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for (i, c) in name.chars().enumerate() {
-        let valid =
-            c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit());
-        out.push(if valid { c } else { '_' });
-    }
-    if out.is_empty() {
-        out.push('_');
-    }
-    out
-}
+use crate::pipeline::{PipelineStats, Reading};
 
 /// One predictor's live hard-to-predict summary, rendered as the
 /// `mbp_h2p_*` labeled gauge family.
@@ -107,12 +88,6 @@ fn counter(out: &mut String, name: &str, value: u64) {
     let _ = writeln!(out, "{name}_total {value}");
 }
 
-/// Emits one gauge sample with its `# TYPE` line.
-fn gauge(out: &mut String, name: &str, value: u64) {
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    let _ = writeln!(out, "{name} {value}");
-}
-
 /// Emits a timer as `_seconds_total` (exact decimal seconds from integer
 /// nanoseconds) and `_spans_total` counters.
 fn timer(out: &mut String, name: &str, total_ns: u64, spans: u64) {
@@ -141,148 +116,31 @@ fn histogram(out: &mut String, name: &str, h: &HistogramSnapshot) {
     let _ = writeln!(out, "{name}_count {}", h.count);
 }
 
-/// Renders the pipeline snapshot, the registry snapshot, the event
-/// journal's drop counter and the per-predictor H2P rows as one
-/// OpenMetrics text document.
+/// Renders the pipeline rows, the event journal's drop counter and the
+/// per-predictor H2P rows as one OpenMetrics text document.
 ///
-/// Pipeline families come first in a fixed order, then the `mbp_h2p_*`
-/// family (omitted when `h2p` is empty), then registry entries prefixed
-/// `mbp_registry_` and sorted by sanitized name. Rendering the same
-/// snapshots twice yields byte-identical output.
-pub fn render_openmetrics(
-    registry: &Snapshot,
-    pipeline: &PipelineSnapshot,
-    dropped_events: u64,
-    h2p: &[H2pRow],
-) -> String {
+/// Pipeline families come first, in table order (derived rows are
+/// JSON-only and skipped), then `mbp_events_dropped`, then the
+/// `mbp_h2p_*` family (omitted when `h2p` is empty). Rendering an
+/// unchanged state twice yields byte-identical output.
+pub fn render_openmetrics(pipeline: &PipelineStats, dropped_events: u64, h2p: &[H2pRow]) -> String {
     let mut out = String::with_capacity(4096);
-    let p = pipeline;
-    let t = |out: &mut String, name: &str, ts: &TimerSnapshot| {
-        timer(out, name, ts.total_ns, ts.spans);
-    };
-
-    counter(&mut out, "mbp_trace_bytes_read", p.trace_bytes_read);
-    counter(
-        &mut out,
-        "mbp_trace_packets_decoded",
-        p.trace_packets_decoded,
-    );
-    counter(&mut out, "mbp_trace_batches", p.trace_batches);
-    t(&mut out, "mbp_trace_decode", &p.trace_decode);
-
-    counter(&mut out, "mbp_compress_blocks", p.compress_blocks);
-    counter(&mut out, "mbp_compress_bytes_in", p.compress_bytes_in);
-    counter(&mut out, "mbp_compress_bytes_out", p.compress_bytes_out);
-    t(&mut out, "mbp_compress_inflate", &p.compress_inflate);
-    histogram(
-        &mut out,
-        "mbp_compress_block_ratio_pct",
-        &p.compress_block_ratio_pct,
-    );
-
-    counter(&mut out, "mbp_sim_runs", p.sim_runs);
-    counter(&mut out, "mbp_sim_records", p.sim_records);
-    counter(&mut out, "mbp_sim_instructions", p.sim_instructions);
-    counter(&mut out, "mbp_sim_kernel_branches", p.sim_kernel_branches);
-    counter(
-        &mut out,
-        "mbp_sim_scalar_fallback_branches",
-        p.sim_scalar_fallback_branches,
-    );
-    t(&mut out, "mbp_sim_fill_batch", &p.sim_fill_batch);
-    t(&mut out, "mbp_sim_simulate", &p.sim_simulate);
-
-    counter(&mut out, "mbp_sweep_workers", p.sweep_workers);
-    counter(&mut out, "mbp_sweep_predictors", p.sweep_predictors);
-    counter(&mut out, "mbp_sweep_faults", p.sweep_faults);
-    counter(&mut out, "mbp_sweep_trace_errors", p.sweep_trace_errors);
-    t(&mut out, "mbp_sweep_worker_busy", &p.sweep_worker_busy);
-    histogram(&mut out, "mbp_sweep_predictor_us", &p.sweep_predictor_us);
-    counter(
-        &mut out,
-        "mbp_sweep_checkpoint_writes",
-        p.sweep_checkpoint_writes,
-    );
-    counter(&mut out, "mbp_sweep_resume_skips", p.sweep_resume_skips);
-    counter(&mut out, "mbp_sweep_deadline_fired", p.sweep_deadline_fired);
-    counter(
-        &mut out,
-        "mbp_sweep_deadline_extensions",
-        p.sweep_deadline_extensions,
-    );
-    counter(
-        &mut out,
-        "mbp_sweep_admission_waits",
-        p.sweep_admission_waits,
-    );
-    counter(
-        &mut out,
-        "mbp_sweep_shutdown_drains",
-        p.sweep_shutdown_drains,
-    );
-    counter(&mut out, "mbp_sweep_sampled_slices", p.sweep_sampled_slices);
-    counter(
-        &mut out,
-        "mbp_sweep_sampled_instructions",
-        p.sweep_sampled_instructions,
-    );
-    counter(
-        &mut out,
-        "mbp_sweep_replayed_instructions",
-        p.sweep_replayed_instructions,
-    );
-
-    counter(&mut out, "mbp_workload_records", p.workload_records);
-    counter(&mut out, "mbp_workload_refills", p.workload_refills);
-    t(&mut out, "mbp_workload_generate", &p.workload_generate);
-
-    counter(&mut out, "mbp_events_dropped", dropped_events);
-
-    h2p_family(&mut out, h2p);
-
-    // Registry entries arrive sorted by raw name; sanitization can reorder
-    // (or collide — last writer wins is fine for a scrape surface), so
-    // re-sort by the emitted family name to keep the document stable.
-    let mut entries: Vec<(String, &SnapshotValue)> = registry
-        .entries
-        .iter()
-        .map(|(name, value)| {
-            (
-                format!("mbp_registry_{}", sanitize_metric_name(name)),
-                value,
-            )
-        })
-        .collect();
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    for (name, value) in entries {
-        match value {
-            SnapshotValue::Counter(v) => counter(&mut out, &name, *v),
-            SnapshotValue::Gauge { value, high_water } => {
-                gauge(&mut out, &name, *value);
-                gauge(&mut out, &format!("{name}_high_water"), *high_water);
-            }
-            SnapshotValue::Timer { total_ns, spans } => timer(&mut out, &name, *total_ns, *spans),
-            SnapshotValue::Histogram(h) => histogram(&mut out, &name, h),
+    for row in pipeline.rows() {
+        match &row.value {
+            Reading::Counter(v) => counter(&mut out, row.family, *v),
+            Reading::Timer { total_ns, spans } => timer(&mut out, row.family, *total_ns, *spans),
+            Reading::Histogram(h) => histogram(&mut out, row.family, h),
+            Reading::Derived(_) => {}
         }
     }
+    counter(&mut out, "mbp_events_dropped", dropped_events);
+    h2p_family(&mut out, h2p);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::PipelineStats;
-    use crate::registry::Registry;
-
-    #[test]
-    fn sanitize_replaces_invalid_characters() {
-        assert_eq!(sanitize_metric_name("trace.packets"), "trace_packets");
-        assert_eq!(sanitize_metric_name("a-b c/d"), "a_b_c_d");
-        assert_eq!(sanitize_metric_name("ok_name:sub"), "ok_name:sub");
-        assert_eq!(sanitize_metric_name("9lives"), "_lives");
-        assert_eq!(sanitize_metric_name("x9"), "x9");
-        assert_eq!(sanitize_metric_name(""), "_");
-    }
 
     #[test]
     fn counters_render_exact_u64_beyond_f64_range() {
@@ -290,7 +148,7 @@ mod tests {
         // 2^53 + 1 is not representable in f64; the text must round-trip.
         let big = (1u64 << 53) + 1;
         stats.sim.instructions.add(big);
-        let text = render_openmetrics(&Snapshot::default(), &stats.snapshot(), 0, &[]);
+        let text = render_openmetrics(&stats, 0, &[]);
         assert!(
             text.contains(&format!("mbp_sim_instructions_total {big}\n")),
             "expected exact integer rendering, got:\n{text}"
@@ -302,7 +160,7 @@ mod tests {
         let stats = PipelineStats::new();
         stats.sweep.predictor_us.record(5);
         stats.sweep.predictor_us.record(1_000_000_000);
-        let text = render_openmetrics(&Snapshot::default(), &stats.snapshot(), 0, &[]);
+        let text = render_openmetrics(&stats, 0, &[]);
         let inf = text
             .lines()
             .find(|l| l.starts_with("mbp_sweep_predictor_us_bucket{le=\"+Inf\"}"))
@@ -321,71 +179,26 @@ mod tests {
     }
 
     #[test]
-    fn empty_registry_renders_pipeline_only_and_is_byte_stable() {
+    fn idle_scrapes_are_byte_stable() {
         let stats = PipelineStats::new();
-        let reg = Registry::new();
-        let a = render_openmetrics(&reg.snapshot(), &stats.snapshot(), 0, &[]);
-        let b = render_openmetrics(&reg.snapshot(), &stats.snapshot(), 0, &[]);
+        let a = render_openmetrics(&stats, 0, &[]);
+        let b = render_openmetrics(&stats, 0, &[]);
         assert_eq!(a, b, "idle scrapes must be byte-identical");
-        assert!(!a.contains("mbp_registry_"));
         assert!(a.contains("# TYPE mbp_sim_instructions counter"));
         assert!(a.lines().all(|l| l.starts_with("# TYPE") || !l.is_empty()));
     }
 
     #[test]
-    fn registry_kinds_render_with_type_lines() {
-        let stats = PipelineStats::new();
-        let reg = Registry::new();
-        reg.counter("jobs.done").add(3);
-        reg.gauge("queue depth").set(7);
-        reg.timer("phase.time").record_ns(1_500_000_000);
-        reg.histogram("sizes", &[8, 64]).record(9);
-        let text = render_openmetrics(&reg.snapshot(), &stats.snapshot(), 2, &[]);
-        assert!(text
-            .contains("# TYPE mbp_registry_jobs_done counter\nmbp_registry_jobs_done_total 3\n"));
-        assert!(text.contains("mbp_registry_queue_depth 7\n"));
-        assert!(text.contains("mbp_registry_queue_depth_high_water 7\n"));
-        assert!(text.contains("mbp_registry_phase_time_seconds_total 1.500000000\n"));
-        assert!(text.contains("mbp_registry_phase_time_spans_total 1\n"));
-        assert!(text.contains("mbp_registry_sizes_bucket{le=\"64\"} 1\n"));
-        assert!(text.contains("mbp_registry_sizes_sum 9\n"));
-        assert!(text.contains("mbp_events_dropped_total 2\n"));
-    }
-
-    #[test]
     fn empty_histogram_renders_zero_count_and_only_inf_populated() {
-        let stats = PipelineStats::new();
-        let reg = Registry::new();
         // Declared but never recorded into.
-        let _ = reg.histogram("never.recorded", &[1, 10]);
-        let text = render_openmetrics(&reg.snapshot(), &stats.snapshot(), 0, &[]);
-        assert!(text.contains("# TYPE mbp_registry_never_recorded histogram"));
-        assert!(text.contains("mbp_registry_never_recorded_bucket{le=\"1\"} 0\n"));
-        assert!(text.contains("mbp_registry_never_recorded_bucket{le=\"10\"} 0\n"));
-        assert!(text.contains("mbp_registry_never_recorded_bucket{le=\"+Inf\"} 0\n"));
-        assert!(text.contains("mbp_registry_never_recorded_sum 0\n"));
-        assert!(text.contains("mbp_registry_never_recorded_count 0\n"));
-    }
-
-    #[test]
-    fn sanitized_name_collision_renders_both_samples_under_one_name() {
-        // "a.b" and "a b" both sanitize to "a_b". Distinct registry entries
-        // survive as distinct samples of the same family name; scrapers see
-        // the duplicate, which is the documented (and diffable) behavior.
-        let stats = PipelineStats::new();
-        let reg = Registry::new();
-        reg.counter("a.b").add(1);
-        reg.counter("a b").add(2);
-        let text = render_openmetrics(&reg.snapshot(), &stats.snapshot(), 0, &[]);
-        let samples: Vec<&str> = text
-            .lines()
-            .filter(|l| l.starts_with("mbp_registry_a_b_total"))
-            .collect();
-        assert_eq!(
-            samples,
-            ["mbp_registry_a_b_total 2", "mbp_registry_a_b_total 1"],
-            "both colliding entries render, in name-sorted snapshot order"
-        );
+        let text = render_openmetrics(&PipelineStats::new(), 0, &[]);
+        let name = "mbp_compress_block_ratio_pct";
+        assert!(text.contains(&format!("# TYPE {name} histogram")));
+        assert!(text.contains(&format!("{name}_bucket{{le=\"100\"}} 0\n")));
+        assert!(text.contains(&format!("{name}_bucket{{le=\"3200\"}} 0\n")));
+        assert!(text.contains(&format!("{name}_bucket{{le=\"+Inf\"}} 0\n")));
+        assert!(text.contains(&format!("{name}_sum 0\n")));
+        assert!(text.contains(&format!("{name}_count 0\n")));
     }
 
     #[test]
@@ -403,7 +216,7 @@ mod tests {
                 worst_mispredictions: 0,
             },
         ];
-        let text = render_openmetrics(&Snapshot::default(), &stats.snapshot(), 0, &rows);
+        let text = render_openmetrics(&stats, 0, &rows);
         assert!(text.contains("# TYPE mbp_h2p_worst_branch_mispredictions gauge"));
         assert!(text.contains("mbp_h2p_worst_branch_mispredictions{predictor=\"tage\"} 17\n"));
         assert!(
@@ -419,7 +232,7 @@ mod tests {
         );
 
         // Empty rows: family omitted entirely.
-        let text = render_openmetrics(&Snapshot::default(), &stats.snapshot(), 0, &[]);
+        let text = render_openmetrics(&stats, 0, &[]);
         assert!(!text.contains("mbp_h2p_"));
     }
 }

@@ -1,23 +1,23 @@
 //! # mbp-stats — always-cheap observability for the MBPlib pipeline
 //!
-//! Zero-dependency metric primitives (monotonic [`Counter`], [`Gauge`],
-//! fixed-bucket [`Histogram`], [`Timer`] with RAII [`ScopedTimer`] spans),
-//! a name-keyed [`Registry`] for ad-hoc metrics, the static [`pipeline()`]
-//! domains the simulator's stages report into, and the structured
-//! [`events`] journal (per-thread ring buffers of span/instant/sample
-//! events) that timeline exports are built from.
+//! Zero-dependency metric primitives (monotonic [`Counter`], fixed-bucket
+//! [`Histogram`], [`Timer`] with RAII [`ScopedTimer`] spans), the static
+//! [`pipeline()`] domains the simulator's stages report into, the one
+//! table of them ([`PipelineStats::rows`]) that every rendering reads, and
+//! the structured [`events`] journal (per-thread ring buffers of
+//! span/instant/sample events) that timeline exports are built from.
 //!
 //! Design rules, in order:
 //!
 //! 1. **The fast path pays almost nothing.** Every primitive is relaxed
 //!    atomics; the pipeline statics are reachable without locks; hot loops
 //!    are instrumented at *batch* granularity (one add per 2048-record
-//!    block), never per record. Span timing can be switched off process-wide
-//!    with [`set_enabled`], reducing a span to one relaxed load.
-//! 2. **Snapshots are deterministic.** [`Registry::snapshot`] is name-sorted
-//!    and [`PipelineStats::snapshot`] is plain data, so emitted metrics are
-//!    stable across runs modulo the measured values themselves.
-//! 3. **No JSON rendering here.** JSON encoding of snapshots lives
+//!    block), never per record.
+//! 2. **One row per metric.** [`PipelineStats::rows`] lists every pipeline
+//!    metric once, in a fixed order, with its JSON section and key and its
+//!    OpenMetrics family, so every surface shows the same numbers and an
+//!    idle process renders byte-identical text.
+//! 3. **No JSON rendering here.** JSON encoding of the rows lives
 //!    downstream in the `mbp` crate; this crate stays `std`-only so every
 //!    pipeline crate can depend on it without weight. The one format this
 //!    crate does own is the OpenMetrics text exposition ([`exposition`]) —
@@ -31,8 +31,9 @@
 //!     // ... decode a batch ...
 //!     pipeline().trace.packets_decoded.add(2048);
 //! }
-//! let snap = pipeline().snapshot();
-//! assert!(snap.trace_packets_decoded >= 2048);
+//! assert!(pipeline().trace.packets_decoded.get() >= 2048);
+//! let rows = pipeline().rows();
+//! assert!(rows.iter().any(|r| r.family == "mbp_trace_packets_decoded"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -42,14 +43,10 @@ pub mod events;
 pub mod exposition;
 mod metric;
 mod pipeline;
-mod registry;
 
-pub use exposition::{render_openmetrics, sanitize_metric_name, H2pRow};
-pub use metric::{
-    enabled, set_enabled, Counter, Gauge, Histogram, HistogramSnapshot, ScopedTimer, Timer,
-};
+pub use exposition::{render_openmetrics, H2pRow};
+pub use metric::{Counter, Histogram, HistogramSnapshot, ScopedTimer, Timer};
 pub use pipeline::{
-    pipeline, CompressStats, PipelineSnapshot, PipelineStats, SimStats, SweepStats, TimerSnapshot,
-    TraceStats, WorkloadStats,
+    pipeline, CompressStats, PipelineStats, Reading, Row, SimStats, SweepStats, TraceStats,
+    WorkloadStats,
 };
-pub use registry::{registry, DynHistogram, Registry, Snapshot, SnapshotValue};

@@ -1,29 +1,12 @@
-//! Metric primitives: monotonic counters, gauges, fixed-bucket histograms
-//! and the [`ScopedTimer`] span guard.
+//! Metric primitives: monotonic counters, fixed-bucket histograms and the
+//! [`ScopedTimer`] span guard.
 //!
 //! Every primitive is a thin wrapper over relaxed atomics, so instrumented
 //! code pays one uncontended atomic add per event and any thread (the sweep
-//! worker pool included) can record without locks. Timers can be disabled
-//! globally ([`set_enabled`]); a disabled span skips the clock reads and
-//! costs a single relaxed load.
+//! worker pool included) can record without locks.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// Global timer switch. Counters and gauges are always on (an atomic add is
-/// cheaper than checking the switch); only the clock reads of [`Timer`]
-/// spans are gated.
-static TIMING_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables span timing process-wide.
-pub fn set_enabled(enabled: bool) {
-    TIMING_ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether span timing is currently enabled.
-pub fn enabled() -> bool {
-    TIMING_ENABLED.load(Ordering::Relaxed)
-}
 
 /// A monotonic counter. Never decreases; wraps only after 2^64 events.
 #[derive(Debug, Default)]
@@ -54,51 +37,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    /// Resets to zero (tests and per-run deltas).
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A last-value gauge with a monotone-maximum companion.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Gauge {
-    /// Creates a zeroed gauge.
-    pub const fn new() -> Self {
-        Self {
-            value: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Sets the current value, tracking the high-water mark.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Last value set.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Largest value ever set.
-    pub fn high_water(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-
-    /// Resets value and high-water mark to zero.
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
     }
 }
 
@@ -205,16 +143,6 @@ impl<const N: usize> Histogram<N> {
             count: self.count.load(Ordering::Relaxed),
         }
     }
-
-    /// Resets every bucket and the aggregates to zero.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.overflow.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.count.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Accumulated span time: total nanoseconds plus how many spans closed.
@@ -233,14 +161,12 @@ impl Timer {
         }
     }
 
-    /// Opens a span; the elapsed time is added when the guard drops. When
-    /// timing is disabled ([`set_enabled`]) the span is a no-op guard that
-    /// never reads the clock.
+    /// Opens a span; the elapsed time is added when the guard drops.
     #[inline]
     pub fn span(&self) -> ScopedTimer<'_> {
         ScopedTimer {
             timer: self,
-            start: enabled().then(Instant::now),
+            start: Instant::now(),
         }
     }
 
@@ -265,12 +191,6 @@ impl Timer {
     pub fn seconds(&self) -> f64 {
         self.ns.get() as f64 / 1e9
     }
-
-    /// Resets accumulated time and span count.
-    pub fn reset(&self) {
-        self.ns.reset();
-        self.spans.reset();
-    }
 }
 
 /// RAII span guard: measures from creation to drop and adds the elapsed
@@ -278,7 +198,7 @@ impl Timer {
 #[derive(Debug)]
 pub struct ScopedTimer<'a> {
     timer: &'a Timer,
-    start: Option<Instant>,
+    start: Instant,
 }
 
 impl ScopedTimer<'_> {
@@ -288,12 +208,10 @@ impl ScopedTimer<'_> {
 
 impl Drop for ScopedTimer<'_> {
     fn drop(&mut self) {
-        if let Some(start) = self.start {
-            // u64 nanoseconds cover ~584 years of span time; saturate
-            // rather than wrap if a clock ever misbehaves.
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.timer.record_ns(ns);
-        }
+        // u64 nanoseconds cover ~584 years of span time; saturate rather
+        // than wrap if a clock ever misbehaves.
+        let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.timer.record_ns(ns);
     }
 }
 
@@ -307,19 +225,21 @@ mod tests {
         c.inc();
         c.add(41);
         assert_eq!(c.get(), 42);
-        c.reset();
-        assert_eq!(c.get(), 0);
     }
 
     #[test]
-    fn gauge_tracks_high_water() {
-        let g = Gauge::new();
-        g.set(7);
-        g.set(3);
-        assert_eq!(g.get(), 3);
-        assert_eq!(g.high_water(), 7);
-        g.reset();
-        assert_eq!(g.high_water(), 0);
+    fn concurrent_updates_sum_exactly() {
+        let c = Counter::new();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..10_000 {
+                        c.inc();
+                    }
+                });
+            }
+        });
+        assert_eq!(c.get(), 40_000);
     }
 
     #[test]
@@ -357,12 +277,8 @@ mod tests {
         assert_eq!(s.sum(), 0);
     }
 
-    /// Serializes the tests that flip the global timing switch.
-    static ENABLE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn timer_spans_accumulate() {
-        let _guard = ENABLE_LOCK.lock().unwrap();
         let t = Timer::new();
         {
             let _span = t.span();
@@ -370,18 +286,5 @@ mod tests {
         t.record_ns(1000);
         assert_eq!(t.spans(), 2);
         assert!(t.total_ns() >= 1000);
-    }
-
-    #[test]
-    fn disabled_spans_record_nothing() {
-        let _guard = ENABLE_LOCK.lock().unwrap();
-        let t = Timer::new();
-        set_enabled(false);
-        {
-            let _span = t.span();
-        }
-        set_enabled(true);
-        assert_eq!(t.spans(), 0);
-        assert_eq!(t.total_ns(), 0);
     }
 }

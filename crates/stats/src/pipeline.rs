@@ -1,16 +1,18 @@
-//! The static metric domains threaded through the MBPlib pipeline.
+//! The static metric domains threaded through the MBPlib pipeline, and the
+//! one table every rendering of them reads.
 //!
 //! Each stage of the pipeline owns one domain struct of process-wide
 //! metrics: trace decoding, block decompression, simulation, the sweep
 //! worker pool, and workload generation. The statics are reachable without
-//! locks or registry lookups, so the instrumentation cost on a hot path is
-//! one relaxed atomic add per *block* of work (the SBBT reader batches 2048
-//! packets per `fill_batch`; the codecs inflate 64 KiB-scale blocks), never
-//! per record.
+//! locks, so the instrumentation cost on a hot path is one relaxed atomic
+//! add per *block* of work (the SBBT reader batches 2048 packets per
+//! `fill_batch`; the codecs inflate 64 KiB-scale blocks), never per record.
 //!
-//! [`PipelineStats::snapshot`] produces a plain-data [`PipelineSnapshot`]
-//! with derived rates; rendering to JSON lives downstream (`mbp`), keeping
-//! this crate dependency-free.
+//! [`PipelineStats::rows`] lists every metric once, in render order, with
+//! its JSON section and key, its OpenMetrics family and its current value.
+//! The JSON documents (rendered downstream in `mbp`, keeping this crate
+//! dependency-free) and the OpenMetrics exposition are loops over it, so a
+//! metric added to the table appears on every surface.
 
 use crate::metric::{Counter, Histogram, HistogramSnapshot, Timer};
 
@@ -195,220 +197,280 @@ pub fn pipeline() -> &'static PipelineStats {
     &PIPELINE
 }
 
-/// Plain-data view of one timer.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct TimerSnapshot {
-    /// Accumulated nanoseconds.
-    pub total_ns: u64,
-    /// Closed spans.
-    pub spans: u64,
+/// The value of one [`Row`] when [`PipelineStats::rows`] read it.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Reading {
+    /// A [`Counter`]'s value.
+    Counter(u64),
+    /// A [`Timer`]'s accumulated time and closed spans.
+    Timer {
+        /// Accumulated nanoseconds.
+        total_ns: u64,
+        /// Closed spans.
+        spans: u64,
+    },
+    /// A [`Histogram`]'s state.
+    Histogram(HistogramSnapshot),
+    /// A rate or ratio of other rows. Only the JSON documents carry it.
+    Derived(f64),
 }
 
-impl TimerSnapshot {
-    fn of(t: &Timer) -> Self {
-        Self {
+impl From<&Counter> for Reading {
+    fn from(c: &Counter) -> Self {
+        Reading::Counter(c.get())
+    }
+}
+
+impl From<&Timer> for Reading {
+    fn from(t: &Timer) -> Self {
+        Reading::Timer {
             total_ns: t.total_ns(),
             spans: t.spans(),
         }
     }
+}
 
-    /// Accumulated seconds.
-    pub fn seconds(&self) -> f64 {
-        self.total_ns as f64 / 1e9
+impl<const N: usize> From<&Histogram<N>> for Reading {
+    fn from(h: &Histogram<N>) -> Self {
+        Reading::Histogram(h.snapshot())
     }
 }
 
-/// Point-in-time copy of every pipeline domain, with derived rates.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct PipelineSnapshot {
-    /// Trace: bytes handed to readers.
-    pub trace_bytes_read: u64,
-    /// Trace: packets decoded.
-    pub trace_packets_decoded: u64,
-    /// Trace: batches served.
-    pub trace_batches: u64,
-    /// Trace: decode time.
-    pub trace_decode: TimerSnapshot,
-    /// Compress: blocks inflated.
-    pub compress_blocks: u64,
-    /// Compress: compressed bytes in.
-    pub compress_bytes_in: u64,
-    /// Compress: inflated bytes out.
-    pub compress_bytes_out: u64,
-    /// Compress: inflate time.
-    pub compress_inflate: TimerSnapshot,
-    /// Compress: per-block ratio histogram (percent).
-    pub compress_block_ratio_pct: HistogramSnapshot,
-    /// Sim: driver invocations.
-    pub sim_runs: u64,
-    /// Sim: records consumed.
-    pub sim_records: u64,
-    /// Sim: instructions spanned.
-    pub sim_instructions: u64,
-    /// Sim: fill_batch time.
-    pub sim_fill_batch: TimerSnapshot,
-    /// Sim: whole-run time.
-    pub sim_simulate: TimerSnapshot,
-    /// Sim: records through the batched kernel fast path.
-    pub sim_kernel_branches: u64,
-    /// Sim: records through the one-at-a-time fallback path.
-    pub sim_scalar_fallback_branches: u64,
-    /// Sweep: workers spawned.
-    pub sweep_workers: u64,
-    /// Sweep: predictors simulated.
-    pub sweep_predictors: u64,
-    /// Sweep: panics caught.
-    pub sweep_faults: u64,
-    /// Sweep: trace errors seen by workers.
-    pub sweep_trace_errors: u64,
-    /// Sweep: summed worker busy time.
-    pub sweep_worker_busy: TimerSnapshot,
-    /// Sweep: per-predictor simulation time (µs) histogram.
-    pub sweep_predictor_us: HistogramSnapshot,
-    /// Sweep: checkpoint records flushed.
-    pub sweep_checkpoint_writes: u64,
-    /// Sweep: predictors skipped on resume.
-    pub sweep_resume_skips: u64,
-    /// Sweep: deadline-watchdog firings.
-    pub sweep_deadline_fired: u64,
-    /// Sweep: one-shot deadline extensions granted.
-    pub sweep_deadline_extensions: u64,
-    /// Sweep: memory-budget admission waits.
-    pub sweep_admission_waits: u64,
-    /// Sweep: graceful-shutdown drains begun.
-    pub sweep_shutdown_drains: u64,
-    /// Sweep: representative slices replayed by the sampled executor.
-    pub sweep_sampled_slices: u64,
-    /// Sweep: instructions measured inside representative slices.
-    pub sweep_sampled_instructions: u64,
-    /// Sweep: instructions replayed for warmup ahead of slices.
-    pub sweep_replayed_instructions: u64,
-    /// Workloads: records generated.
-    pub workload_records: u64,
-    /// Workloads: refill passes.
-    pub workload_refills: u64,
-    /// Workloads: generation time.
-    pub workload_generate: TimerSnapshot,
+/// One pipeline metric as the JSON documents and `/metrics` render it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Row {
+    /// Section of the JSON documents: `decode`, `compress`, `simulate`,
+    /// `sweep` or `generation`.
+    pub section: &'static str,
+    /// Key within the section.
+    pub key: &'static str,
+    /// OpenMetrics family name; empty for [`Reading::Derived`] rows, which
+    /// `/metrics` does not carry.
+    pub family: &'static str,
+    /// The value when the table was read.
+    pub value: Reading,
 }
 
-impl PipelineSnapshot {
-    /// Overall inflate ratio (`out / in`), or zero when nothing inflated.
-    pub fn inflate_ratio(&self) -> f64 {
-        if self.compress_bytes_in == 0 {
-            0.0
-        } else {
-            self.compress_bytes_out as f64 / self.compress_bytes_in as f64
-        }
+fn row(
+    section: &'static str,
+    key: &'static str,
+    family: &'static str,
+    value: impl Into<Reading>,
+) -> Row {
+    Row {
+        section,
+        key,
+        family,
+        value: value.into(),
     }
+}
 
-    /// Simulated branch records per second of simulate time.
-    pub fn branches_per_second(&self) -> f64 {
-        let secs = self.sim_simulate.seconds();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.sim_records as f64 / secs
-        }
-    }
+fn derived(section: &'static str, key: &'static str, value: f64) -> Row {
+    row(section, key, "", Reading::Derived(value))
+}
 
-    /// Simulated instructions per second of simulate time.
-    pub fn instructions_per_second(&self) -> f64 {
-        let secs = self.sim_simulate.seconds();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.sim_instructions as f64 / secs
-        }
-    }
-
-    /// Packets decoded per second of decode time.
-    pub fn packets_per_second(&self) -> f64 {
-        let secs = self.trace_decode.seconds();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.trace_packets_decoded as f64 / secs
-        }
+/// `n / d`, or zero when nothing was measured.
+fn ratio(n: u64, d: f64) -> f64 {
+    if d == 0.0 {
+        0.0
+    } else {
+        n as f64 / d
     }
 }
 
 impl PipelineStats {
-    /// Copies every domain into a plain-data snapshot.
-    pub fn snapshot(&self) -> PipelineSnapshot {
-        PipelineSnapshot {
-            trace_bytes_read: self.trace.bytes_read.get(),
-            trace_packets_decoded: self.trace.packets_decoded.get(),
-            trace_batches: self.trace.batches.get(),
-            trace_decode: TimerSnapshot::of(&self.trace.decode),
-            compress_blocks: self.compress.blocks_inflated.get(),
-            compress_bytes_in: self.compress.compressed_bytes.get(),
-            compress_bytes_out: self.compress.inflated_bytes.get(),
-            compress_inflate: TimerSnapshot::of(&self.compress.inflate),
-            compress_block_ratio_pct: self.compress.block_ratio_pct.snapshot(),
-            sim_runs: self.sim.runs.get(),
-            sim_records: self.sim.records.get(),
-            sim_instructions: self.sim.instructions.get(),
-            sim_fill_batch: TimerSnapshot::of(&self.sim.fill_batch),
-            sim_simulate: TimerSnapshot::of(&self.sim.simulate),
-            sim_kernel_branches: self.sim.kernel_branches.get(),
-            sim_scalar_fallback_branches: self.sim.scalar_fallback_branches.get(),
-            sweep_workers: self.sweep.workers.get(),
-            sweep_predictors: self.sweep.predictors.get(),
-            sweep_faults: self.sweep.faults.get(),
-            sweep_trace_errors: self.sweep.trace_errors.get(),
-            sweep_worker_busy: TimerSnapshot::of(&self.sweep.worker_busy),
-            sweep_predictor_us: self.sweep.predictor_us.snapshot(),
-            sweep_checkpoint_writes: self.sweep.checkpoint_writes.get(),
-            sweep_resume_skips: self.sweep.resume_skips.get(),
-            sweep_deadline_fired: self.sweep.deadline_fired.get(),
-            sweep_deadline_extensions: self.sweep.deadline_extensions.get(),
-            sweep_admission_waits: self.sweep.admission_waits.get(),
-            sweep_shutdown_drains: self.sweep.shutdown_drains.get(),
-            sweep_sampled_slices: self.sweep.sampled_slices.get(),
-            sweep_sampled_instructions: self.sweep.sampled_instructions.get(),
-            sweep_replayed_instructions: self.sweep.replayed_instructions.get(),
-            workload_records: self.workload.records_generated.get(),
-            workload_refills: self.workload.refills.get(),
-            workload_generate: TimerSnapshot::of(&self.workload.generate),
-        }
+    /// Every pipeline metric, once, in render order. Consecutive rows share
+    /// a section, so the sections come out in the order of their first row.
+    pub fn rows(&self) -> Vec<Row> {
+        let (t, c, s) = (&self.trace, &self.compress, &self.sim);
+        let (w, g) = (&self.sweep, &self.workload);
+        vec![
+            row(
+                "decode",
+                "bytes_read",
+                "mbp_trace_bytes_read",
+                &t.bytes_read,
+            ),
+            row(
+                "decode",
+                "packets_decoded",
+                "mbp_trace_packets_decoded",
+                &t.packets_decoded,
+            ),
+            row("decode", "batches", "mbp_trace_batches", &t.batches),
+            row("decode", "time_s", "mbp_trace_decode", &t.decode),
+            derived("decode", "packets_per_second", self.packets_per_second()),
+            row(
+                "compress",
+                "blocks_inflated",
+                "mbp_compress_blocks",
+                &c.blocks_inflated,
+            ),
+            row(
+                "compress",
+                "compressed_bytes",
+                "mbp_compress_bytes_in",
+                &c.compressed_bytes,
+            ),
+            row(
+                "compress",
+                "inflated_bytes",
+                "mbp_compress_bytes_out",
+                &c.inflated_bytes,
+            ),
+            derived("compress", "inflate_ratio", self.inflate_ratio()),
+            row("compress", "time_s", "mbp_compress_inflate", &c.inflate),
+            row(
+                "compress",
+                "block_ratio_pct",
+                "mbp_compress_block_ratio_pct",
+                &c.block_ratio_pct,
+            ),
+            row("simulate", "runs", "mbp_sim_runs", &s.runs),
+            row("simulate", "records", "mbp_sim_records", &s.records),
+            row(
+                "simulate",
+                "instructions",
+                "mbp_sim_instructions",
+                &s.instructions,
+            ),
+            row(
+                "simulate",
+                "kernel_branches",
+                "mbp_sim_kernel_branches",
+                &s.kernel_branches,
+            ),
+            row(
+                "simulate",
+                "scalar_fallback_branches",
+                "mbp_sim_scalar_fallback_branches",
+                &s.scalar_fallback_branches,
+            ),
+            row(
+                "simulate",
+                "fill_batch_time_s",
+                "mbp_sim_fill_batch",
+                &s.fill_batch,
+            ),
+            row("simulate", "time_s", "mbp_sim_simulate", &s.simulate),
+            derived(
+                "simulate",
+                "branches_per_second",
+                self.branches_per_second(),
+            ),
+            derived(
+                "simulate",
+                "instructions_per_second",
+                self.instructions_per_second(),
+            ),
+            row("sweep", "workers", "mbp_sweep_workers", &w.workers),
+            row("sweep", "predictors", "mbp_sweep_predictors", &w.predictors),
+            row("sweep", "faults", "mbp_sweep_faults", &w.faults),
+            row(
+                "sweep",
+                "trace_errors",
+                "mbp_sweep_trace_errors",
+                &w.trace_errors,
+            ),
+            row(
+                "sweep",
+                "worker_busy_s",
+                "mbp_sweep_worker_busy",
+                &w.worker_busy,
+            ),
+            row(
+                "sweep",
+                "predictor_time_us",
+                "mbp_sweep_predictor_us",
+                &w.predictor_us,
+            ),
+            row(
+                "sweep",
+                "checkpoint_writes",
+                "mbp_sweep_checkpoint_writes",
+                &w.checkpoint_writes,
+            ),
+            row(
+                "sweep",
+                "resume_skips",
+                "mbp_sweep_resume_skips",
+                &w.resume_skips,
+            ),
+            row(
+                "sweep",
+                "deadline_fired",
+                "mbp_sweep_deadline_fired",
+                &w.deadline_fired,
+            ),
+            row(
+                "sweep",
+                "deadline_extensions",
+                "mbp_sweep_deadline_extensions",
+                &w.deadline_extensions,
+            ),
+            row(
+                "sweep",
+                "admission_waits",
+                "mbp_sweep_admission_waits",
+                &w.admission_waits,
+            ),
+            row(
+                "sweep",
+                "shutdown_drains",
+                "mbp_sweep_shutdown_drains",
+                &w.shutdown_drains,
+            ),
+            row(
+                "sweep",
+                "sampled_slices",
+                "mbp_sweep_sampled_slices",
+                &w.sampled_slices,
+            ),
+            row(
+                "sweep",
+                "sampled_instructions",
+                "mbp_sweep_sampled_instructions",
+                &w.sampled_instructions,
+            ),
+            row(
+                "sweep",
+                "replayed_instructions",
+                "mbp_sweep_replayed_instructions",
+                &w.replayed_instructions,
+            ),
+            row(
+                "generation",
+                "records_generated",
+                "mbp_workload_records",
+                &g.records_generated,
+            ),
+            row("generation", "refills", "mbp_workload_refills", &g.refills),
+            row("generation", "time_s", "mbp_workload_generate", &g.generate),
+        ]
     }
 
-    /// Resets every domain to zero (tests and per-phase deltas).
-    pub fn reset(&self) {
-        self.trace.bytes_read.reset();
-        self.trace.packets_decoded.reset();
-        self.trace.batches.reset();
-        self.trace.decode.reset();
-        self.compress.blocks_inflated.reset();
-        self.compress.compressed_bytes.reset();
-        self.compress.inflated_bytes.reset();
-        self.compress.inflate.reset();
-        self.compress.block_ratio_pct.reset();
-        self.sim.runs.reset();
-        self.sim.records.reset();
-        self.sim.instructions.reset();
-        self.sim.fill_batch.reset();
-        self.sim.simulate.reset();
-        self.sim.kernel_branches.reset();
-        self.sim.scalar_fallback_branches.reset();
-        self.sweep.workers.reset();
-        self.sweep.predictors.reset();
-        self.sweep.faults.reset();
-        self.sweep.trace_errors.reset();
-        self.sweep.worker_busy.reset();
-        self.sweep.predictor_us.reset();
-        self.sweep.checkpoint_writes.reset();
-        self.sweep.resume_skips.reset();
-        self.sweep.deadline_fired.reset();
-        self.sweep.deadline_extensions.reset();
-        self.sweep.admission_waits.reset();
-        self.sweep.shutdown_drains.reset();
-        self.sweep.sampled_slices.reset();
-        self.sweep.sampled_instructions.reset();
-        self.sweep.replayed_instructions.reset();
-        self.workload.records_generated.reset();
-        self.workload.refills.reset();
-        self.workload.generate.reset();
+    /// Packets decoded per second of decode time.
+    pub fn packets_per_second(&self) -> f64 {
+        ratio(
+            self.trace.packets_decoded.get(),
+            self.trace.decode.seconds(),
+        )
+    }
+
+    /// Overall inflate ratio (`out / in`), or zero when nothing inflated.
+    pub fn inflate_ratio(&self) -> f64 {
+        let bytes_in = self.compress.compressed_bytes.get();
+        ratio(self.compress.inflated_bytes.get(), bytes_in as f64)
+    }
+
+    /// Simulated branch records per second of simulate time.
+    pub fn branches_per_second(&self) -> f64 {
+        ratio(self.sim.records.get(), self.sim.simulate.seconds())
+    }
+
+    /// Simulated instructions per second of simulate time.
+    pub fn instructions_per_second(&self) -> f64 {
+        ratio(self.sim.instructions.get(), self.sim.simulate.seconds())
     }
 }
 
@@ -430,36 +492,76 @@ mod tests {
         stats.sim.records.add(1000);
         stats.sim.instructions.add(5000);
         stats.sim.simulate.record_ns(1_000_000_000);
-        let snap = stats.snapshot();
-        assert_eq!(snap.trace_bytes_read, 1024);
-        assert_eq!(snap.trace_packets_decoded, 2048);
-        assert!((snap.inflate_ratio() - 4.0).abs() < 1e-12);
-        assert!((snap.branches_per_second() - 1000.0).abs() < 1e-6);
-        assert!((snap.instructions_per_second() - 5000.0).abs() < 1e-6);
-        assert_eq!(snap.compress_block_ratio_pct.count, 1);
+        let rows = stats.rows();
+        let value = |section, key| {
+            let row = rows.iter().find(|r| (r.section, r.key) == (section, key));
+            row.map(|r| r.value.clone())
+        };
+        assert_eq!(value("decode", "bytes_read"), Some(Reading::Counter(1024)));
+        assert_eq!(
+            value("decode", "packets_decoded"),
+            Some(Reading::Counter(2048))
+        );
+        assert_eq!(
+            value("simulate", "time_s"),
+            Some(Reading::Timer {
+                total_ns: 1_000_000_000,
+                spans: 1
+            })
+        );
+        assert_eq!(
+            value("compress", "inflate_ratio"),
+            Some(Reading::Derived(4.0))
+        );
+        assert!((stats.branches_per_second() - 1000.0).abs() < 1e-6);
+        assert!((stats.instructions_per_second() - 5000.0).abs() < 1e-6);
+        match value("compress", "block_ratio_pct") {
+            Some(Reading::Histogram(h)) => assert_eq!(h.count, 1),
+            other => panic!("block_ratio_pct is not a histogram: {other:?}"),
+        }
     }
 
     #[test]
-    fn reset_zeroes_every_domain() {
-        let stats = PipelineStats::default();
-        stats.sweep.faults.inc();
-        stats.workload.records_generated.add(7);
-        stats.reset();
-        assert_eq!(stats.snapshot(), PipelineStats::new().snapshot());
+    fn rows_name_every_metric_once_in_contiguous_sections() {
+        let rows = PipelineStats::new().rows();
+        let mut sections: Vec<&str> = Vec::new();
+        for (i, row) in rows.iter().enumerate() {
+            if sections.last() != Some(&row.section) {
+                assert!(!sections.contains(&row.section), "{} split", row.section);
+                sections.push(row.section);
+            }
+            let derived = matches!(row.value, Reading::Derived(_));
+            assert_eq!(
+                row.family.is_empty(),
+                derived,
+                "{}.{}",
+                row.section,
+                row.key
+            );
+            for other in &rows[..i] {
+                assert_ne!((other.section, other.key), (row.section, row.key));
+                assert!(derived || other.family != row.family, "{}", row.family);
+            }
+        }
+        assert_eq!(
+            sections,
+            ["decode", "compress", "simulate", "sweep", "generation"]
+        );
     }
 
     #[test]
     fn global_pipeline_is_reachable() {
         // Only checks reachability; values are shared with the whole
         // process, so no assertions on contents.
-        let _ = pipeline().snapshot();
+        let _ = pipeline().rows();
     }
 
     #[test]
     fn empty_snapshot_rates_are_zero() {
-        let snap = PipelineSnapshot::default();
-        assert_eq!(snap.inflate_ratio(), 0.0);
-        assert_eq!(snap.branches_per_second(), 0.0);
-        assert_eq!(snap.packets_per_second(), 0.0);
+        let stats = PipelineStats::new();
+        assert_eq!(stats.inflate_ratio(), 0.0);
+        assert_eq!(stats.branches_per_second(), 0.0);
+        assert_eq!(stats.instructions_per_second(), 0.0);
+        assert_eq!(stats.packets_per_second(), 0.0);
     }
 }

@@ -116,20 +116,6 @@ fn disabled_journal_records_nothing() {
 }
 
 #[test]
-fn master_timing_switch_gates_the_journal_too() {
-    let _guard = journal_lock();
-    mbp_stats::set_enabled(false);
-    assert!(
-        !events::events_enabled(),
-        "journal requires the timing switch"
-    );
-    events::instant(EventName::SweepFault, 1);
-    mbp_stats::set_enabled(true);
-    assert!(events::events_enabled());
-    assert!(my_events().is_empty());
-}
-
-#[test]
 fn batch_tick_samples_every_nth_batch() {
     let _guard = journal_lock();
     let before = events::sample_every();
