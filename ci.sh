@@ -332,18 +332,20 @@ grep -q ' forensics\.' "$obs_tmp/explain_diff.txt" \
   || { echo "stats-diff skipped the forensics section" >&2; exit 1; }
 cargo test -q -p mbp --test forensics
 
-echo "== verify-first open (a flipped checksum fails runs that stop early) =="
-# A compressed trace is checked whole when it is opened, before the first
-# batch is streamed, so a run cut off after a thousand instructions and a
-# sweep must both reject a smoke trace whose checksum trailer (its last
-# eight bytes) has one bit flipped: exit 3, naming the mismatch.
+echo "== checksum drain (a flipped checksum fails runs that stop early) =="
+# A compressed trace is inflated, checksummed and decoded in one pass, and
+# a run that stops early drains the rest of it through the checksum, so a
+# run, a comparison and an explain cut off after a thousand instructions,
+# and a sweep, must all reject a smoke trace whose checksum trailer (its
+# last eight bytes) has one bit flipped: exit 3, naming the mismatch.
 flipped="$obs_tmp/flipped.sbbt.mzst"
 cp "$obs_tmp/traces/SMOKE-mobile.sbbt.mzst" "$flipped"
 size="$(stat -c %s "$flipped")"
 last="$(tail -c 1 "$flipped" | od -An -tu1 | tr -d ' ')"
 printf "$(printf '\\%03o' $((last ^ 1)))" \
   | dd of="$flipped" bs=1 seek=$((size - 1)) conv=notrunc 2>/dev/null
-for cmd in "run --predictor gshare --max 1000" "sweep --predictors gshare,bimodal"; do
+for cmd in "run --predictor gshare --max 1000" "sweep --predictors gshare,bimodal" \
+  "compare --predictors gshare,bimodal --max 1000" "explain --predictor gshare --max 1000"; do
   code=0
   # shellcheck disable=SC2086
   target/release/mbpsim $cmd --trace "$flipped" >/dev/null 2>"$obs_tmp/flipped.err" \

@@ -139,7 +139,8 @@ pub struct SimResult {
 /// Returns the records kept, the index of the first measured one (the
 /// first whose cumulative count ends past `warmup`, so the record crossing
 /// the boundary is measured whole), and whether the cut dropped a record —
-/// one exists past the cut-off, so the run stops here. `retired` is the
+/// one exists past the cut-off, so the run stops here, and the rest of the
+/// trace has been drained ([`TraceSource::drain`]). `retired` is the
 /// instruction count before the batch.
 pub(crate) fn next_batch<S: TraceSource + ?Sized>(
     trace: &mut S,
@@ -166,6 +167,12 @@ pub(crate) fn next_batch<S: TraceSource + ?Sized>(
             .count(),
         None => got,
     };
+    if len < got {
+        // The run stops here, but the trace is still checked to its end,
+        // inside the decode share.
+        let _span = mbp_stats::pipeline().sim.fill_batch.span();
+        trace.drain()?;
+    }
     batch.truncate(len);
     let measured_from = ends(batch.gaps(), retired)
         .take_while(|&end| end <= warmup)
@@ -573,6 +580,7 @@ where
         if let Some(max) = config.max_instructions {
             if instructions >= max {
                 exhausted = false;
+                trace.drain()?;
                 break;
             }
         }

@@ -66,11 +66,33 @@ pub trait TraceSource {
     /// Branch records remaining in the source, if known ahead of time.
     ///
     /// Unlike [`TraceSource::instruction_count_hint`] — which may come
-    /// straight from an untrusted file header — implementations must derive
-    /// this from the actual data they hold, so callers can size allocations
-    /// from it safely.
+    /// straight from an untrusted file header — implementations must bound
+    /// this by the data they hold, so callers can size allocations from it
+    /// safely. The SBBT reader counts what is left of the trace's length:
+    /// of a raw trace, the bytes it holds; of a compressed one, the length
+    /// the codec frame declares, which the stream has not yet proven. That
+    /// length is capped at the frame's payload times the codec's largest
+    /// expansion and checked against the SBBT header's branch count at
+    /// open, and a stream that falls short of it fails as it is read.
     fn record_count_hint(&self) -> Option<u64> {
         None
+    }
+
+    /// Checks the rest of the source without producing it, for a run that
+    /// stops before the end: the drivers call it where a cut-off ends the
+    /// run, so a trace whose end is corrupt fails the run however early it
+    /// stops. The SBBT reader inflates what is left of a compressed trace
+    /// and compares its checksum with the trailer, without decoding a
+    /// packet. The default does nothing: a source with no end-to-end check
+    /// has nothing left to verify.
+    ///
+    /// # Errors
+    ///
+    /// Whatever reading the rest would have raised that the check covers;
+    /// for the SBBT reader, decompression errors and a content checksum
+    /// mismatch.
+    fn drain(&mut self) -> Result<(), TraceError> {
+        Ok(())
     }
 }
 
@@ -92,9 +114,13 @@ impl TraceSource for SbbtReader {
     }
 
     fn record_count_hint(&self) -> Option<u64> {
-        // Derived from the in-memory buffer length, not the header (the
-        // constructor cross-checked the two anyway).
+        // Derived from the trace length, not the header (the constructor
+        // cross-checked the two).
         Some(self.remaining())
+    }
+
+    fn drain(&mut self) -> Result<(), TraceError> {
+        SbbtReader::drain(self)
     }
 }
 

@@ -530,9 +530,10 @@ where
     let m = to_run.len();
 
     // Phase 1: decode once into shared memory — skipped entirely when the
-    // checkpoint already settled every predictor. The pre-size comes from
-    // `record_count_hint` — derived from data the source actually holds —
-    // never from a header-declared count an attacker controls.
+    // checkpoint already settled every predictor, though the trace is still
+    // drained, so a corrupt one fails the sweep before the checkpoint is
+    // touched. The pre-size comes from `record_count_hint` — bounded by
+    // data the source holds — never from a header-declared count alone.
     let mut records: Vec<BranchRecord> = Vec::new();
     let mut decode_time = 0.0;
     if m > 0 {
@@ -546,6 +547,8 @@ where
         }
         decode_event.finish();
         decode_time = decode_start.elapsed().as_secs_f64();
+    } else {
+        trace.drain()?;
     }
     let description = trace.description();
 

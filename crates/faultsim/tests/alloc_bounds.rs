@@ -158,8 +158,8 @@ fn corrupt_length_fields_cannot_inflate_allocations() {
     }
 
     // Reading a valid 16 MB trace holds the compressed stream and the
-    // codec window, never the inflated trace: opening verifies the stream
-    // through the window, reading streams it a batch at a time.
+    // codec window, never the inflated trace: opening reads the header,
+    // reading streams the rest a batch at a time.
     let records = 1_000_000u64;
     let mut rng = mbp_utils::Xorshift64::new(0xa110_c0de);
     let mut w = SbbtWriter::new(Vec::new());
@@ -205,5 +205,81 @@ fn corrupt_length_fields_cannot_inflate_allocations() {
         grew < bound,
         "streaming a {} MB trace peaked at {grew} bytes, over {bound}",
         raw.len() / 1_000_000
+    );
+
+    // A compressed trace is opened on its header alone, so what is sized
+    // from its length — `remaining()`, `record_count_hint`, `read_all`'s
+    // capacity and the sweep's decode-once reserve — comes from the length
+    // its frame declares before the stream has proven it. Craft a frame and
+    // a header that agree on four times the packets the stream holds: it
+    // must fail typed through `read_all` and through `simulate_many`, with
+    // peak growth bounded by that declared size, which the frame caps at
+    // its payload times the codec's largest expansion. The bound is the
+    // 16 MB row's plus the declared records.
+    let held = 1usize << 16;
+    let declared = 4 * held;
+    let mut w = SbbtWriter::new(Vec::new());
+    for i in 0..held as u64 {
+        w.write_record(&BranchRecord::new(
+            Branch::new(
+                0x40_0000 + (i % 64) * 16,
+                0x40_0000,
+                Opcode::conditional_direct(),
+                i % 3 != 0,
+            ),
+            2,
+        ))
+        .expect("encode");
+    }
+    let mut lying = w.finish().expect("in-memory sink");
+    lying[8..16].copy_from_slice(&(3 * declared as u64).to_le_bytes());
+    lying[16..24].copy_from_slice(&(declared as u64).to_le_bytes());
+    let mut packed = mbp_compress::compress(&lying, codec, 3).expect("compress");
+    packed[4..12].copy_from_slice(&(24 + 16 * declared as u64).to_le_bytes());
+    let bound = packed.len()
+        + codec.window()
+        + 16 * BATCH
+        + tables
+        + 22 * BATCH
+        + 4096
+        + declared * std::mem::size_of::<BranchRecord>();
+    let grew = peak_growth(|| {
+        let mut r = SbbtReader::from_bytes(packed.clone()).expect("header and frame agree");
+        assert_eq!(r.remaining(), declared as u64);
+        assert!(
+            matches!(r.read_all(), Err(mbp_trace::TraceError::Decompress(_))),
+            "read_all must fail on a stream short of its declared length"
+        );
+    });
+    assert!(
+        grew <= bound,
+        "read_all on a lying frame peaked at {grew}, over {bound}"
+    );
+
+    /// Predicts taken; never reached, the decode fails first.
+    struct Taken;
+    impl mbp_core::Predictor for Taken {
+        fn predict(&mut self, _ip: u64) -> bool {
+            true
+        }
+        fn train(&mut self, _branch: &Branch) {}
+        fn track(&mut self, _branch: &Branch) {}
+    }
+    let predictors: Vec<(String, Box<dyn mbp_core::Predictor + Send>)> =
+        vec![("taken".to_string(), Box::new(Taken))];
+    let config = mbp_core::SweepConfig::default();
+    let grew = peak_growth(|| {
+        let mut r = SbbtReader::from_bytes(packed.clone()).expect("header and frame agree");
+        assert!(
+            matches!(
+                mbp_core::simulate_many(&mut r, predictors, &config),
+                Err(mbp_trace::TraceError::Decompress(_))
+            ),
+            "simulate_many must fail on a stream short of its declared length"
+        );
+    });
+    assert!(
+        grew <= bound,
+        "simulate_many on a lying frame peaked at {grew}, over {bound}"
     );
 }

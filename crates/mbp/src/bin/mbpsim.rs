@@ -944,7 +944,7 @@ fn cmd_info(args: &Args) -> Result<ExitCode, Failure> {
     let mut indirect = 0u64;
     while let Some(rec) = reader
         .next_record()
-        .map_err(|e| Failure::trace(format!("bad packet: {e}")))?
+        .map_err(|e| Failure::trace(format!("cannot read {trace_path}: {e}")))?
     {
         let b = rec.branch;
         conditional += b.is_conditional() as u64;

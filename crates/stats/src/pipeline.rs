@@ -55,7 +55,8 @@ pub struct SimStats {
     pub records: Counter,
     /// Instructions those records span.
     pub instructions: Counter,
-    /// Time spent inside `TraceSource::fill_batch` (decode share).
+    /// Time spent inside `TraceSource::fill_batch` (decode share), and in
+    /// `TraceSource::drain` when a cut-off ends a run.
     pub fill_batch: Timer,
     /// Wall time of whole simulation runs (includes the decode share).
     pub simulate: Timer,

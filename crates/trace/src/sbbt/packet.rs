@@ -103,22 +103,23 @@ pub(crate) struct RawPacket {
     pub target: u64,
     pub gap: u32,
     pub taken: bool,
-    /// Validated 4-bit SBBT opcode encoding (never the reserved patterns).
+    /// The 4-bit SBBT opcode encoding: a reserved pattern only in a packet
+    /// [`decode_packet_raw`] flags as malformed.
     pub op_bits: u8,
 }
 
-/// Block-decode variant of [`decode_packet`] for the `fill_batch` hot loop.
+/// Block-decode variant of [`decode_packet`] for the `fill_batch` hot loop:
+/// the packet's fields, and whether it breaks a format rule.
 ///
-/// Semantically identical — same accepted packets, same rejected packets,
-/// same error kinds and positions (`decoders_agree_on_every_bit_pattern`
-/// pins this) — but folds every format rule into one branch-free predicate
-/// so the per-packet cost inside a block is a handful of ALU ops. The
-/// one-at-a-time [`decode_packet`] stays on `Opcode::from_bits` and
-/// `Branch::is_valid`, the canonical statements of the format rules.
-pub(crate) fn decode_packet_raw(
-    bytes: &[u8; PACKET_BYTES],
-    position: u64,
-) -> Result<RawPacket, TraceError> {
+/// The fields are decoded whatever the flag says, so a block decoder can
+/// write every packet and test one flag per block. A flagged packet is
+/// rejected by [`decode_packet`] with the error [`malformed_error`] picks,
+/// and every other packet decodes to the same record
+/// (`decoders_agree_on_every_bit_pattern` pins both). The one-at-a-time
+/// [`decode_packet`] stays on `Opcode::from_bits` and `Branch::is_valid`,
+/// the canonical statements of the format rules.
+#[inline]
+pub(crate) fn decode_packet_raw(bytes: &[u8; PACKET_BYTES]) -> (RawPacket, bool) {
     let (block1, block2) = crate::bytes::split_u64_pair(bytes);
 
     let conditional = block1 & 0b01 != 0;
@@ -128,22 +129,20 @@ pub(crate) fn decode_packet_raw(
 
     // Reserved bits clear, kind not the reserved `11` pattern, and the
     // §IV-C outcome/target validity rules. The non-short-circuiting `|`
-    // keeps the combined test a single well-predicted branch.
+    // keeps the combined test free of branches.
     let malformed = (block1 & RESERVED_MASK != 0)
         | (block1 & 0b1100 == 0b1100)
         | (!conditional & !taken)
         | (conditional & indirect & !taken & (target != 0));
-    if malformed {
-        return Err(malformed_error(block1, position));
-    }
 
-    Ok(RawPacket {
+    let packet = RawPacket {
         ip: ((block1 as i64) >> 12) as u64,
         target,
         gap: (block2 & 0xFFF) as u32,
         taken,
         op_bits: (block1 & 0xF) as u8,
-    })
+    };
+    (packet, malformed)
 }
 
 /// [`decode_packet_raw`] reassembled into a [`BranchRecord`] — used by the
@@ -154,11 +153,14 @@ pub(crate) fn decode_packet_fast(
     bytes: &[u8; PACKET_BYTES],
     position: u64,
 ) -> Result<BranchRecord, TraceError> {
-    let p = decode_packet_raw(bytes, position)?;
+    let (p, malformed) = decode_packet_raw(bytes);
+    if malformed {
+        return Err(malformed_error(bytes, position));
+    }
     let kind = match (p.op_bits >> 2) & 0b11 {
         0b00 => crate::BranchKind::Jump,
         0b01 => crate::BranchKind::Ret,
-        _ => crate::BranchKind::Call, // `11` was rejected by the raw decoder
+        _ => crate::BranchKind::Call, // `11` was flagged above
     };
     let opcode = Opcode::new(p.op_bits & 0b01 != 0, p.op_bits & 0b10 != 0, kind);
     Ok(BranchRecord::new(
@@ -167,10 +169,11 @@ pub(crate) fn decode_packet_fast(
     ))
 }
 
-/// Picks the error for a packet that failed the combined format test,
-/// mirroring the order [`decode_packet`] applies its checks.
+/// The error for a packet [`decode_packet_raw`] flagged, at byte
+/// `position`, mirroring the order [`decode_packet`] applies its checks.
 #[cold]
-fn malformed_error(block1: u64, position: u64) -> TraceError {
+pub(crate) fn malformed_error(bytes: &[u8; PACKET_BYTES], position: u64) -> TraceError {
+    let (block1, _) = crate::bytes::split_u64_pair(bytes);
     if block1 & RESERVED_MASK != 0 {
         return TraceError::invalid("reserved opcode bits set", position);
     }

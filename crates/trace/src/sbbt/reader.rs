@@ -7,7 +7,7 @@ use std::path::Path;
 use mbp_compress::Inflater;
 
 use crate::sbbt::header::{SbbtHeader, HEADER_BYTES};
-use crate::sbbt::packet::{decode_packet, decode_packet_raw, PACKET_BYTES};
+use crate::sbbt::packet::{decode_packet, decode_packet_raw, malformed_error, PACKET_BYTES};
 use crate::{BranchBatch, BranchRecord, TraceError};
 
 /// Number of records decoded per [`SbbtReader::fill_batch`] call.
@@ -24,14 +24,18 @@ const BATCH_BYTES: usize = BATCH_RECORDS * PACKET_BYTES;
 /// The reader validates the header eagerly and then walks the packets in
 /// order — the "stream-like format" walk that §VII-D credits for most of
 /// MBPlib's speedup. Raw input is walked in place. Compressed input is
-/// verified first, then streamed: opening inflates and checksums the whole
-/// stream once without keeping it, so every codec error, the header checks
-/// and the length checks surface at open as before, and
-/// [`SbbtReader::remaining`] comes from the verified length. Reading then
-/// inflates the stream a second time, one batch at a time, into a ring
-/// as long as the codec window (1 MiB for MZST, 32 KiB for MGZ) however
-/// long the trace, where the whole inflated trace takes 16 bytes per
-/// branch. [`SbbtReader::rewind`] restarts the stream.
+/// inflated, checksummed and decoded in one pass: opening inflates only the
+/// 24-byte header and checks it against the length the codec frame
+/// declares, and reading inflates one batch at a time into a ring as long
+/// as the codec window (1 MiB for MZST, 32 KiB for MGZ) however long the
+/// trace, where the whole inflated trace takes 16 bytes per branch. The
+/// content checksum is computed as the batches are inflated and compared
+/// with the trailer when the last one is, so a codec or checksum error
+/// surfaces by the time the last record has been read, never after it. A
+/// caller that stops early calls [`SbbtReader::drain`] to check the rest.
+/// [`SbbtReader::remaining`] comes from the declared length, which the
+/// frame caps at what its payload could inflate to. [`SbbtReader::rewind`]
+/// restarts the stream.
 ///
 /// # Examples
 ///
@@ -91,16 +95,18 @@ impl SbbtReader {
 
     /// Parses an in-memory trace (decompressing if needed).
     ///
-    /// A compressed trace is inflated once here to verify it, keeping only
-    /// the codec window, and streamed again as it is read (see
-    /// [`SbbtReader`]).
+    /// Of a compressed trace only the header is inflated here; the rest is
+    /// inflated and checksummed as it is read (see [`SbbtReader`]).
     ///
     /// # Errors
     ///
-    /// Decompression errors (including a content checksum mismatch) and
-    /// header validation errors; also rejects a body whose length is not a
+    /// Header validation errors; also rejects a body whose length is not a
     /// whole number of packets ([`TraceError::Truncated`]) or does not
-    /// match the declared branch count ([`TraceError::Corrupt`]).
+    /// match the declared branch count ([`TraceError::Corrupt`]). Of a
+    /// compressed trace that length is the one its frame declares; a
+    /// frame that is corrupt before the header's last byte also fails
+    /// here, and later codec errors, a content checksum mismatch included,
+    /// surface as the trace is read or drained.
     pub fn from_bytes(data: Vec<u8>) -> Result<Self, TraceError> {
         if mbp_compress::detect(&data).is_none() {
             return Self::from_decompressed(data);
@@ -109,18 +115,8 @@ impl SbbtReader {
         // Whole batches covering the window: a batch is read before the
         // next one is written over the oldest.
         let mut ring = vec![0; stream.window().next_multiple_of(BATCH_BYTES)];
-        // Pass 1: inflate and checksum the whole stream, a batch at a time
-        // round the ring.
-        let mut at = 0;
-        while !stream.is_finished() {
-            at += stream.inflate_into(&mut ring, at, BATCH_BYTES)?;
-            if at == ring.len() {
-                at = 0;
-            }
-        }
-        // Pass 2 starts over. The header goes into the ring's last 24
-        // bytes, so that packet 0 lands at its front.
-        stream.rewind();
+        // The header goes into the ring's last 24 bytes, so that packet 0
+        // lands at its front.
         let head = ring.len() - HEADER_BYTES;
         let got = stream.inflate_into(&mut ring, head, HEADER_BYTES)?;
         let header = SbbtHeader::decode(&ring[head..head + got])?;
@@ -174,8 +170,10 @@ impl SbbtReader {
 
     /// Resets the reader to the first packet, so the trace can be replayed
     /// without reopening it. Raw input is replayed from memory; compressed
-    /// input is inflated again from its first block (without the checksum:
-    /// it was verified at open).
+    /// input is inflated again from its first block. Once a pass has
+    /// reached the end, the checksum is verified and later passes skip it;
+    /// a rewind before that restarts the checksum, so the next pass to
+    /// reach the end checks it.
     pub fn rewind(&mut self) {
         self.read = HEADER_BYTES;
         match &mut self.stream {
@@ -192,6 +190,27 @@ impl SbbtReader {
     fn skip_to_end(&mut self) {
         self.read = self.len;
         self.pos = self.end;
+    }
+
+    /// Moves to the end of the trace without decoding what is left, so a
+    /// caller that stops early still has the whole trace checked: the rest
+    /// of a compressed trace is inflated through the ring and its checksum
+    /// compared with the trailer. Raw input has nothing left to check.
+    ///
+    /// # Errors
+    ///
+    /// Decompression errors, a content checksum mismatch included.
+    pub fn drain(&mut self) -> Result<(), TraceError> {
+        loop {
+            // The buffered packets are passed over undecoded.
+            self.read += self.end - self.pos;
+            self.pos = self.end;
+            if self.read >= self.len || self.stream.is_none() {
+                self.skip_to_end();
+                return Ok(());
+            }
+            self.refill()?;
+        }
     }
 
     /// Inflates the next batch of a compressed trace into the ring once the
@@ -219,7 +238,9 @@ impl SbbtReader {
     ///
     /// # Errors
     ///
-    /// [`TraceError::Invalid`] if the packet violates format rules.
+    /// [`TraceError::Invalid`] if the packet violates format rules, and
+    /// decompression errors (a content checksum mismatch included) from
+    /// inflating the batch that holds it.
     #[allow(clippy::should_implement_trait)]
     pub fn next_record(&mut self) -> Result<Option<BranchRecord>, TraceError> {
         if self.read == self.len {
@@ -257,12 +278,18 @@ impl SbbtReader {
     ///
     /// # Errors
     ///
-    /// [`TraceError::Invalid`] on the first malformed packet; `out` holds
-    /// the records decoded before it.
+    /// [`TraceError::Invalid`] on the first malformed packet, with `out`
+    /// holding the records before it and the reader standing at it, as
+    /// [`SbbtReader::next_record`] would. Decompression errors (a content
+    /// checksum mismatch included) from inflating the batch, with `out`
+    /// empty.
     pub fn fill_batch(&mut self, out: &mut BranchBatch) -> Result<usize, TraceError> {
         // A compressed trace inflates its next batch first, outside the
         // decode span: that time is the codec's.
-        self.refill()?;
+        if let Err(e) = self.refill() {
+            out.clear();
+            return Err(e);
+        }
         // One span + two counter adds per 2048-packet block: the guard drop
         // also covers the error returns, so partially decoded batches are
         // still accounted for. The event span is journal-gated (off by
@@ -281,45 +308,42 @@ impl SbbtReader {
         }
         // Columns are resized once (a no-op at a steady batch size — no
         // per-push capacity checks, no re-zeroing of reused buffers) and
-        // every packet field is written straight into its lane; the zips
-        // over exact-length slices keep the loop free of bounds checks.
+        // every packet's fields are written straight into their lanes,
+        // malformed or not: the format rules fold into one flag for the
+        // batch, so the loop has no per-packet branch, and the zips over
+        // exact-length slices keep it free of bounds checks. Only a batch
+        // with a malformed packet is scanned again, for the first one.
         let (pcs, targets, gaps, taken, ops) = out.resize_for_overwrite(n);
-        let packets = self.data[start..end].chunks_exact(PACKET_BYTES);
+        let (packets, _) = self.data[start..end].as_chunks::<PACKET_BYTES>();
         let lanes = pcs.iter_mut().zip(targets).zip(gaps).zip(taken).zip(ops);
+        let mut malformed = false;
+        for (bytes, ((((pc, target), gap), taken), op)) in packets.iter().zip(lanes) {
+            let (p, bad) = decode_packet_raw(bytes);
+            *pc = p.ip;
+            *target = p.target;
+            *gap = p.gap;
+            *taken = p.taken as u8;
+            *op = p.op_bits;
+            malformed |= bad;
+        }
         // The cursor is committed once per block (or set to the failing
         // packet), keeping the decode loop free of writes through `self`.
-        let mut failed: Option<(usize, TraceError)> = None;
-        for (i, (packet, ((((pc, target), gap), taken), op))) in packets.zip(lanes).enumerate() {
-            let position = self.read + i * PACKET_BYTES;
-            // `chunks_exact` only yields full packets; degrade to a typed
-            // error rather than panicking if that invariant ever breaks.
-            let Some(bytes) = packet.first_chunk::<PACKET_BYTES>() else {
-                failed = Some((i, TraceError::Truncated));
-                break;
-            };
-            match decode_packet_raw(bytes, position as u64) {
-                Ok(p) => {
-                    *pc = p.ip;
-                    *target = p.target;
-                    *gap = p.gap;
-                    *taken = p.taken as u8;
-                    *op = p.op_bits;
-                }
-                Err(e) => {
-                    failed = Some((i, e));
-                    break;
-                }
+        if malformed {
+            if let Some((i, bytes)) = packets
+                .iter()
+                .enumerate()
+                .find(|(_, bytes)| decode_packet_raw(bytes).1)
+            {
+                let e = malformed_error(bytes, (self.read + i * PACKET_BYTES) as u64);
+                self.pos = start + i * PACKET_BYTES;
+                self.read += i * PACKET_BYTES;
+                // Drop the tail so the batch holds exactly the packets
+                // before the failure.
+                out.truncate(i);
+                stats.packets_decoded.add(i as u64);
+                out.debug_assert_aligned();
+                return Err(e);
             }
-        }
-        if let Some((i, e)) = failed {
-            self.pos = start + i * PACKET_BYTES;
-            self.read += i * PACKET_BYTES;
-            // Drop the unwritten tail so the batch holds exactly the
-            // packets decoded before the failure.
-            out.truncate(i);
-            stats.packets_decoded.add(i as u64);
-            out.debug_assert_aligned();
-            return Err(e);
         }
         self.pos = end;
         self.read += end - start;
@@ -590,6 +614,116 @@ mod tests {
         let mut buf = BranchBatch::new();
         assert!(r.fill_batch(&mut buf).is_err());
         assert_eq!(buf.len(), 2, "records before the error are kept");
+    }
+
+    #[test]
+    fn fill_batch_fails_where_next_record_does() {
+        use mbp_compress::{compress, Codec};
+        let n = 2 * BATCH_RECORDS + 100;
+        // The first packets of the first batch, its last, and one early in
+        // the second batch, raw and compressed.
+        for bad in [0, 1, BATCH_RECORDS - 1, BATCH_RECORDS + 3] {
+            let mut raw = sample_trace(n);
+            raw[HEADER_BYTES + bad * PACKET_BYTES] |= 0b0111_0000; // reserved bits
+            let packed = compress(&raw, Codec::Mzst, 3).unwrap();
+            for (what, bytes) in [("raw", raw), ("mzst", packed)] {
+                let what = format!("{what}, packet {bad}");
+                let batch_start = bad / BATCH_RECORDS * BATCH_RECORDS;
+                let mut scalar = SbbtReader::from_bytes(bytes.clone()).unwrap();
+                let mut before = Vec::new();
+                let want = loop {
+                    match scalar.next_record() {
+                        Ok(Some(rec)) => before.push(rec),
+                        Ok(None) => panic!("{what}: not rejected"),
+                        Err(e) => break e,
+                    }
+                };
+                let mut batched = SbbtReader::from_bytes(bytes).unwrap();
+                let mut buf = BranchBatch::new();
+                let got = loop {
+                    match batched.fill_batch(&mut buf) {
+                        Ok(got) => assert_eq!(got, BATCH_RECORDS, "{what}"),
+                        Err(e) => break e,
+                    }
+                };
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}");
+                let position = (HEADER_BYTES + bad * PACKET_BYTES) as u64;
+                assert!(
+                    matches!(got, TraceError::Invalid { position: p, .. } if p == position),
+                    "{what}: {got:?}"
+                );
+                let mut kept = Vec::new();
+                buf.append_records_to(&mut kept);
+                assert_eq!(kept, before[batch_start..], "{what}");
+                assert_eq!(batched.remaining(), scalar.remaining(), "{what}");
+                assert_eq!(batched.remaining(), (n - bad) as u64, "{what}");
+            }
+        }
+    }
+
+    /// A compressed trace whose checksum trailer has one bit flipped.
+    fn flipped_trailer(n: usize) -> Vec<u8> {
+        use mbp_compress::{compress, Codec};
+        let mut packed = compress(&sample_trace(n), Codec::Mzst, 3).unwrap();
+        let last = packed.len() - 1;
+        packed[last] ^= 1;
+        packed
+    }
+
+    fn is_checksum_mismatch(e: &TraceError) -> bool {
+        matches!(
+            e,
+            TraceError::Decompress(mbp_compress::CompressError::Corrupt(
+                "content checksum mismatch"
+            ))
+        )
+    }
+
+    #[test]
+    fn the_pass_that_reaches_the_end_checks_the_trailer() {
+        let n = 3 * BATCH_RECORDS;
+        let mut r = SbbtReader::from_bytes(flipped_trailer(n)).unwrap();
+        assert_eq!(r.remaining(), n as u64, "open reads only the header");
+        let mut buf = BranchBatch::new();
+        assert_eq!(r.fill_batch(&mut buf).unwrap(), BATCH_RECORDS);
+        // Rewound before the end: the full pass that follows checks it.
+        r.rewind();
+        let e = r.read_all().unwrap_err();
+        assert!(is_checksum_mismatch(&e), "{e:?}");
+        assert_eq!(buf.len(), BATCH_RECORDS);
+        assert!(r.fill_batch(&mut buf).is_err(), "the failure sticks");
+        assert!(buf.is_empty(), "a codec error leaves the batch empty");
+    }
+
+    #[test]
+    fn drain_checks_the_rest_without_decoding_it() {
+        let n = 3 * BATCH_RECORDS + 5;
+        // After a batch, after a rewind and from a fresh open.
+        let mut r = SbbtReader::from_bytes(flipped_trailer(n)).unwrap();
+        let mut buf = BranchBatch::new();
+        r.fill_batch(&mut buf).unwrap();
+        assert!(is_checksum_mismatch(&r.drain().unwrap_err()));
+        let mut r = SbbtReader::from_bytes(flipped_trailer(n)).unwrap();
+        r.next_record().unwrap();
+        r.rewind();
+        assert!(is_checksum_mismatch(&r.drain().unwrap_err()));
+        let mut r = SbbtReader::from_bytes(flipped_trailer(n)).unwrap();
+        assert!(is_checksum_mismatch(&r.drain().unwrap_err()));
+
+        // A sound trace drains to its end, raw or compressed, and replays
+        // whole after a rewind.
+        let raw = sample_trace(n);
+        let packed = mbp_compress::compress(&raw, mbp_compress::Codec::Mgz, 3).unwrap();
+        for bytes in [raw, packed] {
+            let mut r = SbbtReader::from_bytes(bytes).unwrap();
+            r.next_record().unwrap();
+            r.drain().unwrap();
+            assert_eq!(r.remaining(), 0);
+            assert!(r.next_record().unwrap().is_none());
+            r.drain().unwrap();
+            r.rewind();
+            assert_eq!(r.read_all().unwrap().len(), n);
+        }
     }
 
     #[test]

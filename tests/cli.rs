@@ -322,8 +322,8 @@ fn truncated_compressed_trace_exits_3() {
 }
 
 /// A run that stops after the first thousand instructions still checks
-/// the whole file: the reader verifies the content checksum when it opens
-/// a compressed trace, before anything is simulated.
+/// the whole file: the rest of a compressed trace is drained through the
+/// content checksum before anything is printed.
 #[test]
 fn checksum_mismatch_exits_3_even_when_the_run_stops_early() {
     let dir = temp_dir("checksum-trailer");
@@ -355,6 +355,130 @@ fn checksum_mismatch_exits_3_even_when_the_run_stops_early() {
             out.stdout.is_empty(),
             "{args:?}: no document on a bad trace"
         );
+    }
+}
+
+/// Every command that stops before the end of a compressed trace still
+/// checks the rest of it: a comparison and an explain cut off after a
+/// thousand instructions, and a resumed sweep whose checkpoint already
+/// settles every predictor, all reject a trace whose checksum trailer has
+/// one bit flipped before printing anything, and the resume leaves its
+/// checkpoint as it was.
+#[test]
+fn corrupt_trailer_fails_every_early_stop() {
+    let dir = temp_dir("trailer-early-stops");
+    assert!(mbpsim()
+        .args(["gen", "--suite", "smoke", "--out"])
+        .arg(&dir)
+        .status()
+        .expect("spawn")
+        .success());
+    let path = dir.join("SMOKE-mobile.sbbt.mzst");
+    let checkpoint = dir.join("sweep.ckpt.jsonl");
+    let sweep = |extra: &[&str]| {
+        let mut cmd = mbpsim();
+        cmd.args(["sweep", "--predictors", "gshare,bimodal", "--quiet"])
+            .args(extra)
+            .arg("--checkpoint")
+            .arg(&checkpoint)
+            .arg("--trace")
+            .arg(&path);
+        cmd
+    };
+    let out = sweep(&[]).output().expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let settled = std::fs::read(&checkpoint).expect("checkpoint written");
+    let mut bytes = std::fs::read(&path).expect("read");
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x01;
+    std::fs::write(&path, bytes).expect("write");
+
+    let mut compare = mbpsim();
+    compare
+        .args(["compare", "--predictors", "gshare,bimodal", "--max", "1000"])
+        .arg("--trace")
+        .arg(&path);
+    let mut explain = mbpsim();
+    explain
+        .args(["explain", "--predictor", "gshare", "--max", "1000"])
+        .arg("--trace")
+        .arg(&path);
+    for (what, mut cmd) in [
+        ("compare", compare),
+        ("explain", explain),
+        ("resume", sweep(&["--resume"])),
+    ] {
+        let out = cmd.output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{what}: {stderr}");
+        assert!(
+            stderr.contains("content checksum mismatch"),
+            "{what}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{what}: no document on a bad trace");
+    }
+    assert_eq!(
+        std::fs::read(&checkpoint).expect("checkpoint kept"),
+        settled,
+        "the failed resume left the checkpoint as it was"
+    );
+}
+
+/// A run inflates its compressed trace once: as many bytes as the reader
+/// walks. A run cut off after a thousand instructions inflates as much,
+/// the rest through the checksum, but decodes fewer packets than the trace
+/// holds.
+#[test]
+fn a_run_inflates_its_trace_once_even_when_it_stops_early() {
+    let dir = temp_dir("one-inflate");
+    assert!(mbpsim()
+        .args(["gen", "--suite", "smoke", "--out"])
+        .arg(&dir)
+        .status()
+        .expect("spawn")
+        .success());
+    let path = dir.join("SMOKE-mobile.sbbt.mzst");
+    let branches = mbp::trace::sbbt::SbbtReader::open(&path)
+        .expect("open")
+        .header()
+        .branch_count;
+    let metrics = dir.join("metrics.json");
+    for max in [None, Some("1000")] {
+        let mut cmd = mbpsim();
+        cmd.args(["run", "--predictor", "gshare", "--quiet", "--trace"])
+            .arg(&path)
+            .arg("--metrics-out")
+            .arg(&metrics);
+        if let Some(max) = max {
+            cmd.args(["--max", max]);
+        }
+        let out = cmd.output().expect("spawn");
+        assert!(
+            out.status.success(),
+            "{max:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let doc: mbp::json::Value = std::fs::read_to_string(&metrics)
+            .expect("metrics written")
+            .parse()
+            .expect("valid JSON");
+        let counter = |section: &str, key: &str| {
+            doc[section][key]
+                .as_u64()
+                .unwrap_or_else(|| panic!("{max:?}: no {section}.{key}"))
+        };
+        let read = counter("decode", "bytes_read");
+        assert_eq!(read, 24 + 16 * branches, "{max:?}");
+        assert_eq!(counter("compress", "inflated_bytes"), read, "{max:?}");
+        let decoded = counter("decode", "packets_decoded");
+        match max {
+            None => assert_eq!(decoded, branches),
+            Some(_) => assert!(decoded < branches, "decoded {decoded} of {branches}"),
+        }
     }
 }
 

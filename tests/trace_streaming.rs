@@ -1,10 +1,14 @@
 //! A compressed trace streamed through its codec window reads exactly like
 //! the same trace inflated whole: the same batches, records, counts and
-//! replays, for both codecs at their lowest and highest levels.
+//! replays, for both codecs at their lowest and highest levels. The one
+//! streaming pass also checks the content checksum, so a run that stops
+//! early still fails on a corrupt trailer.
 
-use mbp::compress::{compress, decompress, Codec};
+use mbp::compress::{compress, decompress, Codec, CompressError};
+use mbp::examples::by_name;
+use mbp::sim::{simulate, simulate_comparison, simulate_scalar, SimConfig};
 use mbp::trace::sbbt::{SbbtReader, BATCH_RECORDS};
-use mbp::trace::{translate, BranchBatch, BranchRecord};
+use mbp::trace::{translate, BranchBatch, BranchRecord, TraceError};
 use mbp::workloads::{ProgramParams, TraceGenerator};
 
 /// Every `fill_batch` of a reader from where it stands: the count it
@@ -99,6 +103,55 @@ fn streamed_reads_equal_eager_reads() {
             // A fresh open streams the same as a rewound one.
             let mut fresh = SbbtReader::open(&path).expect("open");
             assert_eq!(records(&mut fresh), records(&mut eager()), "{what}: fresh");
+        }
+    }
+}
+
+/// Every driver's cut-off drains the rest of the trace through the
+/// checksum: a run that stops after a thousand instructions of a trace
+/// whose trailer has one bit flipped fails, where the same run over the
+/// sound trace succeeds.
+#[test]
+fn early_stops_still_check_the_trailer() {
+    let trace =
+        TraceGenerator::from_params(&ProgramParams::server(), 0x5742_0002).take_records(20_000);
+    let sbbt = translate::records_to_sbbt(&trace).expect("encode");
+    let sound = compress(&sbbt, Codec::Mzst, 3).expect("compress");
+    let mut flipped = sound.clone();
+    let last = flipped.len() - 1;
+    flipped[last] ^= 1;
+    let config = SimConfig {
+        max_instructions: Some(1000),
+        ..SimConfig::default()
+    };
+    let gshare = || by_name("gshare").expect("stock predictor");
+    for (what, packed) in [("sound", sound), ("flipped", flipped)] {
+        let open = || SbbtReader::from_bytes(packed.clone()).expect("open reads the header only");
+        let outcomes = [
+            (
+                "simulate",
+                simulate(&mut open(), &mut gshare(), &config).err(),
+            ),
+            (
+                "simulate_scalar",
+                simulate_scalar(&mut open(), &mut gshare(), &config).err(),
+            ),
+            (
+                "simulate_comparison",
+                simulate_comparison(&mut open(), &mut gshare(), &mut gshare(), &config).err(),
+            ),
+        ];
+        for (driver, error) in outcomes {
+            match (what, error) {
+                ("sound", None) => {}
+                (
+                    "flipped",
+                    Some(TraceError::Decompress(CompressError::Corrupt(
+                        "content checksum mismatch",
+                    ))),
+                ) => {}
+                (_, error) => panic!("{driver} over the {what} trace: {error:?}"),
+            }
         }
     }
 }
