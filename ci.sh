@@ -41,9 +41,10 @@ echo "== golden vectors (bit-exact predictor conformance) =="
 cargo test -q -p mbp-predictors --test golden_vectors
 
 echo "== reference oracle (composites vs naive full-history references) =="
-# Golden vectors pin stability; this pins truth: TAGE, BATAGE and the hashed
-# perceptron must predict bit for bit what references with no ip memo, no
-# fold bank and no lookup cache predict.
+# Golden vectors pin stability; this pins truth: TAGE, BATAGE, the hashed
+# perceptron, 2bc-gskew and the tournament must predict bit for bit what
+# references with no ip memo, no fold bank, no lookup cache and no batch
+# kernel predict.
 cargo test -q -p mbp-predictors --test reference_oracle
 
 echo "== batch equivalence (SoA kernels vs scalar call sequence) =="
@@ -330,6 +331,30 @@ target/release/mbpsim stats-diff "$obs_tmp/explain_a.metrics.json" \
   "$obs_tmp/explain_b.metrics.json" --threshold 5000 > "$obs_tmp/explain_diff.txt"
 grep -q ' forensics\.' "$obs_tmp/explain_diff.txt" \
   || { echo "stats-diff skipped the forensics section" >&2; exit 1; }
+# Forensics and introspection together: the only document with two
+# top-level opt-in sections, so the only one whose order the section table
+# decides (forensics first). Its metrics file must diff both sections, in
+# that order, and `mbpsim report` must render both.
+target/release/mbpsim explain "$obs_tmp/traces/SMOKE-mobile.sbbt.mzst" \
+  tournament --quiet --introspect --window 10000 \
+  --metrics-out "$obs_tmp/explain_intro.metrics.json" > /dev/null 2>&1
+target/release/mbpsim stats-diff "$obs_tmp/explain_intro.metrics.json" \
+  "$obs_tmp/explain_intro.metrics.json" > "$obs_tmp/explain_intro_diff.txt"
+first_line() { # first_line <section> <file>
+  grep -n -m1 " $1\." "$2" | cut -d: -f1
+}
+f_at="$(first_line forensics "$obs_tmp/explain_intro_diff.txt")"
+i_at="$(first_line introspection "$obs_tmp/explain_intro_diff.txt")"
+if [ -z "$f_at" ] || [ -z "$i_at" ] || [ "$f_at" -gt "$i_at" ]; then
+  echo "stats-diff did not list forensics, then introspection (lines ${f_at:-none}, ${i_at:-none})" >&2
+  exit 1
+fi
+target/release/mbpsim report "$obs_tmp/explain_intro.metrics.json" \
+  --out "$obs_tmp/explain_intro.html" 2>/dev/null
+for heading in "Misprediction forensics" "Predictor introspection"; do
+  grep -q "<h2>$heading</h2>" "$obs_tmp/explain_intro.html" \
+    || { echo "report is missing its $heading section" >&2; exit 1; }
+done
 cargo test -q -p mbp --test forensics
 
 echo "== checksum drain (a flipped checksum fails runs that stop early) =="

@@ -8,8 +8,8 @@ use mbp_trace::{BranchBatch, TraceError};
 use mbp_utils::FastHashBuilder;
 
 use crate::metrics::{accuracy, mpki};
-use crate::simulator::{next_batch, publish_run};
-use crate::{PredictionBits, Predictor, SimConfig, TableProbe, TraceSource};
+use crate::simulator::{count_records, next_batch, publish_run};
+use crate::{PredictionBits, Predictor, Section, SimConfig, TableProbe, TraceSource};
 
 /// A branch that one predictor handles better than the other.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -64,8 +64,9 @@ impl ComparisonResult {
     /// Renders the result as a JSON document analogous to Listing 1, with
     /// `most_failed` replaced by the diverging-branches report and a
     /// `predictor_statistics` section holding both predictors' dynamic
-    /// statistics. When probes were collected, an `introspection` section
-    /// with both predictors' probe reports is appended.
+    /// statistics. When probes were collected, the
+    /// [`Section::Introspection`] section holds both predictors' probe
+    /// reports.
     pub fn to_json(&self) -> Value {
         let mut doc = json!({
             "metadata": {
@@ -101,15 +102,13 @@ impl ComparisonResult {
             })).collect::<Vec<_>>(),
         });
         if self.table_probes.iter().any(|p| !p.is_empty()) {
-            if let Some(d) = doc.as_object_mut() {
-                d.insert(
-                    "introspection",
-                    json!({
-                        "predictor_0": { "probes": crate::probes_to_json(&self.table_probes[0]) },
-                        "predictor_1": { "probes": crate::probes_to_json(&self.table_probes[1]) },
-                    }),
-                );
-            }
+            Section::Introspection.place().insert(
+                &mut doc,
+                json!({
+                    "predictor_0": { "probes": crate::probes_to_json(&self.table_probes[0]) },
+                    "predictor_1": { "probes": crate::probes_to_json(&self.table_probes[1]) },
+                }),
+            );
         }
         doc
     }
@@ -169,8 +168,10 @@ where
         b.predict_batch(&batch, config.track_only_conditional, &mut bits_b);
         let (pcs, gaps, taken, ops) = (batch.pcs(), batch.gaps(), batch.taken(), batch.ops());
         let retired = |from: usize| gaps[from..].iter().map(|&g| u64::from(g) + 1).sum::<u64>();
-        instructions += retired(0);
+        let advanced = retired(0);
+        instructions += advanced;
         measured_instructions += retired(measured_from);
+        count_records(len as u64, len as u64, advanced);
         let mut bit = ops[..measured_from]
             .iter()
             .filter(|&&op| op & 0b1 != 0)
@@ -198,7 +199,7 @@ where
         }
     }
     let elapsed = start.elapsed();
-    publish_run(records, records, instructions, elapsed);
+    publish_run(records, elapsed);
 
     let mut most_diverging: Vec<DivergingBranch> = per_branch
         .into_iter()

@@ -46,6 +46,7 @@ mod introspect;
 mod metrics;
 mod output;
 mod predictor;
+mod section;
 mod simpoint;
 mod simulator;
 mod source;
@@ -63,12 +64,13 @@ pub use metrics::{
     BranchStat, BranchTaxonomy, ClassStat, Metrics, MostFailed, ENTROPY_CLASSES, TRANSITION_CLASSES,
 };
 pub use predictor::{PredictionBits, Predictor};
+pub use section::{Place, Section};
 pub use simpoint::{
     extract_bbv, extract_phases, extract_phases_with_warmup, kmeans, simulate_sampled, BbvWindow,
     Phase, PhasesDoc, BBV_FEATURE_DIM, KMEANS_MAX_ITERATIONS, PHASES_SCHEMA_VERSION,
 };
 pub use simulator::{simulate, simulate_scalar, SimConfig, SimMetadata, SimResult};
-pub use source::{SliceSource, TraceSource, VecSource, BATCH_RECORDS};
+pub use source::{SliceSource, TraceSource, BATCH_RECORDS};
 pub use status::{PredictorState, PredictorStatus, SweepStatusBoard};
 pub use sweep::{simulate_many, FailureKind, SweepConfig, SweepEntry, SweepFailure, SweepResult};
 pub use timeseries::{TimeSeries, TimeSeriesBuilder, Window, DEFAULT_WINDOW_INSTRUCTIONS};

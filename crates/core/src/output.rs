@@ -8,7 +8,7 @@ use crate::metrics::{
 };
 use crate::simulator::SimMetadata;
 use crate::timeseries::{TimeSeries, Window};
-use crate::{SimResult, TableProbe};
+use crate::{Section, SimResult, TableProbe};
 
 /// Renders one taxonomy class table as a name-keyed object.
 fn classes_json(names: &[&str], stats: &[ClassStat]) -> Value {
@@ -46,10 +46,9 @@ impl SimResult {
     /// `metrics`, `predictor_statistics` and `most_failed` sections, with
     /// the predictor's own metadata embedded under `metadata.predictor`.
     ///
-    /// Two opt-in extensions ride along without disturbing the Listing-1
-    /// shape: windowed telemetry renders under `metrics.timeseries`, and
-    /// table-health probes append a trailing `introspection` section —
-    /// both only when the run collected them.
+    /// The opt-in [`Section`]s the run collected ride along without
+    /// disturbing the Listing-1 shape, each at its place in the section
+    /// table and in its order.
     ///
     /// # Examples
     ///
@@ -105,31 +104,16 @@ impl SimResult {
                 "transition_rate": s.transition_rate,
             })).collect::<Vec<_>>(),
         });
-        if let Some(ts) = &self.timeseries {
-            if let Some(metrics) = doc
-                .as_object_mut()
-                .and_then(|d| d.get_mut("metrics"))
-                .and_then(Value::as_object_mut)
-            {
-                metrics.insert("timeseries", ts.to_json());
-            }
-        }
-        if let Some(forensics) = &self.forensics {
-            if let Some(d) = doc.as_object_mut() {
-                d.insert("forensics", forensics.clone());
-            }
-        }
-        if let Some(sampling) = &self.sampling {
-            if let Some(d) = doc.as_object_mut() {
-                d.insert("simpoint", sampling.clone());
-            }
-        }
-        if !self.table_probes.is_empty() {
-            if let Some(d) = doc.as_object_mut() {
-                d.insert(
-                    "introspection",
-                    json!({ "probes": crate::probes_to_json(&self.table_probes) }),
-                );
+        for section in Section::ALL {
+            let value = match section {
+                Section::Timeseries => self.timeseries.as_ref().map(TimeSeries::to_json),
+                Section::Forensics => self.forensics.clone(),
+                Section::Simpoint => self.sampling.clone(),
+                Section::Introspection => (!self.table_probes.is_empty())
+                    .then(|| json!({ "probes": crate::probes_to_json(&self.table_probes) })),
+            };
+            if let Some(value) = value {
+                section.place().insert(&mut doc, value);
             }
         }
         doc
@@ -189,7 +173,7 @@ impl SimResult {
             simulation_time: req_f64(m, "simulation_time")?,
         };
         let branch_taxonomy = BranchTaxonomy::from_json(req(m, "branch_taxonomy")?)?;
-        let timeseries = match m.get("timeseries") {
+        let timeseries = match Section::Timeseries.place().get(doc) {
             Some(ts) => Some(timeseries_from_json(ts)?),
             None => None,
         };
@@ -201,7 +185,7 @@ impl SimResult {
             .map(branch_stat_from_json)
             .collect::<Result<Vec<_>, _>>()?;
 
-        let table_probes = match doc.get("introspection") {
+        let table_probes = match Section::Introspection.place().get(doc) {
             Some(intro) => req(intro, "probes")?
                 .as_array()
                 .ok_or("introspection.probes is not an array")?
@@ -219,8 +203,8 @@ impl SimResult {
             branch_taxonomy,
             timeseries,
             table_probes,
-            sampling: doc.get("simpoint").cloned(),
-            forensics: doc.get("forensics").cloned(),
+            sampling: Section::Simpoint.place().get(doc).cloned(),
+            forensics: Section::Forensics.place().get(doc).cloned(),
         })
     }
 }

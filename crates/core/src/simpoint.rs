@@ -785,7 +785,7 @@ where
     });
 
     let elapsed = start.elapsed();
-    publish_run(st.records, st.kernel_records, st.instructions, elapsed);
+    publish_run(st.kernel_records, elapsed);
 
     // The whole-run sections come from the driver's state; the headline
     // metrics are the reconstructed estimates.

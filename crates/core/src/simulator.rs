@@ -227,21 +227,28 @@ fn predict_with_forensics<P: Predictor + ?Sized>(
     }
 }
 
-/// Adds one finished run to the pipeline counters; every record the run
-/// did not hand to `predict_batch` counts as a scalar-fallback branch.
-pub(crate) fn publish_run(records: u64, kernel_records: u64, instructions: u64, elapsed: Duration) {
+/// Adds records to the pipeline counters; every record not handed to
+/// `predict_batch` counts as a scalar-fallback branch. The batched drivers
+/// add each batch as they score it, so the progress line, a `/metrics`
+/// scrape and the journal's samples move while a run is under way.
+pub(crate) fn count_records(records: u64, kernel_records: u64, instructions: u64) {
     let stats = &mbp_stats::pipeline().sim;
     stats.records.add(records);
     stats.instructions.add(instructions);
     stats.kernel_branches.add(kernel_records);
     stats.scalar_fallback_branches.add(records - kernel_records);
+}
+
+/// Adds one finished run's time to the pipeline counters.
+pub(crate) fn publish_run(kernel_records: u64, elapsed: Duration) {
     // One instant per run: how much of it rode the kernel path. Visible in
     // Chrome traces next to the run's `sim.simulate` span.
     mbp_stats::events::instant(
         mbp_stats::events::EventName::SimKernelBranches,
         kernel_records,
     );
-    stats
+    mbp_stats::pipeline()
+        .sim
         .simulate
         .record_ns(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
 }
@@ -260,7 +267,6 @@ pub(crate) struct SimState {
     /// Every branch's outcomes, with their shapes on forensic runs.
     most_failed: MostFailed,
     exhausted: bool,
-    pub(crate) records: u64,
     pub(crate) kernel_records: u64,
     timeseries: Option<TimeSeriesBuilder>,
     /// Measured batches run the forensics loop, which records them.
@@ -278,7 +284,6 @@ impl SimState {
             warmup_mispredictions: 0,
             most_failed: MostFailed::with_shapes(config.forensics.is_some()),
             exhausted: true,
-            records: 0,
             kernel_records: 0,
             timeseries: config.timeseries_window.map(TimeSeriesBuilder::new),
             forensic: config.forensics.is_some(),
@@ -317,7 +322,7 @@ impl SimState {
             }
             bits.clear();
             let recorded = self.forensic && measured_from < len;
-            if recorded {
+            let kernel = if recorded {
                 predict_with_forensics(
                     predictor,
                     &batch,
@@ -326,13 +331,16 @@ impl SimState {
                     &mut self.most_failed,
                     measured_from,
                 );
+                0
             } else {
                 predictor.predict_batch(&batch, track_only_conditional, &mut bits);
-                self.kernel_records += len as u64;
-            }
-            self.records += len as u64;
+                len as u64
+            };
+            self.kernel_records += kernel;
+            let retired = self.instructions;
             let bit = self.score(&batch, &bits, 0..measured_from, 0, false, recorded);
             self.score(&batch, &bits, measured_from..len, bit, true, recorded);
+            count_records(len as u64, kernel, self.instructions - retired);
             if let Some(status) = self.status.as_mut() {
                 status.publish(self.most_failed.worst_branch());
             }
@@ -533,7 +541,7 @@ where
         config.track_only_conditional,
     )?;
     let elapsed = start.elapsed();
-    publish_run(st.records, st.kernel_records, st.instructions, elapsed);
+    publish_run(st.kernel_records, elapsed);
     Ok(st.into_result(
         trace.description(),
         predictor,
@@ -548,7 +556,9 @@ where
 /// [`simulate`] does through [`TraceSource::fill_batch`]; the two must
 /// produce identical results (the equivalence test suite pins this). Kept
 /// as the semantic baseline and for sources whose batch path is not
-/// trustworthy while debugging.
+/// trustworthy while debugging. Its loop is its own, but it keeps the
+/// batched driver's running totals and assembles its result the same way,
+/// so a new result section is wired in one place.
 ///
 /// # Errors
 ///
@@ -566,101 +576,66 @@ where
     let stats = &mbp_stats::pipeline().sim;
     stats.runs.inc();
     let _run_event = mbp_stats::events::span(mbp_stats::events::EventName::SimSimulate);
+    // The state's status slot, if any, is never fed: this driver does not
+    // publish live progress.
+    let mut st = SimState::new(config);
     let mut records = 0u64;
-    let mut instructions = 0u64;
-    let mut measured_instructions = 0u64;
-    let mut conditional = 0u64;
-    let mut mispredictions = 0u64;
-    let mut most_failed = MostFailed::with_shapes(config.forensics.is_some());
-    let mut exhausted = true;
-    let mut ts_builder = config.timeseries_window.map(TimeSeriesBuilder::new);
 
     while let Some(rec) = trace.next_record()? {
         records += 1;
         if let Some(max) = config.max_instructions {
-            if instructions >= max {
-                exhausted = false;
+            if st.instructions >= max {
+                st.exhausted = false;
                 trace.drain()?;
                 break;
             }
         }
-        instructions += rec.instructions();
-        let in_measurement = instructions > config.warmup_instructions;
+        st.instructions += rec.instructions();
+        let in_measurement = st.instructions > config.warmup_instructions;
         if in_measurement {
-            measured_instructions += rec.instructions();
+            st.measured_instructions += rec.instructions();
         }
         let b = rec.branch;
         if b.is_conditional() {
             let prediction = predictor.predict(b.ip());
             let mispredicted = prediction != b.is_taken();
-            if let Some(ts) = ts_builder.as_mut() {
+            if let Some(ts) = st.timeseries.as_mut() {
                 ts.branch(b.ip(), b.is_taken(), mispredicted);
             }
             predictor.train(&b);
             if in_measurement {
-                conditional += 1;
-                mispredictions += mispredicted as u64;
+                st.conditional += 1;
+                st.mispredictions += mispredicted as u64;
                 let blame = mispredicted
                     .then(|| predictor.last_mispredict_blame())
                     .flatten();
-                most_failed.record_forensic(b.ip(), b.is_taken(), mispredicted, blame);
+                st.most_failed
+                    .record_forensic(b.ip(), b.is_taken(), mispredicted, blame);
             } else {
-                most_failed.note_static(b.ip());
+                st.most_failed.note_static(b.ip());
             }
         } else {
-            most_failed.note_static(b.ip());
+            st.most_failed.note_static(b.ip());
         }
         if !config.track_only_conditional || b.is_conditional() {
             predictor.track(&b);
         }
-        if let Some(ts) = ts_builder.as_mut() {
-            ts.advance(instructions);
+        if let Some(ts) = st.timeseries.as_mut() {
+            ts.advance(st.instructions);
         }
     }
 
     let elapsed = start.elapsed();
-    stats.records.add(records);
-    stats.instructions.add(instructions);
-    stats.scalar_fallback_branches.add(records);
+    count_records(records, 0, st.instructions);
     stats
         .simulate
         .record_ns(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-    let simulation_time = elapsed.as_secs_f64();
-    Ok(SimResult {
-        metadata: SimMetadata {
-            simulator: crate::SIMULATOR_NAME,
-            version: crate::SIMULATOR_VERSION,
-            trace: trace.description(),
-            warmup_instr: config.warmup_instructions,
-            simulation_instr: measured_instructions,
-            exhausted_trace: exhausted,
-            num_conditional_branches: conditional,
-            num_branch_instructions: most_failed.distinct_branches(),
-            track_only_conditional: config.track_only_conditional,
-            predictor: predictor.metadata(),
-        },
-        metrics: Metrics {
-            mpki: mpki(mispredictions, measured_instructions),
-            mispredictions,
-            accuracy: accuracy(mispredictions, conditional),
-            num_most_failed_branches: most_failed.half_coverage_count(mispredictions),
-            simulation_time,
-        },
-        predictor_statistics: predictor.execution_statistics(),
-        most_failed: most_failed.top(config.most_failed_limit, measured_instructions),
-        branch_taxonomy: most_failed.taxonomy(),
-        timeseries: ts_builder.map(|b| b.finish(instructions)),
-        table_probes: if config.collect_probes {
-            predictor.table_probes()
-        } else {
-            Vec::new()
-        },
-        sampling: None,
-        forensics: config
-            .forensics
-            .as_ref()
-            .map(|f| forensics::report(&most_failed, f, measured_instructions)),
-    })
+    Ok(st.into_result(
+        trace.description(),
+        predictor,
+        config,
+        elapsed.as_secs_f64(),
+    ))
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@ pub use mbp_trace::sbbt::BATCH_RECORDS;
 /// A stream of branch records consumable by the simulators.
 ///
 /// Implemented for [`SbbtReader`] (the normal case), and for in-memory
-/// slices and vectors so tests, workload generators and optimization loops
-/// (§VI-B) can feed the simulator without touching the filesystem.
+/// slices ([`SliceSource`]) so tests, workload generators and optimization
+/// loops (§VI-B) can feed the simulator without touching the filesystem.
 pub trait TraceSource {
     /// The next record, or `None` at the end of the trace.
     ///
@@ -188,75 +188,6 @@ impl TraceSource for SliceSource<'_> {
     }
 }
 
-/// An owning in-memory trace source.
-#[derive(Clone, Debug)]
-pub struct VecSource {
-    records: Vec<BranchRecord>,
-    pos: usize,
-    name: Option<String>,
-}
-
-impl VecSource {
-    /// Wraps a vector of records.
-    pub fn new(records: Vec<BranchRecord>) -> Self {
-        Self {
-            records,
-            pos: 0,
-            name: None,
-        }
-    }
-
-    /// Wraps a vector with a trace name for the metadata.
-    pub fn named(records: Vec<BranchRecord>, name: impl Into<String>) -> Self {
-        Self {
-            records,
-            pos: 0,
-            name: Some(name.into()),
-        }
-    }
-
-    /// Rewinds to the beginning.
-    pub fn reset(&mut self) {
-        self.pos = 0;
-    }
-
-    /// Borrows the underlying records.
-    pub fn records(&self) -> &[BranchRecord] {
-        &self.records
-    }
-}
-
-impl TraceSource for VecSource {
-    fn next_record(&mut self) -> Result<Option<BranchRecord>, TraceError> {
-        let rec = self.records.get(self.pos).copied();
-        self.pos += rec.is_some() as usize;
-        Ok(rec)
-    }
-
-    fn fill_batch(&mut self, out: &mut BranchBatch) -> Result<usize, TraceError> {
-        out.clear();
-        let end = self.records.len().min(self.pos + BATCH_RECORDS);
-        out.extend_from_records(&self.records[self.pos..end]);
-        self.pos = end;
-        Ok(out.len())
-    }
-
-    fn description(&self) -> Value {
-        match &self.name {
-            Some(n) => Value::from(n.as_str()),
-            None => Value::from("in-memory trace"),
-        }
-    }
-
-    fn instruction_count_hint(&self) -> Option<u64> {
-        Some(self.records.iter().map(|r| r.instructions()).sum())
-    }
-
-    fn record_count_hint(&self) -> Option<u64> {
-        Some((self.records.len() - self.pos) as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,7 +225,6 @@ mod tests {
             SliceSource::new(&records).instruction_count_hint(),
             Some(12)
         );
-        assert_eq!(VecSource::new(records).instruction_count_hint(), Some(12));
     }
 
     #[test]
@@ -320,7 +250,7 @@ mod tests {
     #[test]
     fn fill_batch_interleaves_with_next_record() {
         let records = recs(5);
-        let mut s = VecSource::new(records.clone());
+        let mut s = SliceSource::new(&records);
         assert_eq!(s.next_record().unwrap(), Some(records[0]));
         let mut buf = BranchBatch::new();
         assert_eq!(s.fill_batch(&mut buf).unwrap(), 4);

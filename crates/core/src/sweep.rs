@@ -44,7 +44,7 @@ use crate::checkpoint::{load_checkpoint, CheckpointWriter};
 use crate::simpoint::{sample, PhasesDoc};
 use crate::simulator::{simulate, SimConfig, SimResult};
 use crate::status::{PredictorState, SweepStatusBoard};
-use crate::{Predictor, SliceSource, TraceSource};
+use crate::{Predictor, Section, SliceSource, TraceSource};
 
 /// A named predictor awaiting simulation, claimed by exactly one worker.
 type WorkSlot = Mutex<Option<(String, Box<dyn Predictor + Send>)>>;
@@ -273,14 +273,8 @@ impl SweepResult {
             "results": self.entries.iter().map(|e| e.result.to_json())
                 .collect::<Vec<_>>(),
         });
-        if let Some(sampling) = &self.sampling {
-            if let Some(meta) = doc
-                .as_object_mut()
-                .and_then(|d| d.get_mut("metadata"))
-                .and_then(Value::as_object_mut)
-            {
-                meta.insert("sampling", sampling.clone());
-            }
+        if let (Some(sampling), Some(place)) = (&self.sampling, Section::Simpoint.sweep_summary()) {
+            place.insert(&mut doc, sampling.clone());
         }
         doc
     }

@@ -24,7 +24,10 @@ use std::process::ExitCode;
 
 use mbp::compress::Codec;
 use mbp::examples::{by_name, PREDICTOR_NAMES};
-use mbp::sim::{simulate, simulate_comparison, simulate_many, SimConfig, SweepConfig};
+use mbp::json::Value;
+use mbp::sim::{
+    simulate, simulate_comparison, simulate_many, Predictor, Section, SimConfig, SweepConfig,
+};
 use mbp::trace::sbbt::{SbbtReader, SbbtWriter};
 use mbp::trace::{bt9, translate};
 use mbp::workloads::Suite;
@@ -197,6 +200,31 @@ impl Args {
     }
 }
 
+/// A stock predictor by name; an unknown name is a usage error.
+fn predictor(name: &str) -> Result<Box<dyn Predictor + Send>, Failure> {
+    by_name(name)
+        .ok_or_else(|| Failure::usage(format!("unknown predictor {name:?}; try `mbpsim list`")))
+}
+
+/// Opens a trace; a failure is a trace error.
+fn open_trace(path: &str) -> Result<SbbtReader, Failure> {
+    SbbtReader::open(path).map_err(|e| Failure::trace(format!("cannot open {path}: {e}")))
+}
+
+/// Reads and parses a JSON file; `fail` gives a failure its exit code.
+fn load_json(path: &str, fail: fn(String) -> Failure) -> Result<Value, Failure> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| fail(format!("cannot read {path}: {e}")))?;
+    text.parse()
+        .map_err(|e| fail(format!("cannot parse {path}: {e}")))
+}
+
+/// Writes an output file; a failure is an internal error.
+fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), Failure> {
+    std::fs::write(path, contents)
+        .map_err(|e| Failure::internal(format!("cannot write {path}: {e}")))
+}
+
 fn sim_config(args: &Args) -> Result<SimConfig, Failure> {
     // `--window N` tunes the window size and by itself enables the time
     // series; `--timeseries-out` enables it at the default window size.
@@ -245,7 +273,7 @@ fn emit_timeseries_csv(
             csv.push_str(chunk.split_once('\n').map_or("", |(_, rows)| rows));
         }
     }
-    std::fs::write(path, csv).map_err(|e| Failure::internal(format!("cannot write {path}: {e}")))
+    write_file(path, csv)
 }
 
 /// Whether this invocation asked for pipeline metrics.
@@ -288,8 +316,7 @@ fn emit_events(args: &Args) -> Result<(), Failure> {
     }
     if let Some(path) = args.get("--trace-out") {
         let doc = mbp::events_export::chrome_trace_json(&events, dropped);
-        std::fs::write(path, format!("{doc:#}\n"))
-            .map_err(|e| Failure::internal(format!("cannot write {path}: {e}")))?;
+        write_file(path, format!("{doc:#}\n"))?;
         eprintln!(
             "mbpsim: wrote {} events ({} dropped) to {path}",
             events.len(),
@@ -297,8 +324,7 @@ fn emit_events(args: &Args) -> Result<(), Failure> {
         );
     }
     if let Some(path) = args.get("--events-out") {
-        std::fs::write(path, mbp::events_export::events_jsonl(&events))
-            .map_err(|e| Failure::internal(format!("cannot write {path}: {e}")))?;
+        write_file(path, mbp::events_export::events_jsonl(&events))?;
     }
     Ok(())
 }
@@ -307,7 +333,7 @@ fn emit_events(args: &Args) -> Result<(), Failure> {
 /// `metrics` object (creating one for documents without it), writes it to
 /// `--metrics-out` when requested, and prints the one-screen summary on
 /// stderr. Call after the simulation work, so the metrics cover it.
-fn emit_metrics(args: &Args, doc: Option<&mut mbp::json::Value>) -> Result<(), Failure> {
+fn emit_metrics(args: &Args, doc: Option<&mut Value>) -> Result<(), Failure> {
     if !wants_metrics(args) {
         return Ok(());
     }
@@ -331,32 +357,18 @@ fn emit_metrics(args: &Args, doc: Option<&mut mbp::json::Value>) -> Result<(), F
                 }
             }
         }
-        // Lift the run's opt-in observability sections into the metrics
-        // file, so `mbpsim report` and `stats-diff` see them there too.
+        // Lift the document's opt-in sections to the metrics file's top
+        // level, so `mbpsim report` and `stats-diff` see them there too.
         if let Some(out) = pipeline.as_object_mut() {
-            if let Some(ts) = doc.get("metrics").and_then(|m| m.get("timeseries")) {
-                out.insert("timeseries", ts.clone());
-            }
-            if let Some(intro) = doc.get("introspection") {
-                out.insert("introspection", intro.clone());
-            }
-            // The forensic report, so `mbpsim report` renders its section
-            // from the flat metrics file too.
-            if let Some(forensics) = doc.get("forensics") {
-                out.insert("forensics", forensics.clone());
-            }
-            // Phase-sampling summaries: single runs carry a top-level
-            // `simpoint` section, sweeps a `metadata.sampling` object.
-            if let Some(sp) = doc.get("simpoint") {
-                out.insert("simpoint", sp.clone());
-            } else if let Some(sp) = doc.get("metadata").and_then(|m| m.get("sampling")) {
-                out.insert("simpoint", sp.clone());
+            for section in Section::ALL {
+                if let Some(value) = section.find(doc) {
+                    out.insert(section.name(), value.clone());
+                }
             }
         }
     }
     if let Some(path) = args.get("--metrics-out") {
-        std::fs::write(path, format!("{pipeline:#}\n"))
-            .map_err(|e| Failure::internal(format!("cannot write {path}: {e}")))?;
+        write_file(path, format!("{pipeline:#}\n"))?;
     }
     eprintln!("{}", mbp::report::human_summary(stats));
     Ok(())
@@ -406,13 +418,54 @@ fn codec_for(path: &Path) -> Option<(Codec, u32)> {
 
 fn cmd_run(args: &Args) -> Result<ExitCode, Failure> {
     let name = args.required("--predictor")?;
-    let mut predictor = by_name(name)
-        .ok_or_else(|| Failure::usage(format!("unknown predictor {name:?}; try `mbpsim list`")))?;
-    let trace_path = args.required("--trace")?;
-    let mut trace = SbbtReader::open(trace_path)
-        .map_err(|e| Failure::trace(format!("cannot open {trace_path}: {e}")))?;
-    let mut config = sim_config(args)?;
+    let predictor = predictor(name)?;
+    simulate_one(args, name, predictor, args.required("--trace")?, false)
+}
+
+/// `mbpsim explain <trace> <predictor>` — a run with the forensics engine
+/// armed: the printed document carries a versioned `forensics` section
+/// (top-K hard-to-predict branches with component attribution and the
+/// misprediction coverage curve) alongside the usual run output.
+fn cmd_explain(args: &Args) -> Result<ExitCode, Failure> {
+    let (trace_path, name) = match args.positional().as_slice() {
+        [trace, predictor] => (*trace, *predictor),
+        // Flag spelling, for symmetry with `run`.
+        [] => (args.required("--trace")?, args.required("--predictor")?),
+        _ => {
+            return Err(Failure::usage(
+                "expected: mbpsim explain <trace> <predictor> [--top K]",
+            ))
+        }
+    };
+    simulate_one(args, name, predictor(name)?, trace_path, true)
+}
+
+/// The body of `run` and `explain`: one predictor over one trace, printed
+/// as one document. `explain` arms the forensics engine with `--top`,
+/// labels the progress line and writes the document to `--out` if given.
+fn simulate_one(
+    args: &Args,
+    name: &str,
+    mut predictor: Box<dyn Predictor + Send>,
+    trace_path: &str,
+    explain: bool,
+) -> Result<ExitCode, Failure> {
+    let mut trace = open_trace(trace_path)?;
+    let forensics = if explain {
+        let top_limit = args.parsed("--top", mbp::sim::ForensicsConfig::default().top_limit)?;
+        if top_limit == 0 {
+            return Err(Failure::usage("--top must be at least 1"));
+        }
+        Some(mbp::sim::ForensicsConfig { top_limit })
+    } else {
+        None
+    };
+    let mut config = SimConfig {
+        forensics,
+        ..sim_config(args)?
+    };
     setup_events(args)?;
+    let label = explain.then_some("explain");
     // Telemetry wants a (single-slot) status board so /snapshot carries a
     // predictor row, which the driver fills while it scores; without the
     // flag the run pays for neither.
@@ -422,7 +475,7 @@ fn cmd_run(args: &Args) -> Result<ExitCode, Failure> {
     let telemetry = start_telemetry(
         args,
         mbp::telemetry::TelemetryState {
-            kind: "run",
+            kind: label.unwrap_or("run"),
             board: board.clone(),
             ..Default::default()
         },
@@ -432,7 +485,7 @@ fn cmd_run(args: &Args) -> Result<ExitCode, Failure> {
         config.status = Some((std::sync::Arc::clone(b), 0));
     }
     let total = expected_instructions(trace.header().instruction_count, &config);
-    let progress = mbp::progress::Progress::start(total, None, args.flag("--quiet"));
+    let progress = mbp::progress::Progress::start(label, total, None, args.flag("--quiet"));
     let result = simulate(&mut trace, &mut predictor, &config);
     progress.finish();
     if let Some(b) = &board {
@@ -448,69 +501,14 @@ fn cmd_run(args: &Args) -> Result<ExitCode, Failure> {
         server.finish(hold, None);
     }
     emit_events(args)?;
-    let result = result.map_err(|e| Failure::trace(format!("simulation failed: {e}")))?;
+    let mut result = result.map_err(|e| Failure::trace(format!("simulation failed: {e}")))?;
     emit_timeseries_csv(args, &[(None, result.timeseries.as_ref())])?;
+    result.metadata.trace = trace_path.into();
     let mut doc = result.to_json();
-    if let Some(meta) = doc
-        .as_object_mut()
-        .and_then(|o| o.get_mut("metadata"))
-        .and_then(|m| m.as_object_mut())
-    {
-        meta.insert("trace", trace_path);
-    }
     emit_metrics(args, Some(&mut doc))?;
-    println!("{doc:#}");
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `mbpsim explain <trace> <predictor>` — a run with the forensics engine
-/// armed: the printed document carries a versioned `forensics` section
-/// (top-K hard-to-predict branches with component attribution and the
-/// misprediction coverage curve) alongside the usual run output.
-fn cmd_explain(args: &Args) -> Result<ExitCode, Failure> {
-    let positional = args.positional();
-    let (trace_path, name) = match positional.as_slice() {
-        [trace, predictor] => (*trace, *predictor),
-        // Flag spelling, for symmetry with `run`.
-        [] => (args.required("--trace")?, args.required("--predictor")?),
-        _ => {
-            return Err(Failure::usage(
-                "expected: mbpsim explain <trace> <predictor> [--top K]",
-            ))
-        }
-    };
-    let mut predictor = by_name(name)
-        .ok_or_else(|| Failure::usage(format!("unknown predictor {name:?}; try `mbpsim list`")))?;
-    let mut trace = SbbtReader::open(trace_path)
-        .map_err(|e| Failure::trace(format!("cannot open {trace_path}: {e}")))?;
-    let top_limit: usize = args.parsed("--top", mbp::sim::ForensicsConfig::default().top_limit)?;
-    if top_limit == 0 {
-        return Err(Failure::usage("--top must be at least 1"));
-    }
-    let mut config = sim_config(args)?;
-    config.forensics = Some(mbp::sim::ForensicsConfig { top_limit });
-    setup_events(args)?;
-    let total = expected_instructions(trace.header().instruction_count, &config);
-    let progress =
-        mbp::progress::Progress::start_labeled(Some("explain"), total, None, args.flag("--quiet"));
-    let result = simulate(&mut trace, &mut predictor, &config);
-    progress.finish();
-    emit_events(args)?;
-    let result = result.map_err(|e| Failure::trace(format!("simulation failed: {e}")))?;
-    emit_timeseries_csv(args, &[(None, result.timeseries.as_ref())])?;
-    let mut doc = result.to_json();
-    if let Some(meta) = doc
-        .as_object_mut()
-        .and_then(|o| o.get_mut("metadata"))
-        .and_then(|m| m.as_object_mut())
-    {
-        meta.insert("trace", trace_path);
-    }
-    emit_metrics(args, Some(&mut doc))?;
-    match args.get("--out") {
+    match args.get("--out").filter(|_| explain) {
         Some(path) => {
-            std::fs::write(path, format!("{doc:#}\n"))
-                .map_err(|e| Failure::internal(format!("cannot write {path}: {e}")))?;
+            write_file(path, format!("{doc:#}\n"))?;
             eprintln!("mbpsim: wrote forensic report to {path}");
         }
         None => println!("{doc:#}"),
@@ -523,13 +521,9 @@ fn cmd_compare(args: &Args) -> Result<ExitCode, Failure> {
     let (a, b) = names
         .split_once(',')
         .ok_or_else(|| Failure::usage("expected --predictors <a>,<b>"))?;
-    let mut pa =
-        by_name(a.trim()).ok_or_else(|| Failure::usage(format!("unknown predictor {a:?}")))?;
-    let mut pb =
-        by_name(b.trim()).ok_or_else(|| Failure::usage(format!("unknown predictor {b:?}")))?;
-    let trace_path = args.required("--trace")?;
-    let mut trace = SbbtReader::open(trace_path)
-        .map_err(|e| Failure::trace(format!("cannot open {trace_path}: {e}")))?;
+    let mut pa = predictor(a.trim())?;
+    let mut pb = predictor(b.trim())?;
+    let mut trace = open_trace(args.required("--trace")?)?;
     setup_events(args)?;
     let result = simulate_comparison(&mut trace, &mut pa, &mut pb, &sim_config(args)?);
     emit_events(args)?;
@@ -544,10 +538,7 @@ fn cmd_sweep(args: &Args) -> Result<ExitCode, Failure> {
     let names = args.required("--predictors")?;
     let mut predictors = Vec::new();
     for name in names.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        let p = by_name(name).ok_or_else(|| {
-            Failure::usage(format!("unknown predictor {name:?}; try `mbpsim list`"))
-        })?;
-        predictors.push((name.to_string(), p));
+        predictors.push((name.to_string(), predictor(name)?));
     }
     if predictors.is_empty() {
         return Err(Failure::usage("expected --predictors <a>,<b>,..."));
@@ -595,18 +586,13 @@ fn cmd_sweep(args: &Args) -> Result<ExitCode, Failure> {
                     )));
                 }
             }
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| Failure::trace(format!("cannot read {path}: {e}")))?;
-            let doc: mbp::json::Value = text
-                .parse()
-                .map_err(|e| Failure::trace(format!("cannot parse {path}: {e}")))?;
+            let doc = load_json(path, Failure::trace)?;
             let plan = mbp::sim::PhasesDoc::from_json(&doc)
                 .map_err(|e| Failure::trace(format!("{path}: {e}")))?;
             Some(plan)
         }
     };
-    let mut trace = SbbtReader::open(trace_path)
-        .map_err(|e| Failure::trace(format!("cannot open {trace_path}: {e}")))?;
+    let mut trace = open_trace(trace_path)?;
     mbp::shutdown::install();
     // Telemetry wants the live per-predictor board; without the flag the
     // sweep engine skips all status publishing (config.status = None).
@@ -649,7 +635,8 @@ fn cmd_sweep(args: &Args) -> Result<ExitCode, Failure> {
     let total = expected_instructions(trace.header().instruction_count, &config.sim)
         .map(|per| per.saturating_mul(predictor_count as u64));
     let sampled_fraction = config.phases.as_ref().map(|p| p.planned_fraction());
-    let progress = mbp::progress::Progress::start(total, sampled_fraction, args.flag("--quiet"));
+    let progress =
+        mbp::progress::Progress::start(None, total, sampled_fraction, args.flag("--quiet"));
     let result = simulate_many(&mut trace, predictors, &config);
     progress.finish();
     if let Some((server, hold)) = telemetry {
@@ -711,8 +698,7 @@ fn cmd_simpoint(args: &Args) -> Result<ExitCode, Failure> {
         return Err(Failure::usage("--clusters must be at least 1"));
     }
     let warmup_windows: usize = args.parsed("--warmup-windows", 1usize)?;
-    let mut trace = SbbtReader::open(trace_path)
-        .map_err(|e| Failure::trace(format!("cannot open {trace_path}: {e}")))?;
+    let mut trace = open_trace(trace_path)?;
     setup_events(args)?;
     let records = trace
         .read_all()
@@ -723,8 +709,7 @@ fn cmd_simpoint(args: &Args) -> Result<ExitCode, Failure> {
     let doc = plan.to_json();
     match args.get("--out") {
         Some(path) => {
-            std::fs::write(path, format!("{doc:#}\n"))
-                .map_err(|e| Failure::internal(format!("cannot write {path}: {e}")))?;
+            write_file(path, format!("{doc:#}\n"))?;
             eprintln!(
                 "mbpsim: {} windows -> {} phases ({:.1}% of instructions planned), wrote {path}",
                 plan.num_windows,
@@ -794,14 +779,8 @@ fn cmd_stats_diff(args: &Args) -> Result<ExitCode, Failure> {
     if !threshold_pct.is_finite() || threshold_pct < 0.0 {
         return Err(Failure::usage("--threshold must be a non-negative percent"));
     }
-    let load = |path: &str| -> Result<mbp::json::Value, Failure> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| Failure::internal(format!("cannot read {path}: {e}")))?;
-        text.parse()
-            .map_err(|e| Failure::internal(format!("cannot parse {path}: {e}")))
-    };
-    let a = load(baseline)?;
-    let b = load(candidate)?;
+    let a = load_json(baseline, Failure::internal)?;
+    let b = load_json(candidate, Failure::internal)?;
     let report = mbp::diff::diff_metrics(&a, &b, &mbp::diff::DiffOptions { threshold_pct });
     print!("{}", report.render());
     if report.has_regressions() {
@@ -818,16 +797,10 @@ fn cmd_report(args: &Args) -> Result<ExitCode, Failure> {
             "expected: mbpsim report <metrics.json> [--out <report.html>]",
         ));
     };
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| Failure::internal(format!("cannot read {path}: {e}")))?;
-    let doc: mbp::json::Value = text
-        .parse()
-        .map_err(|e| Failure::internal(format!("cannot parse {path}: {e}")))?;
-    let html = mbp::html_report::render_html(&doc);
+    let html = mbp::html_report::render_html(&load_json(path, Failure::internal)?);
     match args.get("--out") {
         Some(out) => {
-            std::fs::write(out, &html)
-                .map_err(|e| Failure::internal(format!("cannot write {out}: {e}")))?;
+            write_file(out, &html)?;
             eprintln!("mbpsim: wrote {} bytes to {out}", html.len());
         }
         None => print!("{html}"),
@@ -842,11 +815,7 @@ fn cmd_validate_trace(args: &Args) -> Result<ExitCode, Failure> {
             "expected: mbpsim validate-trace <run.trace.json>",
         ));
     };
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| Failure::internal(format!("cannot read {path}: {e}")))?;
-    let doc: mbp::json::Value = text
-        .parse()
-        .map_err(|e| Failure::internal(format!("cannot parse {path}: {e}")))?;
+    let doc = load_json(path, Failure::internal)?;
     let check = mbp::events_export::validate_chrome_trace(&doc)
         .map_err(|e| Failure::internal(format!("{path}: {e}")))?;
     println!(
@@ -865,9 +834,7 @@ fn cmd_translate(args: &Args) -> Result<ExitCode, Failure> {
             .map_err(|e| Failure::trace(format!("cannot parse {from_name}: {e}")))?;
         trace.records().collect::<Vec<_>>()
     } else {
-        let mut reader = SbbtReader::open(&from)
-            .map_err(|e| Failure::trace(format!("cannot open {from_name}: {e}")))?;
-        reader
+        open_trace(&from_name)?
             .read_all()
             .map_err(|e| Failure::trace(format!("cannot read {from_name}: {e}")))?
     };
@@ -880,8 +847,7 @@ fn cmd_translate(args: &Args) -> Result<ExitCode, Failure> {
                 .map_err(|e| Failure::internal(format!("compress failed: {e}")))?,
             None => text.into_bytes(),
         };
-        std::fs::write(&to, bytes)
-            .map_err(|e| Failure::internal(format!("cannot write {to_name}: {e}")))?;
+        write_file(&to_name, bytes)?;
     } else {
         match codec_for(&to) {
             Some((codec, level)) => {
@@ -934,8 +900,7 @@ fn cmd_top(args: &Args) -> Result<ExitCode, Failure> {
 
 fn cmd_info(args: &Args) -> Result<ExitCode, Failure> {
     let trace_path = args.required("--trace")?;
-    let mut reader = SbbtReader::open(trace_path)
-        .map_err(|e| Failure::trace(format!("cannot open {trace_path}: {e}")))?;
+    let mut reader = open_trace(trace_path)?;
     let header = *reader.header();
     let mut conditional = 0u64;
     let mut taken = 0u64;

@@ -3,10 +3,9 @@
 //!
 //! The metrics schema (see `DESIGN.md`) has fixed sections — the pipeline
 //! sections of [`mbp_stats::PipelineStats::rows`] (`decode` … `generation`),
-//! plus the opt-in `timeseries`, `introspection`, `simpoint` and
-//! `forensics` sections — of numeric leaves. The diff walks both documents
-//! in that order, flattens every numeric leaf to a dotted path, and
-//! classifies each delta:
+//! plus the opt-in sections of [`mbp_core::Section::ALL`] — of numeric
+//! leaves. The diff walks both documents in that order, flattens every
+//! numeric leaf to a dotted path, and classifies each delta:
 //!
 //! * **time-like** metrics (`*time_s`, `*_busy_s`, fault counters) regress
 //!   when they *grow* beyond the threshold;
@@ -24,13 +23,11 @@
 //! golden-fixture test; [`DiffReport::has_regressions`] drives the nonzero
 //! exit code.
 
+use mbp_core::Section;
 use mbp_json::{Map, Value};
 
-/// The opt-in sections, diffed after the pipeline sections.
-const OPT_IN_SECTIONS: [&str; 4] = ["timeseries", "introspection", "simpoint", "forensics"];
-
 /// The fixed section order of the metrics schema: the pipeline sections in
-/// table order, then the opt-in ones.
+/// table order, then the opt-in ones in [`Section::ALL`] order.
 fn sections() -> Vec<&'static str> {
     let mut sections = Vec::new();
     for row in mbp_stats::PipelineStats::new().rows() {
@@ -38,7 +35,7 @@ fn sections() -> Vec<&'static str> {
             sections.push(row.section);
         }
     }
-    sections.extend(OPT_IN_SECTIONS);
+    sections.extend(Section::ALL.map(Section::name));
     sections
 }
 

@@ -5,10 +5,11 @@
 //!
 //! The renderer is deliberately permissive about document shape: it accepts
 //! the output of `mbpsim run`/`compare`/`sweep` as well as the flat
-//! `--metrics-out` schema, looking for a `timeseries` object either at the
-//! top level or under `metrics`, and for probe reports under
-//! `introspection`.
+//! `--metrics-out` schema, looking for each opt-in section where the
+//! section table ([`mbp_core::Section`]) places it in a run document, or at
+//! the top level.
 
+use mbp_core::Section;
 use mbp_json::Value;
 
 static NULL: Value = Value::Null;
@@ -210,15 +211,15 @@ fn introspection_section(intro: &Value) -> String {
     out
 }
 
-/// Renders the scalar leaves of a `metrics` object (the timeseries child,
-/// rendered separately, is skipped).
+/// Renders the scalar leaves of a `metrics` object (an opt-in section
+/// nested there, rendered separately, is skipped).
 fn metrics_section(metrics: &Value) -> String {
     let Some(map) = metrics.as_object() else {
         return String::new();
     };
     let mut out = String::from("<section><h2>Metrics</h2><table>");
     for (key, value) in map.iter() {
-        if key == "timeseries" {
+        if Section::ALL.iter().any(|s| s.name() == key) {
             continue;
         }
         out.push_str(&format!(
@@ -317,26 +318,32 @@ fn render_doc_sections(doc: &Value, out: &mut String) {
     if !metrics.is_null() {
         out.push_str(&metrics_section(metrics));
     }
-    let ts = match field(metrics, "timeseries") {
-        Value::Null => field(doc, "timeseries"),
-        nested => nested,
-    };
-    if !ts.is_null() {
-        out.push_str(&timeseries_section(ts));
-    }
+    opt_in_sections(doc, true, out);
     let stats = field(doc, "predictor_statistics");
     if !stats.is_null() {
         out.push_str("<section><h2>Predictor statistics</h2>");
         out.push_str(&kv_table(stats));
         out.push_str("</section>");
     }
-    let forensics = field(doc, "forensics");
-    if !forensics.is_null() {
-        out.push_str(&forensics_section(forensics));
-    }
-    let intro = field(doc, "introspection");
-    if !intro.is_null() {
-        out.push_str(&introspection_section(intro));
+    opt_in_sections(doc, false, out);
+}
+
+/// Renders, in table order, the opt-in sections a run document nests in
+/// an object (`nested`) or carries at its top level; a flat `--metrics-out`
+/// document carries them all at its top level.
+fn opt_in_sections(doc: &Value, nested: bool, out: &mut String) {
+    for section in Section::ALL
+        .into_iter()
+        .filter(|s| s.place().parent.is_some() == nested)
+    {
+        out.push_str(&match (section, section.find(doc)) {
+            (_, None | Some(Value::Null)) => continue,
+            (Section::Timeseries, Some(v)) => timeseries_section(v),
+            (Section::Forensics, Some(v)) => forensics_section(v),
+            (Section::Introspection, Some(v)) => introspection_section(v),
+            // The phase-sampling summary has no view of its own.
+            (Section::Simpoint, Some(_)) => continue,
+        });
     }
 }
 

@@ -87,25 +87,16 @@ pub struct Progress {
 impl Progress {
     /// Starts the reporter thread.
     ///
-    /// `total_instructions` is the expected instruction total of the whole
-    /// command (for a sweep: per-predictor instructions × predictors), used
-    /// for the completion percentage and ETA; pass `None` when unknown.
+    /// `label` leads every repaint, so a forensic `explain` pass is
+    /// distinguishable from a plain run at a glance. `total_instructions`
+    /// is the expected instruction total of the whole command (for a
+    /// sweep: per-predictor instructions × predictors), used for the
+    /// completion percentage and ETA; pass `None` when unknown.
     /// `sampled_fraction` is the sampling plan's planned simulated fraction
     /// when `--phases` is active; the slice counter comes from the pipeline
     /// statics. Returns an inert handle — no thread, no output — when
     /// `quiet` is set or stderr is not a terminal.
     pub fn start(
-        total_instructions: Option<u64>,
-        sampled_fraction: Option<f64>,
-        quiet: bool,
-    ) -> Self {
-        Self::start_labeled(None, total_instructions, sampled_fraction, quiet)
-    }
-
-    /// [`Progress::start`] with a leading mode label on every repaint, so a
-    /// forensic `explain` pass is distinguishable from a plain run at a
-    /// glance.
-    pub fn start_labeled(
         label: Option<&'static str>,
         total_instructions: Option<u64>,
         sampled_fraction: Option<f64>,
@@ -247,7 +238,7 @@ mod tests {
         // In a test harness stderr is typically not a TTY either, but the
         // quiet flag must force inertness regardless of environment — with
         // or without sampling state.
-        let p = Progress::start(Some(1_000_000), Some(0.3), true);
+        let p = Progress::start(None, Some(1_000_000), Some(0.3), true);
         assert!(p.handle.is_none());
         p.finish();
     }

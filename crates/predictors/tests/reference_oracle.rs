@@ -1,17 +1,18 @@
-//! Naive reference predictors: an independent oracle for TAGE, BATAGE and
-//! the hashed perceptron.
+//! Naive reference predictors: an independent oracle for TAGE, BATAGE,
+//! the hashed perceptron, 2bc-gskew and the tournament.
 //!
 //! Golden vectors pin what the predictors did when they were blessed, not
 //! whether it was right. The stock predictors index their tables from an
 //! ip memo, a circular history with a bank of incrementally updated folds,
-//! and a lookup `predict` leaves for `train`. The references below keep the
-//! same table-update rules but none of that machinery: every lookup folds
-//! each table's whole history window with `HistoryRegister::fold` and
-//! hashes the ip afresh with `xor_fold`/`mix64`, and `train` repeats the
-//! lookup. The stock predictor runs through `predict_batch` and through
-//! `simulate`, as a run does; the reference runs the scalar calls. Each
-//! test requires the same prediction bitstream and the same misprediction
-//! count over:
+//! a register-history batch kernel, and a lookup `predict` leaves for
+//! `train`. The references below keep the same table-update rules but none
+//! of that machinery: every lookup folds each table's whole history window
+//! with `HistoryRegister::fold` (or reads it bit by bit) and hashes the ip
+//! afresh with `xor_fold`/`mix64`, and `train` repeats the lookup. The
+//! stock predictor runs through `predict_batch`, through the scalar calls
+//! and through `simulate`, as runs do; the reference runs the scalar calls.
+//! Each test requires the same prediction bitstream and the same
+//! misprediction count over:
 //!
 //! * the `mbp-workloads` suites (the head of every trace);
 //! * hard-to-predict generator settings after "Workload Characterization
@@ -25,7 +26,10 @@ use mbp_core::{
     json, simulate, Branch, BranchBatch, BranchRecord, Opcode, PredictionBits, Predictor,
     SimConfig, SliceSource, Value,
 };
-use mbp_predictors::{Batage, BatageConfig, HashedPerceptron, Tage, TageConfig};
+use mbp_predictors::{
+    Batage, BatageConfig, Bimodal, Gshare, HashedPerceptron, Tage, TageConfig, Tournament,
+    TwoBcGskew,
+};
 use mbp_utils::{
     mix64, xor_fold, HistoryRegister, IpMemo, SatCounter, USatCounter, Xorshift64, I2,
 };
@@ -488,6 +492,172 @@ impl Predictor for RefPerceptron {
     }
 }
 
+// ------------------------------------------------------------ 2bc-gskew --
+
+/// The `bits` most recent outcomes of `hist`, read bit by bit, the latest
+/// in bit 0.
+fn recent(hist: &HistoryRegister, bits: u32) -> u64 {
+    (0..bits as usize).fold(0, |h, i| h | (hist.bit(i) as u64) << i)
+}
+
+/// 2bc-gskew (Seznec & Michaud): a bimodal bank, two skewed global-history
+/// banks and a chooser, every index computed from the full history register
+/// on every call.
+struct RefGskew {
+    /// `[BIM, G0, G1, META]`.
+    banks: [Vec<I2>; 4],
+    hist: HistoryRegister,
+    hist_len: u32,
+    log_size: u32,
+}
+
+impl RefGskew {
+    fn new(hist_len: u32, log_size: u32) -> Self {
+        Self {
+            banks: std::array::from_fn(|_| vec![I2::default(); 1 << log_size]),
+            hist: HistoryRegister::new(hist_len as usize),
+            hist_len,
+            log_size,
+        }
+    }
+
+    /// `BIM` reads the address; `G0` half the history, `G1` all of it, each
+    /// through its own skewing mix; `META` the address and a quarter of the
+    /// history (at least one outcome).
+    fn indices(&self, ip: u64) -> [usize; 4] {
+        let fold = |v: u64| xor_fold(v, self.log_size) as usize;
+        let skew =
+            |bank: u64, h: u64| fold(mix64(ip ^ h.rotate_left(bank as u32 * 7) ^ (bank << 61)));
+        [
+            fold(ip),
+            skew(1, recent(&self.hist, self.hist_len / 2)),
+            skew(2, recent(&self.hist, self.hist_len)),
+            fold(ip ^ (recent(&self.hist, (self.hist_len / 4).max(1)) << 1)),
+        ]
+    }
+
+    /// The four banks' directions, the e-gskew majority and the prediction.
+    fn lookup(&self, idx: [usize; 4]) -> ([bool; 4], bool, bool) {
+        let dirs: [bool; 4] = std::array::from_fn(|b| self.banks[b][idx[b]].is_taken());
+        let majority = dirs[..3].iter().filter(|&&d| d).count() >= 2;
+        (dirs, majority, if dirs[3] { majority } else { dirs[0] })
+    }
+}
+
+impl Predictor for RefGskew {
+    fn predict(&mut self, ip: u64) -> bool {
+        self.lookup(self.indices(ip)).2
+    }
+
+    fn train(&mut self, branch: &Branch) {
+        let taken = branch.is_taken();
+        let idx = self.indices(branch.ip());
+        let (dirs, majority, prediction) = self.lookup(idx);
+        // Partial update: the chooser learns only when BIM and the majority
+        // disagree; a misprediction retrains the three direction banks, a
+        // correct prediction strengthens only the banks that made it.
+        if dirs[0] != majority {
+            self.banks[3][idx[3]].sum_or_sub(majority == taken);
+        }
+        for b in 0..3 {
+            let made_it = if dirs[3] { dirs[b] == taken } else { b == 0 };
+            if prediction != taken || made_it {
+                self.banks[b][idx[b]].sum_or_sub(taken);
+            }
+        }
+    }
+
+    fn track(&mut self, branch: &Branch) {
+        self.hist.push(branch.is_taken());
+    }
+
+    fn metadata(&self) -> Value {
+        json!({"name": "reference 2bc-gskew"})
+    }
+}
+
+// ----------------------------------------------------------- tournament --
+
+/// A table of two-bit counters indexed by `xor_fold(ip ^ history)`, the
+/// history read bit by bit: bimodal (Smith) with no history, GShare
+/// (McFarling) with some.
+struct RefTwoBit {
+    table: Vec<I2>,
+    hist: Option<HistoryRegister>,
+    log_size: u32,
+}
+
+impl RefTwoBit {
+    fn new(hist_len: u32, log_size: u32) -> Self {
+        Self {
+            table: vec![I2::default(); 1 << log_size],
+            hist: (hist_len > 0).then(|| HistoryRegister::new(hist_len as usize)),
+            log_size,
+        }
+    }
+
+    fn index(&self, ip: u64) -> usize {
+        let h = self.hist.as_ref().map_or(0, |h| recent(h, h.len() as u32));
+        xor_fold(ip ^ h, self.log_size) as usize
+    }
+}
+
+impl Predictor for RefTwoBit {
+    fn predict(&mut self, ip: u64) -> bool {
+        self.table[self.index(ip)].is_taken()
+    }
+
+    fn train(&mut self, branch: &Branch) {
+        let i = self.index(branch.ip());
+        self.table[i].sum_or_sub(branch.is_taken());
+    }
+
+    fn track(&mut self, branch: &Branch) {
+        if let Some(h) = &mut self.hist {
+            h.push(branch.is_taken());
+        }
+    }
+}
+
+/// The tournament (McFarling): a chooser picks one of two components; it
+/// trains only when they disagree, toward the one that was right, through a
+/// branch whose outcome says "component 1 was right". Every call asks the
+/// components afresh.
+struct RefTournament {
+    meta: RefTwoBit,
+    bp: [RefTwoBit; 2],
+}
+
+impl Predictor for RefTournament {
+    fn predict(&mut self, ip: u64) -> bool {
+        let provider = self.meta.predict(ip) as usize;
+        self.bp[provider].predict(ip)
+    }
+
+    fn train(&mut self, branch: &Branch) {
+        let ip = branch.ip();
+        let [p0, p1] = [self.bp[0].predict(ip), self.bp[1].predict(ip)];
+        for bp in &mut self.bp {
+            bp.train(branch);
+        }
+        if p0 != p1 {
+            self.meta
+                .train(&branch.with_outcome(p1 == branch.is_taken()));
+        }
+    }
+
+    fn track(&mut self, branch: &Branch) {
+        self.meta.track(branch);
+        for bp in &mut self.bp {
+            bp.track(branch);
+        }
+    }
+
+    fn metadata(&self) -> Value {
+        json!({"name": "reference tournament"})
+    }
+}
+
 // ------------------------------------------------------------- inputs --
 
 /// Records from the head of every trace of the stock suites.
@@ -606,9 +776,11 @@ fn memo_stream(records: usize) -> Vec<BranchRecord> {
 
 // ------------------------------------------------------------ checks --
 
-/// Runs `stock` through `predict_batch` over the whole trace and a fresh
-/// `stock` through `simulate`, the reference through the scalar calls,
-/// and requires the same bitstream and misprediction count.
+/// Runs `stock` through `predict_batch` over the whole trace, a fresh
+/// `stock` through the scalar calls (which a batch kernel, and so its
+/// lookup cache, never sees) and another through `simulate`, the reference
+/// through the scalar calls, and requires the same bitstream and
+/// misprediction count.
 fn assert_matches_reference(
     label: &str,
     mut make_stock: impl FnMut() -> Box<dyn Predictor>,
@@ -619,6 +791,7 @@ fn assert_matches_reference(
     let mut bits = PredictionBits::new();
     stock.predict_batch(&BranchBatch::from_records(records), false, &mut bits);
 
+    let mut scalar = make_stock();
     let mut k = 0;
     let mut reference_misses = 0u64;
     for rec in records {
@@ -632,11 +805,19 @@ fn assert_matches_reference(
                 "{label}: prediction {k} (ip {:#x}) differs from the reference",
                 b.ip()
             );
+            assert_eq!(
+                scalar.predict(b.ip()),
+                want,
+                "{label}: scalar prediction {k} (ip {:#x}) differs from the reference",
+                b.ip()
+            );
             reference_misses += (want != b.is_taken()) as u64;
             reference.train(&b);
+            scalar.train(&b);
             k += 1;
         }
         reference.track(&b);
+        scalar.track(&b);
     }
     assert_eq!(bits.len(), k, "{label}: prediction counts differ");
 
@@ -719,5 +900,49 @@ fn hashed_perceptron_matches_its_naive_reference() {
         "hashed-perceptron (small)",
         || Box::new(HashedPerceptron::new(vec![4, 8, 16, 32], 12)),
         || Box::new(RefPerceptron::new(&[4, 8, 16, 32], 12)),
+    );
+}
+
+#[test]
+fn gskew_matches_its_naive_reference() {
+    check_all(
+        "2bc-gskew",
+        || Box::new(TwoBcGskew::new(16, 21)),
+        || Box::new(RefGskew::new(16, 21)),
+    );
+    check_all(
+        "2bc-gskew (small)",
+        || Box::new(TwoBcGskew::new(5, 10)),
+        || Box::new(RefGskew::new(5, 10)),
+    );
+}
+
+#[test]
+fn tournament_matches_its_naive_reference() {
+    check_all(
+        "tournament",
+        || Box::new(Tournament::classic(16)),
+        || {
+            Box::new(RefTournament {
+                meta: RefTwoBit::new(0, 16),
+                bp: [RefTwoBit::new(0, 16), RefTwoBit::new(16, 16)],
+            })
+        },
+    );
+    check_all(
+        "tournament (small)",
+        || {
+            Box::new(Tournament::new(
+                Box::new(Bimodal::new(6)),
+                Box::new(Bimodal::new(8)),
+                Box::new(Gshare::new(11, 9)),
+            ))
+        },
+        || {
+            Box::new(RefTournament {
+                meta: RefTwoBit::new(0, 6),
+                bp: [RefTwoBit::new(0, 8), RefTwoBit::new(11, 9)],
+            })
+        },
     );
 }
