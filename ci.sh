@@ -30,9 +30,10 @@ echo "== driver equivalence (batch pipeline vs scalar reference) =="
 cargo test -q -p mbp --test driver_equivalence
 cargo test -q -p mbp --test equivalence
 
-echo "== fault injection (readers fail closed on corrupt traces) =="
+echo "== fault injection (readers fail closed on corrupt traces and checkpoints) =="
 cargo test -q -p mbp-faultsim --test fault_injection
 cargo test -q -p mbp-faultsim --test alloc_bounds
+cargo test -q -p mbp-faultsim --test checkpoint_faults
 
 echo "== observability layer (mbp-stats) =="
 cargo test -q -p mbp-stats

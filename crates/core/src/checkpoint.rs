@@ -199,14 +199,18 @@ impl CheckpointLoad {
 ///
 /// Propagates I/O failures other than the file not existing.
 pub fn load_checkpoint(path: &Path) -> io::Result<CheckpointLoad> {
-    let mut text = String::new();
+    let mut bytes = Vec::new();
     match File::open(path) {
         Ok(mut f) => {
-            f.read_to_string(&mut text)?;
+            f.read_to_end(&mut bytes)?;
         }
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(CheckpointLoad::default()),
         Err(e) => return Err(e),
     }
+    // Not `read_to_string`: a record torn inside a multi-byte character
+    // must end the trusted prefix like any other torn record, not fail the
+    // whole load.
+    let text = String::from_utf8_lossy(&bytes);
     let mut load = CheckpointLoad::default();
     let mut seen: HashSet<String> = HashSet::new();
     let mut first_record = true;

@@ -582,7 +582,6 @@ where
     let mut records = 0u64;
 
     while let Some(rec) = trace.next_record()? {
-        records += 1;
         if let Some(max) = config.max_instructions {
             if st.instructions >= max {
                 st.exhausted = false;
@@ -590,6 +589,7 @@ where
                 break;
             }
         }
+        records += 1;
         st.instructions += rec.instructions();
         let in_measurement = st.instructions > config.warmup_instructions;
         if in_measurement {

@@ -34,24 +34,17 @@ use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, TryLockError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use mbp_json::{json, Value};
 use mbp_trace::{BranchBatch, BranchRecord, TraceError};
 
-use crate::checkpoint::{load_checkpoint, CheckpointWriter};
+use crate::checkpoint::{load_checkpoint, CheckpointLoad, CheckpointWriter};
 use crate::simpoint::{sample, PhasesDoc};
 use crate::simulator::{simulate, SimConfig, SimResult};
 use crate::status::{PredictorState, SweepStatusBoard};
 use crate::{Predictor, Section, SliceSource, TraceSource};
-
-/// A named predictor awaiting simulation, claimed by exactly one worker.
-type WorkSlot = Mutex<Option<(String, Box<dyn Predictor + Send>)>>;
-/// A finished predictor's outcome, written exactly once — by its worker,
-/// or by the watchdog if the worker was abandoned. A worker failure is
-/// data, not a crash of the sweep.
-type DoneSlot = Mutex<Option<Result<SimResult, SweepFailure>>>;
 
 /// Configuration of a sweep run.
 #[derive(Clone, Debug, Default)]
@@ -280,38 +273,63 @@ impl SweepResult {
     }
 }
 
-/// Per-job coordination state shared between its worker and the monitor.
-struct JobState {
-    /// Nanoseconds (since pool start, min 1) when simulation began; 0 while
-    /// the job is unclaimed or waiting for admission. The deadline clock
-    /// starts here, so admission waits don't count against the budget.
+/// How one job ended.
+#[derive(Clone)]
+enum Outcome {
+    /// Simulated to the end. Boxed: a result is hundreds of bytes.
+    Ran(Box<SimResult>),
+    /// Panicked, hit a trace error, or blew its deadline or memory budget.
+    Failed(SweepFailure),
+    /// Never started: a shutdown drain took it from the queue or from the
+    /// admission wait.
+    NotRun,
+}
+
+/// One predictor's record, shared by its worker, the monitor and
+/// collection.
+#[derive(Default)]
+struct Job {
+    name: String,
+    /// The predictor's status-board slot, resolved once; `None` without a
+    /// board.
+    board: Option<(Arc<SweepStatusBoard>, usize)>,
+    /// How the job ended; written once, by [`SweepShared::settle`].
+    outcome: Mutex<Option<Outcome>>,
+    /// Nanoseconds since the sweep's start (min 1) when simulation began; 0
+    /// while the job is unclaimed or waiting for admission. The deadline
+    /// clock starts here, so admission waits don't count against the budget.
     started_ns: AtomicU64,
     /// Progress heartbeat, bumped by the worker once per record batch.
     epoch: AtomicU64,
     /// Set by the watchdog; the worker's trace source observes it at the
     /// next batch boundary and unwinds with [`TraceError::Cancelled`].
     cancel: AtomicBool,
-    /// The admission size hint, kept so the watchdog can return an
-    /// abandoned worker's reservation to the ledger.
-    mem_hint: AtomicU64,
-    /// Whether the reservation was already returned (by the worker's guard
-    /// or by the watchdog) — whoever flips it first does the accounting.
-    mem_released: AtomicBool,
-    /// Set when the watchdog gives up on the worker; its late result (if
-    /// any) is discarded and its memory guard becomes a no-op.
-    abandoned: AtomicBool,
+    /// Size-hint bytes the job holds against the memory budget, stored
+    /// under the ledger's lock; [`SweepShared::release`] swaps it to 0.
+    reserved: AtomicU64,
 }
 
-impl JobState {
-    const fn new() -> Self {
-        Self {
-            started_ns: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
-            cancel: AtomicBool::new(false),
-            mem_hint: AtomicU64::new(0),
-            mem_released: AtomicBool::new(false),
-            abandoned: AtomicBool::new(false),
+impl Job {
+    fn publish(&self, state: PredictorState) {
+        if let Some((board, slot)) = &self.board {
+            board.set_state(*slot, state);
         }
+    }
+
+    /// Whether the job has an outcome; one being written right now counts
+    /// from the next poll.
+    fn settled(&self) -> bool {
+        self.outcome
+            .try_lock()
+            .is_ok_and(|outcome| outcome.is_some())
+    }
+
+    fn failure(&self, kind: FailureKind, message: String) -> Outcome {
+        Outcome::Failed(SweepFailure {
+            name: self.name.clone(),
+            kind,
+            message,
+        })
     }
 }
 
@@ -321,37 +339,76 @@ struct SweepShared {
     description: Value,
     sim: SimConfig,
     deadline: Option<Duration>,
-    names: Vec<String>,
-    queue: Mutex<VecDeque<usize>>,
-    work: Vec<WorkSlot>,
-    done: Vec<DoneSlot>,
-    jobs: Vec<JobState>,
+    jobs: Vec<Job>,
+    /// Unclaimed jobs with their predictors; each is taken once.
+    queue: Mutex<VecDeque<(usize, Box<dyn Predictor + Send>)>>,
     /// Shutdown drain: workers stop claiming, admission waits bail out.
     draining: AtomicBool,
-    /// Indices a drain left unstarted (dumped queue + admission bail-outs).
-    not_run: Mutex<Vec<usize>>,
     mem_budget: Option<u64>,
     /// Bytes of size-hint currently admitted.
     mem_used: Mutex<u64>,
     mem_cv: Condvar,
     start: Instant,
-    writer: Mutex<Option<CheckpointWriter>>,
-    /// First checkpoint-append failure; the sweep finishes (results in
-    /// memory are still good) and the error is surfaced at the end.
-    writer_error: Mutex<Option<io::Error>>,
+    /// The checkpoint writer and its first append failure: the sweep
+    /// finishes (results in memory are still good) and the error is
+    /// surfaced at the end.
+    checkpoint: Mutex<(Option<CheckpointWriter>, Option<io::Error>)>,
     /// Sampling plan: workers run the sampled executor instead of the full
     /// trace when set.
     phases: Option<PhasesDoc>,
-    /// Live status board for the telemetry plane; `None` publishes nothing.
-    status: Option<Arc<SweepStatusBoard>>,
 }
 
-/// Publishes a lifecycle transition for `name` when a board is attached.
-fn publish_state(status: &Option<Arc<SweepStatusBoard>>, name: &str, state: PredictorState) {
-    if let Some(board) = status {
-        if let Some(i) = board.index_of(name) {
-            board.set_state(i, state);
+impl SweepShared {
+    /// Settles job `i` exactly once, whichever way it ended — its worker's
+    /// result or failure, a budget rejection, the watchdog's abandon, or a
+    /// drain: appends a predictor that ran or failed to the checkpoint
+    /// (fsync'd while the outcome lock is held, so a record is durable
+    /// before anyone can observe the job as settled), publishes its board
+    /// state, and writes its outcome. A later call — an abandoned worker's
+    /// late result — finds the outcome written and changes nothing.
+    fn settle(&self, i: usize, outcome: Outcome) {
+        let job = &self.jobs[i];
+        let mut settled = job.outcome.lock().unwrap_or_else(PoisonError::into_inner);
+        if settled.is_some() {
+            return;
         }
+        let mut checkpoint = self
+            .checkpoint
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let (writer, error) = &mut *checkpoint;
+        let appended = match (writer.as_mut(), &outcome) {
+            (Some(writer), Outcome::Ran(result)) => writer.record_result(&job.name, result),
+            (Some(writer), Outcome::Failed(failure)) => writer.record_failure(failure),
+            _ => Ok(()),
+        };
+        if let Err(e) = appended {
+            error.get_or_insert(e);
+        }
+        drop(checkpoint);
+        job.publish(match &outcome {
+            Outcome::Ran(result) => {
+                if let Some((board, slot)) = &job.board {
+                    board.set_totals(
+                        *slot,
+                        result.metadata.simulation_instr,
+                        result.metrics.mispredictions,
+                    );
+                }
+                PredictorState::Settled
+            }
+            Outcome::Failed(_) => PredictorState::Failed,
+            Outcome::NotRun => PredictorState::NotRun,
+        });
+        *settled = Some(outcome);
+    }
+
+    /// Returns job `i`'s memory reservation to the ledger; the swap makes
+    /// the return exactly-once between the job's worker and the watchdog.
+    fn release(&self, i: usize) {
+        let mut used = self.mem_used.lock().unwrap_or_else(PoisonError::into_inner);
+        *used = used.saturating_sub(self.jobs[i].reserved.swap(0, Ordering::Relaxed));
+        self.mem_cv.notify_all();
     }
 }
 
@@ -366,7 +423,7 @@ fn ns_since(start: &Instant) -> u64 {
 /// every result to the real trace.
 struct CancelSource<'a> {
     inner: SliceSource<'a>,
-    job: &'a JobState,
+    job: &'a Job,
 }
 
 impl CancelSource<'_> {
@@ -388,32 +445,6 @@ impl TraceSource for CancelSource<'_> {
     fn fill_batch(&mut self, out: &mut BranchBatch) -> Result<usize, TraceError> {
         self.check()?;
         self.inner.fill_batch(out)
-    }
-}
-
-/// RAII return of an admitted size hint to the ledger. `mem_released`
-/// arbitrates with the watchdog's abandon path: exactly one of them does
-/// the subtraction.
-struct MemGuard<'a> {
-    shared: &'a SweepShared,
-    i: usize,
-    amount: u64,
-}
-
-impl Drop for MemGuard<'_> {
-    fn drop(&mut self) {
-        let mut used = self
-            .shared
-            .mem_used
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if !self.shared.jobs[self.i]
-            .mem_released
-            .swap(true, Ordering::Relaxed)
-        {
-            *used = used.saturating_sub(self.amount);
-            self.shared.mem_cv.notify_all();
-        }
     }
 }
 
@@ -451,13 +482,9 @@ where
     let jobs_legacy = effective_jobs(config.jobs, n_total);
     let stats = &mbp_stats::pipeline().sweep;
 
-    // Resume: anything the checkpoint already settles is lifted straight
-    // into the final report; only the remainder is simulated.
-    let mut resumed_entries: Vec<(String, SimResult)> = Vec::new();
-    let mut resumed_failures: Vec<SweepFailure> = Vec::new();
-    let mut to_run: Vec<(String, Box<dyn Predictor + Send>)> = Vec::new();
+    // Resume: read what the checkpoint already settles.
     let plan_hash = config.phases.as_ref().map(|p| p.doc_hash());
-    match (&config.checkpoint, config.resume) {
+    let load = match (&config.checkpoint, config.resume) {
         (Some(path), true) => {
             let load = load_checkpoint(path)?;
             // A checkpoint binds its records to the sampling plan (or the
@@ -488,55 +515,71 @@ where
                     msg,
                 )));
             }
-            for (name, p) in predictors {
-                if let Some((_, r)) = load.completed.iter().find(|(n, _)| *n == name) {
-                    resumed_entries.push((name, r.clone()));
-                } else if let Some(f) = load.failures.iter().find(|f| f.name == name) {
-                    resumed_failures.push(f.clone());
-                } else {
-                    to_run.push((name, p));
-                }
-            }
-            stats
-                .resume_skips
-                .add((resumed_entries.len() + resumed_failures.len()) as u64);
-            // Checkpointed outcomes are final; show them as such from the
-            // first scrape instead of leaving their slots queued forever.
-            for (name, result) in &resumed_entries {
-                publish_state(&config.status, name, PredictorState::Settled);
-                if let (Some(board), Some(i)) = (
-                    &config.status,
-                    config.status.as_ref().and_then(|b| b.index_of(name)),
-                ) {
-                    board.set_totals(
-                        i,
-                        result.metadata.simulation_instr,
-                        result.metrics.mispredictions,
-                    );
-                }
-            }
-            for f in &resumed_failures {
-                publish_state(&config.status, &f.name, PredictorState::Failed);
-            }
+            load
         }
-        _ => to_run = predictors,
+        _ => CheckpointLoad::default(),
+    };
+
+    // Every predictor is a job. One the checkpoint settles is settled from
+    // it here: before the decode, so its slot shows final from the first
+    // scrape, and before the writer reopens the file, so its record is not
+    // appended twice. Only the rest is queued and simulated.
+    let mut jobs = Vec::with_capacity(n_total);
+    let mut queue = VecDeque::new();
+    let mut resumed = Vec::new();
+    for (i, (name, predictor)) in predictors.into_iter().enumerate() {
+        let checkpointed = match load.completed.iter().find(|(n, _)| *n == name) {
+            Some((_, result)) => Some(Outcome::Ran(Box::new(result.clone()))),
+            None => (load.failures.iter().find(|f| f.name == name))
+                .map(|failure| Outcome::Failed(failure.clone())),
+        };
+        match checkpointed {
+            Some(outcome) => resumed.push((i, outcome)),
+            None => queue.push_back((i, predictor)),
+        }
+        jobs.push(Job {
+            board: (config.status.as_ref())
+                .and_then(|board| Some((Arc::clone(board), board.index_of(&name)?))),
+            name,
+            ..Job::default()
+        });
     }
-    let m = to_run.len();
+    stats.resume_skips.add(resumed.len() as u64);
+    let m = queue.len();
+    let mut shared = SweepShared {
+        records: Vec::new(),
+        description: Value::Null,
+        sim: config.sim.clone(),
+        deadline: config.deadline,
+        jobs,
+        queue: Mutex::new(queue),
+        draining: AtomicBool::new(false),
+        mem_budget: config.mem_budget,
+        mem_used: Mutex::new(0),
+        mem_cv: Condvar::new(),
+        start: Instant::now(),
+        checkpoint: Mutex::default(),
+        phases: config.phases.clone(),
+    };
+    for (i, outcome) in resumed {
+        shared.settle(i, outcome);
+    }
 
     // Phase 1: decode once into shared memory — skipped entirely when the
     // checkpoint already settled every predictor, though the trace is still
     // drained, so a corrupt one fails the sweep before the checkpoint is
     // touched. The pre-size comes from `record_count_hint` — bounded by
     // data the source holds — never from a header-declared count alone.
-    let mut records: Vec<BranchRecord> = Vec::new();
     let mut decode_time = 0.0;
     if m > 0 {
         let decode_start = Instant::now();
         let decode_event = mbp_stats::events::span(mbp_stats::events::EventName::SweepDecode);
-        records.reserve(trace.record_count_hint().unwrap_or(0) as usize);
+        shared
+            .records
+            .reserve(trace.record_count_hint().unwrap_or(0) as usize);
         let mut batch = BranchBatch::new();
         while trace.fill_batch(&mut batch)? > 0 {
-            batch.append_records_to(&mut records);
+            batch.append_records_to(&mut shared.records);
             mbp_stats::events::batch_tick();
         }
         decode_event.finish();
@@ -544,12 +587,13 @@ where
     } else {
         trace.drain()?;
     }
-    let description = trace.description();
+    shared.description = trace.description();
 
     // The sampling plan must describe exactly this trace; a plan extracted
     // from a different trace (or a stale one) would sample nonsense slices.
     if m > 0 {
         if let Some(phases) = &config.phases {
+            let records = &shared.records;
             let instruction_count: u64 = records.iter().map(|r| r.instructions()).sum();
             phases
                 .validate(records.len() as u64, instruction_count)
@@ -565,39 +609,16 @@ where
     if let Some(w) = writer.as_mut() {
         w.set_sampling(plan_hash.clone());
     }
+    shared.checkpoint = Mutex::new((writer, None));
 
-    // Phase 2: fan out. Workers claim predictor indices from a shared
-    // queue; each slot hands its predictor to exactly one worker and
-    // receives that worker's (or, after an abandon, the watchdog's)
-    // outcome.
+    // Phase 2: fan out. Workers claim (index, predictor) pairs from the
+    // queue, and every job, however it ends, is settled once.
     let workers_used = if m == 0 {
         0
     } else {
         effective_jobs(config.jobs, m)
     };
-    let names: Vec<String> = to_run.iter().map(|(name, _)| name.clone()).collect();
-    let shared = Arc::new(SweepShared {
-        records,
-        description: description.clone(),
-        sim: config.sim.clone(),
-        deadline: config.deadline,
-        names,
-        queue: Mutex::new((0..m).collect()),
-        work: to_run.into_iter().map(|p| Mutex::new(Some(p))).collect(),
-        done: (0..m).map(|_| Mutex::new(None)).collect(),
-        jobs: (0..m).map(|_| JobState::new()).collect(),
-        draining: AtomicBool::new(false),
-        not_run: Mutex::new(Vec::new()),
-        mem_budget: config.mem_budget,
-        mem_used: Mutex::new(0),
-        mem_cv: Condvar::new(),
-        start: Instant::now(),
-        writer: Mutex::new(writer),
-        writer_error: Mutex::new(None),
-        phases: config.phases.clone(),
-        status: config.status.clone(),
-    });
-
+    let shared = Arc::new(shared);
     let wall_start = Instant::now();
     stats.workers.add(workers_used as u64);
     for _ in 0..workers_used {
@@ -607,49 +628,35 @@ where
     monitor(&shared, config);
     let wall_time = wall_start.elapsed().as_secs_f64();
 
-    // Collection. The monitor only returns once every job is settled —
-    // reported (by its worker or the watchdog) or parked as not-run by a
-    // drain — so clones here never race a live report: `report` writes a
-    // slot at most once.
+    // Collection. The monitor only returns once every job is settled, and
+    // an outcome is written once, so an abandoned worker still holding
+    // `shared` can no longer change what is read here.
     let interrupted = shared.draining.load(Ordering::Relaxed);
-    let not_run_idx = shared
-        .not_run
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone();
-    let mut entries = Vec::with_capacity(m + resumed_entries.len());
-    let mut failures = resumed_failures;
-    let mut not_run: Vec<String> = Vec::new();
-    for i in 0..m {
-        if not_run_idx.contains(&i) {
-            not_run.push(shared.names[i].clone());
-            continue;
-        }
-        let outcome = shared.done[i]
+    let mut entries = Vec::with_capacity(n_total);
+    let mut failures = Vec::new();
+    let mut not_run = Vec::new();
+    for job in &shared.jobs {
+        let outcome = job
+            .outcome
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
-        match outcome {
-            Some(Ok(result)) => entries.push(SweepEntry {
-                rank: 0,
-                name: shared.names[i].clone(),
-                result,
-            }),
-            Some(Err(failure)) => failures.push(failure),
-            // Unreachable: the monitor waits for every slot. Fail soft.
-            None => failures.push(SweepFailure {
-                name: shared.names[i].clone(),
-                kind: FailureKind::Panic,
-                message: "worker finished without reporting a result".to_string(),
-            }),
-        }
-    }
-    for (name, result) in resumed_entries {
-        entries.push(SweepEntry {
-            rank: 0,
-            name,
-            result,
+        // `None` is unreachable: the monitor waits for every job. Fail soft.
+        let outcome = outcome.unwrap_or_else(|| {
+            job.failure(
+                FailureKind::Panic,
+                "worker finished without reporting a result".to_string(),
+            )
         });
+        match outcome {
+            Outcome::Ran(result) => entries.push(SweepEntry {
+                rank: 0,
+                name: job.name.clone(),
+                result: *result,
+            }),
+            Outcome::Failed(failure) => failures.push(failure),
+            Outcome::NotRun => not_run.push(job.name.clone()),
+        }
     }
 
     entries.sort_by(|a, b| {
@@ -679,9 +686,10 @@ where
     }
 
     if let Some(e) = shared
-        .writer_error
+        .checkpoint
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
+        .1
         .take()
     {
         return Err(TraceError::Io(e));
@@ -707,7 +715,7 @@ where
     });
 
     Ok(SweepResult {
-        trace: description,
+        trace: shared.description.clone(),
         jobs: jobs_legacy,
         workers_used,
         decode_time,
@@ -721,54 +729,37 @@ where
     })
 }
 
-/// One worker: claim an index, run the predictor, report, repeat — until
-/// the queue is empty or a drain begins.
+/// One worker: claim a job, run it, repeat — until the queue is empty or a
+/// drain begins.
 fn worker_loop(shared: &SweepShared) {
-    loop {
-        if shared.draining.load(Ordering::Relaxed) {
-            break;
-        }
+    while !shared.draining.load(Ordering::Relaxed) {
         let claimed = shared
             .queue
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .pop_front();
-        let Some(i) = claimed else { break };
-        let Some((name, predictor)) = shared.work[i]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-        else {
-            continue; // unreachable: each index is claimed once
-        };
-        run_job(shared, i, name, predictor);
+        let Some((i, predictor)) = claimed else { break };
+        run_job(shared, i, predictor);
     }
 }
 
-/// Admission, simulation, classification and reporting of one predictor.
-fn run_job(shared: &SweepShared, i: usize, name: String, mut predictor: Box<dyn Predictor + Send>) {
+/// Admission, simulation, classification and settlement of job `i`.
+fn run_job(shared: &SweepShared, i: usize, mut predictor: Box<dyn Predictor + Send>) {
     let stats = &mbp_stats::pipeline().sweep;
+    let job = &shared.jobs[i];
 
     // Memory-budget admission. The deadline clock starts only after
     // admission, so time spent queued for memory is not "simulation".
-    let _mem_guard: Option<MemGuard<'_>> = if let Some(budget) = shared.mem_budget {
+    if let Some(budget) = shared.mem_budget {
         // A size hint is advisory; a panicking hint admits at zero cost
         // rather than taking down the job before it runs.
         let hint = catch_unwind(AssertUnwindSafe(|| predictor.size_hint())).unwrap_or(0);
-        shared.jobs[i].mem_hint.store(hint, Ordering::Relaxed);
         if hint > budget {
-            report(
-                shared,
-                i,
-                Err(SweepFailure {
-                    name,
-                    kind: FailureKind::MemBudget,
-                    message: format!(
-                        "predictor size hint of {hint} bytes exceeds the \
-                         memory budget of {budget} bytes"
-                    ),
-                }),
+            let message = format!(
+                "predictor size hint of {hint} bytes exceeds the memory budget of \
+                 {budget} bytes"
             );
+            shared.settle(i, job.failure(FailureKind::MemBudget, message));
             return;
         }
         let mut used = shared
@@ -780,16 +771,12 @@ fn run_job(shared: &SweepShared, i: usize, name: String, mut predictor: Box<dyn 
             if shared.draining.load(Ordering::Relaxed) {
                 // Drained while queued for memory: this job never started.
                 drop(used);
-                publish_state(&shared.status, &name, PredictorState::NotRun);
-                shared
-                    .not_run
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(i);
+                shared.settle(i, Outcome::NotRun);
                 return;
             }
             if *used + hint <= budget {
                 *used += hint;
+                job.reserved.store(hint, Ordering::Relaxed);
                 break;
             }
             if !waited {
@@ -803,39 +790,27 @@ fn run_job(shared: &SweepShared, i: usize, name: String, mut predictor: Box<dyn 
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
-        Some(MemGuard {
-            shared,
-            i,
-            amount: hint,
-        })
-    } else {
-        None
-    };
+    }
 
-    publish_state(&shared.status, &name, PredictorState::Admitted);
+    job.publish(PredictorState::Admitted);
 
-    // Busy time spans claim to report, once per predictor, so worker
+    // Busy time spans claim to settlement, once per predictor, so worker
     // accounting adds nothing to the simulation loop.
     let busy = stats.worker_busy.span();
     let busy_event =
         mbp_stats::events::span_with_arg(mbp_stats::events::EventName::SweepWorker, i as u64);
     let claimed = Instant::now();
     stats.predictors.inc();
-    shared.jobs[i]
-        .started_ns
+    job.started_ns
         .store(ns_since(&shared.start).max(1), Ordering::Relaxed);
-    publish_state(&shared.status, &name, PredictorState::Running);
+    job.publish(PredictorState::Running);
 
     // With a board attached, the driver publishes the slot's live progress
     // while the simulation runs; results are unchanged.
     let sim = SimConfig {
-        status: shared
-            .status
-            .as_ref()
-            .and_then(|b| b.index_of(&name).map(|j| (Arc::clone(b), j))),
+        status: job.board.clone(),
         ..shared.sim.clone()
     };
-    let job = &shared.jobs[i];
 
     // Fault isolation: a predictor that panics takes down this one
     // simulation, not the sweep. The predictor and source are owned by the
@@ -858,30 +833,21 @@ fn run_job(shared: &SweepShared, i: usize, name: String, mut predictor: Box<dyn 
             // the result to the real trace, as a standalone run would — and
             // before checkpointing, so resumed results carry it too.
             result.metadata.trace = shared.description.clone();
-            Ok(result)
+            Outcome::Ran(Box::new(result))
         }
-        Ok(Err(TraceError::Cancelled { .. })) => Err(SweepFailure {
-            name,
-            kind: FailureKind::Deadline,
-            message: deadline_message(shared.deadline, "simulation cancelled"),
-        }),
+        Ok(Err(TraceError::Cancelled { .. })) => job.failure(
+            FailureKind::Deadline,
+            deadline_message(shared.deadline, "simulation cancelled"),
+        ),
         Ok(Err(e)) => {
             stats.trace_errors.inc();
             mbp_stats::events::instant(mbp_stats::events::EventName::SweepTraceError, i as u64);
-            Err(SweepFailure {
-                name,
-                kind: FailureKind::TraceError,
-                message: e.to_string(),
-            })
+            job.failure(FailureKind::TraceError, e.to_string())
         }
         Err(payload) => {
             stats.faults.inc();
             mbp_stats::events::instant(mbp_stats::events::EventName::SweepFault, i as u64);
-            Err(SweepFailure {
-                name,
-                kind: FailureKind::Panic,
-                message: panic_message(payload.as_ref()),
-            })
+            job.failure(FailureKind::Panic, panic_message(payload.as_ref()))
         }
     };
     let elapsed_us = u64::try_from(claimed.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -889,7 +855,8 @@ fn run_job(shared: &SweepShared, i: usize, name: String, mut predictor: Box<dyn 
     mbp_stats::events::instant(mbp_stats::events::EventName::SweepPredictorDone, elapsed_us);
     busy_event.finish();
     busy.finish();
-    report(shared, i, outcome);
+    shared.settle(i, outcome);
+    shared.release(i);
 }
 
 /// Deterministic deadline-failure message (no wall-clock readings, so a
@@ -901,69 +868,11 @@ fn deadline_message(deadline: Option<Duration>, what: &str) -> String {
     }
 }
 
-/// Settles job `i` exactly once: checkpoint first (fsync'd while the slot
-/// lock is held, so a record is durable before anyone can observe the job
-/// as done), then publish. The loser of a worker/watchdog race sees a full
-/// slot and does nothing.
-fn report(shared: &SweepShared, i: usize, outcome: Result<SimResult, SweepFailure>) {
-    let mut slot = shared.done[i]
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    if slot.is_some() {
-        return;
-    }
-    if let Some(writer) = shared
-        .writer
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .as_mut()
-    {
-        let appended = match &outcome {
-            Ok(result) => writer.record_result(&shared.names[i], result),
-            Err(failure) => writer.record_failure(failure),
-        };
-        if let Err(e) = appended {
-            let mut err = shared
-                .writer_error
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if err.is_none() {
-                *err = Some(e);
-            }
-        }
-    }
-    if let Some(board) = &shared.status {
-        if let Some(bi) = board.index_of(&shared.names[i]) {
-            match &outcome {
-                Ok(result) => {
-                    board.set_totals(
-                        bi,
-                        result.metadata.simulation_instr,
-                        result.metrics.mispredictions,
-                    );
-                    board.set_state(bi, PredictorState::Settled);
-                }
-                Err(_) => board.set_state(bi, PredictorState::Failed),
-            }
-        }
-    }
-    *slot = Some(outcome);
-}
-
-fn slot_settled(slot: &DoneSlot) -> bool {
-    match slot.try_lock() {
-        Ok(guard) => guard.is_some(),
-        Err(TryLockError::Poisoned(p)) => p.into_inner().is_some(),
-        // A worker is mid-report; it will be settled by the next poll.
-        Err(TryLockError::WouldBlock) => false,
-    }
-}
-
 /// The sweep's control loop, run in the calling thread: polls for shutdown,
 /// enforces deadlines, abandons unresponsive workers, and returns once
 /// every job is settled.
 fn monitor(shared: &Arc<SweepShared>, config: &SweepConfig) {
-    let m = shared.names.len();
+    let m = shared.jobs.len();
     let stats = &mbp_stats::pipeline().sweep;
     let deadline_ns = config
         .deadline
@@ -995,58 +904,50 @@ fn monitor(shared: &Arc<SweepShared>, config: &SweepConfig) {
     loop {
         let now = ns_since(&shared.start);
 
-        // Shutdown probe: flip into drain mode once. The queue is dumped
-        // under its lock, so no worker can claim a job we park as not-run.
+        // Shutdown probe: flip into drain mode once and settle every queued
+        // job as not run; off the queue, no worker can claim it.
         if let Some(probe) = config.shutdown {
             if !shared.draining.load(Ordering::Relaxed) && probe() {
                 shared.draining.store(true, Ordering::Relaxed);
-                {
-                    let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
-                    let mut parked = shared
-                        .not_run
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    let drained: Vec<usize> = queue.drain(..).collect();
-                    for &i in &drained {
-                        publish_state(&shared.status, &shared.names[i], PredictorState::NotRun);
-                    }
-                    parked.extend(drained);
+                let queued: Vec<_> = shared
+                    .queue
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .drain(..)
+                    .collect();
+                for (i, _) in queued {
+                    shared.settle(i, Outcome::NotRun);
                 }
                 // Wake admission waiters so they notice the drain promptly.
                 shared.mem_cv.notify_all();
                 stats.shutdown_drains.inc();
-                let settled = (0..m).filter(|&i| slot_settled(&shared.done[i])).count();
-                let parked = shared
-                    .not_run
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .len();
+                let settled = shared.jobs.iter().filter(|job| job.settled()).count();
                 mbp_stats::events::instant(
                     mbp_stats::events::EventName::ShutdownDrain,
-                    m.saturating_sub(settled + parked) as u64,
+                    (m - settled) as u64,
                 );
             }
         }
 
         let mut settled = 0usize;
-        for i in 0..m {
-            if slot_settled(&shared.done[i]) {
+        for (i, job) in shared.jobs.iter().enumerate() {
+            if job.settled() {
                 settled += 1;
                 continue;
             }
             let Some(budget_ns) = deadline_ns else {
                 continue;
             };
-            let started = shared.jobs[i].started_ns.load(Ordering::Relaxed);
+            let started = job.started_ns.load(Ordering::Relaxed);
             if started == 0 {
                 continue; // unclaimed, or still queued for admission
             }
             if deadline_at[i].is_none() {
                 deadline_at[i] = Some(started.saturating_add(budget_ns));
-                last_epoch[i] = shared.jobs[i].epoch.load(Ordering::Relaxed);
+                last_epoch[i] = job.epoch.load(Ordering::Relaxed);
                 last_change[i] = started;
             }
-            let epoch = shared.jobs[i].epoch.load(Ordering::Relaxed);
+            let epoch = job.epoch.load(Ordering::Relaxed);
             if epoch != last_epoch[i] {
                 last_epoch[i] = epoch;
                 last_change[i] = now;
@@ -1054,8 +955,7 @@ fn monitor(shared: &Arc<SweepShared>, config: &SweepConfig) {
             if let Some(cancel_ns) = cancelled_at[i] {
                 // Cancelled but still running: the flag is only observed at
                 // batch boundaries, so give the worker a grace period, then
-                // abandon it — report the failure ourselves, return its
-                // memory, and backfill the pool.
+                // abandon it.
                 if now.saturating_sub(cancel_ns) > grace_ns {
                     cancelled_at[i] = None;
                     abandon(shared, i);
@@ -1070,7 +970,7 @@ fn monitor(shared: &Arc<SweepShared>, config: &SweepConfig) {
                     deadline_at[i] = Some(now.saturating_add(budget_ns));
                     stats.deadline_extensions.inc();
                 } else {
-                    shared.jobs[i].cancel.store(true, Ordering::Relaxed);
+                    job.cancel.store(true, Ordering::Relaxed);
                     cancelled_at[i] = Some(now);
                     stats.deadline_fired.inc();
                     mbp_stats::events::instant(
@@ -1081,43 +981,20 @@ fn monitor(shared: &Arc<SweepShared>, config: &SweepConfig) {
             }
         }
 
-        let parked = shared
-            .not_run
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len();
-        if settled + parked >= m {
+        if settled >= m {
             break;
         }
         std::thread::sleep(Duration::from_millis(2));
     }
 }
 
-/// Gives up on job `i`'s worker: returns its memory reservation, records a
-/// deadline failure on its behalf, and — since the stuck thread is lost to
+/// Gives up on job `i`'s worker: settles a deadline failure on its behalf,
+/// returns its memory reservation, and — since the stuck thread is lost to
 /// the pool — spawns a replacement worker if the queue still has work.
 fn abandon(shared: &Arc<SweepShared>, i: usize) {
-    shared.jobs[i].abandoned.store(true, Ordering::Relaxed);
-    {
-        let mut used = shared
-            .mem_used
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if !shared.jobs[i].mem_released.swap(true, Ordering::Relaxed) {
-            let hint = shared.jobs[i].mem_hint.load(Ordering::Relaxed);
-            *used = used.saturating_sub(hint);
-            shared.mem_cv.notify_all();
-        }
-    }
-    report(
-        shared,
-        i,
-        Err(SweepFailure {
-            name: shared.names[i].clone(),
-            kind: FailureKind::Deadline,
-            message: deadline_message(shared.deadline, "worker unresponsive and abandoned"),
-        }),
-    );
+    let message = deadline_message(shared.deadline, "worker unresponsive and abandoned");
+    shared.settle(i, shared.jobs[i].failure(FailureKind::Deadline, message));
+    shared.release(i);
     let backlog = !shared
         .queue
         .lock()
@@ -1143,6 +1020,7 @@ fn effective_jobs(requested: usize, predictors: usize) -> usize {
 mod tests {
     use super::*;
     use mbp_trace::{Branch, BranchRecord, Opcode};
+    use std::sync::mpsc;
 
     struct Fixed(bool);
 
@@ -1708,6 +1586,161 @@ mod tests {
         let doc = r.to_json();
         assert_eq!(doc["metadata"]["interrupted"], Value::from(true));
         assert_eq!(doc["not_run"].as_array().unwrap().len(), r.not_run.len());
+    }
+
+    /// Blocks in its first `predict` until its gate opens (a message, or the
+    /// sender's drop) and reports its own drop: a wedged predictor whose
+    /// worker the watchdog abandons.
+    struct Gated {
+        gate: Option<mpsc::Receiver<()>>,
+        dropped: mpsc::Sender<()>,
+    }
+
+    impl Predictor for Gated {
+        fn predict(&mut self, _ip: u64) -> bool {
+            if let Some(gate) = self.gate.take() {
+                let _ = gate.recv();
+            }
+            true
+        }
+        fn train(&mut self, _b: &Branch) {}
+        fn track(&mut self, _b: &Branch) {}
+    }
+
+    impl Drop for Gated {
+        fn drop(&mut self) {
+            let _ = self.dropped.send(());
+        }
+    }
+
+    #[test]
+    fn a_late_abandoned_worker_changes_nothing() {
+        let path = tmp("late_worker.jsonl");
+        let records = biased_records(1000);
+        let (open, gate) = mpsc::channel();
+        let (dropped_tx, dropped) = mpsc::channel();
+        let wedged = Gated {
+            gate: Some(gate),
+            dropped: dropped_tx,
+        };
+        let predictors: Vec<(String, Box<dyn Predictor + Send>)> = vec![
+            ("good".to_string(), Box::new(Fixed(true))),
+            ("wedged".to_string(), Box::new(wedged)),
+        ];
+        let cfg = SweepConfig {
+            jobs: 2,
+            deadline: Some(Duration::from_millis(100)),
+            checkpoint: Some(path.clone()),
+            ..SweepConfig::default()
+        };
+        let mut src = SliceSource::new(&records);
+        let r = simulate_many(&mut src, predictors, &cfg).unwrap();
+        assert_eq!(r.entries.len(), 1);
+        assert_eq!(r.failures.len(), 1);
+        assert!(
+            r.failures[0].message.contains("abandoned"),
+            "{:?}",
+            r.failures[0].message
+        );
+
+        // Released, the worker runs on, meets its cancel flag, settles a
+        // second outcome and drops the predictor.
+        open.send(()).unwrap();
+        dropped
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the released worker finishes");
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 2, "{text}");
+        let load = load_checkpoint(&path).unwrap();
+        assert_eq!(load.completed.len(), 1);
+        assert_eq!(load.failures.len(), 1);
+        assert_eq!(load.failures[0].name, "wedged");
+        assert_eq!(load.failures[0].kind, FailureKind::Deadline);
+        assert!(load.failures[0].message.contains("abandoned"));
+    }
+
+    static ADMISSION_DRAIN: AtomicBool = AtomicBool::new(false);
+    static HOLDER_RUNNING: AtomicBool = AtomicBool::new(false);
+    static WAITER_ASKED: AtomicBool = AtomicBool::new(false);
+
+    fn admission_drain() -> bool {
+        ADMISSION_DRAIN.load(Ordering::SeqCst)
+    }
+
+    /// Polls `ready` until it holds; panics after ten seconds so a broken
+    /// interleaving fails the test instead of hanging it.
+    fn wait_for(what: &str, ready: impl Fn() -> bool) {
+        let since = Instant::now();
+        while !ready() {
+            assert!(since.elapsed() < Duration::from_secs(10), "never {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Admitted first. In its first `predict` it waits for the other job to
+    /// ask for admission, raises the drain flag and holds its worker until
+    /// the other job's board slot shows `not_run`.
+    struct Holder(Arc<SweepStatusBoard>);
+
+    impl Predictor for Holder {
+        fn predict(&mut self, _ip: u64) -> bool {
+            if !ADMISSION_DRAIN.load(Ordering::SeqCst) {
+                HOLDER_RUNNING.store(true, Ordering::SeqCst);
+                wait_for("asked", || WAITER_ASKED.load(Ordering::SeqCst));
+                ADMISSION_DRAIN.store(true, Ordering::SeqCst);
+                wait_for("parked", || {
+                    self.0.snapshot()[1].state == PredictorState::NotRun
+                });
+            }
+            true
+        }
+        fn train(&mut self, _b: &Branch) {}
+        fn track(&mut self, _b: &Branch) {}
+        fn size_hint(&self) -> u64 {
+            600 << 10
+        }
+    }
+
+    /// Asks for admission only once the holder runs, so it must wait.
+    struct Waiter;
+
+    impl Predictor for Waiter {
+        fn predict(&mut self, _ip: u64) -> bool {
+            true
+        }
+        fn train(&mut self, _b: &Branch) {}
+        fn track(&mut self, _b: &Branch) {}
+        fn size_hint(&self) -> u64 {
+            WAITER_ASKED.store(true, Ordering::SeqCst);
+            wait_for("running", || HOLDER_RUNNING.load(Ordering::SeqCst));
+            600 << 10
+        }
+    }
+
+    #[test]
+    fn a_drain_during_the_admission_wait_parks_the_job() {
+        let records = biased_records(64);
+        let board = Arc::new(SweepStatusBoard::new(["a", "b"]));
+        let predictors: Vec<(String, Box<dyn Predictor + Send>)> = vec![
+            ("a".to_string(), Box::new(Holder(Arc::clone(&board)))),
+            ("b".to_string(), Box::new(Waiter)),
+        ];
+        let cfg = SweepConfig {
+            jobs: 2,
+            mem_budget: Some(1 << 20),
+            shutdown: Some(admission_drain),
+            status: Some(Arc::clone(&board)),
+            ..SweepConfig::default()
+        };
+        let mut src = SliceSource::new(&records);
+        let r = simulate_many(&mut src, predictors, &cfg).unwrap();
+        assert!(r.interrupted);
+        assert!(r.failures.is_empty(), "{:?}", r.failures);
+        assert_eq!(r.entries.len(), 1);
+        assert_eq!(r.entries[0].name, "a");
+        assert_eq!(r.not_run, ["b"]);
+        let states: Vec<PredictorState> = board.snapshot().iter().map(|s| s.state).collect();
+        assert_eq!(states, [PredictorState::Settled, PredictorState::NotRun]);
     }
 
     #[test]

@@ -102,7 +102,7 @@ fn usage() -> &'static str {
      mbpsim top <host:port> [--interval-ms N] [--once]\n  \
      mbpsim list\n\
      \n\
-     run, compare, sweep and gen also accept:\n  \
+     run, explain, compare, sweep, simpoint and gen also accept:\n  \
      --metrics              add pipeline metrics to the JSON output and print\n                         \
      a one-screen summary on stderr\n  \
      --metrics-out <file>   also write the metrics object to <file>\n  \
@@ -112,14 +112,16 @@ fn usage() -> &'static str {
      --sample-every <N>     sample throughput gauges every N batches\n                         \
      (default 64, 0 disables)\n  \
      --introspect           collect end-of-run table-health probes into an\n                         \
-     `introspection` output section (run, compare, sweep)\n  \
+     `introspection` output section (run, explain,\n                         \
+     compare, sweep)\n  \
      --timeseries-out <f>   write per-window time-series rows as CSV and add\n                         \
      `metrics.timeseries` to the JSON (run, explain, sweep)\n  \
      --window <N>           time-series window size in instructions\n                         \
      (default 100000; implies `metrics.timeseries`)\n  \
-     --quiet                suppress the live progress line on stderr\n\
+     --quiet                suppress the live progress line on stderr\n                         \
+     (run, explain, sweep)\n\
      \n\
-     live telemetry (run, sweep):\n  \
+     live telemetry (run, explain, sweep):\n  \
      --telemetry-listen <a> serve /metrics (OpenMetrics), /snapshot (JSON)\n                         \
      and /healthz on <a> (e.g. 127.0.0.1:0 for an\n                         \
      ephemeral port) while the command runs; the bound\n                         \
@@ -523,11 +525,13 @@ fn cmd_compare(args: &Args) -> Result<ExitCode, Failure> {
         .ok_or_else(|| Failure::usage("expected --predictors <a>,<b>"))?;
     let mut pa = predictor(a.trim())?;
     let mut pb = predictor(b.trim())?;
-    let mut trace = open_trace(args.required("--trace")?)?;
+    let trace_path = args.required("--trace")?;
+    let mut trace = open_trace(trace_path)?;
     setup_events(args)?;
     let result = simulate_comparison(&mut trace, &mut pa, &mut pb, &sim_config(args)?);
     emit_events(args)?;
-    let result = result.map_err(|e| Failure::trace(format!("simulation failed: {e}")))?;
+    let mut result = result.map_err(|e| Failure::trace(format!("simulation failed: {e}")))?;
+    result.trace = trace_path.into();
     let mut doc = result.to_json();
     emit_metrics(args, Some(&mut doc))?;
     println!("{doc:#}");

@@ -207,9 +207,10 @@ fn compare_emits_comparison_json() {
         .status()
         .expect("spawn")
         .success());
+    let trace = dir.join("SMOKE-server.sbbt.mzst");
     let out = mbpsim()
         .args(["compare", "--predictors", "bimodal,gshare", "--trace"])
-        .arg(dir.join("SMOKE-server.sbbt.mzst"))
+        .arg(&trace)
         .output()
         .expect("spawn");
     assert!(
@@ -223,6 +224,8 @@ fn compare_emits_comparison_json() {
         .expect("valid JSON");
     assert!(doc["metrics"]["mpki_0"].as_f64().is_some());
     assert!(doc["metrics"]["mpki_1"].as_f64().is_some());
+    // Like run, explain and sweep, compare names the trace it was given.
+    assert_eq!(doc["metadata"]["trace"].as_str(), trace.to_str());
 }
 
 #[test]

@@ -5,7 +5,8 @@
 
 use mbp::examples::{Gshare, Tournament};
 use mbp::sim::{
-    simulate, simulate_comparison, ForensicsConfig, SimConfig, SliceSource, TraceSource,
+    simulate, simulate_comparison, simulate_scalar, ForensicsConfig, SimConfig, SliceSource,
+    TraceSource,
 };
 use mbp::trace::sbbt::BATCH_RECORDS;
 use mbp::trace::{BranchBatch, BranchRecord, TraceError};
@@ -96,4 +97,37 @@ fn counters_move_once_per_batch() {
     )
     .expect("compare");
     assert!(source.checks >= 2, "{} checks", source.checks);
+
+    // Cut off mid-trace, the scalar and batched drivers add the same counts:
+    // the record read past the cut-off is dropped uncounted.
+    let instructions: u64 = records.iter().map(|r| r.instructions()).sum();
+    let cut = SimConfig {
+        max_instructions: Some(instructions / 2),
+        ..SimConfig::default()
+    };
+    let before = live();
+    simulate(
+        &mut SliceSource::new(&records),
+        &mut Gshare::new(25, 18),
+        &cut,
+    )
+    .expect("run");
+    let between = live();
+    simulate_scalar(
+        &mut SliceSource::new(&records),
+        &mut Gshare::new(25, 18),
+        &cut,
+    )
+    .expect("scalar run");
+    let after = live();
+    let batched = [0, 1, 2].map(|k| between[k] - before[k]);
+    let scalar = [0, 1, 2].map(|k| after[k] - between[k]);
+    assert!(
+        batched[0] > 0 && batched[0] < records.len() as u64,
+        "{batched:?}"
+    );
+    assert_eq!(
+        scalar, batched,
+        "scalar vs batched [records, instructions, branches]"
+    );
 }
