@@ -171,6 +171,28 @@ grep -q '"resume_skips": 1' "$obs_tmp/resume_metrics.json" \
 target/release/mbpsim validate-trace "$obs_tmp/resume.trace.json"
 grep -q 'sweep.checkpoint_write' "$obs_tmp/resume.trace.json" \
   || { echo "checkpoint writes missing from the event timeline" >&2; exit 1; }
+# Resume the file the first resume appended to, twice more: a resume cuts
+# a torn line off before it appends, so every predictor is now settled
+# from the checkpoint. No worker starts (`workers_used` 0, the one line
+# that differs from the clean run), nothing is written, and the file keeps
+# its four records.
+target/release/mbpsim "${res_args[@]}" --checkpoint "$ck" --resume \
+  > "$obs_tmp/sweep_resumed_again.json"
+grep -q '"workers_used": 0,' "$obs_tmp/sweep_resumed_again.json" \
+  || { echo "a resume of a settled checkpoint started workers" >&2; exit 1; }
+diff <(canon "$obs_tmp/sweep_clean.json" | grep -v '"workers_used":') \
+  <(canon "$obs_tmp/sweep_resumed_again.json" | grep -v '"workers_used":') \
+  || { echo "a second resume diverged from the clean run" >&2; exit 1; }
+target/release/mbpsim "${res_args[@]}" --checkpoint "$ck" --resume \
+  --metrics-out "$obs_tmp/resume_again_metrics.json" > /dev/null 2>/dev/null
+grep -q '"resume_skips": 4' "$obs_tmp/resume_again_metrics.json" \
+  || { echo "a second resume did not settle every predictor from the checkpoint" >&2; exit 1; }
+grep -q '"checkpoint_writes": 0' "$obs_tmp/resume_again_metrics.json" \
+  || { echo "a second resume appended to the checkpoint" >&2; exit 1; }
+records="$(wc -l < "$ck")"
+if [ "$records" -ne 4 ]; then
+  echo "resumed checkpoint holds $records records, expected 4" >&2; exit 1
+fi
 cargo test -q -p mbp --test sweep_resilience
 
 echo "== simpoint gate (sampled sweep reconstructs full-sweep MPKI) =="

@@ -32,7 +32,7 @@
 
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use mbp_json::{json, Value};
@@ -69,12 +69,29 @@ impl CheckpointWriter {
     /// Opens a checkpoint file for appending (resumed sweeps). Creates the
     /// file if it does not exist yet.
     ///
+    /// The file is first cut back to `trusted` bytes, the prefix
+    /// [`CheckpointLoad::trusted_bytes`] trusted: a record appended after a
+    /// torn line would be glued onto it and lost to the next load. A
+    /// trusted last record whose newline was cut off gets one back, and the
+    /// repair is synced before any record is appended.
+    ///
     /// # Errors
     ///
-    /// Propagates file-open failures.
-    pub fn append(path: &Path) -> io::Result<Self> {
+    /// Propagates file-open, truncation, read, write and sync failures.
+    pub fn append(path: &Path, trusted: u64) -> io::Result<Self> {
+        let mut file = (OpenOptions::new().create(true).read(true).append(true)).open(path)?;
+        file.set_len(trusted)?;
+        if let Some(last) = trusted.checked_sub(1) {
+            let mut byte = [0u8];
+            file.seek(SeekFrom::Start(last))?;
+            file.read_exact(&mut byte)?;
+            if byte != *b"\n" {
+                file.write_all(b"\n")?;
+            }
+        }
+        file.sync_data()?;
         Ok(Self {
-            file: OpenOptions::new().create(true).append(true).open(path)?,
+            file,
             records: 0,
             sampling: None,
         })
@@ -168,6 +185,9 @@ pub struct CheckpointLoad {
     /// usually a record cut short by a kill mid-append — and everything
     /// after it.
     pub ignored_tail_lines: usize,
+    /// Bytes of the file before its first malformed line: the prefix a
+    /// resume keeps and appends to (see [`CheckpointWriter::append`]).
+    pub trusted_bytes: u64,
     /// Sampling-plan hash stamped on the file's records (taken from the
     /// first well-formed record, including stale ones); `None` when the
     /// file is empty or was written by a full (unsampled) sweep.
@@ -207,15 +227,20 @@ pub fn load_checkpoint(path: &Path) -> io::Result<CheckpointLoad> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(CheckpointLoad::default()),
         Err(e) => return Err(e),
     }
-    // Not `read_to_string`: a record torn inside a multi-byte character
-    // must end the trusted prefix like any other torn record, not fail the
-    // whole load.
-    let text = String::from_utf8_lossy(&bytes);
-    let mut load = CheckpointLoad::default();
+    let mut load = CheckpointLoad {
+        trusted_bytes: bytes.len() as u64,
+        ..CheckpointLoad::default()
+    };
     let mut seen: HashSet<String> = HashSet::new();
     let mut first_record = true;
-    let lines: Vec<&str> = text.lines().collect();
-    for (i, line) in lines.iter().enumerate() {
+    // Lines of bytes, so the trusted prefix is measured in the file's
+    // bytes; each is converted lossily, not with `from_utf8`, so a record
+    // torn inside a multi-byte character ends the trusted prefix like any
+    // other torn record instead of failing the whole load.
+    let lines: Vec<&[u8]> = bytes.split_inclusive(|&b| b == b'\n').collect();
+    for (i, raw) in lines.iter().enumerate() {
+        let text = String::from_utf8_lossy(raw);
+        let line = text.lines().next().unwrap_or_default();
         if line.trim().is_empty() {
             continue;
         }
@@ -243,6 +268,7 @@ pub fn load_checkpoint(path: &Path) -> io::Result<CheckpointLoad> {
                 // Corrupt or truncated from here on: keep the trusted
                 // prefix, ignore the tail.
                 load.ignored_tail_lines = lines.len() - i;
+                load.trusted_bytes = lines[..i].iter().map(|l| l.len() as u64).sum();
                 break;
             }
         }
@@ -487,5 +513,31 @@ mod tests {
         let load = load_checkpoint(&path).unwrap();
         assert!(load.completed.is_empty());
         assert_eq!(load.ignored_tail_lines, 1);
+    }
+
+    /// An append keeps exactly the trusted prefix: a torn line is cut off,
+    /// and a last record that lost only its newline is ended, so every
+    /// record appended after it loads again.
+    #[test]
+    fn append_cuts_back_to_the_trusted_prefix() {
+        let path = tmp("append_trusted.jsonl");
+        let r = result();
+        let mut w = CheckpointWriter::create(&path).unwrap();
+        w.record_result("a", &r).unwrap();
+        w.record_result("b", &r).unwrap();
+        let whole = std::fs::read(&path).unwrap();
+        let first = whole.iter().position(|&b| b == b'\n').unwrap() + 1;
+        for (cut, kept) in [(first + 40, vec!["a"]), (whole.len() - 1, vec!["a", "b"])] {
+            std::fs::write(&path, &whole[..cut]).unwrap();
+            let load = load_checkpoint(&path).unwrap();
+            assert_eq!(load.completed.len(), kept.len(), "cut at {cut}");
+            let mut w = CheckpointWriter::append(&path, load.trusted_bytes).unwrap();
+            w.record_result("c", &r).unwrap();
+            let load = load_checkpoint(&path).unwrap();
+            let names: Vec<&str> = load.completed.iter().map(|(n, _)| n.as_str()).collect();
+            assert_eq!(names, [kept, vec!["c"]].concat(), "cut at {cut}");
+            assert_eq!(load.ignored_tail_lines, 0, "cut at {cut}");
+            assert_eq!(load.trusted_bytes, std::fs::metadata(&path).unwrap().len());
+        }
     }
 }

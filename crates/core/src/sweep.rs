@@ -602,7 +602,9 @@ where
     }
 
     let mut writer = match &config.checkpoint {
-        Some(path) if config.resume && path.exists() => Some(CheckpointWriter::append(path)?),
+        Some(path) if config.resume && path.exists() => {
+            Some(CheckpointWriter::append(path, load.trusted_bytes)?)
+        }
         Some(path) => Some(CheckpointWriter::create(path)?),
         None => None,
     };

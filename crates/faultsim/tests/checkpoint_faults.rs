@@ -2,8 +2,9 @@
 //! it is untrusted input like a trace. Every cut and a seeded set of bit
 //! flips of a real checkpoint written by `simulate_many` must load without
 //! a panic; a cut file must keep exactly the records wholly before the cut;
-//! and a resumed sweep over a seeded sample of the mutants must return a
-//! typed error or account for every predictor.
+//! a resumed sweep over a seeded sample of the mutants must return a typed
+//! error or account for every predictor; and a second resume of a cut file
+//! must find every predictor settled as an uninterrupted sweep left it.
 
 use std::path::{Path, PathBuf};
 
@@ -65,6 +66,35 @@ fn real_checkpoint(path: &Path, records: &[BranchRecord]) -> Vec<u8> {
     bytes
 }
 
+/// 24 cuts of `base` at offsets drawn from `seed`.
+fn seeded_cuts(base: &[u8], seed: u64) -> Vec<Mutant> {
+    let mut rng = Xorshift64::new(seed);
+    (0..24)
+        .map(|_| {
+            let at = (rng.next_u64() % base.len() as u64) as usize;
+            Mutant {
+                description: format!("cut at {at}/{}", base.len()),
+                bytes: base[..at].to_vec(),
+                expect: Expect::NoPanic,
+            }
+        })
+        .collect()
+}
+
+/// The results `path` loads, then its failures, each in file order and
+/// rendered with `simulation_time` zeroed, so two runs of the same work
+/// compare equal.
+fn loaded_records(path: &Path) -> Vec<String> {
+    let load = load_checkpoint(path).expect("load checkpoint");
+    let results = load.completed.into_iter().map(|(name, mut result)| {
+        result.metrics.simulation_time = 0.0;
+        format!("{name}: {}", result.to_json().to_compact_string())
+    });
+    let failures =
+        (load.failures.into_iter()).map(|f| format!("{}: {} {}", f.name, f.kind, f.message));
+    results.chain(failures).collect()
+}
+
 /// Writes `bytes` to `path`, loads it as a checkpoint and returns the names
 /// it settles, sorted.
 fn load(path: &Path, bytes: &[u8]) -> Result<Vec<String>, String> {
@@ -120,17 +150,7 @@ fn a_resume_from_any_sampled_mutant_accounts_for_every_predictor() {
     let records = sample_records();
     let base = real_checkpoint(&path, &records);
 
-    let mut rng = Xorshift64::new(0xC4EC_5A3B);
-    let mut sample: Vec<Mutant> = (0..24)
-        .map(|_| {
-            let at = (rng.next_u64() % base.len() as u64) as usize;
-            Mutant {
-                description: format!("cut at {at}/{}", base.len()),
-                bytes: base[..at].to_vec(),
-                expect: Expect::NoPanic,
-            }
-        })
-        .collect();
+    let mut sample = seeded_cuts(&base, 0xC4EC_5A3B);
     sample.extend(bit_flips(&base, 24, 0xC4EC_5A3C, |_| Expect::NoPanic));
 
     let report = run_suite(&sample, |bytes| {
@@ -148,4 +168,32 @@ fn a_resume_from_any_sampled_mutant_accounts_for_every_predictor() {
         Ok(())
     });
     report.assert_clean("checkpoint resume");
+}
+
+#[test]
+fn a_second_resume_of_a_cut_checkpoint_runs_nothing() {
+    let path = temp_path("resume-twice.jsonl");
+    let records = sample_records();
+    let base = real_checkpoint(&path, &records);
+    let uninterrupted = loaded_records(&path);
+
+    let report = run_suite(&seeded_cuts(&base, 0xC4EC_2E5A), |bytes| {
+        std::fs::write(&path, bytes).expect("write mutant");
+        let config = SweepConfig {
+            jobs: 1,
+            checkpoint: Some(path.clone()),
+            resume: true,
+            ..SweepConfig::default()
+        };
+        let mut workers = Vec::new();
+        for _ in 0..2 {
+            let mut source = SliceSource::named(&records, TRACE_NAME);
+            let sweep = simulate_many(&mut source, roster(), &config).map_err(|e| e.to_string())?;
+            workers.push(sweep.workers_used);
+        }
+        assert_eq!(workers[1], 0, "the second resume runs no predictor");
+        assert_eq!(loaded_records(&path), uninterrupted);
+        Ok(())
+    });
+    report.assert_clean("checkpoint resumed twice");
 }

@@ -1,23 +1,9 @@
 //! `mbpsim` — command-line front end to the MBPlib suite.
 //!
 //! Because MBPlib is a library, this binary is just one *user* of it — but
-//! it packages the common workflows:
-//!
-//! ```text
-//! mbpsim run --predictor tage --trace t.sbbt.mzst [--warmup N] [--max N]
-//! mbpsim explain t.sbbt.mzst tage [--top K]
-//! mbpsim compare --predictors gshare,tage --trace t.sbbt.mzst
-//! mbpsim sweep --predictors gshare,tage,batage --trace t.sbbt.mzst [--jobs N]
-//! mbpsim simpoint --trace t.sbbt.mzst [--window N] [--clusters K] [--out phases.json]
-//! mbpsim sweep --predictors ... --trace t.sbbt.mzst --phases phases.json
-//! mbpsim gen --suite cbp5-training [--scale N] --out traces/
-//! mbpsim translate --from t.bt9 --to t.sbbt.mzst
-//! mbpsim info --trace t.sbbt.mzst
-//! mbpsim stats-diff baseline.json candidate.json [--threshold PCT]
-//! mbpsim validate-trace run.trace.json
-//! mbpsim report metrics.json [--out report.html]
-//! mbpsim list
-//! ```
+//! it packages the common workflows. `mbpsim help` lists its commands and
+//! flags: it renders them from [`COMMANDS`] and [`FLAGS`], the tables that
+//! also dispatch and check every command line.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -82,123 +68,192 @@ impl Failure {
     }
 }
 
-fn usage() -> &'static str {
-    "usage:\n  \
-     mbpsim run --predictor <name> --trace <file> [--warmup N] [--max N] [--track-only-conditional]\n  \
-     mbpsim explain <trace> <predictor> [--top K] [--warmup N] [--max N]\n               \
-     [--out <report.json>] — misprediction forensics: per-branch\n               \
-     attribution, H2P classification and coverage curve\n  \
-     mbpsim compare --predictors <a>,<b> --trace <file> [--warmup N] [--max N]\n  \
-     mbpsim sweep --predictors <a>,<b>,... --trace <file> [--jobs N] [--warmup N] [--max N]\n               \
-     [--checkpoint <file.jsonl>] [--resume] [--deadline-secs S] [--mem-budget-mb N]\n               \
-     [--phases <phases.json>]\n  \
-     mbpsim simpoint --trace <file> [--window N] [--clusters K] [--out <phases.json>]\n  \
-     mbpsim gen --suite <cbp5-training|cbp5-evaluation|dpc3|smoke> [--scale N] --out <dir>\n  \
-     mbpsim translate --from <file.bt9[.mgz]> --to <file.sbbt[.mzst|.mgz]>\n  \
-     mbpsim info --trace <file>\n  \
-     mbpsim stats-diff <baseline.json> <candidate.json> [--threshold PCT]\n  \
-     mbpsim validate-trace <run.trace.json>\n  \
-     mbpsim report <metrics.json> [--out <report.html>]\n  \
-     mbpsim top <host:port> [--interval-ms N] [--once]\n  \
-     mbpsim list\n\
-     \n\
-     run, explain, compare, sweep, simpoint and gen also accept:\n  \
-     --metrics              add pipeline metrics to the JSON output and print\n                         \
-     a one-screen summary on stderr\n  \
-     --metrics-out <file>   also write the metrics object to <file>\n  \
-     --trace-out <file>     write a Chrome trace-event timeline (open in\n                         \
-     Perfetto or chrome://tracing)\n  \
-     --events-out <file>    write the raw event journal as JSONL\n  \
-     --sample-every <N>     sample throughput gauges every N batches\n                         \
-     (default 64, 0 disables)\n  \
-     --introspect           collect end-of-run table-health probes into an\n                         \
-     `introspection` output section (run, explain,\n                         \
-     compare, sweep)\n  \
-     --timeseries-out <f>   write per-window time-series rows as CSV and add\n                         \
-     `metrics.timeseries` to the JSON (run, explain, sweep)\n  \
-     --window <N>           time-series window size in instructions\n                         \
-     (default 100000; implies `metrics.timeseries`)\n  \
-     --quiet                suppress the live progress line on stderr\n                         \
-     (run, explain, sweep)\n\
-     \n\
-     live telemetry (run, explain, sweep):\n  \
-     --telemetry-listen <a> serve /metrics (OpenMetrics), /snapshot (JSON)\n                         \
-     and /healthz on <a> (e.g. 127.0.0.1:0 for an\n                         \
-     ephemeral port) while the command runs; the bound\n                         \
-     address is printed on stderr\n  \
-     --telemetry-hold-ms <N> keep serving the final state for N ms after the\n                         \
-     work finishes, so late scrapers see it (default 0)\n  \
-     mbpsim top <host:port>  attach a live dashboard to a serving run/sweep;\n                         \
-     renders once and exits when stdout is not a TTY\n                         \
-     or with --once (--interval-ms default 500)\n\
-     \n\
-     sweep resilience flags:\n  \
-     --checkpoint <file>    append each settled predictor to a JSONL\n                         \
-     checkpoint (fsync'd per record)\n  \
-     --resume               skip predictors already recorded in --checkpoint\n                         \
-     and splice their results into the leaderboard\n  \
-     --deadline-secs <S>    per-predictor watchdog deadline; stuck configs\n                         \
-     become typed `deadline` failures instead of hangs\n  \
-     --mem-budget-mb <N>    admission gate: predictors whose size hints would\n                         \
-     exceed the budget wait (or fail if alone too large)\n\
-     \n\
-     phase sampling:\n  \
-     mbpsim simpoint        cluster the trace's basic-block vectors into\n                         \
-     phases and emit a versioned phases document\n  \
-     --window <N>           (simpoint) BBV window size in instructions\n                         \
-     (default 100000)\n  \
-     --clusters <K>         (simpoint) maximum k-means clusters (default 8)\n  \
-     --warmup-windows <N>   (simpoint) windows of warmup replay before each\n                         \
-     representative slice (default 1; long-history\n                         \
-     predictors want more)\n  \
-     --out <phases.json>    (simpoint) write the document here instead of\n                         \
-     stdout\n  \
-     --phases <file>        (sweep) simulate only the plan's weighted\n                         \
-     representative slices (with warm-up replay) and\n                         \
-     reconstruct whole-trace MPKI; incompatible with\n                         \
-     --max/--warmup/--window/--timeseries-out, and\n                         \
-     --resume refuses checkpoints from other plans"
+/// A command: its name, its synopsis (the operands and flags it needs) and
+/// its body. A synopsis that starts with an operand lets the command take
+/// operands; no other command takes any.
+struct Command {
+    name: &'static str,
+    synopsis: &'static str,
+    body: fn(&Args) -> Result<ExitCode, Failure>,
 }
 
-/// Minimal flag parser: `--key value` pairs plus boolean flags.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "run", synopsis: "--predictor <name> --trace <file>", body: cmd_run },
+    Command { name: "explain", synopsis: "<trace> <predictor>", body: cmd_explain },
+    Command { name: "compare", synopsis: "--predictors <a>,<b> --trace <file>", body: cmd_compare },
+    Command { name: "sweep", synopsis: "--predictors <a>,<b>,... --trace <file>", body: cmd_sweep },
+    Command { name: "simpoint", synopsis: "--trace <file>", body: cmd_simpoint },
+    Command { name: "gen", synopsis: "--suite <name> --out <dir>", body: cmd_gen },
+    Command { name: "translate", synopsis: "--from <file.bt9[.mgz]> --to <file.sbbt[.mzst|.mgz]>", body: cmd_translate },
+    Command { name: "info", synopsis: "--trace <file>", body: cmd_info },
+    Command { name: "stats-diff", synopsis: "<baseline.json> <candidate.json>", body: cmd_stats_diff },
+    Command { name: "validate-trace", synopsis: "<run.trace.json>", body: cmd_validate_trace },
+    Command { name: "report", synopsis: "<metrics.json>", body: cmd_report },
+    Command { name: "top", synopsis: "<host:port>", body: cmd_top },
+    Command { name: "list", synopsis: "", body: cmd_list },
+    Command { name: "help", synopsis: "", body: cmd_help },
+];
+
+/// One meaning of one flag: its value placeholder (`None` for a switch),
+/// the commands that take it with this meaning, and one line of help.
+struct Flag {
+    name: &'static str,
+    value: Option<&'static str>,
+    commands: &'static [&'static str],
+    help: &'static str,
+}
+
+/// The commands that simulate, those that also report live, and those that
+/// emit pipeline metrics and event timelines.
+const SIMULATE: &[&str] = &["run", "explain", "compare", "sweep"];
+const LIVE: &[&str] = &["run", "explain", "sweep"];
+const OBSERVE: &[&str] = &["run", "explain", "compare", "sweep", "simpoint", "gen"];
+
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "--predictor", value: Some("name"), commands: &["run", "explain"], help: "the stock predictor to simulate (`mbpsim list` names them)" },
+    Flag { name: "--predictors", value: Some("a,b,..."), commands: &["compare", "sweep"], help: "comma-separated stock predictors; compare takes two" },
+    Flag { name: "--trace", value: Some("file"), commands: &["run", "explain", "compare", "sweep", "simpoint", "info"], help: "the SBBT trace to read (.sbbt, .sbbt.mzst or .sbbt.mgz)" },
+    Flag { name: "--warmup", value: Some("N"), commands: SIMULATE, help: "instructions simulated before statistics are collected (default 0)" },
+    Flag { name: "--max", value: Some("N"), commands: SIMULATE, help: "stop after N instructions" },
+    Flag { name: "--track-only-conditional", value: None, commands: SIMULATE, help: "call `track` for conditional branches only" },
+    Flag { name: "--introspect", value: None, commands: SIMULATE, help: "collect end-of-run table-health probes into an `introspection` section" },
+    Flag { name: "--timeseries-out", value: Some("file"), commands: LIVE, help: "write per-window rows as CSV and add `metrics.timeseries` to the JSON" },
+    Flag { name: "--window", value: Some("N"), commands: LIVE, help: "time-series window in instructions (default 100000; implies the series)" },
+    Flag { name: "--quiet", value: None, commands: LIVE, help: "suppress the live progress line on stderr" },
+    Flag { name: "--telemetry-listen", value: Some("addr"), commands: LIVE, help: "serve /metrics, /snapshot and /healthz while the command runs (port 0 picks one)" },
+    Flag { name: "--telemetry-hold-ms", value: Some("N"), commands: LIVE, help: "keep serving the final state for N ms after the work finishes (default 0)" },
+    Flag { name: "--metrics", value: None, commands: OBSERVE, help: "add pipeline metrics to the JSON and print a one-screen summary on stderr" },
+    Flag { name: "--metrics-out", value: Some("file"), commands: OBSERVE, help: "also write the metrics object to <file>" },
+    Flag { name: "--trace-out", value: Some("file"), commands: OBSERVE, help: "write a Chrome trace-event timeline (Perfetto, chrome://tracing)" },
+    Flag { name: "--events-out", value: Some("file"), commands: OBSERVE, help: "write the raw event journal as JSONL" },
+    Flag { name: "--sample-every", value: Some("N"), commands: OBSERVE, help: "sample throughput gauges every N batches (default 64, 0 disables)" },
+    Flag { name: "--top", value: Some("K"), commands: &["explain"], help: "hard-to-predict branches in the forensic report (default 10)" },
+    Flag { name: "--out", value: Some("report.json"), commands: &["explain"], help: "write the forensic report here instead of stdout" },
+    Flag { name: "--jobs", value: Some("N"), commands: &["sweep"], help: "worker threads (default 0: one per core, capped at the predictor count)" },
+    Flag { name: "--checkpoint", value: Some("file.jsonl"), commands: &["sweep"], help: "append each settled predictor to a JSONL checkpoint, fsync'd per record" },
+    Flag { name: "--resume", value: None, commands: &["sweep"], help: "settle the predictors --checkpoint already records from it; run the rest" },
+    Flag { name: "--deadline-secs", value: Some("S"), commands: &["sweep"], help: "per-predictor watchdog: a stuck predictor fails as `deadline`" },
+    Flag { name: "--mem-budget-mb", value: Some("N"), commands: &["sweep"], help: "admit predictors while their size hints fit; one too large alone fails" },
+    Flag { name: "--phases", value: Some("phases.json"), commands: &["sweep"], help: "simulate the plan's slices only (not with --max, --warmup, --window, --timeseries-out)" },
+    Flag { name: "--window", value: Some("N"), commands: &["simpoint"], help: "basic-block-vector window in instructions (default 100000)" },
+    Flag { name: "--clusters", value: Some("K"), commands: &["simpoint"], help: "maximum k-means clusters (default 8)" },
+    Flag { name: "--warmup-windows", value: Some("N"), commands: &["simpoint"], help: "windows of warm-up replay before each slice (default 1)" },
+    Flag { name: "--out", value: Some("phases.json"), commands: &["simpoint"], help: "write the phases document here instead of stdout" },
+    Flag { name: "--suite", value: Some("name"), commands: &["gen"], help: "cbp5-training, cbp5-evaluation, dpc3 or smoke" },
+    Flag { name: "--scale", value: Some("N"), commands: &["gen"], help: "trace length multiplier (default 1)" },
+    Flag { name: "--out", value: Some("dir"), commands: &["gen"], help: "the directory to write the traces into" },
+    Flag { name: "--from", value: Some("file"), commands: &["translate"], help: "the BT9 or SBBT trace to read" },
+    Flag { name: "--to", value: Some("file"), commands: &["translate"], help: "the trace to write; its extension picks format and codec" },
+    Flag { name: "--threshold", value: Some("PCT"), commands: &["stats-diff"], help: "the change that counts as a regression, in percent (default 5)" },
+    Flag { name: "--out", value: Some("report.html"), commands: &["report"], help: "write the HTML here instead of stdout" },
+    Flag { name: "--interval-ms", value: Some("N"), commands: &["top"], help: "repaint interval (default 500)" },
+    Flag { name: "--once", value: None, commands: &["top"], help: "render one frame and exit (also when stdout is not a TTY)" },
+];
+
+/// The usage text, rendered from [`COMMANDS`] and [`FLAGS`].
+fn usage() -> String {
+    let mut text = String::from("usage:");
+    for c in COMMANDS {
+        text += format!("\n  mbpsim {} {}", c.name, c.synopsis).trim_end();
+    }
+    text += "\n\nflags, and the commands that take them:";
+    for f in FLAGS {
+        let value = f.value.map(|v| format!(" <{v}>")).unwrap_or_default();
+        let flag = format!("{}{value}", f.name);
+        text += &format!("\n  {flag:<28} {}\n      {}", f.commands.join(", "), f.help);
+    }
+    text
+}
+
+/// A usage error that prints the usage text after its message.
+fn usage_error(message: impl std::fmt::Display) -> Failure {
+    Failure::usage(format!("{message}\n{}", usage()))
+}
+
+/// A command line checked against [`FLAGS`]: its command, its operands, and
+/// each flag it gives with its value (`None` for a switch).
 struct Args {
-    items: Vec<String>,
+    command: &'static Command,
+    operands: Vec<String>,
+    flags: Vec<(&'static str, Option<String>)>,
 }
 
 impl Args {
+    /// Checks the words after the command once, before its body runs: each
+    /// flag must be one the command takes, given once, with its value.
+    fn parse(command: &'static Command, words: Vec<String>) -> Result<Self, Failure> {
+        let name = command.name;
+        let mut args = Args {
+            command,
+            operands: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut words = words.into_iter();
+        while let Some(word) = words.next() {
+            if !word.starts_with("--") {
+                args.operands.push(word);
+                continue;
+            }
+            let rows = || FLAGS.iter().filter(|f| f.name == word);
+            let Some(flag) = rows().find(|f| f.commands.contains(&name)) else {
+                return Err(usage_error(match rows().next() {
+                    Some(_) => format!("mbpsim {name} does not take {word}"),
+                    None => format!("unknown flag {word}"),
+                }));
+            };
+            if args.flag(flag.name) {
+                return Err(usage_error(format!("{word} is given twice")));
+            }
+            let value = flag
+                .value
+                .map(|_| words.next().filter(|v| !v.starts_with("--")));
+            if value == Some(None) {
+                return Err(usage_error(format!("{word} needs a value")));
+            }
+            args.flags.push((flag.name, value.flatten()));
+        }
+        match args.operands.first() {
+            Some(word) if !command.synopsis.starts_with('<') => Err(usage_error(format!(
+                "mbpsim {name} takes no operand {word:?}"
+            ))),
+            _ => Ok(args),
+        }
+    }
+
     fn get(&self, key: &str) -> Option<&str> {
-        self.items
-            .iter()
-            .position(|a| a == key)
-            .and_then(|i| self.items.get(i + 1))
-            .map(String::as_str)
+        let (_, value) = self.flags.iter().find(|(name, _)| *name == key)?;
+        value.as_deref()
     }
 
     fn flag(&self, key: &str) -> bool {
-        self.items.iter().any(|a| a == key)
+        self.flags.iter().any(|(name, _)| *name == key)
     }
 
-    /// Leading positional operands (everything before the first `--flag`).
-    fn positional(&self) -> Vec<&str> {
-        self.items
-            .iter()
-            .take_while(|a| !a.starts_with("--"))
-            .map(String::as_str)
-            .collect()
+    /// The command's operands, which its synopsis says number `N`.
+    fn operands<const N: usize>(&self) -> Result<[&str; N], Failure> {
+        let words: Vec<&str> = self.operands.iter().map(String::as_str).collect();
+        let Command { name, synopsis, .. } = self.command;
+        words
+            .try_into()
+            .map_err(|_| usage_error(format!("expected: mbpsim {name} {synopsis}")))
     }
 
     fn required(&self, key: &str) -> Result<&str, Failure> {
         self.get(key)
-            .ok_or_else(|| Failure::usage(format!("missing {key}\n{}", usage())))
+            .ok_or_else(|| usage_error(format!("missing {key}")))
+    }
+
+    fn optional<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, Failure> {
+        let invalid = |v| Failure::usage(format!("invalid value for {key}: {v}"));
+        (self.get(key))
+            .map(|v| v.parse().map_err(|_| invalid(v)))
+            .transpose()
     }
 
     fn parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, Failure> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| Failure::usage(format!("invalid value for {key}: {v}"))),
-        }
+        Ok(self.optional(key)?.unwrap_or(default))
     }
 }
 
@@ -230,25 +285,13 @@ fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), Failure> {
 fn sim_config(args: &Args) -> Result<SimConfig, Failure> {
     // `--window N` tunes the window size and by itself enables the time
     // series; `--timeseries-out` enables it at the default window size.
-    let timeseries_window = match args.get("--window") {
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|_| Failure::usage(format!("invalid value for --window: {v}")))?,
-        ),
-        None if args.get("--timeseries-out").is_some() => {
-            Some(mbp::sim::DEFAULT_WINDOW_INSTRUCTIONS)
-        }
-        None => None,
-    };
+    let default_window =
+        (args.get("--timeseries-out")).map(|_| mbp::sim::DEFAULT_WINDOW_INSTRUCTIONS);
     Ok(SimConfig {
         warmup_instructions: args.parsed("--warmup", 0)?,
-        max_instructions: args
-            .get("--max")
-            .map(|v| v.parse())
-            .transpose()
-            .map_err(|_| Failure::usage("invalid value for --max"))?,
+        max_instructions: args.optional("--max")?,
         track_only_conditional: args.flag("--track-only-conditional"),
-        timeseries_window,
+        timeseries_window: args.optional("--window")?.or(default_window),
         collect_probes: args.flag("--introspect"),
         ..SimConfig::default()
     })
@@ -429,15 +472,11 @@ fn cmd_run(args: &Args) -> Result<ExitCode, Failure> {
 /// (top-K hard-to-predict branches with component attribution and the
 /// misprediction coverage curve) alongside the usual run output.
 fn cmd_explain(args: &Args) -> Result<ExitCode, Failure> {
-    let (trace_path, name) = match args.positional().as_slice() {
-        [trace, predictor] => (*trace, *predictor),
-        // Flag spelling, for symmetry with `run`.
-        [] => (args.required("--trace")?, args.required("--predictor")?),
-        _ => {
-            return Err(Failure::usage(
-                "expected: mbpsim explain <trace> <predictor> [--top K]",
-            ))
-        }
+    // Flag spelling, for symmetry with `run`.
+    let [trace_path, name] = if args.operands.is_empty() {
+        [args.required("--trace")?, args.required("--predictor")?]
+    } else {
+        args.operands()?
     };
     simulate_one(args, name, predictor(name)?, trace_path, true)
 }
@@ -508,7 +547,7 @@ fn simulate_one(
     result.metadata.trace = trace_path.into();
     let mut doc = result.to_json();
     emit_metrics(args, Some(&mut doc))?;
-    match args.get("--out").filter(|_| explain) {
+    match args.get("--out") {
         Some(path) => {
             write_file(path, format!("{doc:#}\n"))?;
             eprintln!("mbpsim: wrote forensic report to {path}");
@@ -549,28 +588,16 @@ fn cmd_sweep(args: &Args) -> Result<ExitCode, Failure> {
     }
     let predictor_count = predictors.len();
     let trace_path = args.required("--trace")?;
-    let deadline = match args.get("--deadline-secs") {
-        None => None,
-        Some(raw) => {
-            let secs: f64 = raw
-                .parse()
-                .map_err(|e| Failure::usage(format!("bad --deadline-secs {raw:?}: {e}")))?;
-            if !secs.is_finite() || secs <= 0.0 {
-                return Err(Failure::usage(format!(
-                    "--deadline-secs must be a positive number, got {raw:?}"
-                )));
-            }
-            Some(std::time::Duration::from_secs_f64(secs))
+    let deadline = match args.optional::<f64>("--deadline-secs")? {
+        Some(secs) if !secs.is_finite() || secs <= 0.0 => {
+            return Err(Failure::usage(format!(
+                "--deadline-secs must be a positive number, got {secs}"
+            )));
         }
+        secs => secs.map(std::time::Duration::from_secs_f64),
     };
-    let mem_budget = args
-        .get("--mem-budget-mb")
-        .map(|raw| {
-            raw.parse::<u64>()
-                .map_err(|e| Failure::usage(format!("bad --mem-budget-mb {raw:?}: {e}")))
-        })
-        .transpose()?
-        .map(|mb| mb.saturating_mul(1024 * 1024));
+    let mem_budget =
+        (args.optional::<u64>("--mem-budget-mb")?).map(|mb| mb.saturating_mul(1024 * 1024));
     let checkpoint = args.get("--checkpoint").map(PathBuf::from);
     let resume = args.flag("--resume");
     if resume && checkpoint.is_none() {
@@ -773,12 +800,7 @@ fn cmd_gen(args: &Args) -> Result<ExitCode, Failure> {
 }
 
 fn cmd_stats_diff(args: &Args) -> Result<ExitCode, Failure> {
-    let paths = args.positional();
-    let [baseline, candidate] = paths.as_slice() else {
-        return Err(Failure::usage(
-            "expected: mbpsim stats-diff <baseline.json> <candidate.json> [--threshold PCT]",
-        ));
-    };
+    let [baseline, candidate] = args.operands()?;
     let threshold_pct: f64 = args.parsed("--threshold", 5.0)?;
     if !threshold_pct.is_finite() || threshold_pct < 0.0 {
         return Err(Failure::usage("--threshold must be a non-negative percent"));
@@ -795,12 +817,7 @@ fn cmd_stats_diff(args: &Args) -> Result<ExitCode, Failure> {
 }
 
 fn cmd_report(args: &Args) -> Result<ExitCode, Failure> {
-    let paths = args.positional();
-    let [path] = paths.as_slice() else {
-        return Err(Failure::usage(
-            "expected: mbpsim report <metrics.json> [--out <report.html>]",
-        ));
-    };
+    let [path] = args.operands()?;
     let html = mbp::html_report::render_html(&load_json(path, Failure::internal)?);
     match args.get("--out") {
         Some(out) => {
@@ -813,12 +830,7 @@ fn cmd_report(args: &Args) -> Result<ExitCode, Failure> {
 }
 
 fn cmd_validate_trace(args: &Args) -> Result<ExitCode, Failure> {
-    let paths = args.positional();
-    let [path] = paths.as_slice() else {
-        return Err(Failure::usage(
-            "expected: mbpsim validate-trace <run.trace.json>",
-        ));
-    };
+    let [path] = args.operands()?;
     let doc = load_json(path, Failure::internal)?;
     let check = mbp::events_export::validate_chrome_trace(&doc)
         .map_err(|e| Failure::internal(format!("{path}: {e}")))?;
@@ -886,15 +898,10 @@ fn cmd_translate(args: &Args) -> Result<ExitCode, Failure> {
 }
 
 fn cmd_top(args: &Args) -> Result<ExitCode, Failure> {
-    let positional = args.positional();
-    let [addr] = positional.as_slice() else {
-        return Err(Failure::usage(
-            "expected: mbpsim top <host:port> [--interval-ms N] [--once]",
-        ));
-    };
+    let [addr] = args.operands()?;
     let interval_ms: u64 = args.parsed("--interval-ms", 500u64)?;
     let opts = mbp::top::TopOptions {
-        addr: (*addr).to_string(),
+        addr: addr.to_string(),
         interval: std::time::Duration::from_millis(interval_ms.max(50)),
         once: args.flag("--once"),
     };
@@ -960,42 +967,34 @@ fn install_panic_hook() {
     }));
 }
 
+fn cmd_list(_: &Args) -> Result<ExitCode, Failure> {
+    for name in PREDICTOR_NAMES {
+        println!("{name}");
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_help(_: &Args) -> Result<ExitCode, Failure> {
+    println!("{}", usage());
+    Ok(ExitCode::SUCCESS)
+}
+
 fn main() -> ExitCode {
     install_panic_hook();
-    let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.is_empty() {
+    let mut argv = std::env::args().skip(1);
+    let Some(name) = argv.next() else {
         eprintln!("{}", usage());
         return ExitCode::from(EXIT_USAGE);
-    }
-    let command = argv.remove(0);
-    let args = Args { items: argv };
-    let result = match command.as_str() {
-        "run" => cmd_run(&args),
-        "explain" => cmd_explain(&args),
-        "compare" => cmd_compare(&args),
-        "sweep" => cmd_sweep(&args),
-        "simpoint" => cmd_simpoint(&args),
-        "gen" => cmd_gen(&args),
-        "translate" => cmd_translate(&args),
-        "info" => cmd_info(&args),
-        "stats-diff" => cmd_stats_diff(&args),
-        "validate-trace" => cmd_validate_trace(&args),
-        "report" => cmd_report(&args),
-        "top" => cmd_top(&args),
-        "list" => {
-            for name in PREDICTOR_NAMES {
-                println!("{name}");
-            }
-            Ok(ExitCode::SUCCESS)
+    };
+    let name = match name.as_str() {
+        "--help" | "-h" => "help",
+        name => name,
+    };
+    let result = match COMMANDS.iter().find(|c| c.name == name) {
+        Some(command) => {
+            Args::parse(command, argv.collect()).and_then(|args| (command.body)(&args))
         }
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            Ok(ExitCode::SUCCESS)
-        }
-        other => Err(Failure::usage(format!(
-            "unknown command {other:?}\n{}",
-            usage()
-        ))),
+        None => Err(usage_error(format!("unknown command {name:?}"))),
     };
     match result {
         Ok(code) => code,

@@ -256,17 +256,179 @@ fn helpful_errors_for_bad_input() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("missing --trace"));
 }
 
+/// `mbpsim help`, parsed: its text, the commands it lists, and each flag
+/// row's flag with the commands that take it.
+struct Help {
+    text: String,
+    commands: Vec<String>,
+    flags: Vec<(String, Vec<String>)>,
+}
+
+impl Help {
+    fn new() -> Self {
+        let out = mbpsim().arg("help").output().expect("spawn");
+        assert!(out.status.success());
+        let text = String::from_utf8(out.stdout).expect("utf8");
+        let commands = (text.lines())
+            .filter_map(|line| line.strip_prefix("  mbpsim "))
+            .map(|line| line.split_whitespace().next().expect("name").to_string())
+            .collect();
+        // `  --flag [<value>]   command, command, ...`
+        let flags = (text.lines())
+            .filter(|line| line.starts_with("  --"))
+            .map(|line| {
+                let mut words = line.split_whitespace().peekable();
+                let flag = words.next().expect("flag").to_string();
+                words.next_if(|w| w.starts_with('<'));
+                let rest = words.collect::<Vec<_>>().join(" ");
+                (flag, rest.split(", ").map(str::to_string).collect())
+            })
+            .collect();
+        Help {
+            text,
+            commands,
+            flags,
+        }
+    }
+
+    /// The commands that take `flag`, over all of its rows, sorted.
+    fn commands_of(&self, flag: &str) -> Vec<&str> {
+        let rows = self.flags.iter().filter(|(f, _)| f == flag);
+        let mut commands: Vec<&str> = rows.flat_map(|(_, c)| c).map(String::as_str).collect();
+        commands.sort();
+        commands
+    }
+}
+
+/// Each of these exits 2 before any work, so a mistyped, foreign, repeated
+/// or valueless flag, or a stray operand, is never silently ignored.
 #[test]
 fn usage_errors_exit_with_code_2() {
+    let dir = temp_dir("usage-errors");
+    assert!(mbpsim()
+        .args(["gen", "--suite", "smoke", "--out"])
+        .arg(&dir)
+        .status()
+        .expect("spawn")
+        .success());
+    let path = dir.join("SMOKE-server.sbbt.mzst");
+    let trace = path.to_str().expect("utf8 path");
+    let run = ["run", "--predictor", "gshare", "--trace", trace];
+    let compare = ["compare", "--predictors", "gshare,tage", "--trace", trace];
     for argv in [
         vec!["frobnicate"],
         vec!["run", "--predictor", "nonexistent", "--trace", "/x"],
         vec!["run", "--predictor", "gshare"],
         vec!["gen", "--suite", "bogus", "--out", "/tmp"],
+        [&run[..], &["--warmpu", "500000"]].concat(),
+        [&compare[..], &["--timeseries-out", "c.csv"]].concat(),
+        [&run[..], &["--max"]].concat(),
+        [&run[..], &["--out", "x.json"]].concat(),
+        [&run[..], &["--warmup", "5", "--warmup", "10"]].concat(),
+        vec!["sweep", "--predictors", "gshare,", "tage", "--trace", trace],
+        vec!["info", "--trace", trace, "--introspect"],
+        vec!["simpoint", "--trace", trace, "--jobs", "3"],
     ] {
-        let out = mbpsim().args(&argv).output().expect("spawn");
+        let out = mbpsim()
+            .args(&argv)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn");
         assert_eq!(out.status.code(), Some(2), "{argv:?}");
+        assert!(out.stdout.is_empty(), "{argv:?}");
     }
+    assert!(!dir.join("c.csv").exists() && !dir.join("x.json").exists());
+}
+
+/// Every command `mbpsim help` lists refuses an unknown flag and a flag
+/// only other commands take, with the usage text on stderr.
+#[test]
+fn every_command_refuses_a_flag_it_does_not_take() {
+    let help = Help::new();
+    assert!(help.commands.len() >= 14, "{}", help.text);
+    for command in &help.commands {
+        let (foreign, _) = (help.flags.iter())
+            .find(|(flag, _)| !help.commands_of(flag).contains(&command.as_str()))
+            .expect("a flag another command takes");
+        for flag in ["--frobnicate", foreign] {
+            let out = mbpsim().args([command, flag]).output().expect("spawn");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{command} {flag}: {stderr}");
+            assert!(stderr.contains(flag), "{command} {flag}: {stderr}");
+            assert!(
+                stderr.contains(help.text.trim_end()),
+                "{command} {flag}: {stderr}"
+            );
+        }
+    }
+}
+
+/// The README agrees with the flag table `mbpsim help` renders: each
+/// `mbpsim <command>` line in its code blocks (with its `\` continuation
+/// lines) uses only flags that command takes, and each flag row of its
+/// "Applies to" table names exactly the commands that take the flag.
+#[test]
+fn readme_flags_match_mbpsim_help() {
+    let help = Help::new();
+    let readme = include_str!("../README.md");
+    let mut invocations = Vec::new();
+    let (mut in_code, mut line) = (false, String::new());
+    for text in readme.lines() {
+        if text.starts_with("```") {
+            in_code = !in_code;
+            continue;
+        }
+        let code = text.split('#').next().unwrap_or_default().trim_end();
+        if in_code {
+            line = format!("{line} {}", code.trim_end_matches('\\'));
+            if !code.ends_with('\\') {
+                invocations.push(std::mem::take(&mut line));
+            }
+        }
+    }
+    let mut checked = 0;
+    for line in &invocations {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let Some(at) = words.iter().position(|&w| w == "mbpsim") else {
+            continue;
+        };
+        let mut rest = words[at + 1..].iter().filter(|&&w| w != "--");
+        let Some(command) = rest
+            .next()
+            .filter(|c| help.commands.contains(&c.to_string()))
+        else {
+            continue;
+        };
+        for flag in rest.filter(|w| w.starts_with("--")) {
+            let takers = help.commands_of(flag);
+            assert!(
+                takers.contains(command),
+                "README: `{line}`: {command} takes no {flag}"
+            );
+        }
+        checked += 1;
+    }
+    assert!(checked >= 15, "only {checked} README invocations found");
+
+    let table = readme
+        .split_once("| Applies to |")
+        .expect("README has an Applies-to table")
+        .1;
+    let mut rows = 0;
+    for row in table.lines().skip(2).take_while(|l| l.starts_with('|')) {
+        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+        let Some(flag) = cells[1].trim_matches('`').split_whitespace().next() else {
+            continue;
+        };
+        if !flag.starts_with("--") {
+            continue;
+        }
+        let mut named: Vec<&str> = cells[2].split(',').map(str::trim).collect();
+        named.sort();
+        assert_eq!(named, help.commands_of(flag), "README row: {row}");
+        rows += 1;
+    }
+    assert_eq!(rows, 2, "the telemetry flag rows");
 }
 
 #[test]

@@ -152,6 +152,40 @@ fn truncated_checkpoint_resume_reproduces_the_clean_run() {
         String::from_utf8_lossy(&resumed.stderr)
     );
     assert_eq!(canonical_sweep_json(&resumed.stdout), reference);
+
+    // The resume cut the torn line off before appending, so a second resume
+    // of the same file finds every predictor settled: it starts no worker,
+    // writes nothing, and otherwise prints the clean run's document.
+    let again = sweep_cmd(&trace)
+        .arg("--checkpoint")
+        .arg(&ckpt)
+        .args(["--resume", "--metrics"])
+        .output()
+        .expect("spawn second resume");
+    assert!(
+        again.status.success(),
+        "{}",
+        String::from_utf8_lossy(&again.stderr)
+    );
+    let mut doc = read_doc(&again.stdout);
+    let metrics = (doc.as_object_mut())
+        .and_then(|root| root.remove("metrics"))
+        .expect("--metrics adds a metrics object");
+    assert_eq!(
+        metrics["sweep"]["resume_skips"].as_u64(),
+        Some(lines.len() as u64)
+    );
+    assert_eq!(metrics["sweep"]["checkpoint_writes"].as_u64(), Some(0));
+    let kept = std::fs::read_to_string(&ckpt).expect("checkpoint kept");
+    assert_eq!(kept.lines().count(), lines.len(), "{kept}");
+    let clean_workers = read_doc(&clean.stdout)["metadata"]["workers_used"].clone();
+    let workers = (doc.as_object_mut())
+        .and_then(|root| root.get_mut("metadata"))
+        .and_then(Value::as_object_mut)
+        .and_then(|meta| meta.insert("workers_used", clean_workers));
+    assert_eq!(workers.and_then(|w| w.as_u64()), Some(0));
+    let doc = doc.to_pretty_string();
+    assert_eq!(canonical_sweep_json(doc.as_bytes()), reference);
 }
 
 #[cfg(unix)]
