@@ -30,10 +30,11 @@ echo "== driver equivalence (batch pipeline vs scalar reference) =="
 cargo test -q -p mbp --test driver_equivalence
 cargo test -q -p mbp --test equivalence
 
-echo "== fault injection (readers fail closed on corrupt traces and checkpoints) =="
+echo "== fault injection (readers fail closed on corrupt traces, checkpoints and phases documents) =="
 cargo test -q -p mbp-faultsim --test fault_injection
 cargo test -q -p mbp-faultsim --test alloc_bounds
 cargo test -q -p mbp-faultsim --test checkpoint_faults
+cargo test -q -p mbp-faultsim --test phases_faults
 
 echo "== observability layer (mbp-stats) =="
 cargo test -q -p mbp-stats

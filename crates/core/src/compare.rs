@@ -1,13 +1,11 @@
 //! The comparison simulator (§VI-C): two predictors over one trace.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use mbp_json::{json, Value};
 use mbp_trace::{BranchBatch, TraceError};
-use mbp_utils::FastHashBuilder;
 
-use crate::metrics::{accuracy, mpki};
+use crate::metrics::{accuracy, mpki, BranchTable};
 use crate::simulator::{count_records, next_batch, publish_run};
 use crate::{PredictionBits, Predictor, Section, SimConfig, TableProbe, TraceSource};
 
@@ -146,7 +144,8 @@ where
     let mut conditional = 0u64;
     let mut mis = [0u64; 2];
     let mut only = [0u64; 2];
-    let mut per_branch: HashMap<u64, (u64, u64, u64), FastHashBuilder> = HashMap::default();
+    // (occurrences, mispredictions of a, of b) per measured branch.
+    let mut per_branch: BranchTable<(u64, u64, u64)> = BranchTable::default();
     let mut batch = BranchBatch::new();
     let (mut bits_a, mut bits_b) = (PredictionBits::new(), PredictionBits::new());
 
@@ -189,7 +188,7 @@ where
             mis[1] += wrong_b as u64;
             only[0] += (wrong_a && !wrong_b) as u64;
             only[1] += (wrong_b && !wrong_a) as u64;
-            let e = per_branch.entry(pcs[i]).or_insert((0, 0, 0));
+            let e = per_branch.entry(pcs[i]);
             e.0 += 1;
             e.1 += wrong_a as u64;
             e.2 += wrong_b as u64;
@@ -202,9 +201,9 @@ where
     publish_run(records, elapsed);
 
     let mut most_diverging: Vec<DivergingBranch> = per_branch
-        .into_iter()
-        .filter(|&(_, (_, ma, mb))| ma != mb)
-        .map(|(ip, (occ, ma, mb))| DivergingBranch {
+        .iter()
+        .filter(|&(_, &(_, ma, mb))| ma != mb)
+        .map(|(ip, &(occ, ma, mb))| DivergingBranch {
             ip,
             occurrences: occ,
             mispredictions_a: ma,

@@ -129,22 +129,22 @@ pub(crate) fn report(
     config: &ForensicsConfig,
     instructions: u64,
 ) -> Value {
-    let branches: Vec<_> = most_failed.ranked(instructions).collect();
-    let conditional_branches: u64 = branches.iter().map(|(b, _)| b.occurrences).sum();
-    let mispredictions: u64 = branches.iter().map(|(b, _)| b.mispredictions).sum();
-    let h2p_branches = branches.iter().filter(|(b, _)| is_h2p(b)).count() as u64;
+    let branches: Vec<BranchStat> = most_failed.ranked(instructions).collect();
+    let conditional_branches: u64 = branches.iter().map(|b| b.occurrences).sum();
+    let mispredictions: u64 = branches.iter().map(|b| b.mispredictions).sum();
+    let h2p_branches = branches.iter().filter(|b| is_h2p(b)).count() as u64;
 
     let unshaped = Shape::default();
     let mut top = Vec::new();
     let mut coverage = Vec::new();
     let mut covered = 0u64;
-    for (n, (b, shape)) in branches
+    for (n, b) in branches
         .iter()
-        .take_while(|(b, _)| b.mispredictions > 0)
+        .take_while(|b| b.mispredictions > 0)
         .take(config.top_limit.max(1))
         .enumerate()
     {
-        let shape = shape.unwrap_or(&unshaped);
+        let shape = most_failed.shape(b.ip).unwrap_or(&unshaped);
         let mut branch = Map::new();
         branch.insert("ip", b.ip);
         branch.insert("occurrences", b.occurrences);

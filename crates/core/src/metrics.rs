@@ -1,9 +1,5 @@
 //! Metric accumulation: MPKI, accuracy and the most-failed-branches report.
 
-use std::collections::HashMap;
-
-use mbp_utils::FastHashBuilder;
-
 use crate::forensics::Shape;
 
 /// Aggregate metrics of a simulation (the `metrics` section of Listing 1).
@@ -131,106 +127,161 @@ pub(crate) fn transition_class_name(rate: f64) -> &'static str {
     TRANSITION_CLASSES[transition_class(rate)]
 }
 
-/// Direct-mapped cache slots in front of the per-branch hash map. Static
-/// branch working sets are small (hundreds to a few thousand ips), so
-/// almost every dynamic occurrence hits its slot and costs two additions
-/// instead of a hash-map probe — this accumulator sits on the simulator's
-/// per-record hot path.
+/// A [`BranchTable`] starts with `2^SLOT_BITS` slots: 1 024 static
+/// branches fit before the first growth, more than any benchmark trace has.
 const SLOT_BITS: u32 = 11;
-const SLOT_COUNT: usize = 1 << SLOT_BITS;
 /// Branch addresses are below 2^51 (SBBT packet layout), so `u64::MAX`
 /// can mark an empty slot.
 const EMPTY: u64 = u64::MAX;
 
-/// Exact per-branch outcome totals.
-#[derive(Clone, Copy, Debug)]
-struct Counts {
+/// `ip`'s home slot in a table of `2^(64 - shift)` slots. Fibonacci
+/// hashing: one multiply, the top bits as the index.
+#[inline]
+fn home(ip: u64, shift: u32) -> usize {
+    (ip.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+}
+
+/// Per-branch state keyed by branch address: the crate's one per-branch
+/// structure. Open addressing with linear probing, so a branch's state
+/// never moves on a collision; the table doubles when an insert would make
+/// it more than half full. It sits on the simulator's per-record hot path,
+/// where a hit costs one multiply and, at real footprints, one slot read.
+#[derive(Clone, Debug)]
+pub(crate) struct BranchTable<V> {
+    /// `(ip, state)` pairs; an [`EMPTY`] ip marks a free slot.
+    slots: Box<[(u64, V)]>,
+    /// 64 minus log2 of the slot count.
+    shift: u32,
+    len: usize,
+}
+
+impl<V: Clone + Default> Default for BranchTable<V> {
+    fn default() -> Self {
+        Self::with_shift(64 - SLOT_BITS)
+    }
+}
+
+impl<V: Clone + Default> BranchTable<V> {
+    fn with_shift(shift: u32) -> Self {
+        Self {
+            slots: vec![(EMPTY, V::default()); 1 << (64 - shift)].into_boxed_slice(),
+            shift,
+            len: 0,
+        }
+    }
+
+    /// `ip`'s slot, or the free slot that ends its probe sequence.
+    #[inline]
+    fn slot(&self, ip: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut index = home(ip, self.shift);
+        while self.slots[index].0 != ip && self.slots[index].0 != EMPTY {
+            index = (index + 1) & mask;
+        }
+        index
+    }
+
+    /// Branch `ip`'s state, inserted as `V::default()` if it is new.
+    #[inline]
+    pub(crate) fn entry(&mut self, ip: u64) -> &mut V {
+        let index = home(ip, self.shift);
+        if self.slots[index].0 != ip {
+            return self.find_or_insert(ip);
+        }
+        &mut self.slots[index].1
+    }
+
+    /// Branch `ip`'s state away from its home slot: found further along
+    /// its probe sequence, or inserted there, after doubling the table if
+    /// it is half full.
+    #[inline(never)]
+    fn find_or_insert(&mut self, ip: u64) -> &mut V {
+        let mut index = self.slot(ip);
+        if self.slots[index].0 != ip {
+            if self.len >= self.slots.len() / 2 {
+                let old = std::mem::replace(self, Self::with_shift(self.shift - 1));
+                for (key, value) in old.slots.into_vec() {
+                    if key != EMPTY {
+                        *self.find_or_insert(key) = value;
+                    }
+                }
+                index = self.slot(ip);
+            }
+            self.slots[index] = (ip, V::default());
+            self.len += 1;
+        }
+        &mut self.slots[index].1
+    }
+
+    /// Branch `ip`'s state, if the table holds it.
+    pub(crate) fn get(&self, ip: u64) -> Option<&V> {
+        let (key, value) = &self.slots[self.slot(ip)];
+        (*key == ip).then_some(value)
+    }
+
+    /// Every branch with its state, in slot order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
+        (self.slots.iter())
+            .filter(|(ip, _)| *ip != EMPTY)
+            .map(|(ip, value)| (*ip, value))
+    }
+}
+
+/// One branch's exact outcome totals.
+#[derive(Clone, Copy, Debug, Default)]
+struct Tally {
     occurrences: u64,
     mispredictions: u64,
     taken: u64,
     transitions: u64,
+    /// Previous outcome plus one (1 not taken, 2 taken); 0 before the first.
+    last: u8,
 }
 
-/// Sentinel for "no previous outcome observed" in [`Slot::last_taken`].
-const NO_OUTCOME: u8 = 2;
+impl Tally {
+    #[inline]
+    fn record(&mut self, taken: bool, mispredicted: bool) {
+        let outcome = 1 + taken as u8;
+        self.occurrences += 1;
+        self.mispredictions += mispredicted as u64;
+        self.taken += taken as u64;
+        // `3 - outcome` is the other outcome, which 0 never equals.
+        self.transitions += (self.last == 3 - outcome) as u64;
+        self.last = outcome;
+    }
 
-/// One branch's outcome state. It lives in exactly one place, the
-/// branch's slot or the spill map, and moves between them whole, so its
-/// outcome chain — and with it the transition count — survives eviction.
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    ip: u64,
-    counts: Counts,
-    /// Previous outcome (0/1), or [`NO_OUTCOME`] before the first.
-    last_taken: u8,
-}
-
-const EMPTY_SLOT: Slot = Slot {
-    ip: EMPTY,
-    counts: Counts {
-        occurrences: 0,
-        mispredictions: 0,
-        taken: 0,
-        transitions: 0,
-    },
-    last_taken: NO_OUTCOME,
-};
-
-impl Slot {
-    /// The branch's `most_failed` entry over `instructions` measured
+    /// Branch `ip`'s `most_failed` entry over `instructions` measured
     /// instructions.
-    fn stat(&self, instructions: u64) -> BranchStat {
-        let c = &self.counts;
+    fn stat(&self, ip: u64, instructions: u64) -> BranchStat {
         BranchStat {
-            ip: self.ip,
-            occurrences: c.occurrences,
-            mispredictions: c.mispredictions,
-            taken: c.taken,
-            mpki: mpki(c.mispredictions, instructions),
-            accuracy: accuracy(c.mispredictions, c.occurrences),
-            direction_entropy: direction_entropy(c.taken, c.occurrences),
-            transition_rate: transition_rate(c.transitions, c.occurrences),
+            ip,
+            occurrences: self.occurrences,
+            mispredictions: self.mispredictions,
+            taken: self.taken,
+            mpki: mpki(self.mispredictions, instructions),
+            accuracy: accuracy(self.mispredictions, self.occurrences),
+            direction_entropy: direction_entropy(self.taken, self.occurrences),
+            transition_rate: transition_rate(self.transitions, self.occurrences),
         }
     }
 }
 
 /// Accumulates per-branch outcomes and derives the most-failed report.
 ///
-/// A branch's state lives in a direct-mapped slot while the branch stays
-/// hot. A colliding branch moves the resident's state into the hash map
-/// and takes its own back from there, so every count is exact regardless
-/// of collisions. A forensic run's accumulator also keeps each branch's
-/// shape — streaks, misprediction bursts and component blame — which moves
-/// with the slot.
-#[derive(Clone, Debug)]
+/// Every count is exact: each branch's tally lives in its own slot of a
+/// [`BranchTable`]. A forensic run's accumulator also keeps each recorded
+/// branch's shape — streaks, misprediction bursts and component blame — in
+/// a second table, so a plain run's slots carry none of it.
+#[derive(Clone, Debug, Default)]
 pub struct MostFailed {
-    slots: Box<[Slot; SLOT_COUNT]>,
-    /// The resident branches' shapes, parallel to `slots`; empty unless
-    /// the accumulator is forensic.
-    shapes: Vec<Shape>,
-    spilled: HashMap<u64, (Slot, Shape), FastHashBuilder>,
+    branches: BranchTable<Tally>,
+    /// `None` unless the accumulator is forensic.
+    shapes: Option<BranchTable<Shape>>,
     /// The running worst branch of the outcomes recorded through
     /// [`record_with_worst`](Self::record_with_worst), as the key
     /// `mispredictions << 64 | !ip`: the larger key has more
     /// mispredictions or, on a tie, the lower address.
     worst: u128,
-}
-
-impl Default for MostFailed {
-    fn default() -> Self {
-        Self {
-            slots: Box::new([EMPTY_SLOT; SLOT_COUNT]),
-            shapes: Vec::new(),
-            spilled: HashMap::default(),
-            worst: 0,
-        }
-    }
-}
-
-#[inline]
-fn slot_index(ip: u64) -> usize {
-    // Fibonacci hashing: one multiply, top bits as the index.
-    (ip.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SLOT_BITS)) as usize
 }
 
 impl MostFailed {
@@ -243,11 +294,7 @@ impl MostFailed {
     /// branch's forensic shape.
     pub(crate) fn with_shapes(shapes: bool) -> Self {
         Self {
-            shapes: if shapes {
-                vec![Shape::default(); SLOT_COUNT]
-            } else {
-                Vec::new()
-            },
+            shapes: shapes.then(BranchTable::default),
             ..Self::default()
         }
     }
@@ -255,37 +302,21 @@ impl MostFailed {
     /// Records one measured conditional branch outcome.
     #[inline]
     pub fn record(&mut self, ip: u64, taken: bool, mispredicted: bool) {
-        let index = slot_index(ip);
-        if self.slots[index].ip != ip {
-            self.claim(index, ip);
-        }
-        let slot = &mut self.slots[index];
-        slot.counts.occurrences += 1;
-        slot.counts.mispredictions += mispredicted as u64;
-        slot.counts.taken += taken as u64;
-        slot.counts.transitions += (slot.last_taken == !taken as u8) as u64;
-        slot.last_taken = taken as u8;
+        self.branches.entry(ip).record(taken, mispredicted);
     }
 
     /// Records one measured outcome as [`record`](Self::record) does and
     /// also moves the running worst branch (the status slot's drill-down).
     #[inline]
     pub(crate) fn record_with_worst(&mut self, ip: u64, taken: bool, mispredicted: bool) {
-        self.record(ip, taken, mispredicted);
-        // A branch's count moves only when it mispredicts, so comparing on
-        // every outcome finds the same maximum without branching on the
-        // outcome; the branch below is taken only when the worst moves.
-        let misses = self.slots[slot_index(ip)].counts.mispredictions;
-        let key = u128::from(misses) << 64 | u128::from(!ip);
-        if key > self.worst {
-            self.worst = key;
-        }
+        self.record_forensic(ip, taken, mispredicted, None);
     }
 
     /// Records one measured outcome as
     /// [`record_with_worst`](Self::record_with_worst) does and, on a
     /// forensic accumulator, also the branch's shape; `blame` names the
     /// component a misprediction is attributed to.
+    #[inline]
     pub(crate) fn record_forensic(
         &mut self,
         ip: u64,
@@ -293,66 +324,31 @@ impl MostFailed {
         mispredicted: bool,
         blame: Option<&'static str>,
     ) {
-        let index = slot_index(ip);
-        if self.slots[index].ip != ip {
-            self.claim(index, ip);
+        let tally = self.branches.entry(ip);
+        let repeats = tally.last == 1 + taken as u8;
+        tally.record(taken, mispredicted);
+        // A branch's count moves only when it mispredicts, so comparing on
+        // every outcome finds the same maximum without branching on the
+        // outcome; the branch below is taken only when the worst moves.
+        let key = u128::from(tally.mispredictions) << 64 | u128::from(!ip);
+        if key > self.worst {
+            self.worst = key;
         }
-        if let Some(shape) = self.shapes.get_mut(index) {
-            let repeats = self.slots[index].last_taken == taken as u8;
-            shape.record(repeats, mispredicted, blame);
+        if let Some(shapes) = self.shapes.as_mut() {
+            shapes.entry(ip).record(repeats, mispredicted, blame);
         }
-        self.record_with_worst(ip, taken, mispredicted);
     }
 
     /// Notes a static branch address without attributing an outcome
     /// (unconditional branches, or warm-up occurrences).
     #[inline]
     pub fn note_static(&mut self, ip: u64) {
-        let index = slot_index(ip);
-        if self.slots[index].ip != ip {
-            self.claim(index, ip);
-        }
-    }
-
-    /// Moves whatever occupies `index` into the spill map and gives the
-    /// slot to `ip`, with the state `ip` left in the map (none for a new
-    /// branch).
-    #[cold]
-    fn claim(&mut self, index: usize, ip: u64) {
-        let (slot, shape) = self
-            .spilled
-            .remove(&ip)
-            .unwrap_or((Slot { ip, ..EMPTY_SLOT }, Shape::default()));
-        let evicted = std::mem::replace(&mut self.slots[index], slot);
-        let evicted_shape = self
-            .shapes
-            .get_mut(index)
-            .map(|resident| std::mem::replace(resident, shape))
-            .unwrap_or_default();
-        if evicted.ip != EMPTY {
-            self.spilled.insert(evicted.ip, (evicted, evicted_shape));
-        }
-    }
-
-    /// Every noted branch, with its shape (none for a resident branch of a
-    /// plain accumulator).
-    fn entries(&self) -> impl Iterator<Item = (&Slot, Option<&Shape>)> {
-        let resident = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.ip != EMPTY)
-            .map(|(index, slot)| (slot, self.shapes.get(index)));
-        let spilled = self
-            .spilled
-            .values()
-            .map(|(slot, shape)| (slot, Some(shape)));
-        resident.chain(spilled)
+        self.branches.entry(ip);
     }
 
     /// Number of distinct measured branch addresses.
     pub fn distinct_branches(&self) -> u64 {
-        self.entries().count() as u64
+        self.branches.iter().count() as u64
     }
 
     /// The minimum number of branches whose mispredictions sum to at least
@@ -362,9 +358,8 @@ impl MostFailed {
         if total_mispredictions == 0 {
             return 0;
         }
-        let mut counts: Vec<u64> = self
-            .entries()
-            .map(|(slot, _)| slot.counts.mispredictions)
+        let mut counts: Vec<u64> = (self.branches.iter())
+            .map(|(_, tally)| tally.mispredictions)
             .collect();
         counts.sort_unstable_by(|a, b| b.cmp(a));
         let mut acc = 0u64;
@@ -379,34 +374,28 @@ impl MostFailed {
 
     /// Every measured branch in report order — mispredictions descending,
     /// ties toward lower addresses — as its entry over `instructions`
-    /// measured instructions, with its shape.
-    pub(crate) fn ranked(
-        &self,
-        instructions: u64,
-    ) -> impl Iterator<Item = (BranchStat, Option<&Shape>)> {
-        let mut entries: Vec<(&Slot, Option<&Shape>)> = self
-            .entries()
-            .filter(|(slot, _)| slot.counts.occurrences > 0)
+    /// measured instructions.
+    pub(crate) fn ranked(&self, instructions: u64) -> impl Iterator<Item = BranchStat> + '_ {
+        let mut entries: Vec<(u64, &Tally)> = (self.branches.iter())
+            .filter(|(_, tally)| tally.occurrences > 0)
             .collect();
-        entries.sort_unstable_by(|(a, _), (b, _)| {
-            b.counts
-                .mispredictions
-                .cmp(&a.counts.mispredictions)
-                .then(a.ip.cmp(&b.ip))
+        entries.sort_unstable_by(|(a_ip, a), (b_ip, b)| {
+            b.mispredictions.cmp(&a.mispredictions).then(a_ip.cmp(b_ip))
         });
-        entries
-            .into_iter()
-            .map(move |(slot, shape)| (slot.stat(instructions), shape))
+        (entries.into_iter()).map(move |(ip, tally)| tally.stat(ip, instructions))
+    }
+
+    /// Branch `ip`'s shape; `None` unless the accumulator is forensic and
+    /// recorded the branch.
+    pub(crate) fn shape(&self, ip: u64) -> Option<&Shape> {
+        self.shapes.as_ref()?.get(ip)
     }
 
     /// The top-`limit` branches by misprediction count, with their stats.
     /// `instructions` is the measured instruction count used for per-branch
     /// MPKI. Ties break toward lower addresses so output is deterministic.
     pub fn top(&self, limit: usize, instructions: u64) -> Vec<BranchStat> {
-        self.ranked(instructions)
-            .take(limit)
-            .map(|(stat, _)| stat)
-            .collect()
+        self.ranked(instructions).take(limit).collect()
     }
 
     /// The running worst `(ip, mispredictions)` of the outcomes recorded
@@ -423,16 +412,16 @@ impl MostFailed {
     ///
     /// Entries are accumulated in address order, so the floating-point means
     /// are identical for any two accumulators that saw the same outcomes —
-    /// regardless of hash-map iteration order.
+    /// regardless of where the table placed them.
     pub fn taxonomy(&self) -> BranchTaxonomy {
-        let mut entries: Vec<&Slot> = self.entries().map(|(slot, _)| slot).collect();
-        entries.sort_unstable_by_key(|slot| slot.ip);
+        let mut entries: Vec<(u64, &Tally)> = self.branches.iter().collect();
+        entries.sort_unstable_by_key(|(ip, _)| *ip);
 
         let mut tax = BranchTaxonomy::default();
         let mut weighted_entropy = 0.0;
         let mut weighted_transition = 0.0;
         let mut occurrences = 0u64;
-        for Slot { counts: c, .. } in entries {
+        for (_, c) in entries {
             if c.occurrences == 0 {
                 continue; // never measured (warm-up only or unconditional)
             }
@@ -475,6 +464,13 @@ pub fn accuracy(mispredictions: u64, conditional_branches: u64) -> f64 {
     } else {
         (conditional_branches - mispredictions) as f64 / conditional_branches as f64
     }
+}
+
+/// `ip`'s home slot at the starting size, from which tests pick addresses
+/// that share one.
+#[cfg(test)]
+fn slot_index(ip: u64) -> usize {
+    home(ip, 64 - SLOT_BITS)
 }
 
 #[cfg(test)]
@@ -675,11 +671,22 @@ mod tests {
         let mut ips = sharing(0x40_0000, 4);
         ips.extend(sharing(0x41_0004, 3));
         ips.extend([0x42_0000, 0x42_0010, 0x42_0020]);
+        exact_against_a_naive_map(&ips, 20_000);
+        // A footprint that doubles the table three times, each ip drawn
+        // often enough that every one mispredicts.
+        let wide: Vec<u64> = (0..6_000).map(|i| 0x50_0000 + 4 * i).collect();
+        exact_against_a_naive_map(&wide, 240_000);
+    }
+
+    /// Records and notes `records` seeded random draws from `ips` into a
+    /// plain and a forensic accumulator and checks both, and the forensic
+    /// report, against a naive map.
+    fn exact_against_a_naive_map(ips: &[u64], records: usize) {
         let mut rng = Xorshift64::new(0x5eed);
         let mut plain = MostFailed::new();
         let mut forensic = MostFailed::with_shapes(true);
-        let mut naive: HashMap<u64, Naive> = HashMap::new();
-        for _ in 0..20_000 {
+        let mut naive: BTreeMap<u64, Naive> = BTreeMap::new();
+        for _ in 0..records {
             let ip = ips[rng.below(ips.len() as u64) as usize];
             if rng.one_in(5) {
                 plain.note_static(ip);

@@ -458,10 +458,16 @@ impl PhasesDoc {
             ));
         }
         for p in &self.phases {
-            let end = p.start_record as u64 + p.num_records as u64;
-            if end > record_count {
+            let end = |start: usize, len: usize| {
+                (start.checked_add(len))
+                    .filter(|&end| end as u64 <= record_count)
+                    .ok_or_else(|| format!("phase for cluster {} runs past the trace", p.cluster))
+            };
+            end(p.start_record, p.num_records)?;
+            let warmup_end = end(p.warmup_start_record, p.warmup_records)?;
+            if p.warmup_records > 0 && warmup_end != p.start_record {
                 return Err(format!(
-                    "phase for cluster {} ends at record {end}, past the trace",
+                    "phase for cluster {} warms up on records that do not end where it starts",
                     p.cluster
                 ));
             }
@@ -974,6 +980,28 @@ mod tests {
         assert!(doc.validate(600, doc.instruction_count).is_ok());
         assert!(doc.validate(601, doc.instruction_count).is_err());
         assert!(doc.validate(600, doc.instruction_count + 1).is_err());
+    }
+
+    #[test]
+    fn validate_rejects_slices_that_overflow_or_do_not_meet() {
+        let recs = phase_heavy_trace(600);
+        let doc = extract_phases(&recs, 200, 3);
+        let warmed = (doc.phases.iter())
+            .position(|p| p.warmup_records > 0)
+            .expect("a phase with a warm-up slice");
+        let tampered: [fn(&mut Phase); 4] = [
+            |p| p.start_record = usize::MAX - 5,
+            |p| p.warmup_start_record = usize::MAX - 5,
+            |p| p.warmup_records += 1,
+            |p| p.warmup_records -= 1,
+        ];
+        for tamper in tampered {
+            let mut plan = doc.clone();
+            tamper(&mut plan.phases[warmed]);
+            // Rendered and parsed back, so `doc_hash` matches the body.
+            let parsed = PhasesDoc::from_json(&plan.to_json()).expect("hash matches");
+            assert!(parsed.validate(600, doc.instruction_count).is_err());
+        }
     }
 
     #[test]

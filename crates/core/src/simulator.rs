@@ -392,7 +392,6 @@ impl SimState {
             // Warm-up records, recorded batches and the observers' pass: the
             // same scoring, plus the time series and the status slot's worst
             // branch fed from the same bits in one walk.
-            let worst = self.status.is_some();
             let mut at = self.instructions;
             for i in 0..pcs.len() {
                 at += u64::from(gaps[i]) + 1;
@@ -404,11 +403,10 @@ impl SimState {
                     match (recorded, measured) {
                         (true, _) => {}
                         (false, false) => self.most_failed.note_static(ip),
-                        (false, true) if worst => {
+                        (false, true) => {
                             self.most_failed
                                 .record_with_worst(ip, outcome, mispredicted);
                         }
-                        (false, true) => self.most_failed.record(ip, outcome, mispredicted),
                     }
                     // Warm-up branches are in the series too: seeing the
                     // warm-up transient is the point of the series.

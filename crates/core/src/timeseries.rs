@@ -11,12 +11,9 @@
 //! batched, scalar and sweep drivers produce byte-identical timeseries
 //! JSON (the driver-equivalence suite pins this).
 
-use std::collections::HashSet;
-
 use mbp_json::{json, Map, Value};
-use mbp_utils::FastHashBuilder;
 
-use crate::metrics::{accuracy, mpki};
+use crate::metrics::{accuracy, mpki, BranchTable};
 
 /// Default window size in instructions (tunable via `mbpsim --window`).
 pub const DEFAULT_WINDOW_INSTRUCTIONS: u64 = 100_000;
@@ -232,9 +229,11 @@ pub struct TimeSeriesBuilder {
     conditional: u64,
     mispredictions: u64,
     taken: u64,
-    /// Distinct ips of the open window; only its size is read, so the
-    /// hasher is the cheap one every other per-PC table uses.
-    ips: HashSet<u64, FastHashBuilder>,
+    /// Distinct ips of the open window.
+    unique_branches: u64,
+    /// Each branch seen so far, stamped with the number of the last window
+    /// that saw it (windows count from 1, so a new branch's 0 is no window).
+    last_window: BranchTable<u64>,
     windows: Vec<Window>,
 }
 
@@ -249,7 +248,8 @@ impl TimeSeriesBuilder {
             conditional: 0,
             mispredictions: 0,
             taken: 0,
-            ips: HashSet::default(),
+            unique_branches: 0,
+            last_window: BranchTable::default(),
             windows: Vec::new(),
         }
     }
@@ -260,7 +260,10 @@ impl TimeSeriesBuilder {
         self.conditional += 1;
         self.mispredictions += mispredicted as u64;
         self.taken += taken as u64;
-        self.ips.insert(ip);
+        let window = self.windows.len() as u64 + 1;
+        let stamp = self.last_window.entry(ip);
+        self.unique_branches += (*stamp != window) as u64;
+        *stamp = window;
     }
 
     /// Advances to the cumulative instruction count after a record; closes
@@ -282,7 +285,7 @@ impl TimeSeriesBuilder {
             conditional: self.conditional,
             mispredictions: self.mispredictions,
             taken: self.taken,
-            unique_branches: self.ips.len() as u64,
+            unique_branches: self.unique_branches,
         });
         mbp_stats::events::instant(
             mbp_stats::events::EventName::SimWindowTick,
@@ -291,7 +294,7 @@ impl TimeSeriesBuilder {
         self.conditional = 0;
         self.mispredictions = 0;
         self.taken = 0;
-        self.ips.clear();
+        self.unique_branches = 0;
         self.window_start = cum_instructions;
         self.next_boundary = (cum_instructions / self.window_size + 1) * self.window_size;
     }

@@ -30,7 +30,8 @@
 //! The integration tests of this crate (`tests/fault_injection.rs`,
 //! `tests/alloc_bounds.rs`) apply the harness to every reader in
 //! `mbp-trace` and every codec in `mbp-compress`;
-//! `tests/checkpoint_faults.rs` applies it to sweep checkpoints.
+//! `tests/checkpoint_faults.rs` applies it to sweep checkpoints and
+//! `tests/phases_faults.rs` to phases documents.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

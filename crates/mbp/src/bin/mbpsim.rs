@@ -332,14 +332,14 @@ fn wants_events(args: &Args) -> bool {
 }
 
 /// Arms the event journal when `--trace-out`/`--events-out` was requested;
-/// call before the simulation work. Also applies `--sample-every`.
+/// call before the simulation work. Also applies `--sample-every`, whose
+/// value is checked even when nothing is armed.
 fn setup_events(args: &Args) -> Result<(), Failure> {
+    let sample_every = args.parsed("--sample-every", mbp::stats::events::DEFAULT_SAMPLE_EVERY)?;
     if !wants_events(args) {
         return Ok(());
     }
-    mbp::stats::events::set_sample_every(
-        args.parsed("--sample-every", mbp::stats::events::DEFAULT_SAMPLE_EVERY)?,
-    );
+    mbp::stats::events::set_sample_every(sample_every);
     mbp::stats::events::clear();
     mbp::stats::events::set_events_enabled(true);
     Ok(())
@@ -421,16 +421,17 @@ fn emit_metrics(args: &Args, doc: Option<&mut Value>) -> Result<(), Failure> {
 
 /// Starts the telemetry listener when `--telemetry-listen` was passed.
 /// Returns the running server paired with the `--telemetry-hold-ms` drain
-/// window; call [`mbp::telemetry::TelemetryServer::finish`] on it after the
-/// work so late scrapers can still observe the final state.
+/// window, whose value is checked even without a listener; call
+/// [`mbp::telemetry::TelemetryServer::finish`] on it after the work so late
+/// scrapers can still observe the final state.
 fn start_telemetry(
     args: &Args,
     state: mbp::telemetry::TelemetryState,
 ) -> Result<Option<(mbp::telemetry::TelemetryServer, std::time::Duration)>, Failure> {
+    let hold = std::time::Duration::from_millis(args.parsed("--telemetry-hold-ms", 0u64)?);
     let Some(addr) = args.get("--telemetry-listen") else {
         return Ok(None);
     };
-    let hold = std::time::Duration::from_millis(args.parsed("--telemetry-hold-ms", 0u64)?);
     let server = mbp::telemetry::TelemetryServer::start(addr, state)
         .map_err(|e| Failure::internal(format!("cannot bind telemetry listener on {addr}: {e}")))?;
     // Greppable by drivers: with port 0 this is the only place the
@@ -472,9 +473,13 @@ fn cmd_run(args: &Args) -> Result<ExitCode, Failure> {
 /// (top-K hard-to-predict branches with component attribution and the
 /// misprediction coverage curve) alongside the usual run output.
 fn cmd_explain(args: &Args) -> Result<ExitCode, Failure> {
-    // Flag spelling, for symmetry with `run`.
+    // Flag spelling, for symmetry with `run`; one spelling or the other.
     let [trace_path, name] = if args.operands.is_empty() {
         [args.required("--trace")?, args.required("--predictor")?]
+    } else if args.flag("--trace") || args.flag("--predictor") {
+        return Err(usage_error(
+            "mbpsim explain takes its trace and predictor as operands or as flags, not both",
+        ));
     } else {
         args.operands()?
     };

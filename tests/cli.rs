@@ -328,6 +328,17 @@ fn usage_errors_exit_with_code_2() {
         vec!["sweep", "--predictors", "gshare,", "tage", "--trace", trace],
         vec!["info", "--trace", trace, "--introspect"],
         vec!["simpoint", "--trace", trace, "--jobs", "3"],
+        vec![
+            "explain",
+            trace,
+            "gshare",
+            "--trace",
+            "/nonexistent",
+            "--predictor",
+            "tage",
+        ],
+        [&run[..], &["--sample-every", "abc"]].concat(),
+        [&run[..], &["--telemetry-hold-ms", "xyz"]].concat(),
     ] {
         let out = mbpsim()
             .args(&argv)

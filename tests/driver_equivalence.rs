@@ -13,7 +13,7 @@ use mbp::sim::{
 };
 use mbp::trace::sbbt::{SbbtReader, BATCH_RECORDS};
 use mbp::trace::{translate, BranchRecord};
-use mbp::workloads::Suite;
+use mbp::workloads::{ProgramParams, Suite, TraceGenerator};
 
 /// Renders a result as the pretty JSON the CLI prints, with the only
 /// run-dependent field (wall-clock simulation time) zeroed out.
@@ -108,6 +108,57 @@ fn edge_configs(records: &[BranchRecord]) -> Vec<(String, SimConfig)> {
         .collect();
     configs.extend(observed);
     configs
+}
+
+/// A server-like program with long function bodies and short loops: over
+/// 10 000 static conditional branches, so the per-branch tables double
+/// several times where the smoke traces never fill their first size.
+fn footprint_records() -> Vec<BranchRecord> {
+    let params = ProgramParams {
+        functions: 50,
+        stmts_per_function: (2000, 4000),
+        stmt_weights: [1, 6, 2, 1, 3],
+        trip_range: (1, 3),
+        ..ProgramParams::server()
+    };
+    let records = TraceGenerator::from_params(&params, 0xF007_9817).take_records(400_000);
+    let conditional: std::collections::BTreeSet<u64> = (records.iter())
+        .filter(|r| r.branch.is_conditional())
+        .map(|r| r.branch.ip())
+        .collect();
+    assert!(conditional.len() >= 10_000, "{} static", conditional.len());
+    records
+}
+
+#[test]
+fn drivers_agree_at_a_large_static_footprint() {
+    let records = footprint_records();
+    let sbbt = translate::records_to_sbbt(&records).expect("records encode");
+    let config = SimConfig {
+        warmup_instructions: instructions_after(&records, 3 * BATCH_RECORDS + 7),
+        timeseries_window: Some(50_000),
+        forensics: Some(ForensicsConfig { top_limit: 50 }),
+        most_failed_limit: 200,
+        ..SimConfig::default()
+    };
+    let scalar = run_scalar(&sbbt, &mut Gshare::new(25, 18), &config);
+    let batched = run_batched(&sbbt, &mut Gshare::new(25, 18), &config);
+    assert_eq!(scalar, batched, "scalar and batched JSON diverge");
+
+    let sweep_config = SweepConfig {
+        sim: config,
+        jobs: 1,
+        ..SweepConfig::default()
+    };
+    let mut source = fresh_reader(&sbbt);
+    let predictor: Box<dyn Predictor + Send> = Box::new(Gshare::new(25, 18));
+    let sweep = simulate_many(
+        &mut source,
+        vec![("gshare".into(), predictor)],
+        &sweep_config,
+    )
+    .expect("sweep");
+    assert_eq!(canonical_json(sweep.entries[0].result.clone()), batched);
 }
 
 #[test]

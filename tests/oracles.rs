@@ -5,9 +5,11 @@
 //! the per-branch difference of the two standalone `most_failed` reports. A
 //! phase-sampled run must report, for every phase, exactly what the
 //! one-record-at-a-time reference driver measures when it replays the same
-//! slices in the same order through one predictor instance.
+//! slices in the same order through one predictor instance. Each window of
+//! a time series must count the distinct conditional branches that a plain
+//! set counts over the window's records.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use mbp::examples::by_name;
 use mbp::sim::{
@@ -16,7 +18,7 @@ use mbp::sim::{
 };
 use mbp::trace::sbbt::BATCH_RECORDS;
 use mbp::trace::BranchRecord;
-use mbp::workloads::Suite;
+use mbp::workloads::{ProgramParams, Suite, TraceGenerator};
 
 /// Instructions covered by the first `n` records.
 fn instructions_after(records: &[BranchRecord], n: usize) -> u64 {
@@ -211,4 +213,46 @@ fn sampled_phases_match_slice_by_slice_scalar_replays() {
             assert_eq!(per_branch(&sampled), branches, "{case}: most_failed");
         }
     }
+}
+
+/// The large-footprint trace of the driver-equivalence suite: over 10 000
+/// static conditional branches.
+fn footprint_records() -> Vec<BranchRecord> {
+    let params = ProgramParams {
+        functions: 50,
+        stmts_per_function: (2000, 4000),
+        stmt_weights: [1, 6, 2, 1, 3],
+        trip_range: (1, 3),
+        ..ProgramParams::server()
+    };
+    TraceGenerator::from_params(&params, 0xF007_9817).take_records(400_000)
+}
+
+#[test]
+fn timeseries_unique_branches_match_a_plain_set_per_window() {
+    let records = footprint_records();
+    let config = SimConfig {
+        timeseries_window: Some(20_000),
+        ..SimConfig::default()
+    };
+    let series = standalone(&records, "gshare", &config)
+        .timeseries
+        .expect("series requested");
+    // A record belongs to the window its last instruction falls in.
+    let (mut at, mut rest) = (0u64, records.iter().peekable());
+    let mut seen = BTreeSet::new();
+    for (i, w) in series.windows.iter().enumerate() {
+        let end = w.start_instruction + w.instructions;
+        let mut ips = BTreeSet::new();
+        while let Some(r) = rest.next_if(|r| at + r.instructions() <= end) {
+            at += r.instructions();
+            if r.branch.is_conditional() {
+                ips.insert(r.branch.ip());
+            }
+        }
+        assert_eq!(w.unique_branches, ips.len() as u64, "window {i}");
+        seen.extend(ips);
+    }
+    assert!(rest.next().is_none(), "every record is in a window");
+    assert!(seen.len() >= 10_000, "{} static", seen.len());
 }
