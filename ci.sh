@@ -30,11 +30,12 @@ echo "== driver equivalence (batch pipeline vs scalar reference) =="
 cargo test -q -p mbp --test driver_equivalence
 cargo test -q -p mbp --test equivalence
 
-echo "== fault injection (readers fail closed on corrupt traces, checkpoints and phases documents) =="
+echo "== fault injection (readers fail closed on corrupt traces, checkpoints, phases documents and observability documents) =="
 cargo test -q -p mbp-faultsim --test fault_injection
 cargo test -q -p mbp-faultsim --test alloc_bounds
 cargo test -q -p mbp-faultsim --test checkpoint_faults
 cargo test -q -p mbp-faultsim --test phases_faults
+cargo test -q -p mbp-faultsim --test observability_faults
 
 echo "== observability layer (mbp-stats) =="
 cargo test -q -p mbp-stats

@@ -249,16 +249,12 @@ impl<I: AsRef<[u8]>> Inflater<I> {
             State::Failed(e) => return Err(e.clone()),
             _ => {}
         }
-        // One span and one event per call: a call is a whole stream or a
-        // batch-sized piece of one, never a block or a symbol.
-        let _span = mbp_stats::pipeline().compress.inflate.span();
         let at = at.min(buf.len());
         let left = self.len - self.produced;
         let want = max.min(left).min(buf.len() - at);
-        let _event = mbp_stats::events::span_with_arg(
-            mbp_stats::events::EventName::CompressInflate,
-            want as u64,
-        );
+        // One span per call: a call is a whole stream or a batch-sized
+        // piece of one, never a block or a symbol.
+        let _span = (mbp_stats::pipeline().compress.inflate).span_with_arg(want as u64);
         let room = Room {
             start: at,
             limit: at + want,

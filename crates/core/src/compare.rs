@@ -1,12 +1,11 @@
 //! The comparison simulator (§VI-C): two predictors over one trace.
 
-use std::time::Instant;
-
 use mbp_json::{json, Value};
+use mbp_stats::events::{self, EventName};
 use mbp_trace::{BranchBatch, TraceError};
 
 use crate::metrics::{accuracy, mpki, BranchTable};
-use crate::simulator::{count_records, next_batch, publish_run};
+use crate::simulator::{count_records, next_batch, open_run};
 use crate::{PredictionBits, Predictor, Section, SimConfig, TableProbe, TraceSource};
 
 /// A branch that one predictor handles better than the other.
@@ -135,9 +134,7 @@ where
     A: Predictor + ?Sized,
     B: Predictor + ?Sized,
 {
-    let start = Instant::now();
-    mbp_stats::pipeline().sim.runs.inc();
-    let _run_event = mbp_stats::events::span(mbp_stats::events::EventName::SimSimulate);
+    let run = open_run();
     let mut records = 0u64;
     let mut instructions = 0u64;
     let mut measured_instructions = 0u64;
@@ -197,8 +194,8 @@ where
             break;
         }
     }
-    let elapsed = start.elapsed();
-    publish_run(records, elapsed);
+    events::instant(EventName::SimKernelBranches, records);
+    let simulation_time = run.finish().as_secs_f64();
 
     let mut most_diverging: Vec<DivergingBranch> = per_branch
         .iter()
@@ -244,7 +241,7 @@ where
         } else {
             [Vec::new(), Vec::new()]
         },
-        simulation_time: elapsed.as_secs_f64(),
+        simulation_time,
     })
 }
 

@@ -130,8 +130,9 @@ pub(crate) fn transition_class_name(rate: f64) -> &'static str {
 /// A [`BranchTable`] starts with `2^SLOT_BITS` slots: 1 024 static
 /// branches fit before the first growth, more than any benchmark trace has.
 const SLOT_BITS: u32 = 11;
-/// Branch addresses are below 2^51 (SBBT packet layout), so `u64::MAX`
-/// can mark an empty slot.
+/// The address that marks an empty slot. No trace file holds it (SBBT
+/// addresses are below 2^51), but an in-memory source can, so a
+/// [`BranchTable`] keeps that one branch's state beside its slots.
 const EMPTY: u64 = u64::MAX;
 
 /// `ip`'s home slot in a table of `2^(64 - shift)` slots. Fibonacci
@@ -153,6 +154,8 @@ pub(crate) struct BranchTable<V> {
     /// 64 minus log2 of the slot count.
     shift: u32,
     len: usize,
+    /// The state of the branch at address [`EMPTY`], once it is seen.
+    empty_key: Option<V>,
 }
 
 impl<V: Clone + Default> Default for BranchTable<V> {
@@ -167,6 +170,7 @@ impl<V: Clone + Default> BranchTable<V> {
             slots: vec![(EMPTY, V::default()); 1 << (64 - shift)].into_boxed_slice(),
             shift,
             len: 0,
+            empty_key: None,
         }
     }
 
@@ -185,7 +189,7 @@ impl<V: Clone + Default> BranchTable<V> {
     #[inline]
     pub(crate) fn entry(&mut self, ip: u64) -> &mut V {
         let index = home(ip, self.shift);
-        if self.slots[index].0 != ip {
+        if self.slots[index].0 != ip || ip == EMPTY {
             return self.find_or_insert(ip);
         }
         &mut self.slots[index].1
@@ -193,13 +197,17 @@ impl<V: Clone + Default> BranchTable<V> {
 
     /// Branch `ip`'s state away from its home slot: found further along
     /// its probe sequence, or inserted there, after doubling the table if
-    /// it is half full.
+    /// it is half full; the [`EMPTY`] address's state beside the slots.
     #[inline(never)]
     fn find_or_insert(&mut self, ip: u64) -> &mut V {
+        if ip == EMPTY {
+            return self.empty_key.get_or_insert_with(V::default);
+        }
         let mut index = self.slot(ip);
         if self.slots[index].0 != ip {
             if self.len >= self.slots.len() / 2 {
                 let old = std::mem::replace(self, Self::with_shift(self.shift - 1));
+                self.empty_key = old.empty_key;
                 for (key, value) in old.slots.into_vec() {
                     if key != EMPTY {
                         *self.find_or_insert(key) = value;
@@ -215,15 +223,20 @@ impl<V: Clone + Default> BranchTable<V> {
 
     /// Branch `ip`'s state, if the table holds it.
     pub(crate) fn get(&self, ip: u64) -> Option<&V> {
+        if ip == EMPTY {
+            return self.empty_key.as_ref();
+        }
         let (key, value) = &self.slots[self.slot(ip)];
         (*key == ip).then_some(value)
     }
 
-    /// Every branch with its state, in slot order.
+    /// Every branch with its state, in slot order, then the [`EMPTY`]
+    /// address's.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
         (self.slots.iter())
             .filter(|(ip, _)| *ip != EMPTY)
             .map(|(ip, value)| (*ip, value))
+            .chain(self.empty_key.as_ref().map(|value| (EMPTY, value)))
     }
 }
 

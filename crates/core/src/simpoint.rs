@@ -13,13 +13,12 @@
 //! the same parameters produce byte-identical documents (`doc_hash`
 //! pins this, and `--resume` uses it to refuse mismatched sampling plans).
 
-use std::time::Instant;
-
 use mbp_json::{json, Value};
+use mbp_stats::events::{self, EventName};
 use mbp_trace::{BranchRecord, TraceError};
 
 use crate::metrics::{accuracy, mpki};
-use crate::simulator::{publish_run, SimConfig, SimResult, SimState};
+use crate::simulator::{open_run, SimConfig, SimResult, SimState};
 use crate::{Predictor, SliceSource, TraceSource};
 
 /// Version of the phases-document schema; bumped on incompatible change.
@@ -422,25 +421,21 @@ impl PhasesDoc {
         Ok(parsed)
     }
 
-    /// Checks the plan against the trace it is about to sample.
+    /// Checks the plan against the records of the trace it is about to
+    /// sample: the trace's totals, and each phase's slices and the
+    /// instruction counts it declares for them.
     ///
     /// # Errors
     ///
     /// A description of the mismatch (record/instruction count drift,
-    /// out-of-range slices, inconsistent window bookkeeping).
-    pub fn validate(&self, record_count: u64, instruction_count: u64) -> Result<(), String> {
+    /// out-of-range or miscounted slices, inconsistent window bookkeeping).
+    pub fn validate(&self, records: &[BranchRecord]) -> Result<(), String> {
+        let record_count = records.len() as u64;
         if self.record_count != record_count {
             return Err(format!(
                 "phases document was extracted from a trace with {} records, \
                  this trace has {record_count}",
                 self.record_count
-            ));
-        }
-        if self.instruction_count != instruction_count {
-            return Err(format!(
-                "phases document was extracted from a trace with {} instructions, \
-                 this trace has {instruction_count}",
-                self.instruction_count
             ));
         }
         if self.assignments.len() != self.num_windows {
@@ -478,22 +473,73 @@ impl PhasesDoc {
                 ));
             }
         }
+        // Every slice is in range now; read the instructions before each of
+        // its bounds, and before the trace's end, in one pass.
+        let bounds: Vec<usize> = (self.phases.iter())
+            .flat_map(|p| {
+                let (warmup, start) = (p.warmup_start_record, p.start_record);
+                [
+                    warmup,
+                    warmup + p.warmup_records,
+                    start,
+                    start + p.num_records,
+                ]
+            })
+            .chain([records.len()])
+            .collect();
+        let before = instructions_before(records, &bounds);
+        let instruction_count = before[before.len() - 1];
+        if self.instruction_count != instruction_count {
+            return Err(format!(
+                "phases document was extracted from a trace with {} instructions, \
+                 this trace has {instruction_count}",
+                self.instruction_count
+            ));
+        }
+        for (p, at) in self.phases.iter().zip(before.chunks_exact(4)) {
+            for (field, declared, actual) in [
+                ("start_instruction", p.start_instruction, at[2]),
+                ("instructions", p.instructions, at[3] - at[2]),
+                ("warmup_instructions", p.warmup_instructions, at[1] - at[0]),
+            ] {
+                if declared != actual {
+                    return Err(format!(
+                        "phase for cluster {} declares {field} {declared}, its records \
+                         hold {actual}",
+                        p.cluster
+                    ));
+                }
+            }
+        }
         Ok(())
     }
 
     /// Instructions the sampled executor will touch (warmup + measured),
-    /// as a fraction of the whole trace.
+    /// as a fraction of the whole trace. Read before the plan is checked
+    /// against a trace, so the sum is wide enough for any declared counts.
     pub fn planned_fraction(&self) -> f64 {
         if self.instruction_count == 0 {
             return 0.0;
         }
-        let touched: u64 = self
-            .phases
-            .iter()
-            .map(|p| p.instructions + p.warmup_instructions)
+        let touched: u128 = (self.phases.iter())
+            .map(|p| u128::from(p.instructions) + u128::from(p.warmup_instructions))
             .sum();
         touched as f64 / self.instruction_count as f64
     }
+}
+
+/// The instructions before each record index of `bounds` (none past the
+/// end), in one pass over `records`.
+fn instructions_before(records: &[BranchRecord], bounds: &[usize]) -> Vec<u64> {
+    let mut order: Vec<(usize, usize)> = bounds.iter().copied().zip(0..).collect();
+    order.sort_unstable();
+    let mut before = vec![0u64; bounds.len()];
+    let (mut at, mut sum) = (0usize, 0u64);
+    for (end, i) in order {
+        sum = (records[at..end].iter()).fold(sum, |sum, r| sum.saturating_add(r.instructions()));
+        (at, before[i]) = (end, sum);
+    }
+    before
 }
 
 /// Extracts a sampling plan from a fully decoded trace: BBV windows,
@@ -520,10 +566,7 @@ pub fn extract_phases_with_warmup(
 ) -> PhasesDoc {
     let windows = extract_bbv(records, window_size);
     let (assignments, k_used, iterations) = kmeans(&windows, k);
-    mbp_stats::events::instant(
-        mbp_stats::events::EventName::SimpointExtract,
-        windows.len() as u64,
-    );
+    events::instant(EventName::SimpointExtract, windows.len() as u64);
     // One centroid per cluster, recomputed from the final assignment so
     // representative selection matches what the clusterer converged to.
     let mut phases = Vec::new();
@@ -651,10 +694,8 @@ where
     S: TraceSource,
     P: Predictor + ?Sized,
 {
-    let start = Instant::now();
+    let run = open_run();
     let stats = mbp_stats::pipeline();
-    stats.sim.runs.inc();
-    let _run_event = mbp_stats::events::span(mbp_stats::events::EventName::SimSimulate);
 
     let mut order: Vec<&Phase> = phases.phases.iter().collect();
     order.sort_by_key(|p| p.start_record);
@@ -701,8 +742,8 @@ where
             conditional: st.conditional - before.1,
             mispredictions: st.mispredictions - before.2,
         };
-        mbp_stats::events::instant(
-            mbp_stats::events::EventName::SimpointSampledSlice,
+        events::instant(
+            EventName::SimpointSampledSlice,
             phase.representative_window as u64,
         );
         stats.sweep.sampled_slices.inc();
@@ -790,17 +831,9 @@ where
         })).collect::<Vec<_>>(),
     });
 
-    let elapsed = start.elapsed();
-    publish_run(st.kernel_records, elapsed);
-
     // The whole-run sections come from the driver's state; the headline
     // metrics are the reconstructed estimates.
-    let mut result = st.into_result(
-        Value::from("in-memory trace"),
-        predictor,
-        config,
-        elapsed.as_secs_f64(),
-    );
+    let mut result = st.into_result(Value::from("in-memory trace"), predictor, config, run);
     result.metadata.warmup_instr = replayed_instr;
     result.metrics.mpki = recon_mpki;
     result.metrics.mispredictions =
@@ -977,9 +1010,16 @@ mod tests {
     fn validate_rejects_a_different_trace() {
         let recs = phase_heavy_trace(600);
         let doc = extract_phases(&recs, 200, 3);
-        assert!(doc.validate(600, doc.instruction_count).is_ok());
-        assert!(doc.validate(601, doc.instruction_count).is_err());
-        assert!(doc.validate(600, doc.instruction_count + 1).is_err());
+        assert!(doc.validate(&recs).is_ok());
+        // One record more.
+        let mut longer = recs.clone();
+        longer.push(recs[0]);
+        assert!(doc.validate(&longer).is_err());
+        // One instruction more.
+        let mut wider = recs.clone();
+        let last = wider.pop().expect("a record");
+        wider.push(BranchRecord::new(last.branch, last.gap + 1));
+        assert!(doc.validate(&wider).is_err());
     }
 
     #[test]
@@ -1000,7 +1040,34 @@ mod tests {
             tamper(&mut plan.phases[warmed]);
             // Rendered and parsed back, so `doc_hash` matches the body.
             let parsed = PhasesDoc::from_json(&plan.to_json()).expect("hash matches");
-            assert!(parsed.validate(600, doc.instruction_count).is_err());
+            assert!(parsed.validate(&recs).is_err());
+        }
+    }
+
+    #[test]
+    fn validate_checks_the_instruction_counts_each_phase_declares() {
+        let recs = phase_heavy_trace(600);
+        let doc = extract_phases(&recs, 200, 3);
+        let warmed = (doc.phases.iter())
+            .position(|p| p.warmup_records > 0)
+            .expect("a phase with a warm-up slice");
+        let tampered: [fn(&mut Phase); 5] = [
+            // Bit 40 of a warm-up count: the plan would claim to touch
+            // millions of times the trace.
+            |p| p.warmup_instructions ^= 1 << 40,
+            |p| p.warmup_instructions += 1,
+            |p| p.instructions -= 1,
+            |p| p.instructions = u64::MAX,
+            |p| p.start_instruction += 1,
+        ];
+        for tamper in tampered {
+            let mut plan = doc.clone();
+            tamper(&mut plan.phases[warmed]);
+            let parsed = PhasesDoc::from_json(&plan.to_json()).expect("hash matches");
+            assert!(parsed.validate(&recs).is_err());
+            // Read before validation (the sweep's progress line does), the
+            // fraction stays finite and positive.
+            assert!(parsed.planned_fraction().is_finite() && parsed.planned_fraction() > 0.0);
         }
     }
 

@@ -2,9 +2,10 @@
 
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use mbp_json::Value;
+use mbp_stats::events::{self, EventName};
+use mbp_stats::Span;
 use mbp_trace::{BranchBatch, TraceError};
 
 use crate::forensics::{self, ForensicsConfig};
@@ -153,12 +154,11 @@ pub(crate) fn next_batch<S: TraceSource + ?Sized>(
     // 2048-record block keeps the instrumentation off the record loop.
     let got = {
         let _span = mbp_stats::pipeline().sim.fill_batch.span();
-        let _event = mbp_stats::events::span(mbp_stats::events::EventName::SimFillBatch);
         trace.fill_batch(batch)?
     };
     // Per-batch heartbeat: every N-th batch samples the pipeline gauges
     // into the event journal (throughput-over-time curves).
-    mbp_stats::events::batch_tick();
+    events::batch_tick();
     let len = match max {
         Some(max) => std::iter::once(retired)
             .chain(ends(batch.gaps(), retired))
@@ -239,18 +239,13 @@ pub(crate) fn count_records(records: u64, kernel_records: u64, instructions: u64
     stats.scalar_fallback_branches.add(records - kernel_records);
 }
 
-/// Adds one finished run's time to the pipeline counters.
-pub(crate) fn publish_run(kernel_records: u64, elapsed: Duration) {
-    // One instant per run: how much of it rode the kernel path. Visible in
-    // Chrome traces next to the run's `sim.simulate` span.
-    mbp_stats::events::instant(
-        mbp_stats::events::EventName::SimKernelBranches,
-        kernel_records,
-    );
-    mbp_stats::pipeline()
-        .sim
-        .simulate
-        .record_ns(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
+/// Counts a run and opens its span, the run's one clock for `sim.simulate`
+/// and the journal. It also closes in an unwind, so a predictor panicking
+/// under a sweep's `catch_unwind` still pairs its begin and end events.
+pub(crate) fn open_run() -> Span<'static> {
+    let sim = &mbp_stats::pipeline().sim;
+    sim.runs.inc();
+    sim.simulate.span()
 }
 
 /// The running totals and observers of one replay. [`simulate`] feeds it
@@ -436,15 +431,20 @@ impl SimState {
         bit
     }
 
-    /// The result of the replay so far, attributed to `trace`.
+    /// The result of the replay so far, attributed to `trace`. The replay
+    /// ends, and its `run` span closes, once the time series' last window
+    /// has closed; its reading is the result's `simulation_time`.
     pub(crate) fn into_result<P: Predictor + ?Sized>(
         self,
         trace: Value,
         predictor: &P,
         config: &SimConfig,
-        simulation_time: f64,
+        run: Span<'_>,
     ) -> SimResult {
+        // How much of the run rode the kernel path: one instant per run.
+        events::instant(EventName::SimKernelBranches, self.kernel_records);
         let timeseries = self.timeseries.map(|b| b.finish(self.instructions));
+        let simulation_time = run.finish().as_secs_f64();
         let forensics = config
             .forensics
             .as_ref()
@@ -524,12 +524,7 @@ where
     S: TraceSource + ?Sized,
     P: Predictor + ?Sized,
 {
-    let start = Instant::now();
-    mbp_stats::pipeline().sim.runs.inc();
-    // The run span closes when this guard drops — also during an unwind, so
-    // a predictor panicking under a sweep's `catch_unwind` still pairs its
-    // begin event with an end event.
-    let _run_event = mbp_stats::events::span(mbp_stats::events::EventName::SimSimulate);
+    let run = open_run();
     let mut st = SimState::new(config);
     st.replay(
         trace,
@@ -538,14 +533,7 @@ where
         config.max_instructions,
         config.track_only_conditional,
     )?;
-    let elapsed = start.elapsed();
-    publish_run(st.kernel_records, elapsed);
-    Ok(st.into_result(
-        trace.description(),
-        predictor,
-        config,
-        elapsed.as_secs_f64(),
-    ))
+    Ok(st.into_result(trace.description(), predictor, config, run))
 }
 
 /// The one-record-at-a-time reference driver.
@@ -570,10 +558,7 @@ where
     S: TraceSource + ?Sized,
     P: Predictor + ?Sized,
 {
-    let start = Instant::now();
-    let stats = &mbp_stats::pipeline().sim;
-    stats.runs.inc();
-    let _run_event = mbp_stats::events::span(mbp_stats::events::EventName::SimSimulate);
+    let run = open_run();
     // The state's status slot, if any, is never fed: this driver does not
     // publish live progress.
     let mut st = SimState::new(config);
@@ -623,17 +608,8 @@ where
         }
     }
 
-    let elapsed = start.elapsed();
     count_records(records, 0, st.instructions);
-    stats
-        .simulate
-        .record_ns(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-    Ok(st.into_result(
-        trace.description(),
-        predictor,
-        config,
-        elapsed.as_secs_f64(),
-    ))
+    Ok(st.into_result(trace.description(), predictor, config, run))
 }
 
 #[cfg(test)]

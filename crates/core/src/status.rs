@@ -73,12 +73,12 @@ struct StatusSlot {
     conditional: AtomicU64,
     /// Mispredicted conditional branches so far.
     mispredictions: AtomicU64,
-    /// Address of the branch with the most mispredictions so far
-    /// (`u64::MAX` — above any real branch address — means none yet).
+    /// Address of the branch with the most mispredictions so far.
     worst_ip: AtomicU64,
-    /// Misprediction count of that branch. The pair is two relaxed stores,
-    /// so a reader can see a torn (ip, count) combination for one scrape;
-    /// acceptable for a dashboard drill-down.
+    /// Misprediction count of that branch; zero means there is none yet.
+    /// The pair is two relaxed stores, so a reader can see a torn (ip,
+    /// count) combination for one scrape; acceptable for a dashboard
+    /// drill-down.
     worst_mispredictions: AtomicU64,
 }
 
@@ -139,7 +139,7 @@ impl SweepStatusBoard {
                     instructions: AtomicU64::new(0),
                     conditional: AtomicU64::new(0),
                     mispredictions: AtomicU64::new(0),
-                    worst_ip: AtomicU64::new(u64::MAX),
+                    worst_ip: AtomicU64::new(0),
                     worst_mispredictions: AtomicU64::new(0),
                 })
                 .collect(),
@@ -210,9 +210,9 @@ impl SweepStatusBoard {
                 instructions: s.instructions.load(Ordering::Relaxed),
                 conditional_branches: s.conditional.load(Ordering::Relaxed),
                 mispredictions: s.mispredictions.load(Ordering::Relaxed),
-                worst_branch: match s.worst_ip.load(Ordering::Relaxed) {
-                    u64::MAX => None,
-                    ip => Some((ip, s.worst_mispredictions.load(Ordering::Relaxed))),
+                worst_branch: match s.worst_mispredictions.load(Ordering::Relaxed) {
+                    0 => None,
+                    count => Some((s.worst_ip.load(Ordering::Relaxed), count)),
                 },
             })
             .collect()
@@ -381,6 +381,19 @@ mod tests {
         assert_eq!(board.snapshot()[0].worst_branch, Some((0x50, 2)));
         let (board, _) = run(&[], SimConfig::default());
         assert_eq!(board.snapshot()[0].worst_branch, None);
+    }
+
+    #[test]
+    fn a_worst_branch_at_the_top_address_is_published() {
+        // The board's worst branch exists exactly when its count is
+        // non-zero, so no address stands for "none yet".
+        let records = [record(u64::MAX, Opcode::conditional_direct(), false); 3];
+        let (board, r) = run(&records, SimConfig::default());
+        assert_eq!(board.snapshot()[0].worst_branch, Some((u64::MAX, 3)));
+        assert_eq!(
+            (r.most_failed[0].ip, r.most_failed[0].mispredictions),
+            (u64::MAX, 3)
+        );
     }
 
     #[test]

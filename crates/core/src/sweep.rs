@@ -38,6 +38,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use mbp_json::{json, Value};
+use mbp_stats::events::{self, EventName};
 use mbp_trace::{BranchBatch, BranchRecord, TraceError};
 
 use crate::checkpoint::{load_checkpoint, CheckpointLoad, CheckpointWriter};
@@ -572,18 +573,18 @@ where
     // data the source holds — never from a header-declared count alone.
     let mut decode_time = 0.0;
     if m > 0 {
-        let decode_start = Instant::now();
-        let decode_event = mbp_stats::events::span(mbp_stats::events::EventName::SweepDecode);
+        // No timer measures the decode pass as a whole, so its journal span
+        // is its clock.
+        let decode = events::span(EventName::SweepDecode);
         shared
             .records
             .reserve(trace.record_count_hint().unwrap_or(0) as usize);
         let mut batch = BranchBatch::new();
         while trace.fill_batch(&mut batch)? > 0 {
             batch.append_records_to(&mut shared.records);
-            mbp_stats::events::batch_tick();
+            events::batch_tick();
         }
-        decode_event.finish();
-        decode_time = decode_start.elapsed().as_secs_f64();
+        decode_time = decode.finish().as_secs_f64();
     } else {
         trace.drain()?;
     }
@@ -593,10 +594,8 @@ where
     // from a different trace (or a stale one) would sample nonsense slices.
     if m > 0 {
         if let Some(phases) = &config.phases {
-            let records = &shared.records;
-            let instruction_count: u64 = records.iter().map(|r| r.instructions()).sum();
             phases
-                .validate(records.len() as u64, instruction_count)
+                .validate(&shared.records)
                 .map_err(|msg| TraceError::Io(io::Error::new(io::ErrorKind::InvalidData, msg)))?;
         }
     }
@@ -784,7 +783,7 @@ fn run_job(shared: &SweepShared, i: usize, mut predictor: Box<dyn Predictor + Se
             if !waited {
                 waited = true;
                 stats.admission_waits.inc();
-                mbp_stats::events::instant(mbp_stats::events::EventName::AdmissionWait, i as u64);
+                events::instant(EventName::AdmissionWait, i as u64);
             }
             used = shared
                 .mem_cv
@@ -798,10 +797,7 @@ fn run_job(shared: &SweepShared, i: usize, mut predictor: Box<dyn Predictor + Se
 
     // Busy time spans claim to settlement, once per predictor, so worker
     // accounting adds nothing to the simulation loop.
-    let busy = stats.worker_busy.span();
-    let busy_event =
-        mbp_stats::events::span_with_arg(mbp_stats::events::EventName::SweepWorker, i as u64);
-    let claimed = Instant::now();
+    let busy = stats.worker_busy.span_with_arg(i as u64);
     stats.predictors.inc();
     job.started_ns
         .store(ns_since(&shared.start).max(1), Ordering::Relaxed);
@@ -843,20 +839,21 @@ fn run_job(shared: &SweepShared, i: usize, mut predictor: Box<dyn Predictor + Se
         ),
         Ok(Err(e)) => {
             stats.trace_errors.inc();
-            mbp_stats::events::instant(mbp_stats::events::EventName::SweepTraceError, i as u64);
+            events::instant(EventName::SweepTraceError, i as u64);
             job.failure(FailureKind::TraceError, e.to_string())
         }
         Err(payload) => {
             stats.faults.inc();
-            mbp_stats::events::instant(mbp_stats::events::EventName::SweepFault, i as u64);
+            events::instant(EventName::SweepFault, i as u64);
             job.failure(FailureKind::Panic, panic_message(payload.as_ref()))
         }
     };
-    let elapsed_us = u64::try_from(claimed.elapsed().as_micros()).unwrap_or(u64::MAX);
-    stats.predictor_us.record(elapsed_us);
-    mbp_stats::events::instant(mbp_stats::events::EventName::SweepPredictorDone, elapsed_us);
-    busy_event.finish();
-    busy.finish();
+    let busy = busy
+        .finish_with_instant(EventName::SweepPredictorDone)
+        .as_micros();
+    stats
+        .predictor_us
+        .record(u64::try_from(busy).unwrap_or(u64::MAX));
     shared.settle(i, outcome);
     shared.release(i);
 }
@@ -924,10 +921,7 @@ fn monitor(shared: &Arc<SweepShared>, config: &SweepConfig) {
                 shared.mem_cv.notify_all();
                 stats.shutdown_drains.inc();
                 let settled = shared.jobs.iter().filter(|job| job.settled()).count();
-                mbp_stats::events::instant(
-                    mbp_stats::events::EventName::ShutdownDrain,
-                    (m - settled) as u64,
-                );
+                events::instant(EventName::ShutdownDrain, (m - settled) as u64);
             }
         }
 
@@ -975,10 +969,7 @@ fn monitor(shared: &Arc<SweepShared>, config: &SweepConfig) {
                     job.cancel.store(true, Ordering::Relaxed);
                     cancelled_at[i] = Some(now);
                     stats.deadline_fired.inc();
-                    mbp_stats::events::instant(
-                        mbp_stats::events::EventName::DeadlineFired,
-                        i as u64,
-                    );
+                    events::instant(EventName::DeadlineFired, i as u64);
                 }
             }
         }

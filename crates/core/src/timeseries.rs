@@ -12,6 +12,7 @@
 //! JSON (the driver-equivalence suite pins this).
 
 use mbp_json::{json, Map, Value};
+use mbp_stats::events::{self, EventName};
 
 use crate::metrics::{accuracy, mpki, BranchTable};
 
@@ -287,10 +288,7 @@ impl TimeSeriesBuilder {
             taken: self.taken,
             unique_branches: self.unique_branches,
         });
-        mbp_stats::events::instant(
-            mbp_stats::events::EventName::SimWindowTick,
-            (self.windows.len() - 1) as u64,
-        );
+        events::instant(EventName::SimWindowTick, (self.windows.len() - 1) as u64);
         self.conditional = 0;
         self.mispredictions = 0;
         self.taken = 0;

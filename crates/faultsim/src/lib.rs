@@ -30,8 +30,10 @@
 //! The integration tests of this crate (`tests/fault_injection.rs`,
 //! `tests/alloc_bounds.rs`) apply the harness to every reader in
 //! `mbp-trace` and every codec in `mbp-compress`;
-//! `tests/checkpoint_faults.rs` applies it to sweep checkpoints and
-//! `tests/phases_faults.rs` to phases documents.
+//! `tests/checkpoint_faults.rs` applies it to sweep checkpoints,
+//! `tests/phases_faults.rs` to phases documents and
+//! `tests/observability_faults.rs` to metrics files, sweep documents and
+//! Chrome traces.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

@@ -33,8 +33,7 @@ fn replay(records: &[BranchRecord], bytes: &[u8]) -> Result<(), String> {
     let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
     let doc: Value = text.parse().map_err(|e| format!("{e}"))?;
     let plan = PhasesDoc::from_json(&doc)?;
-    let instructions = records.iter().map(|r| r.instructions()).sum();
-    plan.validate(records.len() as u64, instructions)?;
+    plan.validate(records)?;
     let mut predictor = mbp_predictors::by_name("gshare").expect("stock predictor");
     simulate_sampled(records, &mut *predictor, &plan, &SimConfig::default());
     Ok(())

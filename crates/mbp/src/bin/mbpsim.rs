@@ -11,9 +11,7 @@ use std::process::ExitCode;
 use mbp::compress::Codec;
 use mbp::examples::{by_name, PREDICTOR_NAMES};
 use mbp::json::Value;
-use mbp::sim::{
-    simulate, simulate_comparison, simulate_many, Predictor, Section, SimConfig, SweepConfig,
-};
+use mbp::sim::{simulate, simulate_comparison, simulate_many, Predictor, SimConfig, SweepConfig};
 use mbp::trace::sbbt::{SbbtReader, SbbtWriter};
 use mbp::trace::{bt9, translate};
 use mbp::workloads::Suite;
@@ -331,9 +329,11 @@ fn wants_events(args: &Args) -> bool {
     args.get("--trace-out").is_some() || args.get("--events-out").is_some()
 }
 
-/// Arms the event journal when `--trace-out`/`--events-out` was requested;
-/// call before the simulation work. Also applies `--sample-every`, whose
-/// value is checked even when nothing is armed.
+/// Arms the event journal when `--trace-out`/`--events-out` was requested,
+/// before the command's body runs, so the timeline holds every span the
+/// pipeline timers count, the header inflate of its trace included. Also
+/// applies `--sample-every`, whose value is checked even when nothing is
+/// armed.
 fn setup_events(args: &Args) -> Result<(), Failure> {
     let sample_every = args.parsed("--sample-every", mbp::stats::events::DEFAULT_SAMPLE_EVERY)?;
     if !wants_events(args) {
@@ -375,45 +375,18 @@ fn emit_events(args: &Args) -> Result<(), Failure> {
 }
 
 /// Emits the pipeline-metrics object: merges its sections into `doc`'s
-/// `metrics` object (creating one for documents without it), writes it to
-/// `--metrics-out` when requested, and prints the one-screen summary on
-/// stderr. Call after the simulation work, so the metrics cover it.
+/// `metrics` object, writes it to `--metrics-out` when requested, and
+/// prints the one-screen summary on stderr. Call after the simulation
+/// work, so the metrics cover it.
 fn emit_metrics(args: &Args, doc: Option<&mut Value>) -> Result<(), Failure> {
     if !wants_metrics(args) {
         return Ok(());
     }
     let stats = mbp::stats::pipeline();
-    let mut pipeline = mbp::report::pipeline_json(stats);
-    // The journal's drop counter belongs next to the pipeline sections:
-    // a metrics file whose event exports are incomplete says so itself.
-    if let Some(out) = pipeline.as_object_mut() {
-        out.insert("dropped_events", mbp::stats::events::dropped_events());
-    }
-    if let Some(doc) = doc {
-        if let Some(obj) = doc.as_object_mut() {
-            if !obj.contains_key("metrics") {
-                obj.insert("metrics", mbp::json::json!({}));
-            }
-            if let Some(metrics) = obj.get_mut("metrics").and_then(|m| m.as_object_mut()) {
-                if let Some(sections) = pipeline.as_object() {
-                    for (key, value) in sections.iter() {
-                        metrics.insert(key, value.clone());
-                    }
-                }
-            }
-        }
-        // Lift the document's opt-in sections to the metrics file's top
-        // level, so `mbpsim report` and `stats-diff` see them there too.
-        if let Some(out) = pipeline.as_object_mut() {
-            for section in Section::ALL {
-                if let Some(value) = section.find(doc) {
-                    out.insert(section.name(), value.clone());
-                }
-            }
-        }
-    }
+    let dropped = mbp::stats::events::dropped_events();
+    let metrics = mbp::report::metrics_document(stats, dropped, doc);
     if let Some(path) = args.get("--metrics-out") {
-        write_file(path, format!("{pipeline:#}\n"))?;
+        write_file(path, format!("{metrics:#}\n"))?;
     }
     eprintln!("{}", mbp::report::human_summary(stats));
     Ok(())
@@ -510,7 +483,6 @@ fn simulate_one(
         forensics,
         ..sim_config(args)?
     };
-    setup_events(args)?;
     let label = explain.then_some("explain");
     // Telemetry wants a (single-slot) status board so /snapshot carries a
     // predictor row, which the driver fills while it scores; without the
@@ -571,7 +543,6 @@ fn cmd_compare(args: &Args) -> Result<ExitCode, Failure> {
     let mut pb = predictor(b.trim())?;
     let trace_path = args.required("--trace")?;
     let mut trace = open_trace(trace_path)?;
-    setup_events(args)?;
     let result = simulate_comparison(&mut trace, &mut pa, &mut pb, &sim_config(args)?);
     emit_events(args)?;
     let mut result = result.map_err(|e| Failure::trace(format!("simulation failed: {e}")))?;
@@ -648,7 +619,6 @@ fn cmd_sweep(args: &Args) -> Result<ExitCode, Failure> {
         phases,
         status: board.clone(),
     };
-    setup_events(args)?;
     let sampling = config.phases.as_ref().map(|plan| {
         mbp::json::json!({
             "simulated_fraction": plan.planned_fraction(),
@@ -735,7 +705,6 @@ fn cmd_simpoint(args: &Args) -> Result<ExitCode, Failure> {
     }
     let warmup_windows: usize = args.parsed("--warmup-windows", 1usize)?;
     let mut trace = open_trace(trace_path)?;
-    setup_events(args)?;
     let records = trace
         .read_all()
         .map_err(|e| Failure::trace(format!("cannot read {trace_path}: {e}")))?;
@@ -770,7 +739,6 @@ fn cmd_gen(args: &Args) -> Result<ExitCode, Failure> {
     let out = PathBuf::from(args.required("--out")?);
     std::fs::create_dir_all(&out)
         .map_err(|e| Failure::internal(format!("cannot create {}: {e}", out.display())))?;
-    setup_events(args)?;
     for spec in &suite.traces {
         let path = out.join(format!("{}.sbbt.mzst", spec.name));
         let mut writer = SbbtWriter::create_compressed(&path, Codec::Mzst, 22)
@@ -996,9 +964,10 @@ fn main() -> ExitCode {
         name => name,
     };
     let result = match COMMANDS.iter().find(|c| c.name == name) {
-        Some(command) => {
-            Args::parse(command, argv.collect()).and_then(|args| (command.body)(&args))
-        }
+        Some(command) => Args::parse(command, argv.collect()).and_then(|args| {
+            setup_events(&args)?;
+            (command.body)(&args)
+        }),
         None => Err(usage_error(format!("unknown command {name:?}"))),
     };
     match result {

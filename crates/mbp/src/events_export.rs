@@ -106,14 +106,15 @@ pub struct TraceCheck {
 
 /// Validates a parsed Chrome trace document: `traceEvents` must be an array
 /// of objects carrying `name`/`ph`/`ts`/`pid`/`tid`, with a known phase and
-/// **strictly increasing** timestamps per thread.
+/// **strictly increasing** timestamps per thread. A document without
+/// `otherData.dropped_events` reports no dropped events.
 ///
 /// # Errors
 ///
 /// A one-line description of the first structural violation.
 pub fn validate_chrome_trace(doc: &Value) -> Result<TraceCheck, String> {
-    let events = doc["traceEvents"]
-        .as_array()
+    let events = (doc.get("traceEvents"))
+        .and_then(Value::as_array)
         .ok_or("missing traceEvents array")?;
     let mut last_ts: HashMap<u64, f64> = HashMap::new();
     for (i, e) in events.iter().enumerate() {
@@ -146,10 +147,11 @@ pub fn validate_chrome_trace(doc: &Value) -> Result<TraceCheck, String> {
         }
         last_ts.insert(tid, ts);
     }
+    let dropped = || doc.get("otherData")?.get("dropped_events")?.as_u64();
     Ok(TraceCheck {
         events: events.len() as u64,
         threads: last_ts.len() as u64,
-        dropped: doc["otherData"]["dropped_events"].as_u64().unwrap_or(0),
+        dropped: dropped().unwrap_or(0),
     })
 }
 

@@ -7,6 +7,7 @@
 //! not run are still present with zero counts, so consumers can index
 //! unconditionally.
 
+use mbp_core::Section;
 use mbp_json::{json, Map, Value};
 use mbp_stats::{HistogramSnapshot, PipelineStats, Reading};
 
@@ -24,6 +25,10 @@ fn histogram_json(h: &HistogramSnapshot) -> Value {
 /// Renders the pipeline metrics as the `"metrics"` JSON object emitted by
 /// `mbpsim --metrics` and served under `/snapshot`'s `pipeline`.
 pub fn pipeline_json(stats: &PipelineStats) -> Value {
+    pipeline_sections(stats).into()
+}
+
+fn pipeline_sections(stats: &PipelineStats) -> Map {
     let mut doc = Map::new();
     for row in stats.rows() {
         let value = match &row.value {
@@ -39,7 +44,33 @@ pub fn pipeline_json(stats: &PipelineStats) -> Value {
             section.insert(row.key, value);
         }
     }
-    doc.into()
+    doc
+}
+
+/// The `--metrics-out` file: the pipeline sections and the journal's
+/// `dropped` events. Given the command's document, it merges them into the
+/// document's `metrics` and lifts the document's opt-in sections to its
+/// own top level, where `report` and `stats-diff` read them.
+pub fn metrics_document(stats: &PipelineStats, dropped: u64, doc: Option<&mut Value>) -> Value {
+    let mut out = pipeline_sections(stats);
+    out.insert("dropped_events", dropped);
+    let Some(doc) = doc else { return out.into() };
+    if let Some(obj) = doc.as_object_mut() {
+        if !obj.contains_key("metrics") {
+            obj.insert("metrics", Map::new());
+        }
+        if let Some(metrics) = obj.get_mut("metrics").and_then(Value::as_object_mut) {
+            for (key, value) in out.iter() {
+                metrics.insert(key, value.clone());
+            }
+        }
+    }
+    for section in Section::ALL {
+        if let Some(value) = section.find(doc) {
+            out.insert(section.name(), value.clone());
+        }
+    }
+    out.into()
 }
 
 /// `1234567` → `"1.2M"`; keeps the summary lines one screen wide.

@@ -2,7 +2,9 @@
 //! the aggregate counters of [`crate::pipeline`].
 //!
 //! Aggregates answer *how much*; the journal answers *when*. Instrumented
-//! code emits **span begin/end pairs** (via the RAII [`EventSpan`] guard),
+//! code emits **span begin/end pairs** (via the RAII [`Span`] guard, which
+//! a pipeline [`Timer`](crate::Timer) opens, so its spans and the timer are
+//! one measurement),
 //! **instant events** (a point occurrence, e.g. a sweep worker catching a
 //! panic) and **sample events** (a counter's value at a moment in time, for
 //! throughput-over-time curves). Downstream tooling (`mbp::events_export`)
@@ -28,7 +30,9 @@
 //! * **Monotonic timestamps.** Timestamps are nanoseconds since the first
 //!   enable ([`set_events_enabled`]), taken from [`Instant`], and bumped to
 //!   be strictly increasing per shard, so per-thread event order is always
-//!   reconstructible.
+//!   reconstructible. A span's begin and end events carry the clock reads
+//!   its timer measured, so the journal's span lengths add up to the
+//!   timers.
 //!
 //! ```
 //! use mbp_stats::events::{self, EventKind, EventName};
@@ -46,7 +50,9 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+use crate::Span;
 
 /// Number of ring-buffer shards. Threads map to shards by id, so any
 /// realistic worker pool (sweeps cap at the core count) gets a private ring.
@@ -103,169 +109,120 @@ pub fn events_enabled() -> bool {
     EVENTS_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Nanoseconds since the journal epoch (zero before the first enable).
-fn now_ns() -> u64 {
-    match EPOCH.get() {
-        Some(epoch) => u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        None => 0,
+/// Nanoseconds from the journal epoch to `at` (zero before the first
+/// enable).
+fn stamp(at: Instant) -> u64 {
+    let since = EPOCH
+        .get()
+        .map_or(Duration::ZERO, |epoch| at.saturating_duration_since(*epoch));
+    u64::try_from(since.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Declares a journal enum: one byte per value, counted from zero in
+/// declaration order, and each value's stable identifier, in the one table
+/// that both directions of the byte encoding and [`as_str`](EventName::as_str)
+/// read.
+macro_rules! journal_enum {
+    ($(#[$meta:meta])* pub enum $name:ident {
+        $($(#[$doc:meta])* $variant:ident => $id:literal,)*
+    }) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum $name {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl $name {
+            const TABLE: &'static [(Self, &'static str)] = &[$((Self::$variant, $id),)*];
+
+            fn from_u8(v: u8) -> Option<Self> {
+                Self::TABLE.get(usize::from(v)).map(|&(value, _)| value)
+            }
+
+            /// Stable identifier, shown in trace viewers and the JSONL export.
+            pub fn as_str(self) -> &'static str {
+                Self::TABLE[self as usize].1
+            }
+        }
+    };
+}
+
+journal_enum! {
+    /// What an event records.
+    pub enum EventKind {
+        /// A span opened (matched by a later [`EventKind::SpanEnd`] on the
+        /// same thread; spans nest per thread).
+        SpanBegin => "span_begin",
+        /// A span closed.
+        SpanEnd => "span_end",
+        /// A point occurrence with a payload argument.
+        Instant => "instant",
+        /// A counter's value at this moment (time-series sample).
+        Sample => "sample",
     }
 }
 
-/// What an event records.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum EventKind {
-    /// A span opened (matched by a later [`EventKind::SpanEnd`] on the same
-    /// thread; spans nest per thread).
-    SpanBegin = 0,
-    /// A span closed.
-    SpanEnd = 1,
-    /// A point occurrence with a payload argument.
-    Instant = 2,
-    /// A counter's value at this moment (time-series sample).
-    Sample = 3,
-}
-
-impl EventKind {
-    fn from_u8(v: u8) -> Option<Self> {
-        match v {
-            0 => Some(Self::SpanBegin),
-            1 => Some(Self::SpanEnd),
-            2 => Some(Self::Instant),
-            3 => Some(Self::Sample),
-            _ => None,
-        }
-    }
-
-    /// Stable lowercase identifier (used by the JSONL export).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::SpanBegin => "span_begin",
-            Self::SpanEnd => "span_end",
-            Self::Instant => "instant",
-            Self::Sample => "sample",
-        }
-    }
-}
-
-/// The fixed vocabulary of instrumentation sites and sampled series.
-///
-/// A closed enum (rather than interned strings) keeps the hot path free of
-/// any lookup: a name is one byte in the packed event word.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum EventName {
-    /// SBBT reader decoding one 2048-packet block.
-    TraceFillBatch = 0,
-    /// Codec inflating one compressed trace (all blocks).
-    CompressInflate = 1,
-    /// One whole simulation run (`simulate`/`simulate_scalar`).
-    SimSimulate = 2,
-    /// The simulator pulling one batch from its source.
-    SimFillBatch = 3,
-    /// Sweep phase 1: the single decode pass.
-    SweepDecode = 4,
-    /// A sweep worker busy on one predictor (claim to report).
-    SweepWorker = 5,
-    /// A sweep worker finished a predictor (arg = simulation µs).
-    SweepPredictorDone = 6,
-    /// A sweep worker caught a predictor panic (arg = predictor index).
-    SweepFault = 7,
-    /// A sweep worker observed a trace error (arg = predictor index).
-    SweepTraceError = 8,
-    /// Workload generator refilling its record buffer.
-    WorkloadGenerate = 9,
-    /// Sample series: cumulative branch records simulated.
-    SampleSimRecords = 10,
-    /// Sample series: cumulative instructions simulated.
-    SampleSimInstructions = 11,
-    /// Sample series: cumulative trace packets decoded.
-    SamplePacketsDecoded = 12,
-    /// Sample series: cumulative bytes inflated by the codecs.
-    SampleInflatedBytes = 13,
-    /// The simulator closed one timeseries window (arg = window index).
-    SimWindowTick = 14,
-    /// A simulation run finished; arg = records it pushed through the
-    /// batched `predict_batch` kernel path (0 = the run never left the
-    /// scalar fallback).
-    SimKernelBranches = 15,
-    /// The sweep engine flushed one checkpoint record (arg = records in the
-    /// checkpoint so far).
-    CheckpointWrite = 16,
-    /// The deadline watchdog cancelled a predictor (arg = predictor index).
-    DeadlineFired = 17,
-    /// A worker waited for memory-budget admission (arg = predictor index).
-    AdmissionWait = 18,
-    /// Graceful shutdown began draining in-flight predictors (arg = jobs
-    /// still in flight at that moment).
-    ShutdownDrain = 19,
-    /// A phases document was extracted from a trace (arg = BBV windows).
-    SimpointExtract = 20,
-    /// The sampled executor finished one representative slice (arg = the
-    /// slice's window index).
-    SimpointSampledSlice = 21,
-    /// A telemetry client scraped a live endpoint (arg = scrapes served so
-    /// far, including this one).
-    TelemetryScrape = 22,
-}
-
-impl EventName {
-    fn from_u8(v: u8) -> Option<Self> {
-        match v {
-            0 => Some(Self::TraceFillBatch),
-            1 => Some(Self::CompressInflate),
-            2 => Some(Self::SimSimulate),
-            3 => Some(Self::SimFillBatch),
-            4 => Some(Self::SweepDecode),
-            5 => Some(Self::SweepWorker),
-            6 => Some(Self::SweepPredictorDone),
-            7 => Some(Self::SweepFault),
-            8 => Some(Self::SweepTraceError),
-            9 => Some(Self::WorkloadGenerate),
-            10 => Some(Self::SampleSimRecords),
-            11 => Some(Self::SampleSimInstructions),
-            12 => Some(Self::SamplePacketsDecoded),
-            13 => Some(Self::SampleInflatedBytes),
-            14 => Some(Self::SimWindowTick),
-            15 => Some(Self::SimKernelBranches),
-            16 => Some(Self::CheckpointWrite),
-            17 => Some(Self::DeadlineFired),
-            18 => Some(Self::AdmissionWait),
-            19 => Some(Self::ShutdownDrain),
-            20 => Some(Self::SimpointExtract),
-            21 => Some(Self::SimpointSampledSlice),
-            22 => Some(Self::TelemetryScrape),
-            _ => None,
-        }
-    }
-
-    /// Stable dotted identifier (shown in trace viewers).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::TraceFillBatch => "trace.fill_batch",
-            Self::CompressInflate => "compress.inflate",
-            Self::SimSimulate => "sim.simulate",
-            Self::SimFillBatch => "sim.fill_batch",
-            Self::SweepDecode => "sweep.decode",
-            Self::SweepWorker => "sweep.worker_busy",
-            Self::SweepPredictorDone => "sweep.predictor_done",
-            Self::SweepFault => "sweep.fault",
-            Self::SweepTraceError => "sweep.trace_error",
-            Self::WorkloadGenerate => "workloads.generate",
-            Self::SampleSimRecords => "sample.sim_records",
-            Self::SampleSimInstructions => "sample.sim_instructions",
-            Self::SamplePacketsDecoded => "sample.packets_decoded",
-            Self::SampleInflatedBytes => "sample.inflated_bytes",
-            Self::SimWindowTick => "sim.window_tick",
-            Self::SimKernelBranches => "sim.kernel_branches",
-            Self::CheckpointWrite => "sweep.checkpoint_write",
-            Self::DeadlineFired => "sweep.deadline_fired",
-            Self::AdmissionWait => "sweep.admission_wait",
-            Self::ShutdownDrain => "sweep.shutdown_drain",
-            Self::SimpointExtract => "simpoint.extract",
-            Self::SimpointSampledSlice => "simpoint.sampled_slice",
-            Self::TelemetryScrape => "telemetry.scrape",
-        }
+journal_enum! {
+    /// The fixed vocabulary of instrumentation sites and sampled series.
+    ///
+    /// A closed enum (rather than interned strings) keeps the hot path free
+    /// of any lookup: a name is one byte in the packed event word.
+    pub enum EventName {
+        /// SBBT reader decoding one 2048-packet block.
+        TraceFillBatch => "trace.fill_batch",
+        /// Codec inflating one compressed trace (all blocks).
+        CompressInflate => "compress.inflate",
+        /// One whole simulation run (`simulate`/`simulate_scalar`).
+        SimSimulate => "sim.simulate",
+        /// The simulator pulling one batch from its source.
+        SimFillBatch => "sim.fill_batch",
+        /// Sweep phase 1: the single decode pass.
+        SweepDecode => "sweep.decode",
+        /// A sweep worker busy on one predictor (claim to report).
+        SweepWorker => "sweep.worker_busy",
+        /// A sweep worker finished a predictor (arg = its busy µs).
+        SweepPredictorDone => "sweep.predictor_done",
+        /// A sweep worker caught a predictor panic (arg = predictor index).
+        SweepFault => "sweep.fault",
+        /// A sweep worker observed a trace error (arg = predictor index).
+        SweepTraceError => "sweep.trace_error",
+        /// Workload generator refilling its record buffer.
+        WorkloadGenerate => "workloads.generate",
+        /// Sample series: cumulative branch records simulated.
+        SampleSimRecords => "sample.sim_records",
+        /// Sample series: cumulative instructions simulated.
+        SampleSimInstructions => "sample.sim_instructions",
+        /// Sample series: cumulative trace packets decoded.
+        SamplePacketsDecoded => "sample.packets_decoded",
+        /// Sample series: cumulative bytes inflated by the codecs.
+        SampleInflatedBytes => "sample.inflated_bytes",
+        /// The simulator closed one timeseries window (arg = window index).
+        SimWindowTick => "sim.window_tick",
+        /// A simulation run finished; arg = records it pushed through the
+        /// batched `predict_batch` kernel path (0 = the run never left the
+        /// scalar fallback).
+        SimKernelBranches => "sim.kernel_branches",
+        /// The sweep engine flushed one checkpoint record (arg = records in
+        /// the checkpoint so far).
+        CheckpointWrite => "sweep.checkpoint_write",
+        /// The deadline watchdog cancelled a predictor (arg = predictor
+        /// index).
+        DeadlineFired => "sweep.deadline_fired",
+        /// A worker waited for memory-budget admission (arg = predictor
+        /// index).
+        AdmissionWait => "sweep.admission_wait",
+        /// Graceful shutdown began draining in-flight predictors (arg = jobs
+        /// still in flight at that moment).
+        ShutdownDrain => "sweep.shutdown_drain",
+        /// A phases document was extracted from a trace (arg = BBV windows).
+        SimpointExtract => "simpoint.extract",
+        /// The sampled executor finished one representative slice (arg = the
+        /// slice's window index).
+        SimpointSampledSlice => "simpoint.sampled_slice",
+        /// A telemetry client scraped a live endpoint (arg = scrapes served
+        /// so far, including this one).
+        TelemetryScrape => "telemetry.scrape",
     }
 }
 
@@ -322,10 +279,9 @@ impl Shard {
         }
     }
 
-    /// A timestamp that is monotonic in real time *and* strictly increasing
-    /// within this shard (ties are bumped by a nanosecond).
-    fn next_ts(&self) -> u64 {
-        let now = now_ns();
+    /// `now`, bumped to be strictly increasing within this shard (ties are
+    /// bumped by a nanosecond).
+    fn next_ts(&self, now: u64) -> u64 {
         let prev = self.last_ts.fetch_max(now, Ordering::Relaxed);
         if prev >= now {
             let bumped = prev + 1;
@@ -357,15 +313,16 @@ pub fn emit(kind: EventKind, name: EventName, arg: u64) {
     if !events_enabled() {
         return;
     }
-    emit_always(kind, name, arg);
+    emit_at(kind, name, arg, Instant::now());
 }
 
-/// Records one event unconditionally (the guards use this so a span opened
-/// while enabled still closes if the journal is switched off mid-span).
-fn emit_always(kind: EventKind, name: EventName, arg: u64) {
+/// Records one event that happened at `at`, unconditionally (the span
+/// guard uses this so a span opened while enabled still closes if the
+/// journal is switched off mid-span).
+pub(crate) fn emit_at(kind: EventKind, name: EventName, arg: u64, at: Instant) {
     let tid = current_thread_id();
     let shard = &JOURNAL[(tid as usize) % SHARDS];
-    let ts = shard.next_ts();
+    let ts = shard.next_ts(stamp(at));
     let h = shard.head.fetch_add(1, Ordering::Relaxed);
     if h >= SHARD_CAPACITY as u64 {
         // This write overwrites the shard's oldest retained event.
@@ -395,42 +352,13 @@ pub fn sample(name: EventName, value: u64) {
     emit(EventKind::Sample, name, value);
 }
 
-/// Opens a span: emits [`EventKind::SpanBegin`] now (if enabled) and the
-/// matching [`EventKind::SpanEnd`] when the guard drops — including during
-/// a panic unwind, so `catch_unwind` fault paths never leave a span open.
+/// Opens a journal span that no [`Timer`](crate::Timer) measures: emits
+/// [`EventKind::SpanBegin`] now (if enabled) and the matching
+/// [`EventKind::SpanEnd`] when the guard closes, including during a panic
+/// unwind. [`Span::finish`] returns its length.
 #[inline]
-pub fn span(name: EventName) -> EventSpan {
-    span_with_arg(name, 0)
-}
-
-/// Like [`span`], annotating the begin event with `arg`.
-#[inline]
-pub fn span_with_arg(name: EventName, arg: u64) -> EventSpan {
-    let armed = events_enabled();
-    if armed {
-        emit_always(EventKind::SpanBegin, name, arg);
-    }
-    EventSpan { name, armed }
-}
-
-/// RAII span guard returned by [`span`].
-#[derive(Debug)]
-pub struct EventSpan {
-    name: EventName,
-    armed: bool,
-}
-
-impl EventSpan {
-    /// Closes the span early (equivalent to dropping it).
-    pub fn finish(self) {}
-}
-
-impl Drop for EventSpan {
-    fn drop(&mut self) {
-        if self.armed {
-            emit_always(EventKind::SpanEnd, self.name, 0);
-        }
-    }
+pub fn span(name: EventName) -> Span<'static> {
+    Span::open(None, name, 0)
 }
 
 /// Sets the sampling interval of [`batch_tick`] in batches (`0` disables).
@@ -530,4 +458,27 @@ pub fn clear() {
     }
     DROPPED.store(0, Ordering::Relaxed);
     BATCH_TICKS.store(0, Ordering::Relaxed);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_kind_and_name_round_trips_through_its_byte() {
+        for (i, &(kind, id)) in EventKind::TABLE.iter().enumerate() {
+            let read = (kind as usize, EventKind::from_u8(i as u8), kind.as_str());
+            assert_eq!(read, (i, Some(kind), id));
+        }
+        for (i, &(name, id)) in EventName::TABLE.iter().enumerate() {
+            let read = (name as usize, EventName::from_u8(i as u8), name.as_str());
+            assert_eq!(read, (i, Some(name), id));
+        }
+        assert_eq!(EventKind::from_u8(EventKind::TABLE.len() as u8), None);
+        assert_eq!(EventName::from_u8(EventName::TABLE.len() as u8), None);
+        let mut ids: Vec<&str> = EventName::TABLE.iter().map(|&(_, id)| id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), EventName::TABLE.len(), "names are distinct");
+    }
 }

@@ -1,11 +1,13 @@
 //! # mbp-stats — always-cheap observability for the MBPlib pipeline
 //!
 //! Zero-dependency metric primitives (monotonic [`Counter`], fixed-bucket
-//! [`Histogram`], [`Timer`] with RAII [`ScopedTimer`] spans), the static
+//! [`Histogram`], [`Timer`] with RAII [`Span`] guards), the static
 //! [`pipeline()`] domains the simulator's stages report into, the one
 //! table of them ([`PipelineStats::rows`]) that every rendering reads, and
 //! the structured [`events`] journal (per-thread ring buffers of
-//! span/instant/sample events) that timeline exports are built from.
+//! span/instant/sample events) that timeline exports are built from. Each
+//! timer names its journal span, and one guard measures both, so the
+//! timeline's spans add up to the timers.
 //!
 //! Design rules, in order:
 //!
@@ -45,7 +47,7 @@ mod metric;
 mod pipeline;
 
 pub use exposition::{render_openmetrics, H2pRow};
-pub use metric::{Counter, Histogram, HistogramSnapshot, ScopedTimer, Timer};
+pub use metric::{Counter, Histogram, HistogramSnapshot, Span, Timer};
 pub use pipeline::{
     pipeline, CompressStats, PipelineStats, Reading, Row, SimStats, SweepStats, TraceStats,
     WorkloadStats,

@@ -1,12 +1,15 @@
-//! Metric primitives: monotonic counters, fixed-bucket histograms and the
-//! [`ScopedTimer`] span guard.
+//! Metric primitives: monotonic counters, fixed-bucket histograms, timers
+//! and the [`Span`] guard that measures one interval for a timer and the
+//! event journal at once.
 //!
 //! Every primitive is a thin wrapper over relaxed atomics, so instrumented
 //! code pays one uncontended atomic add per event and any thread (the sweep
 //! worker pool included) can record without locks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+use crate::events::{self, EventKind, EventName};
 
 /// A monotonic counter. Never decreases; wraps only after 2^64 events.
 #[derive(Debug, Default)]
@@ -146,28 +149,35 @@ impl<const N: usize> Histogram<N> {
 }
 
 /// Accumulated span time: total nanoseconds plus how many spans closed.
-#[derive(Debug, Default)]
+/// Each span a timer opens is also a journal span under the timer's one
+/// [`EventName`], so the timeline and the timer are one measurement.
+#[derive(Debug)]
 pub struct Timer {
+    name: EventName,
     ns: Counter,
     spans: Counter,
 }
 
 impl Timer {
-    /// Creates a zeroed timer.
-    pub const fn new() -> Self {
+    /// Creates a zeroed timer whose spans the journal records as `name`.
+    pub const fn new(name: EventName) -> Self {
         Self {
+            name,
             ns: Counter::new(),
             spans: Counter::new(),
         }
     }
 
-    /// Opens a span; the elapsed time is added when the guard drops.
+    /// Opens a span; its length is added when the guard closes.
     #[inline]
-    pub fn span(&self) -> ScopedTimer<'_> {
-        ScopedTimer {
-            timer: self,
-            start: Instant::now(),
-        }
+    pub fn span(&self) -> Span<'_> {
+        self.span_with_arg(0)
+    }
+
+    /// Like [`Timer::span`], annotating the journal's begin event with `arg`.
+    #[inline]
+    pub fn span_with_arg(&self, arg: u64) -> Span<'_> {
+        Span::open(Some(self), self.name, arg)
     }
 
     /// Adds a measured duration directly (for callers that already timed).
@@ -193,25 +203,75 @@ impl Timer {
     }
 }
 
-/// RAII span guard: measures from creation to drop and adds the elapsed
-/// nanoseconds to its [`Timer`].
+/// One measured interval, the RAII guard [`Timer::span`] and
+/// [`events::span`] return: one clock read when it opens and one when it
+/// closes. Its timer, if any, adds the difference; if the journal was on
+/// at the open, its begin and end events carry the same two readings. It
+/// closes on [`finish`](Self::finish) or on drop, also in a panic unwind,
+/// so a `catch_unwind` fault path never leaves a span open or untimed.
 #[derive(Debug)]
-pub struct ScopedTimer<'a> {
-    timer: &'a Timer,
-    start: Instant,
+pub struct Span<'a> {
+    timer: Option<&'a Timer>,
+    name: EventName,
+    /// The opening clock read; `None` once the span has closed.
+    start: Option<Instant>,
+    /// The journal was on at the open, so the end event is due even if it
+    /// has been switched off since.
+    journaled: bool,
 }
 
-impl ScopedTimer<'_> {
-    /// Closes the span early (equivalent to dropping it).
-    pub fn finish(self) {}
+impl<'a> Span<'a> {
+    pub(crate) fn open(timer: Option<&'a Timer>, name: EventName, arg: u64) -> Self {
+        let start = Instant::now();
+        let journaled = events::events_enabled();
+        if journaled {
+            events::emit_at(EventKind::SpanBegin, name, arg, start);
+        }
+        Self {
+            timer,
+            name,
+            start: Some(start),
+            journaled,
+        }
+    }
+
+    /// Closes the span and returns its length.
+    pub fn finish(mut self) -> Duration {
+        self.close(None)
+    }
+
+    /// Closes the span like [`finish`](Self::finish), journaling the instant
+    /// `done` at the closing clock read first, so it falls inside the span,
+    /// with the span's length in whole microseconds as its argument.
+    pub fn finish_with_instant(mut self, done: EventName) -> Duration {
+        self.close(Some(done))
+    }
+
+    fn close(&mut self, done: Option<EventName>) -> Duration {
+        let Some(start) = self.start.take() else {
+            return Duration::ZERO;
+        };
+        let end = Instant::now();
+        let elapsed = end.saturating_duration_since(start);
+        if let Some(timer) = self.timer {
+            // u64 nanoseconds cover ~584 years of span time; saturate rather
+            // than wrap if a clock ever misbehaves.
+            timer.record_ns(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
+        }
+        if self.journaled {
+            if let Some(done) = done {
+                let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
+                events::emit_at(EventKind::Instant, done, us, end);
+            }
+            events::emit_at(EventKind::SpanEnd, self.name, 0, end);
+        }
+        elapsed
+    }
 }
 
-impl Drop for ScopedTimer<'_> {
+impl Drop for Span<'_> {
     fn drop(&mut self) {
-        // u64 nanoseconds cover ~584 years of span time; saturate rather
-        // than wrap if a clock ever misbehaves.
-        let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.timer.record_ns(ns);
+        self.close(None);
     }
 }
 
@@ -279,12 +339,13 @@ mod tests {
 
     #[test]
     fn timer_spans_accumulate() {
-        let t = Timer::new();
+        let t = Timer::new(EventName::SimSimulate);
         {
             let _span = t.span();
         }
+        let elapsed = t.span().finish();
         t.record_ns(1000);
-        assert_eq!(t.spans(), 2);
-        assert!(t.total_ns() >= 1000);
+        assert_eq!(t.spans(), 3);
+        assert!(t.total_ns() >= 1000 + elapsed.as_nanos() as u64);
     }
 }

@@ -14,10 +14,11 @@
 //! dependency-free) and the OpenMetrics exposition are loops over it, so a
 //! metric added to the table appears on every surface.
 
+use crate::events::EventName;
 use crate::metric::{Counter, Histogram, HistogramSnapshot, Timer};
 
 /// Trace-ingestion metrics (`crates/trace`).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TraceStats {
     /// Bytes handed to a trace reader (after decompression, i.e. the raw
     /// SBBT stream the decoder walks).
@@ -47,7 +48,7 @@ pub struct CompressStats {
 }
 
 /// Simulation-driver metrics (`crates/core`).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SimStats {
     /// `simulate`/`simulate_scalar` invocations.
     pub runs: Counter,
@@ -58,7 +59,8 @@ pub struct SimStats {
     /// Time spent inside `TraceSource::fill_batch` (decode share), and in
     /// `TraceSource::drain` when a cut-off ends a run.
     pub fill_batch: Timer,
-    /// Wall time of whole simulation runs (includes the decode share).
+    /// Wall time of whole simulation runs (includes the decode share); a
+    /// run's `simulation_time` is its span's reading.
     pub simulate: Timer,
     /// Records processed through `Predictor::predict_batch` (the batched
     /// kernel fast path of `simulate`).
@@ -81,8 +83,8 @@ pub struct SweepStats {
     pub trace_errors: Counter,
     /// Per-worker busy time (claim-to-report, summed over all workers).
     pub worker_busy: Timer,
-    /// Per-predictor simulation time in microseconds. Buckets at
-    /// 100 µs / 1 ms / 10 ms / 100 ms / 1 s / 10 s.
+    /// Per-predictor busy time in microseconds, each a `worker_busy` span's
+    /// reading. Buckets at 100 µs / 1 ms / 10 ms / 100 ms / 1 s / 10 s.
     pub predictor_us: Histogram<6>,
     /// Checkpoint records flushed (one per completed or failed predictor).
     pub checkpoint_writes: Counter,
@@ -107,7 +109,7 @@ pub struct SweepStats {
 }
 
 /// Workload-generation metrics (`crates/workloads`).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct WorkloadStats {
     /// Branch records synthesized.
     pub records_generated: Counter,
@@ -133,29 +135,29 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
-    /// Creates a zeroed pipeline-stats instance with the canonical
-    /// histogram bounds (const, so it can back the process-wide static).
+    /// Creates zeroed pipeline stats with the canonical histogram bounds and
+    /// each timer's journal span (const, to back the process-wide static).
     pub const fn new() -> Self {
         Self {
             trace: TraceStats {
                 bytes_read: Counter::new(),
                 packets_decoded: Counter::new(),
                 batches: Counter::new(),
-                decode: Timer::new(),
+                decode: Timer::new(EventName::TraceFillBatch),
             },
             compress: CompressStats {
                 blocks_inflated: Counter::new(),
                 compressed_bytes: Counter::new(),
                 inflated_bytes: Counter::new(),
-                inflate: Timer::new(),
+                inflate: Timer::new(EventName::CompressInflate),
                 block_ratio_pct: Histogram::new([100, 200, 400, 800, 1600, 3200]),
             },
             sim: SimStats {
                 runs: Counter::new(),
                 records: Counter::new(),
                 instructions: Counter::new(),
-                fill_batch: Timer::new(),
-                simulate: Timer::new(),
+                fill_batch: Timer::new(EventName::SimFillBatch),
+                simulate: Timer::new(EventName::SimSimulate),
                 kernel_branches: Counter::new(),
                 scalar_fallback_branches: Counter::new(),
             },
@@ -164,7 +166,7 @@ impl PipelineStats {
                 predictors: Counter::new(),
                 faults: Counter::new(),
                 trace_errors: Counter::new(),
-                worker_busy: Timer::new(),
+                worker_busy: Timer::new(EventName::SweepWorker),
                 predictor_us: Histogram::new([100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000]),
                 checkpoint_writes: Counter::new(),
                 resume_skips: Counter::new(),
@@ -179,7 +181,7 @@ impl PipelineStats {
             workload: WorkloadStats {
                 records_generated: Counter::new(),
                 refills: Counter::new(),
-                generate: Timer::new(),
+                generate: Timer::new(EventName::WorkloadGenerate),
             },
         }
     }

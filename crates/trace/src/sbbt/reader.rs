@@ -292,11 +292,9 @@ impl SbbtReader {
         }
         // One span + two counter adds per 2048-packet block: the guard drop
         // also covers the error returns, so partially decoded batches are
-        // still accounted for. The event span is journal-gated (off by
-        // default) and closes on the same drops.
+        // still accounted for, on the timer and the journal alike.
         let stats = &mbp_stats::pipeline().trace;
         let _span = stats.decode.span();
-        let _event = mbp_stats::events::span(mbp_stats::events::EventName::TraceFillBatch);
         stats.batches.inc();
         let start = self.pos;
         let end = self.end.min(start + BATCH_BYTES);

@@ -131,7 +131,6 @@ impl TraceGenerator {
         // never stalls.
         let stats = &mbp_stats::pipeline().workload;
         let _span = stats.generate.span();
-        let _event = mbp_stats::events::span(mbp_stats::events::EventName::WorkloadGenerate);
         stats.refills.inc();
         let before = self.state.buffer.len();
         exec_block(&self.functions, 0, &mut self.state);

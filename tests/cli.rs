@@ -694,3 +694,39 @@ fn sweep_with_faulty_predictor_exits_4_and_reports_failure() {
     assert!(stderr.contains("\"faulty\" failed (panic)"), "{stderr}");
     assert!(!stderr.contains("RUST_BACKTRACE"), "{stderr}");
 }
+
+/// `validate-trace` reads an untrusted document: one without a
+/// `traceEvents` array fails with one line and exit 1, never a panic, and
+/// one without `otherData` validates with no dropped events.
+#[test]
+fn validate_trace_rejects_documents_that_are_not_traces() {
+    let dir = temp_dir("validate-trace");
+    for (name, text, code) in [
+        ("object.json", r#"{"foo": 1}"#, 1),
+        ("array.json", "[1,2]", 1),
+        ("bare.json", r#"{"traceEvents": []}"#, 0),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("write");
+        let out = mbpsim()
+            .arg("validate-trace")
+            .arg(&path)
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{name}: {stderr}");
+        if code == 0 {
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                stdout.contains("0 events across 0 threads (0 dropped"),
+                "{name}: {stdout}"
+            );
+        } else {
+            assert_eq!(stderr.lines().count(), 1, "{name}: {stderr}");
+            assert!(
+                stderr.contains("missing traceEvents array"),
+                "{name}: {stderr}"
+            );
+        }
+    }
+}

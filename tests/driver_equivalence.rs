@@ -12,7 +12,7 @@ use mbp::sim::{
     SliceSource, SweepConfig, TraceSource,
 };
 use mbp::trace::sbbt::{SbbtReader, BATCH_RECORDS};
-use mbp::trace::{translate, BranchRecord};
+use mbp::trace::{translate, Branch, BranchRecord, Opcode};
 use mbp::workloads::{ProgramParams, Suite, TraceGenerator};
 
 /// Renders a result as the pretty JSON the CLI prints, with the only
@@ -159,6 +159,44 @@ fn drivers_agree_at_a_large_static_footprint() {
     )
     .expect("sweep");
     assert_eq!(canonical_json(sweep.entries[0].result.clone()), batched);
+}
+
+/// The per-branch table marks a free slot with address `u64::MAX`. No
+/// trace file can hold that address, but an in-memory source can, and its
+/// branch is counted like any other, by both drivers alike.
+#[test]
+fn a_branch_at_the_top_address_is_counted_like_any_other() {
+    let records: Vec<BranchRecord> = (0..100u64)
+        .map(|i| {
+            let ip = if i % 2 == 0 { 0x40 } else { u64::MAX };
+            let branch = Branch::new(ip, 0x80, Opcode::conditional_direct(), i % 3 == 0);
+            BranchRecord::new(branch, 3)
+        })
+        .collect();
+    let forensic = SimConfig {
+        timeseries_window: Some(60),
+        forensics: Some(ForensicsConfig::default()),
+        ..SimConfig::default()
+    };
+    for config in [SimConfig::default(), forensic] {
+        let scalar = simulate_scalar(
+            &mut SliceSource::new(&records),
+            &mut Gshare::new(25, 18),
+            &config,
+        )
+        .expect("scalar sim");
+        let batched = simulate(
+            &mut SliceSource::new(&records),
+            &mut Gshare::new(25, 18),
+            &config,
+        )
+        .expect("batched sim");
+        assert_eq!(batched.metadata.num_branch_instructions, 2);
+        let mut listed: Vec<u64> = batched.most_failed.iter().map(|b| b.ip).collect();
+        listed.sort_unstable();
+        assert_eq!(listed, [0x40, u64::MAX]);
+        assert_eq!(canonical_json(scalar), canonical_json(batched));
+    }
 }
 
 #[test]
