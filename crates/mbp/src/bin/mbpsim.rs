@@ -285,11 +285,17 @@ fn sim_config(args: &Args) -> Result<SimConfig, Failure> {
     // series; `--timeseries-out` enables it at the default window size.
     let default_window =
         (args.get("--timeseries-out")).map(|_| mbp::sim::DEFAULT_WINDOW_INSTRUCTIONS);
+    let window = args.optional("--window")?;
+    if window == Some(0) {
+        return Err(Failure::usage(
+            "--window must be a positive instruction count",
+        ));
+    }
     Ok(SimConfig {
         warmup_instructions: args.parsed("--warmup", 0)?,
         max_instructions: args.optional("--max")?,
         track_only_conditional: args.flag("--track-only-conditional"),
-        timeseries_window: args.optional("--window")?.or(default_window),
+        timeseries_window: window.or(default_window),
         collect_probes: args.flag("--introspect"),
         ..SimConfig::default()
     })

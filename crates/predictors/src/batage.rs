@@ -12,7 +12,7 @@
 use mbp_core::{json, probe_counter_table, Branch, Predictor, TableProbe, Value};
 use mbp_utils::{Xorshift64, I2};
 
-use crate::tage::TaggedIndex;
+use crate::tage::{longest_hit, TaggedIndex};
 
 const COUNT_MAX: u8 = 7;
 
@@ -128,7 +128,7 @@ pub struct BatageConfig {
     /// `2^base_log_size` bimodal base counters.
     pub base_log_size: u32,
     /// `(log_size, hist_len, tag_bits)` per tagged table, increasing
-    /// history.
+    /// history; at most 64, one bit each of the lookup's hit mask.
     pub tables: Vec<(u32, u32, u32)>,
     /// CAT counter ceiling (controls allocation throttling).
     pub cat_max: i32,
@@ -186,11 +186,12 @@ pub struct Batage {
     allocations: u64,
     alloc_failures: u64,
     throttled: u64,
-    // Lookup scratch shared by predict/train.
+    // Lookup scratch shared by predict/train; the tagged tables' slots are
+    // in the index.
     base_slot: usize,
-    slots: Vec<(usize, u16)>,
-    hits: Vec<usize>,
-    /// The ip `slots`/`hits` were computed for by `predict`, with its
+    /// Tables whose entry matched, bit `i` for table `i`.
+    hits: u64,
+    /// The ip the slots and `hits` were computed for by `predict`, with its
     /// `(provider, prediction)` decision: `train` on the same ip reuses
     /// them instead of repeating the lookup (Listing 4). Every other `&mut`
     /// call clears it.
@@ -204,8 +205,9 @@ impl Batage {
     ///
     /// # Panics
     ///
-    /// Panics on an empty table list, non-increasing history lengths, or a
-    /// table with a tag width outside 1..=15 or a log size outside 1..=16.
+    /// Panics on an empty table list or one of more than 64 tables,
+    /// non-increasing history lengths, or a table with a tag width outside
+    /// 1..=15 or a log size outside 1..=16.
     pub fn new(cfg: BatageConfig) -> Self {
         assert!(!cfg.tables.is_empty(), "BATAGE needs at least one table");
         assert!(
@@ -227,8 +229,7 @@ impl Batage {
             alloc_failures: 0,
             throttled: 0,
             base_slot: 0,
-            slots: Vec::new(),
-            hits: Vec::new(),
+            hits: 0,
             cached: None,
             blame: None,
             cfg,
@@ -236,8 +237,7 @@ impl Batage {
     }
 
     fn compute_lookup(&mut self, ip: u64) {
-        let (slots, hits) = (&mut self.slots, &mut self.hits);
-        self.base_slot = self.index.lookup(ip, &self.tables, |e| e.tag, slots, hits);
+        (self.base_slot, self.hits) = self.index.lookup(ip, &self.tables, |e| e.tag);
     }
 
     /// The base counter viewed as a dual counter, so it can enter the same
@@ -256,8 +256,12 @@ impl Batage {
         let mut best = self.base_as_dual();
         let mut pred = best.prediction();
         let mut provider = None;
-        for &i in self.hits.iter() {
-            let d = self.tables[i][self.slots[i].0].dual;
+        // Every hit, shortest history first.
+        let mut hits = self.hits;
+        while hits != 0 {
+            let i = hits.trailing_zeros() as usize;
+            hits &= hits - 1;
+            let d = self.tables[i][self.index.slots[i].0].dual;
             if d.at_least_as_confident_as(best) {
                 best = d;
                 pred = d.prediction();
@@ -314,18 +318,18 @@ impl Predictor for Batage {
         // selected, never train, and rot in place. Also update the entry
         // that actually provided the decision (when different), and keep
         // the base trained whenever the tagged prediction was uncertain.
-        let longest = self.hits.last().copied();
+        let slots = &self.index.slots;
+        let longest = longest_hit(self.hits);
         if let Some(i) = longest {
-            let idx = self.slots[i].0;
+            let idx = slots[i].0;
             self.tables[i][idx].dual.update(taken);
         }
         match provider {
             Some(i) => {
+                let idx = slots[i].0;
                 if longest != Some(i) {
-                    let idx = self.slots[i].0;
                     self.tables[i][idx].dual.update(taken);
                 }
-                let idx = self.slots[i].0;
                 if self.tables[i][idx].dual.confidence() == Confidence::Low {
                     self.base[self.base_slot].sum_or_sub(taken);
                 }
@@ -346,10 +350,10 @@ impl Predictor for Batage {
             if start < self.tables.len() && allow {
                 let mut allocated = false;
                 for i in start..self.tables.len() {
-                    let idx = self.slots[i].0;
+                    let (idx, tag) = slots[i];
                     let e = &mut self.tables[i][idx];
                     if e.dual.is_useless() {
-                        e.tag = self.slots[i].1;
+                        e.tag = tag;
                         e.dual = Dual::split(taken, 1);
                         allocated = true;
                         self.allocations += 1;
@@ -363,7 +367,7 @@ impl Predictor for Batage {
                     // tighten throttling.
                     self.alloc_failures += 1;
                     let i = start + self.rng.below((self.tables.len() - start) as u64) as usize;
-                    let idx = self.slots[i].0;
+                    let idx = slots[i].0;
                     self.tables[i][idx].dual.decay();
                     self.cat = (self.cat + 3).min(self.cfg.cat_max);
                 }
@@ -513,6 +517,14 @@ mod tests {
     fn tables_wider_than_a_fold_rejected() {
         let mut cfg = BatageConfig::small();
         cfg.tables[1].0 = 40;
+        Batage::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 tagged tables fit the hit mask (got 65)")]
+    fn more_tables_than_the_hit_mask_rejected() {
+        let mut cfg = BatageConfig::small();
+        cfg.tables = (1..=65).map(|hist_len| (4, hist_len, 8)).collect();
         Batage::new(cfg);
     }
 

@@ -120,11 +120,16 @@ impl HashedPerceptron {
     fn lookup(&mut self, ip: u64) -> i32 {
         let parts = self.memo.get(ip);
         // The bias table's history part is zero.
-        let history = std::iter::once(&0).chain(self.hist.folds());
-        let mut sum = 0;
-        for (t, (&part, &h)) in parts.iter().zip(history).enumerate() {
-            self.indices[t] = (part ^ h as u32) as usize;
-            sum += self.tables[t][self.indices[t]] as i32;
+        self.indices[0] = parts[0] as usize;
+        let mut sum = self.tables[0][self.indices[0]] as i32;
+        for (((&part, &h), index), table) in parts[1..]
+            .iter()
+            .zip(self.hist.folds())
+            .zip(&mut self.indices[1..])
+            .zip(&self.tables[1..])
+        {
+            *index = (part ^ h as u32) as usize;
+            sum += table[*index] as i32;
         }
         sum
     }

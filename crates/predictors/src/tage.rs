@@ -29,7 +29,8 @@ pub struct TageTableSpec {
 pub struct TageConfig {
     /// `2^base_log_size` bimodal base counters.
     pub base_log_size: u32,
-    /// Tagged tables ordered by strictly increasing history length.
+    /// Tagged tables ordered by strictly increasing history length; at
+    /// most 64, one bit each of the lookup's hit mask.
     pub tables: Vec<TageTableSpec>,
     /// Usefulness counters are halved every this many updates.
     pub reset_period: u64,
@@ -142,14 +143,30 @@ pub(crate) struct TaggedIndex {
     memo: IpMemo<TaggedParts>,
     pub(crate) hist: GeometricHistory,
     tag_masks: Vec<u16>,
+    /// `(index, tag)` per tagged table, from the latest lookup.
+    pub(crate) slots: Box<[(usize, u16)]>,
 }
 
 impl TaggedIndex {
+    /// The most tagged tables a lookup's hit mask holds.
+    pub(crate) const MAX_TABLES: usize = u64::BITS as usize;
+
     /// Indexes `2^base_log_size` base counters and one tagged table per
     /// `(log_size, hist_len, tag_bits)`, each checked by
     /// [`assert_tagged_geometry`].
+    ///
+    /// # Panics
+    ///
+    /// Panics, before allocating, on more than [`MAX_TABLES`](Self::MAX_TABLES)
+    /// tagged tables, with the same message for both predictors.
     pub(crate) fn new(base_log_size: u32, tables: impl Iterator<Item = (u32, u32, u32)>) -> Self {
         let tables: Vec<_> = tables.collect();
+        assert!(
+            tables.len() <= Self::MAX_TABLES,
+            "at most {} tagged tables fit the hit mask (got {})",
+            Self::MAX_TABLES,
+            tables.len()
+        );
         let mut folds = Vec::new();
         for &(log, h, tag) in &tables {
             assert_tagged_geometry(log, tag);
@@ -162,41 +179,50 @@ impl TaggedIndex {
             }),
             hist: GeometricHistory::new(&folds),
             tag_masks: tables.iter().map(|&(_, _, t)| (1u16 << t) - 1).collect(),
+            slots: vec![(0, 0); tables.len()].into(),
         }
     }
 
-    /// Writes every tagged table's `(index, tag)` for `ip` into `slots` and
-    /// the tables whose entry there holds the tag into `hits`, shortest
-    /// history first. Returns the base table's index.
+    /// Writes every tagged table's `(index, tag)` for `ip` into
+    /// [`slots`](Self::slots). Returns the base table's index and the
+    /// tables whose entry there holds the tag, as a mask with bit `i` set
+    /// for table `i`.
     #[inline]
     pub(crate) fn lookup<E>(
         &mut self,
         ip: u64,
         tables: &[Vec<E>],
         tag_of: impl Fn(&E) -> u16,
-        slots: &mut Vec<(usize, u16)>,
-        hits: &mut Vec<usize>,
-    ) -> usize {
+    ) -> (usize, u64) {
         let parts = self.memo.get(ip);
-        let folds = self.hist.folds();
-        slots.clear();
-        hits.clear();
-        for (i, &part) in parts[1..].iter().enumerate() {
-            let f = &folds[3 * i..];
+        let history = self.hist.folds().chunks_exact(3);
+        let mut hits = 0;
+        for (i, ((((&part, f), &tag_mask), table), slot)) in parts[1..]
+            .iter()
+            .zip(history)
+            .zip(&self.tag_masks)
+            .zip(tables)
+            .zip(self.slots.iter_mut())
+            .enumerate()
+        {
             let word = part ^ ((f[0] as u32) << 16 | (f[1] ^ f[2] << 1) as u32);
-            let (index, tag) = ((word >> 16) as usize, word as u16 & self.tag_masks[i]);
-            slots.push((index, tag));
-            if tag_of(&tables[i][index]) == tag {
-                hits.push(i);
-            }
+            let (index, tag) = ((word >> 16) as usize, word as u16 & tag_mask);
+            *slot = (index, tag);
+            hits |= ((tag_of(&table[index]) == tag) as u64) << i;
         }
-        parts[0] as usize
+        (parts[0] as usize, hits)
     }
 
     /// Host memory the memo and the history hold, in bytes.
     pub(crate) fn heap_bytes(&self) -> u64 {
         self.memo.heap_bytes() + self.hist.heap_bytes()
     }
+}
+
+/// The table with the longest history among the hits in `mask`.
+#[inline]
+pub(crate) fn longest_hit(mask: u64) -> Option<usize> {
+    mask.checked_ilog2().map(|i| i as usize)
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -206,15 +232,12 @@ struct Entry {
     useful: USatCounter<2>,
 }
 
-/// Per-lookup state shared between `predict` and `train`.
+/// Per-lookup state shared between `predict` and `train`; the tagged
+/// tables' slots are in the [`TaggedIndex`].
 #[derive(Clone, Debug, Default)]
 struct Lookup {
     /// Index into the base table.
     base: usize,
-    /// `(index, tag)` per tagged table.
-    slots: Vec<(usize, u16)>,
-    /// Tables whose entry matched, shortest history first.
-    hits: Vec<usize>,
     provider: Option<usize>,
     alt: Option<usize>,
     provider_pred: bool,
@@ -259,9 +282,9 @@ impl Tage {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is empty, history lengths are not
-    /// strictly increasing, or a table has a tag width outside 1..=15 or a
-    /// log size outside 1..=16.
+    /// Panics if the configuration is empty or has more than 64 tagged
+    /// tables, history lengths are not strictly increasing, or a table has a
+    /// tag width outside 1..=15 or a log size outside 1..=16.
     pub fn new(cfg: TageConfig) -> Self {
         assert!(
             !cfg.tables.is_empty(),
@@ -297,25 +320,22 @@ impl Tage {
     }
 
     fn compute_lookup(&mut self, ip: u64) {
+        let (base, hits) = self.index.lookup(ip, &self.tables, |e| e.tag);
+        let slots = &self.index.slots;
         let lk = &mut self.scratch;
-        lk.base = self
-            .index
-            .lookup(ip, &self.tables, |e| e.tag, &mut lk.slots, &mut lk.hits);
-        let base_pred = self.base[lk.base].is_taken();
+        lk.base = base;
+        let base_pred = self.base[base].is_taken();
 
-        lk.provider = lk.hits.last().copied();
-        lk.alt = if lk.hits.len() >= 2 {
-            Some(lk.hits[lk.hits.len() - 2])
-        } else {
-            None
-        };
+        // The provider is the longest hit, the alternative the next longest.
+        lk.provider = longest_hit(hits);
+        lk.alt = lk.provider.and_then(|i| longest_hit(hits ^ 1 << i));
         lk.alt_pred = match lk.alt {
-            Some(j) => self.tables[j][lk.slots[j].0].ctr.is_taken(),
+            Some(j) => self.tables[j][slots[j].0].ctr.is_taken(),
             None => base_pred,
         };
         match lk.provider {
             Some(i) => {
-                let e = &self.tables[i][lk.slots[i].0];
+                let e = &self.tables[i][slots[i].0];
                 lk.provider_pred = e.ctr.is_taken();
                 // "Newly allocated": weak counter and no recorded usefulness.
                 lk.provider_is_new = e.ctr.is_weak() && e.useful.is_zero();
@@ -350,10 +370,10 @@ impl Tage {
         };
         let mut allocated = false;
         for i in (start + skip)..self.tables.len() {
-            let idx = self.scratch.slots[i].0;
+            let (idx, tag) = self.index.slots[i];
             let e = &mut self.tables[i][idx];
             if e.useful.is_zero() {
-                e.tag = self.scratch.slots[i].1;
+                e.tag = tag;
                 e.ctr = SatCounter::new(if taken { 0 } else { -1 });
                 allocated = true;
                 self.allocations += 1;
@@ -363,7 +383,7 @@ impl Tage {
         if !allocated {
             self.alloc_failures += 1;
             for i in start..self.tables.len() {
-                let idx = self.scratch.slots[i].0;
+                let idx = self.index.slots[i].0;
                 self.tables[i][idx].useful -= 1;
             }
         }
@@ -425,13 +445,13 @@ impl Predictor for Tage {
             if self.scratch.provider_is_new && provider_pred != alt_pred {
                 self.use_alt_on_new.sum_or_sub(alt_pred == taken);
             }
-            let idx = self.scratch.slots[i].0;
+            let idx = self.index.slots[i].0;
             // Update the alternative too while the provider is still new, so
             // the fallback stays trained (standard TAGE policy).
             if self.scratch.provider_is_new {
                 match alt {
                     Some(j) => {
-                        let jdx = self.scratch.slots[j].0;
+                        let jdx = self.index.slots[j].0;
                         self.tables[j][jdx].ctr.sum_or_sub(taken);
                     }
                     None => self.base[self.scratch.base].sum_or_sub(taken),
@@ -571,6 +591,20 @@ mod tests {
         // Checked before any table is allocated.
         let mut cfg = TageConfig::small();
         cfg.tables[2].log_size = 17;
+        Tage::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 tagged tables fit the hit mask (got 65)")]
+    fn more_tables_than_the_hit_mask_rejected() {
+        let mut cfg = TageConfig::small();
+        cfg.tables = (1..=65)
+            .map(|hist_len| TageTableSpec {
+                log_size: 4,
+                hist_len,
+                tag_bits: 8,
+            })
+            .collect();
         Tage::new(cfg);
     }
 

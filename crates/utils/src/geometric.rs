@@ -1,8 +1,11 @@
 //! One global history and every fold a geometric-history predictor indexes
 //! with (TAGE, BATAGE, ITTAGE, the hashed perceptron).
 
-/// A global outcome history kept as one circular buffer, plus a flat bank
-/// of folds of it that [`track`](Self::track) advances together.
+/// Lanes in a block of the bank.
+const LANES: usize = 8;
+
+/// A global outcome history kept as one circular buffer, plus a bank of
+/// folds of it that [`track`](Self::track) advances together.
 ///
 /// The buffer is the `ghist`/`ptghist` layout of Seznec's CBP TAGE code:
 /// the write position steps back one slot per branch, so the newest outcome
@@ -13,6 +16,11 @@
 /// per branch the way [`FoldedHistory`](crate::FoldedHistory) keeps one.
 /// Folds are at most [`MAX_WIDTH`](Self::MAX_WIDTH) bits: a table index or
 /// a tag.
+///
+/// The bank advances in blocks of eight 16-bit lanes, so every block is the
+/// same fixed-length pass whatever the fold count. Lanes past the last fold
+/// have a zero mask and stay zero; [`folds`](Self::folds) shows only the
+/// declared folds.
 ///
 /// # Examples
 ///
@@ -37,18 +45,40 @@ pub struct GeometricHistory {
     /// Index of the newest outcome.
     head: usize,
     ring_mask: usize,
-    /// Current value of every fold, in construction order.
-    folds: Vec<u16>,
-    // Per fold, set at construction. After a push, the bit leaving a
-    // fold's window sits `hist_len` slots from the newest one and lands at
-    // bit `hist_len % width` of the fold; the rotation carries the fold's
-    // top bit to bit 0.
-    evict: Vec<usize>,
-    out_bit: Vec<u16>,
-    top_bit: Vec<u16>,
-    mask: Vec<u16>,
-    /// Per fold, the bit leaving its window, as all ones or all zeros.
-    evicted: Vec<u16>,
+    /// The shapes of each block of lanes.
+    blocks: Vec<Block>,
+    /// Every lane's fold, one array per block.
+    folds: Vec<[u16; LANES]>,
+    /// Folds declared at construction.
+    len: usize,
+}
+
+/// The shapes of eight lanes, set at construction. After a push, the bit
+/// leaving a fold's window sits `hist_len` slots from the newest one and
+/// lands at bit `hist_len % width` of the fold; the rotation carries the
+/// fold's top bit to bit 0.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Block {
+    evict: [usize; LANES],
+    out_bit: [u16; LANES],
+    top_bit: [u16; LANES],
+    mask: [u16; LANES],
+}
+
+impl Block {
+    /// A block of up to [`LANES`] `(hist_len, width)` shapes; the lanes
+    /// past them get a zero mask.
+    fn new(shapes: &[(usize, u32)]) -> Self {
+        let lanes = |f: fn(usize, u32) -> u32| -> [u16; LANES] {
+            std::array::from_fn(|k| shapes.get(k).map_or(0, |&(l, w)| f(l, w) as u16))
+        };
+        Self {
+            evict: std::array::from_fn(|k| shapes.get(k).map_or(0, |&(l, _)| l)),
+            out_bit: lanes(|l, w| 1 << (l % w as usize)),
+            top_bit: lanes(|_, w| 1 << (w - 1)),
+            mask: lanes(|_, w| (1 << w) - 1),
+        }
+    }
 }
 
 impl GeometricHistory {
@@ -72,21 +102,16 @@ impl GeometricHistory {
                 Self::MAX_WIDTH
             );
         }
-        let per_fold = |f: fn(usize, u32) -> u32| -> Vec<u16> {
-            folds.iter().map(|&(l, w)| f(l, w) as u16).collect()
-        };
         let longest = folds.iter().map(|&(l, _)| l).fold(0, usize::max);
         let ring_len = (longest + 1).next_power_of_two();
+        let blocks: Vec<Block> = folds.chunks(LANES).map(Block::new).collect();
         Self {
             ring: vec![0; ring_len],
             head: 0,
             ring_mask: ring_len - 1,
-            folds: vec![0; folds.len()],
-            evict: folds.iter().map(|&(l, _)| l).collect(),
-            out_bit: per_fold(|l, w| 1 << (l % w as usize)),
-            top_bit: per_fold(|_, w| 1 << (w - 1)),
-            mask: per_fold(|_, w| (1 << w) - 1),
-            evicted: vec![0; folds.len()],
+            folds: vec![[0; LANES]; blocks.len()],
+            blocks,
+            len: folds.len(),
         }
     }
 
@@ -95,37 +120,35 @@ impl GeometricHistory {
     pub fn track(&mut self, taken: bool) {
         self.head = self.head.wrapping_sub(1) & self.ring_mask;
         self.ring[self.head] = taken as u8;
-        for (bit, &evict) in self.evicted.iter_mut().zip(&self.evict) {
-            *bit = 0u16.wrapping_sub(self.ring[(self.head + evict) & self.ring_mask] as u16);
-        }
-        // Rotate left by one within the width, inject the new bit at 0 and
-        // cancel the evicted bit. The gather above keeps this pass to
-        // uniform shifts and per-fold masks, which the compiler can
-        // vectorize.
+        let (ring, head, ring_mask) = (&self.ring, self.head, self.ring_mask);
         let new = taken as u16;
-        for ((((fold, &top), &out), &mask), &evicted) in self
-            .folds
-            .iter_mut()
-            .zip(&self.top_bit)
-            .zip(&self.out_bit)
-            .zip(&self.mask)
-            .zip(&self.evicted)
-        {
-            let carry = (*fold & top != 0) as u16;
-            *fold = ((*fold << 1 | carry) ^ new ^ (evicted & out)) & mask;
+        for (block, folds) in self.blocks.iter().zip(&mut self.folds) {
+            // Gather each lane's evicted bit as all ones or all zeros, then
+            // rotate left by one within the width, inject the new bit at 0
+            // and cancel the evicted bit. The update is uniform shifts and
+            // per-lane masks over a fixed eight lanes, which the compiler
+            // turns into one vector pass.
+            let evicted: [u16; LANES] = std::array::from_fn(|k| {
+                0u16.wrapping_sub(ring[(head + block.evict[k]) & ring_mask] as u16)
+            });
+            *folds = std::array::from_fn(|k| {
+                let fold = folds[k];
+                let carry = (fold & block.top_bit[k] != 0) as u16;
+                ((fold << 1 | carry) ^ new ^ (evicted[k] & block.out_bit[k])) & block.mask[k]
+            });
         }
     }
 
     /// The current value of every fold, in construction order.
     #[inline]
     pub fn folds(&self) -> &[u16] {
-        &self.folds
+        &self.folds.as_flattened()[..self.len]
     }
 
     /// Host memory the buffer and the bank hold, in bytes.
     pub fn heap_bytes(&self) -> u64 {
-        let lanes = self.folds.len() as u64;
-        self.ring.len() as u64 + lanes * (5 * 2 + std::mem::size_of::<usize>() as u64)
+        let block = std::mem::size_of::<Block>() + std::mem::size_of::<[u16; LANES]>();
+        (self.ring.len() + self.blocks.len() * block) as u64
     }
 }
 
@@ -151,6 +174,18 @@ mod tests {
                 }
                 assert_eq!(bank.folds()[k] as u64, window.fold(width), "fold {k}");
             }
+        }
+    }
+
+    #[test]
+    fn folds_view_holds_exactly_the_declared_folds() {
+        // One block, a full block, a padded second block, TAGE's 36.
+        for count in [1, 8, 9, 36] {
+            let shapes: Vec<_> = (1..=count).map(|l| (l, 1 + l as u32 % 16)).collect();
+            let mut bank = GeometricHistory::new(&shapes);
+            assert_eq!(bank.folds().len(), count);
+            bank.track(true);
+            assert_eq!(bank.folds().len(), count);
         }
     }
 

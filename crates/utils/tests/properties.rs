@@ -159,6 +159,40 @@ fn folded_history_equals_naive_fold_of_full_register() {
     }
 }
 
+/// Drives a fold bank of `shapes` through random outcomes, enough to wrap
+/// the circular buffer of a `longest`-bit window three times, and checks
+/// every fold after every push against folding its window of a full
+/// history register and against a `FoldedHistory` of the same shape.
+fn check_bank(shapes: &[(usize, u32)], longest: usize, rng: &mut Xorshift64) {
+    let mut bank = GeometricHistory::new(shapes);
+    let mut windows: Vec<HistoryRegister> = shapes
+        .iter()
+        .map(|&(l, _)| HistoryRegister::new(l))
+        .collect();
+    let mut singles: Vec<FoldedHistory> = shapes
+        .iter()
+        .map(|&(l, w)| FoldedHistory::new(l, w))
+        .collect();
+    let ring = (longest + 1).next_power_of_two();
+    for step in 0..3 * ring + 5 {
+        let taken = rng.next_bool();
+        bank.track(taken);
+        for (window, single) in windows.iter_mut().zip(&mut singles) {
+            single.update(taken, window.bit(window.len() - 1));
+            window.push(taken);
+        }
+        for (k, &(len, width)) in shapes.iter().enumerate() {
+            let fold = bank.folds()[k] as u64;
+            assert_eq!(
+                fold,
+                windows[k].fold(width),
+                "fold {k} ({len} bits to {width}) diverged at step {step}"
+            );
+            assert_eq!(fold, singles[k].value(), "fold {k} vs FoldedHistory");
+        }
+    }
+}
+
 #[test]
 fn geometric_history_equals_naive_fold_of_every_window() {
     // The fold bank must agree, after every push, with folding each fold's
@@ -182,34 +216,37 @@ fn geometric_history_equals_naive_fold_of_every_window() {
         let short = rng.range_inclusive(1, 15) as usize;
         shapes.push((short, short as u32 + 1));
         shapes.push((short, short as u32));
+        check_bank(&shapes, longest, &mut rng);
+    }
+}
 
-        let mut bank = GeometricHistory::new(&shapes);
-        let mut windows: Vec<HistoryRegister> = shapes
-            .iter()
-            .map(|&(l, _)| HistoryRegister::new(l))
+#[test]
+fn geometric_history_spanning_blocks_equals_naive_fold() {
+    // The bank advances in blocks of eight lanes. Banks of 9 to 48 folds
+    // cross block boundaries and, unless the count is a multiple of eight,
+    // end in padding lanes. Round 0 holds a 1024-bit window, round 1 a
+    // multiple of eight folds; the longest window sits at a random lane.
+    let mut rng = Xorshift64::new(0x6e0_0024);
+    for round in 0..6 {
+        let count = if round == 1 {
+            8 * rng.range_inclusive(2, 6) as usize
+        } else {
+            rng.range_inclusive(9, 48) as usize
+        };
+        let longest = if round == 0 {
+            1024
+        } else {
+            rng.range_inclusive(1, 700) as usize
+        };
+        let mut shapes: Vec<(usize, u32)> = (1..count)
+            .map(|_| {
+                let len = rng.range_inclusive(1, longest as u64) as usize;
+                (len, rng.range_inclusive(1, 16) as u32)
+            })
             .collect();
-        let mut singles: Vec<FoldedHistory> = shapes
-            .iter()
-            .map(|&(l, w)| FoldedHistory::new(l, w))
-            .collect();
-        let ring = (longest + 1).next_power_of_two();
-        for step in 0..3 * ring + 5 {
-            let taken = rng.next_bool();
-            bank.track(taken);
-            for (window, single) in windows.iter_mut().zip(&mut singles) {
-                single.update(taken, window.bit(window.len() - 1));
-                window.push(taken);
-            }
-            for (k, &(len, width)) in shapes.iter().enumerate() {
-                let fold = bank.folds()[k] as u64;
-                assert_eq!(
-                    fold,
-                    windows[k].fold(width),
-                    "fold {k} ({len} bits to {width}) diverged at step {step}"
-                );
-                assert_eq!(fold, singles[k].value(), "fold {k} vs FoldedHistory");
-            }
-        }
+        let at = rng.below(count as u64) as usize;
+        shapes.insert(at, (longest, rng.range_inclusive(1, 16) as u32));
+        check_bank(&shapes, longest, &mut rng);
     }
 }
 

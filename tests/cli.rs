@@ -156,6 +156,44 @@ fn explain_writes_the_timeseries_csv() {
     );
 }
 
+/// A zero time-series window is a usage error, as it is for `simpoint`:
+/// without the check a run wrote one window per branch record.
+#[test]
+fn a_zero_window_exits_2_for_every_time_series_command() {
+    let dir = temp_dir("zero-window");
+    assert!(mbpsim()
+        .args(["gen", "--suite", "smoke", "--out"])
+        .arg(&dir)
+        .status()
+        .expect("spawn")
+        .success());
+    let path = dir.join("SMOKE-server.sbbt.mzst");
+    let trace = path.to_str().expect("utf8 path");
+    for command in [
+        ["run", "--predictor", "gshare"],
+        ["explain", "--predictor", "gshare"],
+        ["sweep", "--predictors", "gshare,tage"],
+    ] {
+        for csv in [&[][..], &["--timeseries-out", "ts.csv"]] {
+            let out = mbpsim()
+                .args(command)
+                .args(["--trace", trace, "--window", "0"])
+                .args(csv)
+                .current_dir(&dir)
+                .output()
+                .expect("spawn");
+            assert_eq!(out.status.code(), Some(2), "{command:?} {csv:?}");
+            assert!(out.stdout.is_empty(), "{command:?} {csv:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("--window must be a positive instruction count"),
+                "{stderr}"
+            );
+            assert!(!dir.join("ts.csv").exists(), "{command:?} wrote the CSV");
+        }
+    }
+}
+
 #[test]
 fn translate_roundtrip_through_bt9() {
     let dir = temp_dir("translate");
