@@ -40,7 +40,7 @@ fn main() {
             _ => "",
         };
         println!(
-            "{:<16} {:>10.4} {:>11.2}% {:>11.0}ms  {}",
+            "{:<16} {:>10.4} {:>11.2}% {:>11.2}ms  {}",
             name,
             result.metrics.mpki,
             100.0 * result.metrics.accuracy,

@@ -88,7 +88,7 @@ fn main() {
     );
 
     compare("Bimodal", &bundles, || Bimodal::new(18));
-    compare("Two-Level", &bundles, || TwoLevel::gas(12, 6, 0));
+    compare("Two-Level", &bundles, || TwoLevel::gas(12, 6));
     compare("GShare", &bundles, || Gshare::new(25, 18));
     compare("Tournament", &bundles, || Tournament::classic(16));
     compare("2bc-gskew", &bundles, || TwoBcGskew::new(16, 16));

@@ -149,8 +149,10 @@ pub fn fmt_bytes(bytes: u64) -> String {
 /// boxes are `Send` so they can feed `mbp_core::simulate_many` directly.
 pub type PredictorFactory = Box<dyn Fn() -> Box<dyn Predictor + Send>>;
 
-/// The eight predictor configurations of Table III, in table order, at
-/// their ~64 kB benchmark budgets.
+/// The eight predictor configurations of Table III, in table order. Their
+/// modelled storage (`storage_bits`) is 64 KiB for Bimodal, Two-Level,
+/// GShare and 2bc-gskew, 48 KiB for the tournament, 56 KiB for the hashed
+/// perceptron, 23.75 KiB for TAGE and 25.25 KiB for BATAGE.
 pub fn table3_predictors() -> Vec<(&'static str, PredictorFactory)> {
     use mbp_predictors::*;
     vec![
@@ -160,7 +162,7 @@ pub fn table3_predictors() -> Vec<(&'static str, PredictorFactory)> {
         ),
         (
             "Two-Level",
-            Box::new(|| Box::new(TwoLevel::gas(12, 6, 0)) as Box<dyn Predictor + Send>),
+            Box::new(|| Box::new(TwoLevel::gas(12, 6)) as Box<dyn Predictor + Send>),
         ),
         (
             "GShare",

@@ -19,6 +19,7 @@ use mbp_trace::{BranchRecord, TraceError};
 
 use crate::metrics::{accuracy, mpki};
 use crate::simulator::{open_run, SimConfig, SimResult, SimState};
+use crate::timeseries::window_end;
 use crate::{Predictor, SliceSource, TraceSource};
 
 /// Version of the phases-document schema; bumped on incompatible change.
@@ -62,73 +63,73 @@ pub struct BbvWindow {
 /// Tiles `records` into windows of `window_size` instructions and builds
 /// one BBV per window.
 ///
-/// Window boundaries follow the PR 5 timeseries discipline: a window
-/// closes on the first record that carries the cumulative instruction
-/// count to or past the next multiple of `window_size` (so windows can
-/// overshoot by one record's gap), and a final partial window is flushed.
-/// Each record adds its instruction weight (gap + 1) to the bucket
+/// Window boundaries follow the timeseries discipline: a window closes on
+/// the first record that carries the cumulative instruction count to or
+/// past the next multiple of `window_size` (so windows can overshoot by one
+/// record's gap), and a final partial window is flushed. Each record adds
+/// its instruction weight (gap + 1) to the bucket
 /// `fnv1a64(ip) % BBV_FEATURE_DIM`; the vector is L1-normalized when the
 /// window closes. `window_size` is clamped to at least 1.
 pub fn extract_bbv(records: &[BranchRecord], window_size: u64) -> Vec<BbvWindow> {
-    let window_size = window_size.max(1);
-    let mut windows = Vec::new();
-    let mut raw = [0.0f64; BBV_FEATURE_DIM];
-    let mut cum = 0u64;
-    let mut next_boundary = window_size;
-    let mut start_record = 0usize;
-    let mut start_instruction = 0u64;
-    for (i, rec) in records.iter().enumerate() {
-        let weight = rec.instructions();
-        cum += weight;
-        let bucket = (fnv1a64(&rec.branch.ip().to_le_bytes()) % BBV_FEATURE_DIM as u64) as usize;
-        raw[bucket] += weight as f64;
-        if cum >= next_boundary {
-            windows.push(close_window(
-                &mut raw,
-                start_record,
-                i + 1 - start_record,
-                start_instruction,
-                cum - start_instruction,
-            ));
-            start_record = i + 1;
-            start_instruction = cum;
-            next_boundary = (cum / window_size + 1) * window_size;
-        }
-    }
-    if start_record < records.len() {
-        windows.push(close_window(
-            &mut raw,
-            start_record,
-            records.len() - start_record,
-            start_instruction,
-            cum - start_instruction,
-        ));
-    }
-    windows
+    bbv(records, &tile(records, window_size.max(1)))
 }
 
-fn close_window(
-    raw: &mut [f64; BBV_FEATURE_DIM],
+/// One window of the tiling that extraction and [`PhasesDoc::validate`]
+/// share: its records and the instructions they span.
+#[derive(Clone, Copy, Debug)]
+struct Tile {
     start_record: usize,
     num_records: usize,
     start_instruction: u64,
     instructions: u64,
-) -> BbvWindow {
-    let sum: f64 = raw.iter().sum();
-    let mut features = [0.0f64; BBV_FEATURE_DIM];
-    if sum > 0.0 {
-        for (f, r) in features.iter_mut().zip(raw.iter()) {
-            *f = r / sum;
+}
+
+/// The windows of [`extract_bbv`], without their BBVs; `window_size` must
+/// not be 0.
+fn tile(records: &[BranchRecord], window_size: u64) -> Vec<Tile> {
+    let mut tiles = Vec::new();
+    let (mut start_record, mut start_instruction, mut cum) = (0, 0, 0);
+    let mut next_boundary = window_size;
+    for (i, rec) in records.iter().enumerate() {
+        cum += rec.instructions();
+        if cum >= next_boundary || i + 1 == records.len() {
+            tiles.push(Tile {
+                start_record,
+                num_records: i + 1 - start_record,
+                start_instruction,
+                instructions: cum - start_instruction,
+            });
+            (start_record, start_instruction) = (i + 1, cum);
+            next_boundary = window_end(cum, window_size);
         }
     }
-    raw.fill(0.0);
-    BbvWindow {
-        start_record,
-        num_records,
-        start_instruction,
-        instructions,
-        features,
-    }
+    tiles
+}
+
+/// Each tile's window with its L1-normalized BBV.
+fn bbv(records: &[BranchRecord], tiles: &[Tile]) -> Vec<BbvWindow> {
+    let window = |t: &Tile| {
+        let mut raw = [0.0f64; BBV_FEATURE_DIM];
+        for rec in &records[t.start_record..t.start_record + t.num_records] {
+            let bucket = fnv1a64(&rec.branch.ip().to_le_bytes()) % BBV_FEATURE_DIM as u64;
+            raw[bucket as usize] += rec.instructions() as f64;
+        }
+        let sum: f64 = raw.iter().sum();
+        let mut features = [0.0f64; BBV_FEATURE_DIM];
+        if sum > 0.0 {
+            for (f, r) in features.iter_mut().zip(raw) {
+                *f = r / sum;
+            }
+        }
+        BbvWindow {
+            start_record: t.start_record,
+            num_records: t.num_records,
+            start_instruction: t.start_instruction,
+            instructions: t.instructions,
+            features,
+        }
+    };
+    tiles.iter().map(window).collect()
 }
 
 /// Squared Euclidean distance in fixed index order.
@@ -265,6 +266,31 @@ pub struct Phase {
     pub warmup_records: usize,
     /// Instructions the warmup slice spans.
     pub warmup_instructions: u64,
+}
+
+impl Phase {
+    /// The phase whose representative is window `rep` of `tiles`, warmed up
+    /// on up to `warmup_windows` windows before it, for the cluster
+    /// `assignments` puts `rep` in.
+    fn new(tiles: &[Tile], assignments: &[usize], rep: usize, warmup_windows: usize) -> Self {
+        let cluster = assignments[rep];
+        let windows_in_cluster = assignments.iter().filter(|&&a| a == cluster).count();
+        let window = tiles[rep];
+        let warm = &tiles[rep - rep.min(warmup_windows)..rep];
+        Self {
+            cluster,
+            representative_window: rep,
+            weight: windows_in_cluster as f64 / tiles.len() as f64,
+            windows_in_cluster,
+            start_record: window.start_record,
+            num_records: window.num_records,
+            start_instruction: window.start_instruction,
+            instructions: window.instructions,
+            warmup_start_record: warm.first().map_or(0, |w| w.start_record),
+            warmup_records: warm.iter().map(|w| w.num_records).sum(),
+            warmup_instructions: warm.iter().map(|w| w.instructions).sum(),
+        }
+    }
 }
 
 /// The versioned phases document emitted by `mbpsim simpoint` and
@@ -422,13 +448,13 @@ impl PhasesDoc {
     }
 
     /// Checks the plan against the records of the trace it is about to
-    /// sample: the trace's totals, and each phase's slices and the
-    /// instruction counts it declares for them.
+    /// sample: the trace's totals, its tiling into windows, one phase per
+    /// assigned cluster, and each phase rebuilt from its representative
+    /// window and warm-up depth as extraction builds it.
     ///
     /// # Errors
     ///
-    /// A description of the mismatch (record/instruction count drift,
-    /// out-of-range or miscounted slices, inconsistent window bookkeeping).
+    /// A description of the first mismatch.
     pub fn validate(&self, records: &[BranchRecord]) -> Result<(), String> {
         let record_count = records.len() as u64;
         if self.record_count != record_count {
@@ -438,57 +464,15 @@ impl PhasesDoc {
                 self.record_count
             ));
         }
-        if self.assignments.len() != self.num_windows {
+        if self.window_size == 0 || self.feature_dim != BBV_FEATURE_DIM {
             return Err(format!(
-                "phases document claims {} windows but assigns {}",
-                self.num_windows,
-                self.assignments.len()
+                "phases document has window_size {} and feature_dim {}; it needs a \
+                 non-zero window and {BBV_FEATURE_DIM} features",
+                self.window_size, self.feature_dim
             ));
         }
-        if self.phases.len() != self.clusters {
-            return Err(format!(
-                "phases document claims {} clusters but lists {} phases",
-                self.clusters,
-                self.phases.len()
-            ));
-        }
-        for p in &self.phases {
-            let end = |start: usize, len: usize| {
-                (start.checked_add(len))
-                    .filter(|&end| end as u64 <= record_count)
-                    .ok_or_else(|| format!("phase for cluster {} runs past the trace", p.cluster))
-            };
-            end(p.start_record, p.num_records)?;
-            let warmup_end = end(p.warmup_start_record, p.warmup_records)?;
-            if p.warmup_records > 0 && warmup_end != p.start_record {
-                return Err(format!(
-                    "phase for cluster {} warms up on records that do not end where it starts",
-                    p.cluster
-                ));
-            }
-            if p.representative_window >= self.num_windows.max(1) {
-                return Err(format!(
-                    "phase for cluster {} names window {} of {}",
-                    p.cluster, p.representative_window, self.num_windows
-                ));
-            }
-        }
-        // Every slice is in range now; read the instructions before each of
-        // its bounds, and before the trace's end, in one pass.
-        let bounds: Vec<usize> = (self.phases.iter())
-            .flat_map(|p| {
-                let (warmup, start) = (p.warmup_start_record, p.start_record);
-                [
-                    warmup,
-                    warmup + p.warmup_records,
-                    start,
-                    start + p.num_records,
-                ]
-            })
-            .chain([records.len()])
-            .collect();
-        let before = instructions_before(records, &bounds);
-        let instruction_count = before[before.len() - 1];
+        let tiles = tile(records, self.window_size);
+        let instruction_count: u64 = tiles.iter().map(|t| t.instructions).sum();
         if self.instruction_count != instruction_count {
             return Err(format!(
                 "phases document was extracted from a trace with {} instructions, \
@@ -496,19 +480,46 @@ impl PhasesDoc {
                 self.instruction_count
             ));
         }
-        for (p, at) in self.phases.iter().zip(before.chunks_exact(4)) {
-            for (field, declared, actual) in [
-                ("start_instruction", p.start_instruction, at[2]),
-                ("instructions", p.instructions, at[3] - at[2]),
-                ("warmup_instructions", p.warmup_instructions, at[1] - at[0]),
-            ] {
-                if declared != actual {
-                    return Err(format!(
-                        "phase for cluster {} declares {field} {declared}, its records \
-                         hold {actual}",
-                        p.cluster
-                    ));
-                }
+        if self.num_windows != tiles.len() || self.assignments.len() != tiles.len() {
+            return Err(format!(
+                "phases document claims {} windows and assigns {}, the trace tiles into {}",
+                self.num_windows,
+                self.assignments.len(),
+                tiles.len()
+            ));
+        }
+        let mut assigned = self.assignments.clone();
+        assigned.sort_unstable();
+        assigned.dedup();
+        let listed = self.phases.iter().map(|p| p.cluster);
+        if self.clusters != self.phases.len() || !listed.eq(assigned.iter().copied()) {
+            return Err(format!(
+                "phases document lists {} phases for {} assigned clusters",
+                self.phases.len(),
+                assigned.len()
+            ));
+        }
+        for p in &self.phases {
+            let rep = p.representative_window;
+            if rep >= tiles.len() {
+                return Err(format!(
+                    "phase for cluster {} names window {rep} of {}",
+                    p.cluster,
+                    tiles.len()
+                ));
+            }
+            // Its warm-up depth: how many windows back its first record is.
+            let first = match p.warmup_records {
+                0 => Ok(rep),
+                _ => tiles[..rep].binary_search_by_key(&p.warmup_start_record, |t| t.start_record),
+            };
+            let rebuilt =
+                first.map(|first| Phase::new(&tiles, &self.assignments, rep, rep - first));
+            if rebuilt.as_ref() != Ok(p) {
+                return Err(format!(
+                    "phase for cluster {} does not match window {rep} of this trace",
+                    p.cluster
+                ));
             }
         }
         Ok(())
@@ -526,20 +537,6 @@ impl PhasesDoc {
             .sum();
         touched as f64 / self.instruction_count as f64
     }
-}
-
-/// The instructions before each record index of `bounds` (none past the
-/// end), in one pass over `records`.
-fn instructions_before(records: &[BranchRecord], bounds: &[usize]) -> Vec<u64> {
-    let mut order: Vec<(usize, usize)> = bounds.iter().copied().zip(0..).collect();
-    order.sort_unstable();
-    let mut before = vec![0u64; bounds.len()];
-    let (mut at, mut sum) = (0usize, 0u64);
-    for (end, i) in order {
-        sum = (records[at..end].iter()).fold(sum, |sum, r| sum.saturating_add(r.instructions()));
-        (at, before[i]) = (end, sum);
-    }
-    before
 }
 
 /// Extracts a sampling plan from a fully decoded trace: BBV windows,
@@ -564,7 +561,9 @@ pub fn extract_phases_with_warmup(
     k: usize,
     warmup_windows: usize,
 ) -> PhasesDoc {
-    let windows = extract_bbv(records, window_size);
+    let window_size = window_size.max(1);
+    let tiles = tile(records, window_size);
+    let windows = bbv(records, &tiles);
     let (assignments, k_used, iterations) = kmeans(&windows, k);
     events::instant(EventName::SimpointExtract, windows.len() as u64);
     // One centroid per cluster, recomputed from the final assignment so
@@ -595,36 +594,11 @@ pub fn extract_phases_with_warmup(
                 rep = i;
             }
         }
-        let w = &windows[rep];
-        let (warmup_start_record, warmup_records, warmup_instructions) =
-            if rep > 0 && warmup_windows > 0 {
-                let first = rep - rep.min(warmup_windows);
-                let warm = &windows[first..rep];
-                (
-                    warm[0].start_record,
-                    warm.iter().map(|w| w.num_records).sum(),
-                    warm.iter().map(|w| w.instructions).sum(),
-                )
-            } else {
-                (0, 0, 0)
-            };
-        phases.push(Phase {
-            cluster: c,
-            representative_window: rep,
-            weight: members.len() as f64 / windows.len() as f64,
-            windows_in_cluster: members.len(),
-            start_record: w.start_record,
-            num_records: w.num_records,
-            start_instruction: w.start_instruction,
-            instructions: w.instructions,
-            warmup_start_record,
-            warmup_records,
-            warmup_instructions,
-        });
+        phases.push(Phase::new(&tiles, &assignments, rep, warmup_windows));
     }
     let instruction_count: u64 = windows.iter().map(|w| w.instructions).sum();
     PhasesDoc {
-        window_size: window_size.max(1),
+        window_size,
         feature_dim: BBV_FEATURE_DIM,
         clusters: phases.len(),
         kmeans_iterations: iterations,
@@ -1068,6 +1042,40 @@ mod tests {
             // Read before validation (the sweep's progress line does), the
             // fraction stays finite and positive.
             assert!(parsed.planned_fraction().is_finite() && parsed.planned_fraction() > 0.0);
+        }
+    }
+
+    #[test]
+    fn validate_rebuilds_what_extraction_derives() {
+        let recs = phase_heavy_trace(600);
+        let doc = extract_phases(&recs, 200, 3);
+        assert!(doc.phases.len() >= 2 && doc.validate(&recs).is_ok());
+        // Each edit keeps every slice and instruction count in range and
+        // consistent, so only rebuilding the phases catches it.
+        let tampered: [fn(&mut PhasesDoc); 5] = [
+            |d| d.phases[0].weight *= 4.0,
+            |d| d.phases[1].cluster = d.phases[0].cluster,
+            |d| {
+                let reps: Vec<usize> = d.phases.iter().map(|p| p.representative_window).collect();
+                let other = (0..d.num_windows)
+                    .find(|w| !reps.contains(w))
+                    .expect("a member");
+                d.assignments[other] = (d.phases.iter().map(|p| p.cluster))
+                    .find(|&c| c != d.assignments[other])
+                    .expect("another cluster");
+            },
+            |d| d.phases[0].windows_in_cluster += 1,
+            |d| {
+                let p = &mut d.phases[0];
+                p.representative_window = (p.representative_window + 1) % d.num_windows;
+            },
+        ];
+        for tamper in tampered {
+            let mut plan = doc.clone();
+            tamper(&mut plan);
+            let parsed = PhasesDoc::from_json(&plan.to_json()).expect("hash matches");
+            assert_ne!(parsed, doc);
+            assert!(parsed.validate(&recs).is_err(), "{parsed:?}");
         }
     }
 

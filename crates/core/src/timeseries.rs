@@ -215,6 +215,12 @@ fn phase_changes(windows: &[Window]) -> (f64, u64) {
     (score, steps)
 }
 
+/// The boundary at which the window opened at cumulative instruction count
+/// `cum` closes: the next multiple of `window` (≥ 1) past `cum`.
+pub(crate) fn window_end(cum: u64, window: u64) -> u64 {
+    (cum / window + 1) * window
+}
+
 /// Accumulates windows as the drivers replay the trace.
 ///
 /// Call discipline, per record: advance the cumulative instruction count,
@@ -294,7 +300,7 @@ impl TimeSeriesBuilder {
         self.taken = 0;
         self.unique_branches = 0;
         self.window_start = cum_instructions;
-        self.next_boundary = (cum_instructions / self.window_size + 1) * self.window_size;
+        self.next_boundary = window_end(cum_instructions, self.window_size);
     }
 
     /// Flushes the final partial window and derives the analytics.

@@ -162,7 +162,7 @@ pub fn dropped_events_warning(dropped: u64) -> Option<String> {
     (dropped > 0).then(|| {
         format!(
             "mbpsim: warning: event journal overflowed; {dropped} event(s) dropped \
-             (raise --sample-every or shorten the run for a complete timeline)"
+             (shorten the run with --max for a complete timeline)"
         )
     })
 }

@@ -137,7 +137,8 @@ pub struct BatageConfig {
 }
 
 impl BatageConfig {
-    /// A ~64 kB configuration matching the TAGE default geometry.
+    /// The stock configuration, with the TAGE default geometry. Despite the
+    /// name, its modelled storage (`storage_bits`) is 25.25 KiB.
     pub fn default_64kb() -> Self {
         let lengths = [4u32, 6, 10, 16, 25, 40, 64, 101, 160, 254, 403, 640];
         Self {

@@ -71,8 +71,16 @@ use mbp_core::Predictor;
 /// arrays (a few KiB of `u64`) stay on the stack and in L1.
 pub(crate) const KERNEL_CHUNK: usize = 256;
 
-/// Builds one of the stock predictors by name, at a roughly 64 kB storage
-/// budget — handy for CLI harnesses and benchmarks.
+/// Builds one of the stock predictors by name — handy for CLI harnesses
+/// and benchmarks.
+///
+/// Their modelled storage budgets (`storage_bits`) differ: 64 KiB for
+/// `bimodal`, `gshare` and `gselect`, 48 KiB for `tournament`, 56 KiB for
+/// `hashed-perceptron`, 23.75 KiB for `tage`, 25.25 KiB for `batage`,
+/// 1 MiB for `two-level` (GAs, 12 history bits, 2^10 pattern tables) and
+/// 2 MiB for `2bc-gskew` (four banks of 2^21 counters). The Table II–III
+/// harness in `crates/bench` builds its Two-Level and 2bc-gskew at 64 KiB
+/// instead, so those two names are different configurations there.
 ///
 /// Recognized names: `always-taken`, `never-taken`, `btfn`, `bimodal`,
 /// `two-level`, `gshare`, `gselect`, `tournament`, `2bc-gskew`,
@@ -86,7 +94,7 @@ pub fn by_name(name: &str) -> Option<Box<dyn Predictor + Send>> {
         "never-taken" => Box::new(NeverTaken),
         "btfn" => Box::new(Btfn::default()),
         "bimodal" => Box::new(Bimodal::new(18)),
-        "two-level" => Box::new(TwoLevel::gas(12, 10, 14)),
+        "two-level" => Box::new(TwoLevel::gas(12, 10)),
         "gshare" => Box::new(Gshare::new(25, 18)),
         "gselect" => Box::new(GSelect::new(8, 10)),
         "tournament" => Box::new(Tournament::classic(16)),
@@ -307,6 +315,27 @@ mod tests {
         // Static predictors hold no tables; a zero hint opts them out of
         // admission gating.
         assert_eq!(by_name("always-taken").unwrap().size_hint(), 0);
+
+        // `storage_bits` is the modelled hardware budget (Table II). The
+        // tables below build each predictor as `by_name` does; a hint of
+        // the budget's bytes ties each to `by_name`'s configuration.
+        let tournament = 2 * Bimodal::new(16).storage_bits() + Gshare::new(16, 16).storage_bits();
+        for (name, storage_bits, modelled) in [
+            ("bimodal", Bimodal::new(18).storage_bits(), 524_288),
+            ("two-level", TwoLevel::gas(12, 10).storage_bits(), 8_388_620),
+            ("gshare", Gshare::new(25, 18).storage_bits(), 524_313),
+            ("gselect", GSelect::new(8, 10).storage_bits(), 524_296),
+            ("tournament", tournament, 393_232),
+            (
+                "2bc-gskew",
+                TwoBcGskew::new(16, 21).storage_bits(),
+                16_777_232,
+            ),
+        ] {
+            assert_eq!(storage_bits, modelled, "{name}: modelled budget moved");
+            let hint = by_name(name).map(|p| p.size_hint());
+            assert_eq!(hint, Some(storage_bits.div_ceil(8)), "{name}");
+        }
 
         // The composites also hold an ip memo (a key and one word per
         // table per line) and a fold bank. The hint budgets host memory, so

@@ -39,8 +39,9 @@ pub struct TageConfig {
 }
 
 impl TageConfig {
-    /// A ~64 kB configuration: 12 tagged tables with geometric history
-    /// lengths from 4 to 640 bits.
+    /// The stock configuration: 12 tagged tables of 2^10 entries with
+    /// geometric history lengths from 4 to 640 bits. Despite the name, its
+    /// modelled storage (`storage_bits`) is 23.75 KiB.
     pub fn default_64kb() -> Self {
         let lengths = [4u32, 6, 10, 16, 25, 40, 64, 101, 160, 254, 403, 640];
         Self {

@@ -108,7 +108,8 @@ impl TwoLevel {
     ///
     /// # Panics
     ///
-    /// Panics if `hist_len` is 0 or over 24, or either log size is over 20.
+    /// Panics if `hist_len` is 0 or over 24, if either log size is over 20,
+    /// or if a per-address or per-set level has no index bits.
     pub fn new(
         hscope: HistoryScope,
         pscope: PatternScope,
@@ -120,6 +121,11 @@ impl TwoLevel {
         assert!(
             log_bhrs <= 20 && log_phts <= 20,
             "table sizes capped at 2^20"
+        );
+        assert!(
+            (hscope == HistoryScope::Global || log_bhrs > 0)
+                && (pscope == HistoryScope::Global || log_phts > 0),
+            "a per-address or per-set level needs at least one index bit"
         );
         let num_bhrs = match hscope {
             HistoryScope::Global => 1,
@@ -136,7 +142,10 @@ impl TwoLevel {
             log_bhrs,
             log_phts,
             bhrs: vec![0; num_bhrs],
-            phts: vec![I2::default(); num_phts << hist_len],
+            // Collected rather than `vec![_; n]`, whose last element is
+            // written apart: one n-byte zero fill becomes a zeroed
+            // allocation, so untouched pages of a large table cost nothing.
+            phts: (0..num_phts << hist_len).map(|_| I2::default()).collect(),
         }
     }
 
@@ -146,7 +155,7 @@ impl TwoLevel {
     }
 
     /// The classic GAs configuration.
-    pub fn gas(hist_len: u32, log_phts: u32, _unused_log_bhrs: u32) -> Self {
+    pub fn gas(hist_len: u32, log_phts: u32) -> Self {
         Self::new(
             HistoryScope::Global,
             HistoryScope::PerSet,
@@ -267,27 +276,6 @@ impl Predictor for TwoLevel {
         track_only_conditional: bool,
         out: &mut PredictionBits,
     ) {
-        // A non-global level with zero index bits would call
-        // `xor_fold(_, 0)`, which panics — but only when the scalar path
-        // actually consults that level. Keep the literal scalar loop for
-        // those degenerate configurations so the panic (or its absence)
-        // matches exactly.
-        if (self.hscope != HistoryScope::Global && self.log_bhrs == 0)
-            || (self.pscope != HistoryScope::Global && self.log_phts == 0)
-        {
-            for i in 0..batch.len() {
-                let branch = batch.branch(i);
-                let conditional = branch.is_conditional();
-                if conditional {
-                    out.push(self.predict(branch.ip()));
-                    self.train(&branch);
-                }
-                if conditional || !track_only_conditional {
-                    self.track(&branch);
-                }
-            }
-            return;
-        }
         // Both structure indices depend only on the address, so they hash
         // in two vectorizable passes per chunk. The BHRs are shared mutable
         // state (a branch's history may have been rewritten by any earlier
@@ -362,7 +350,7 @@ mod tests {
         assert_eq!(TwoLevel::pag(8, 4).variant(), "PAg");
         assert_eq!(TwoLevel::pap(8, 4, 4).variant(), "PAp");
         assert_eq!(TwoLevel::sap(8, 4, 4).variant(), "SAp");
-        assert_eq!(TwoLevel::gas(8, 4, 0).variant(), "GAs");
+        assert_eq!(TwoLevel::gas(8, 4).variant(), "GAs");
     }
 
     #[test]
@@ -411,5 +399,17 @@ mod tests {
     #[should_panic(expected = "hist_len")]
     fn oversized_history_rejected() {
         TwoLevel::gag(25);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one index bit")]
+    fn per_address_history_without_index_bits_rejected() {
+        TwoLevel::pag(8, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one index bit")]
+    fn per_set_patterns_without_index_bits_rejected() {
+        TwoLevel::new(HistoryScope::Global, HistoryScope::PerSet, 8, 0, 0);
     }
 }

@@ -242,7 +242,7 @@ fn simulator_mpki(name: &str, trace: &[BranchRecord], expected_mispredictions: u
 fn build(name: &str) -> Box<dyn Predictor> {
     match name {
         "bimodal" => Box::new(Bimodal::new(18)),
-        "two-level" => Box::new(TwoLevel::gas(12, 10, 14)),
+        "two-level" => Box::new(TwoLevel::gas(12, 10)),
         "gshare" => Box::new(Gshare::new(25, 18)),
         "gselect" => Box::new(GSelect::new(8, 10)),
         "gskew" => Box::new(TwoBcGskew::new(16, 21)),

@@ -17,22 +17,20 @@
 //!   journal's opt-in ([`set_events_enabled`]); a disabled emit is one
 //!   relaxed load and a branch. Hot loops only call into the journal at
 //!   *batch* granularity, never per record.
-//! * **Lock-free, sharded rings.** Events land in one of [`SHARDS`] ring
-//!   buffers selected by thread id, so sweep workers never contend on a
-//!   lock. Writers claim a slot with one `fetch_add` and publish it with a
-//!   release store of a per-slot sequence word; a concurrent drain detects
-//!   torn or in-flight slots via that sequence and skips them.
-//! * **Drop-oldest.** Each shard holds [`SHARD_CAPACITY`] events; when a
-//!   ring wraps, the oldest events are overwritten and
-//!   [`dropped_events`] counts every casualty. A long run therefore keeps
-//!   its most recent window — the part a timeline viewer needs to explain
-//!   "what was happening when it got slow".
+//! * **One ring behind one lock.** Every thread appends to the same ring
+//!   of [`CAPACITY`] events under one `Mutex`. Sites fire a few events per
+//!   2048-record batch, so the lock is rarely contended; the ring is
+//!   reserved when the journal is armed, so an emit never allocates.
+//! * **Drop-oldest.** When the ring is full, each new event evicts the
+//!   oldest one and [`dropped_events`] counts every casualty. A long run
+//!   therefore keeps its most recent window — the part a timeline viewer
+//!   needs to explain "what was happening when it got slow".
 //! * **Monotonic timestamps.** Timestamps are nanoseconds since the first
-//!   enable ([`set_events_enabled`]), taken from [`Instant`], and bumped to
-//!   be strictly increasing per shard, so per-thread event order is always
-//!   reconstructible. A span's begin and end events carry the clock reads
-//!   its timer measured, so the journal's span lengths add up to the
-//!   timers.
+//!   enable ([`set_events_enabled`]), taken from [`Instant`], and bumped
+//!   past the thread's last stamp, so they are strictly increasing per
+//!   thread and per-thread event order is always reconstructible. A span's
+//!   begin and end events carry the clock reads its timer measured, so the
+//!   journal's span lengths add up to the timers.
 //!
 //! ```
 //! use mbp_stats::events::{self, EventKind, EventName};
@@ -48,18 +46,17 @@
 //! events::set_events_enabled(false);
 //! ```
 
+use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::Span;
 
-/// Number of ring-buffer shards. Threads map to shards by id, so any
-/// realistic worker pool (sweeps cap at the core count) gets a private ring.
-pub const SHARDS: usize = 32;
-
-/// Events retained per shard before the ring wraps and drops oldest.
-pub const SHARD_CAPACITY: usize = 2048;
+/// Events the journal retains before each new one drops the oldest
+/// (32 bytes each, 2 MiB in all).
+pub const CAPACITY: usize = 65_536;
 
 /// Default sampling interval for [`batch_tick`], in batches. At the SBBT
 /// block size of 2048 records this samples roughly every 128k records.
@@ -67,6 +64,9 @@ pub const DEFAULT_SAMPLE_EVERY: u64 = 64;
 
 /// Journal opt-in switch.
 static EVENTS_ENABLED: AtomicBool = AtomicBool::new(false);
+
+/// The retained events, oldest first, across all threads.
+static JOURNAL: Mutex<VecDeque<Event>> = Mutex::new(VecDeque::new());
 
 /// Events dropped to ring wrap-around since the last [`clear`].
 static DROPPED: AtomicU64 = AtomicU64::new(0);
@@ -86,6 +86,8 @@ static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 thread_local! {
     /// This thread's journal id, assigned on first use.
     static THREAD_ID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+    /// This thread's last timestamp, which its next one must exceed.
+    static LAST_TS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The calling thread's journal id (stable for the thread's lifetime).
@@ -95,10 +97,14 @@ pub fn current_thread_id() -> u64 {
 
 /// Enables or disables event recording process-wide. The first enable pins
 /// the timestamp epoch; timestamps from all later sessions share it, so
-/// events from separate phases of one process remain comparable.
+/// events from separate phases of one process remain comparable. Enabling
+/// reserves the whole ring, so no emit allocates.
 pub fn set_events_enabled(enabled: bool) {
     if enabled {
         let _ = EPOCH.get_or_init(Instant::now);
+        let mut ring = ring();
+        let free = CAPACITY - ring.len();
+        ring.reserve_exact(free);
     }
     EVENTS_ENABLED.store(enabled, Ordering::Relaxed);
 }
@@ -118,27 +124,20 @@ fn stamp(at: Instant) -> u64 {
     u64::try_from(since.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Declares a journal enum: one byte per value, counted from zero in
-/// declaration order, and each value's stable identifier, in the one table
-/// that both directions of the byte encoding and [`as_str`](EventName::as_str)
-/// read.
+/// Declares a journal enum and each value's stable identifier, in the one
+/// table [`as_str`](EventName::as_str) reads.
 macro_rules! journal_enum {
     ($(#[$meta:meta])* pub enum $name:ident {
         $($(#[$doc:meta])* $variant:ident => $id:literal,)*
     }) => {
         $(#[$meta])*
         #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-        #[repr(u8)]
         pub enum $name {
             $($(#[$doc])* $variant,)*
         }
 
         impl $name {
             const TABLE: &'static [(Self, &'static str)] = &[$((Self::$variant, $id),)*];
-
-            fn from_u8(v: u8) -> Option<Self> {
-                Self::TABLE.get(usize::from(v)).map(|&(value, _)| value)
-            }
 
             /// Stable identifier, shown in trace viewers and the JSONL export.
             pub fn as_str(self) -> &'static str {
@@ -167,7 +166,7 @@ journal_enum! {
     /// The fixed vocabulary of instrumentation sites and sampled series.
     ///
     /// A closed enum (rather than interned strings) keeps the hot path free
-    /// of any lookup: a name is one byte in the packed event word.
+    /// of any lookup or allocation.
     pub enum EventName {
         /// SBBT reader decoding one 2048-packet block.
         TraceFillBatch => "trace.fill_batch",
@@ -229,7 +228,7 @@ journal_enum! {
 /// One drained journal entry, plain data.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Event {
-    /// Nanoseconds since the journal epoch, strictly increasing per shard.
+    /// Nanoseconds since the journal epoch, strictly increasing per thread.
     pub ts_ns: u64,
     /// Journal thread id of the emitting thread.
     pub tid: u64,
@@ -241,70 +240,10 @@ pub struct Event {
     pub arg: u64,
 }
 
-/// One ring slot: a sequence word for publication/tear detection plus the
-/// three event words. `seq == 0` means never written; `seq == n` means the
-/// slot holds the shard's `n`-th event (1-based) in full.
-struct Slot {
-    seq: AtomicU64,
-    ts: AtomicU64,
-    meta: AtomicU64,
-    arg: AtomicU64,
-}
-
-impl Slot {
-    const fn new() -> Self {
-        Self {
-            seq: AtomicU64::new(0),
-            ts: AtomicU64::new(0),
-            meta: AtomicU64::new(0),
-            arg: AtomicU64::new(0),
-        }
-    }
-}
-
-/// One ring buffer. `head` counts events ever written to this shard; the
-/// slot for event `h` is `h % SHARD_CAPACITY`.
-struct Shard {
-    head: AtomicU64,
-    last_ts: AtomicU64,
-    slots: [Slot; SHARD_CAPACITY],
-}
-
-impl Shard {
-    const fn new() -> Self {
-        Self {
-            head: AtomicU64::new(0),
-            last_ts: AtomicU64::new(0),
-            slots: [const { Slot::new() }; SHARD_CAPACITY],
-        }
-    }
-
-    /// `now`, bumped to be strictly increasing within this shard (ties are
-    /// bumped by a nanosecond).
-    fn next_ts(&self, now: u64) -> u64 {
-        let prev = self.last_ts.fetch_max(now, Ordering::Relaxed);
-        if prev >= now {
-            let bumped = prev + 1;
-            self.last_ts.fetch_max(bumped, Ordering::Relaxed);
-            bumped
-        } else {
-            now
-        }
-    }
-}
-
-static JOURNAL: [Shard; SHARDS] = [const { Shard::new() }; SHARDS];
-
-/// Packs kind, name and thread id into one event word.
-fn pack_meta(kind: EventKind, name: EventName, tid: u64) -> u64 {
-    (tid << 16) | ((name as u64) << 8) | kind as u64
-}
-
-/// Inverse of [`pack_meta`]; `None` for torn or foreign words.
-fn unpack_meta(meta: u64) -> Option<(EventKind, EventName, u64)> {
-    let kind = EventKind::from_u8((meta & 0xFF) as u8)?;
-    let name = EventName::from_u8(((meta >> 8) & 0xFF) as u8)?;
-    Some((kind, name, meta >> 16))
+/// The ring, also after a holder panicked: no operation on it can leave it
+/// inconsistent, and span guards emit from `Drop`, where a panic aborts.
+fn ring() -> MutexGuard<'static, VecDeque<Event>> {
+    JOURNAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Records one event if the journal is enabled; otherwise one relaxed load.
@@ -320,24 +259,24 @@ pub fn emit(kind: EventKind, name: EventName, arg: u64) {
 /// guard uses this so a span opened while enabled still closes if the
 /// journal is switched off mid-span).
 pub(crate) fn emit_at(kind: EventKind, name: EventName, arg: u64, at: Instant) {
-    let tid = current_thread_id();
-    let shard = &JOURNAL[(tid as usize) % SHARDS];
-    let ts = shard.next_ts(stamp(at));
-    let h = shard.head.fetch_add(1, Ordering::Relaxed);
-    if h >= SHARD_CAPACITY as u64 {
-        // This write overwrites the shard's oldest retained event.
+    let ts = LAST_TS.with(|last| {
+        let ts = stamp(at).max(last.get() + 1);
+        last.set(ts);
+        ts
+    });
+    let event = Event {
+        ts_ns: ts,
+        tid: current_thread_id(),
+        kind,
+        name,
+        arg,
+    };
+    let mut ring = ring();
+    if ring.len() == CAPACITY {
+        ring.pop_front();
         DROPPED.fetch_add(1, Ordering::Relaxed);
     }
-    let slot = &shard.slots[(h % SHARD_CAPACITY as u64) as usize];
-    // Publication protocol: invalidate, write fields, publish with the
-    // 1-based sequence. A drain that observes seq != h+1 (or a changed seq
-    // across its field reads) skips the slot instead of reporting torn data.
-    slot.seq.store(0, Ordering::Release);
-    slot.ts.store(ts, Ordering::Relaxed);
-    slot.meta
-        .store(pack_meta(kind, name, tid), Ordering::Relaxed);
-    slot.arg.store(arg, Ordering::Relaxed);
-    slot.seq.store(h + 1, Ordering::Release);
+    ring.push_back(event);
 }
 
 /// Records an instant event.
@@ -411,51 +350,19 @@ pub fn dropped_events() -> u64 {
 }
 
 /// Copies every retained event out of the journal, ordered by thread id and
-/// then by timestamp. The journal is not cleared; concurrent writers are
-/// tolerated (in-flight or overwritten slots are skipped, never torn).
+/// then by timestamp. The journal is not cleared; concurrent writers wait
+/// for the copy.
 pub fn drain() -> Vec<Event> {
-    let mut out = Vec::new();
-    for shard in &JOURNAL {
-        let head = shard.head.load(Ordering::Acquire);
-        let retained = head.min(SHARD_CAPACITY as u64);
-        for h in head - retained..head {
-            let slot = &shard.slots[(h % SHARD_CAPACITY as u64) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq != h + 1 {
-                continue; // in-flight, overwritten, or never completed
-            }
-            let ts = slot.ts.load(Ordering::Relaxed);
-            let meta = slot.meta.load(Ordering::Relaxed);
-            let arg = slot.arg.load(Ordering::Relaxed);
-            if slot.seq.load(Ordering::Acquire) != seq {
-                continue; // overwritten while reading: discard, don't tear
-            }
-            if let Some((kind, name, tid)) = unpack_meta(meta) {
-                out.push(Event {
-                    ts_ns: ts,
-                    tid,
-                    kind,
-                    name,
-                    arg,
-                });
-            }
-        }
-    }
+    let mut out: Vec<Event> = ring().iter().copied().collect();
     out.sort_by_key(|e| (e.tid, e.ts_ns));
     out
 }
 
-/// Empties every shard and zeroes the dropped-event and batch-tick
-/// counters. Call between phases (or tests) that want a journal of their
-/// own; does not touch the enable switches or the sampling interval.
+/// Empties the ring and zeroes the dropped-event and batch-tick counters.
+/// Call between phases (or tests) that want a journal of their own; does
+/// not touch the enable switches or the sampling interval.
 pub fn clear() {
-    for shard in &JOURNAL {
-        for slot in &shard.slots {
-            slot.seq.store(0, Ordering::Release);
-        }
-        shard.head.store(0, Ordering::Release);
-        shard.last_ts.store(0, Ordering::Relaxed);
-    }
+    ring().clear();
     DROPPED.store(0, Ordering::Relaxed);
     BATCH_TICKS.store(0, Ordering::Relaxed);
 }
@@ -467,15 +374,11 @@ mod tests {
     #[test]
     fn every_kind_and_name_round_trips_through_its_byte() {
         for (i, &(kind, id)) in EventKind::TABLE.iter().enumerate() {
-            let read = (kind as usize, EventKind::from_u8(i as u8), kind.as_str());
-            assert_eq!(read, (i, Some(kind), id));
+            assert_eq!((kind as usize, kind.as_str()), (i, id));
         }
         for (i, &(name, id)) in EventName::TABLE.iter().enumerate() {
-            let read = (name as usize, EventName::from_u8(i as u8), name.as_str());
-            assert_eq!(read, (i, Some(name), id));
+            assert_eq!((name as usize, name.as_str()), (i, id));
         }
-        assert_eq!(EventKind::from_u8(EventKind::TABLE.len() as u8), None);
-        assert_eq!(EventName::from_u8(EventName::TABLE.len() as u8), None);
         let mut ids: Vec<&str> = EventName::TABLE.iter().map(|&(_, id)| id).collect();
         ids.sort_unstable();
         ids.dedup();

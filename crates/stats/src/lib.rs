@@ -4,7 +4,7 @@
 //! [`Histogram`], [`Timer`] with RAII [`Span`] guards), the static
 //! [`pipeline()`] domains the simulator's stages report into, the one
 //! table of them ([`PipelineStats::rows`]) that every rendering reads, and
-//! the structured [`events`] journal (per-thread ring buffers of
+//! the structured [`events`] journal (one bounded ring of
 //! span/instant/sample events) that timeline exports are built from. Each
 //! timer names its journal span, and one guard measures both, so the
 //! timeline's spans add up to the timers.

@@ -5,9 +5,10 @@
 //! thread id — concurrent test threads (which hold the lock before emitting
 //! anything themselves) can never pollute an assertion.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
-use mbp_stats::events::{self, Event, EventKind, EventName, SHARD_CAPACITY};
+use mbp_stats::events::{self, Event, EventKind, EventName, CAPACITY};
 
 /// Serializes journal tests and arms the journal for the guard's lifetime.
 fn journal_lock() -> MutexGuard<'static, ()> {
@@ -31,7 +32,7 @@ fn my_events() -> Vec<Event> {
 fn wrap_around_drops_oldest_and_counts_casualties() {
     let _guard = journal_lock();
     const OVERFLOW: u64 = 100;
-    let total = SHARD_CAPACITY as u64 + OVERFLOW;
+    let total = CAPACITY as u64 + OVERFLOW;
     for i in 0..total {
         events::instant(EventName::SweepPredictorDone, i);
     }
@@ -39,10 +40,10 @@ fn wrap_around_drops_oldest_and_counts_casualties() {
     let mine = my_events();
     assert_eq!(
         mine.len(),
-        SHARD_CAPACITY,
+        CAPACITY,
         "a full ring retains exactly its capacity"
     );
-    // Drop-oldest: the survivors are precisely the newest SHARD_CAPACITY
+    // Drop-oldest: the survivors are precisely the newest CAPACITY
     // arguments, in emission order.
     let args: Vec<u64> = mine.iter().map(|e| e.arg).collect();
     let expected: Vec<u64> = (OVERFLOW..total).collect();
@@ -51,6 +52,82 @@ fn wrap_around_drops_oldest_and_counts_casualties() {
         events::dropped_events(),
         OVERFLOW,
         "every overwritten event is counted"
+    );
+}
+
+#[test]
+fn one_thread_keeps_all_of_three_thousand_events() {
+    let _guard = journal_lock();
+    for i in 0..3_000 {
+        events::instant(EventName::SweepPredictorDone, i);
+    }
+    let args: Vec<u64> = my_events().iter().map(|e| e.arg).collect();
+    assert_eq!(args, (0..3_000).collect::<Vec<u64>>(), "all kept, in order");
+    assert_eq!(events::dropped_events(), 0);
+}
+
+/// Checks a drain of [`concurrent_writers_and_a_draining_reader`]'s
+/// journal: every event is one the writers emitted, and within each
+/// thread (drains group by thread) arguments and timestamps rise.
+fn check_writers_drain(drained: &[Event]) {
+    for e in drained {
+        assert_eq!(
+            (e.kind, e.name),
+            (EventKind::Instant, EventName::SweepPredictorDone)
+        );
+    }
+    for pair in drained.windows(2) {
+        let (a, b) = (pair[0], pair[1]);
+        if a.tid == b.tid {
+            assert!(b.arg > a.arg, "arguments out of order: {a:?} {b:?}");
+            assert!(b.ts_ns > a.ts_ns, "timestamps out of order: {a:?} {b:?}");
+        }
+    }
+}
+
+#[test]
+fn concurrent_writers_and_a_draining_reader() {
+    let _guard = journal_lock();
+    const WRITERS: u64 = 4;
+    const PER_WRITER: u64 = 25_000;
+    let stop = AtomicBool::new(false);
+    // Writers and reader start together, so the drains overlap the writes.
+    let start = Barrier::new(WRITERS as usize + 1);
+    std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            start.wait();
+            loop {
+                let done = stop.load(Ordering::Relaxed);
+                check_writers_drain(&events::drain());
+                if done {
+                    break;
+                }
+            }
+        });
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_WRITER {
+                        events::instant(EventName::SweepPredictorDone, w << 32 | i);
+                    }
+                })
+            })
+            .collect();
+        for writer in writers {
+            writer.join().expect("writer runs");
+        }
+        stop.store(true, Ordering::Relaxed);
+        reader.join().expect("reader runs");
+    });
+    let drained = events::drain();
+    check_writers_drain(&drained);
+    assert_eq!(drained.len(), CAPACITY, "the ring holds its capacity");
+    assert_eq!(
+        drained.len() as u64 + events::dropped_events(),
+        WRITERS * PER_WRITER,
+        "every eviction is counted"
     );
 }
 
@@ -135,7 +212,7 @@ fn batch_tick_samples_every_nth_batch() {
 #[test]
 fn clear_resets_events_and_drop_counter() {
     let _guard = journal_lock();
-    for i in 0..(SHARD_CAPACITY as u64 + 5) {
+    for i in 0..(CAPACITY as u64 + 5) {
         events::instant(EventName::SweepFault, i);
     }
     assert!(events::dropped_events() > 0);

@@ -56,12 +56,7 @@ fn bimodal_identical_across_simulators() {
 #[test]
 fn two_level_identical_across_simulators() {
     for (name, recs) in suite_records() {
-        assert_identical(
-            &name,
-            TwoLevel::gas(10, 8, 0),
-            TwoLevel::gas(10, 8, 0),
-            &recs,
-        );
+        assert_identical(&name, TwoLevel::gas(10, 8), TwoLevel::gas(10, 8), &recs);
     }
 }
 

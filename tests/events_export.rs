@@ -197,9 +197,9 @@ fn journal_overflow_is_counted_and_warned_about() {
         None,
         "a fresh journal warns about nothing"
     );
-    // One thread's shard holds SHARD_CAPACITY events; overfill it so the
-    // ring must evict and the producer-side loss counter moves.
-    for i in 0..(events::SHARD_CAPACITY as u64 + 1000) {
+    // The ring holds CAPACITY events; overfill it so the ring must evict
+    // and the producer-side loss counter moves.
+    for i in 0..(events::CAPACITY as u64 + 1000) {
         events::instant(EventName::TelemetryScrape, i);
     }
     let dropped = events::dropped_events();
