@@ -262,9 +262,13 @@ impl<'a> Parser<'a> {
                 return Ok(Value::Number(Number::UInt(u)));
             }
         }
-        text.parse::<f64>()
-            .map(|f| Value::Number(Number::Float(f)))
-            .map_err(|_| ParseJsonError::new("number out of range", start))
+        // `f64::from_str` rounds a magnitude past `f64::MAX` to infinity,
+        // which `Value` would write back as `null`; one below the smallest
+        // subnormal rounds to zero, which is the nearest value.
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Value::Number(Number::Float(f))),
+            _ => Err(ParseJsonError::new("number out of range", start)),
+        }
     }
 }
 
@@ -325,6 +329,41 @@ mod tests {
     fn rejects_excessive_nesting() {
         let deep = "[".repeat(200) + &"]".repeat(200);
         assert!(deep.parse::<Value>().is_err());
+    }
+
+    #[test]
+    fn hostile_documents_parse_or_fail_typed() {
+        let deep_arrays = "[".repeat(100_000);
+        let deep_objects = r#"{"a":"#.repeat(200) + "1" + &"}".repeat(200);
+        let long = "x".repeat(5_000_000);
+        let long_doc = format!("\"{long}\"");
+        let err = |msg, offset| Err(ParseJsonError::new(msg, offset));
+        let cases = [
+            (&deep_arrays[..], err("maximum nesting depth exceeded", 128)),
+            (&deep_objects, err("maximum nesting depth exceeded", 640)),
+            // Integers past 64 bits read as floats.
+            ("18446744073709551616", Ok(Value::from(2f64.powi(64)))),
+            ("-9223372036854775809", Ok(Value::from(-(2f64.powi(63))))),
+            // Magnitudes past `f64::MAX` are out of range; below the
+            // smallest subnormal, they read as zero.
+            ("1e400", err("number out of range", 0)),
+            ("[-1e400]", err("number out of range", 1)),
+            ("1.7976931348623157e309", err("number out of range", 0)),
+            ("1e-400", Ok(Value::from(0.0))),
+            (r#""\ud800""#, err("unpaired surrogate", 8)),
+            (r#""\udc00""#, err("invalid code point", 7)),
+            (r#""\udc00\ud800""#, err("invalid code point", 7)),
+            (r#""\u12""#, err("invalid hex digit in \\u escape", 6)),
+            (r#""\u12"#, err("truncated \\u escape", 5)),
+            ("\"a\u{1}b\"", err("control character in string", 3)),
+            (&long_doc, Ok(Value::from(long.as_str()))),
+            ("\u{feff}{}", err("unexpected character", 0)),
+        ];
+        for (text, expect) in cases {
+            let got = std::panic::catch_unwind(|| text.parse::<Value>());
+            let shown: String = text.chars().take(24).collect();
+            assert!(got.as_ref().ok() == Some(&expect), "{shown:?}: {got:?}");
+        }
     }
 
     #[test]

@@ -106,17 +106,25 @@ pub struct TraceCheck {
 
 /// Validates a parsed Chrome trace document: `traceEvents` must be an array
 /// of objects carrying `name`/`ph`/`ts`/`pid`/`tid`, with a known phase and
-/// **strictly increasing** timestamps per thread. A document without
-/// `otherData.dropped_events` reports no dropped events.
+/// **strictly increasing** timestamps per thread, and every `E` must close
+/// the innermost `B` still open on its thread, of the same name. A `B` left
+/// open at the end is accepted: a worker stalled past a deadline leaves
+/// one. A document without `otherData.dropped_events` reports no dropped
+/// events.
 ///
 /// # Errors
 ///
-/// A one-line description of the first structural violation.
+/// A one-line description of the first structural violation; an unpaired
+/// `E` also says how many events the producer dropped, if any.
 pub fn validate_chrome_trace(doc: &Value) -> Result<TraceCheck, String> {
     let events = (doc.get("traceEvents"))
         .and_then(Value::as_array)
         .ok_or("missing traceEvents array")?;
+    let dropped = (doc.get("otherData"))
+        .and_then(|other| other.get("dropped_events")?.as_u64())
+        .unwrap_or(0);
     let mut last_ts: HashMap<u64, f64> = HashMap::new();
+    let mut open: HashMap<u64, Vec<&Value>> = HashMap::new();
     for (i, e) in events.iter().enumerate() {
         let obj = e
             .as_object()
@@ -146,12 +154,29 @@ pub fn validate_chrome_trace(doc: &Value) -> Result<TraceCheck, String> {
             }
         }
         last_ts.insert(tid, ts);
+        let spans = open.entry(tid).or_default();
+        match ph {
+            "B" => spans.push(&e["name"]),
+            "E" if spans.last() == Some(&&e["name"]) => {
+                spans.pop();
+            }
+            "E" => {
+                let lost = match dropped {
+                    0 => String::new(),
+                    n => format!(" (the producer dropped {n} events)"),
+                };
+                return Err(format!(
+                    "traceEvents[{i}]: end of span {} on tid {tid} closes no open begin{lost}",
+                    e["name"]
+                ));
+            }
+            _ => {}
+        }
     }
-    let dropped = || doc.get("otherData")?.get("dropped_events")?.as_u64();
     Ok(TraceCheck {
         events: events.len() as u64,
         threads: last_ts.len() as u64,
-        dropped: dropped().unwrap_or(0),
+        dropped,
     })
 }
 
@@ -247,6 +272,47 @@ mod tests {
             }
         }
         assert!(validate_chrome_trace(&doc).is_err());
+    }
+
+    #[test]
+    fn validator_rejects_span_ends_it_cannot_pair() {
+        use EventKind::{SpanBegin, SpanEnd};
+        use EventName::{SimFillBatch, SimSimulate};
+        // A thread whose first event ends a span, as a journal that dropped
+        // the begin leaves it; and an end for a span other than the open one.
+        for (events, dropped, expect) in [
+            (
+                vec![
+                    ev(1_000, 1, SpanEnd, SimSimulate, 0),
+                    ev(2_000, 1, SpanBegin, SimSimulate, 0),
+                ],
+                287,
+                r#"traceEvents[0]: end of span "sim.simulate" on tid 1 closes no open begin (the producer dropped 287 events)"#,
+            ),
+            (
+                vec![
+                    ev(1_000, 4, SpanBegin, SimSimulate, 0),
+                    ev(2_000, 4, SpanBegin, SimFillBatch, 0),
+                    ev(3_000, 4, SpanEnd, SimSimulate, 0),
+                ],
+                0,
+                r#"traceEvents[2]: end of span "sim.simulate" on tid 4 closes no open begin"#,
+            ),
+        ] {
+            let doc = chrome_trace_json(&events, dropped);
+            assert_eq!(validate_chrome_trace(&doc), Err(expect.to_string()));
+        }
+        // Nested spans pair innermost first, per thread; a begin still open
+        // at the end is accepted.
+        let events = vec![
+            ev(1_000, 1, SpanBegin, SimSimulate, 0),
+            ev(1_500, 2, SpanBegin, SimSimulate, 0),
+            ev(2_000, 1, SpanBegin, SimFillBatch, 0),
+            ev(3_000, 1, SpanEnd, SimFillBatch, 0),
+            ev(4_000, 1, SpanEnd, SimSimulate, 0),
+        ];
+        let check = validate_chrome_trace(&chrome_trace_json(&events, 0)).unwrap();
+        assert_eq!((check.events, check.threads), (5, 2));
     }
 
     #[test]

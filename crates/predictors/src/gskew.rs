@@ -180,7 +180,10 @@ impl TwoBcGskew {
         assert!((2..=64).contains(&hist_len), "hist_len must be in 2..=64");
         assert!((1..=30).contains(&log_size), "log_size must be in 1..=30");
         Self {
-            banks: std::array::from_fn(|_| vec![I2::default(); 1 << log_size]),
+            // Collected, as `TwoLevel::new` builds its table: a zeroed
+            // allocation, so construction writes no counter and a run keeps
+            // resident only the pages it touches.
+            banks: std::array::from_fn(|_| (0..1 << log_size).map(|_| I2::default()).collect()),
             ghist: HistoryRegister::new(hist_len as usize),
             hash: BankHash::new(hist_len, log_size),
             steps: Steps::new(),

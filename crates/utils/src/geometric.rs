@@ -4,18 +4,25 @@
 /// Lanes in a block of the bank.
 const LANES: usize = 8;
 
-/// A global outcome history kept as one circular buffer, plus a bank of
-/// folds of it that [`track`](Self::track) advances together.
+/// Outcomes a refill queues: the pushes between two refills.
+const QUEUE: usize = 16;
+
+/// A global outcome history kept as one circular buffer of bits, plus a
+/// bank of folds of it that [`track`](Self::track) advances together.
 ///
-/// The buffer is the `ghist`/`ptghist` layout of Seznec's CBP TAGE code:
-/// the write position steps back one slot per branch, so the newest outcome
-/// is at the write position and the `i`-th most recent `i` slots after it,
-/// and a push moves no other bit. Fold `k` is
+/// The buffer is the `ghist`/`ptghist` layout of Seznec's CBP TAGE code,
+/// one outcome per bit: the write position steps back one bit per outcome,
+/// so storing moves no bit. Fold `k` is
 /// [`HistoryRegister::fold`](crate::HistoryRegister::fold) of the
 /// `hist_len` most recent outcomes compressed to `width` bits, kept in O(1)
 /// per branch the way [`FoldedHistory`](crate::FoldedHistory) keeps one.
 /// Folds are at most [`MAX_WIDTH`](Self::MAX_WIDTH) bits: a table index or
 /// a tag.
+///
+/// A push cancels from each fold the bit leaving its window: a window under
+/// 16 takes it from a `u16` of the 16 newest outcomes; every 16th push
+/// stores that word and refills each longer window's `u16` queue with the
+/// 16 bits that leave it next. So no push indexes the buffer per lane.
 ///
 /// The bank advances in blocks of eight 16-bit lanes, so every block is the
 /// same fixed-length pass whatever the fold count. Lanes past the last fold
@@ -39,27 +46,36 @@ const LANES: usize = 8;
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GeometricHistory {
-    /// One outcome per byte; a power-of-two length longer than the longest
-    /// window, so a push never overwrites a bit some fold still reads.
-    ring: Vec<u8>,
-    /// Index of the newest outcome.
+    /// One outcome per bit, stored 16 at a time; a power-of-two length of
+    /// at least the longest window, so no refill overwrites a bit it reads.
+    ring: Vec<u64>,
+    /// Bit index of the newest stored outcome, and `ring`'s bits less one.
     head: usize,
     ring_mask: usize,
+    /// The newest 16 outcomes, the latest in bit 0.
+    recent: u16,
+    /// Pushes since the last refill.
+    pushed: usize,
     /// The shapes of each block of lanes.
     blocks: Vec<Block>,
     /// Every lane's fold, one array per block.
     folds: Vec<[u16; LANES]>,
+    /// Every lane's queue, one array per block: bit `15 - j` leaves the
+    /// window on the `j`-th push after a refill.
+    queues: Vec<[u16; LANES]>,
     /// Folds declared at construction.
     len: usize,
 }
 
 /// The shapes of eight lanes, set at construction. After a push, the bit
-/// leaving a fold's window sits `hist_len` slots from the newest one and
-/// lands at bit `hist_len % width` of the fold; the rotation carries the
+/// leaving a fold's window is the one `hist_len` outcomes before the newest,
+/// and lands at bit `hist_len % width` of the fold; the rotation carries the
 /// fold's top bit to bit 0.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct Block {
-    evict: [usize; LANES],
+    hist_len: [usize; LANES],
+    /// `1 << hist_len` in `recent` for a window shorter than 16, else 0.
+    recent_bit: [u16; LANES],
     out_bit: [u16; LANES],
     top_bit: [u16; LANES],
     mask: [u16; LANES],
@@ -73,7 +89,8 @@ impl Block {
             std::array::from_fn(|k| shapes.get(k).map_or(0, |&(l, w)| f(l, w) as u16))
         };
         Self {
-            evict: std::array::from_fn(|k| shapes.get(k).map_or(0, |&(l, _)| l)),
+            hist_len: std::array::from_fn(|k| shapes.get(k).map_or(0, |&(l, _)| l)),
+            recent_bit: lanes(|l, _| if l < QUEUE { 1 << l } else { 0 }),
             out_bit: lanes(|l, w| 1 << (l % w as usize)),
             top_bit: lanes(|_, w| 1 << (w - 1)),
             mask: lanes(|_, w| (1 << w) - 1),
@@ -103,13 +120,16 @@ impl GeometricHistory {
             );
         }
         let longest = folds.iter().map(|&(l, _)| l).fold(0, usize::max);
-        let ring_len = (longest + 1).next_power_of_two();
+        let ring_bits = longest.next_power_of_two().max(64);
         let blocks: Vec<Block> = folds.chunks(LANES).map(Block::new).collect();
         Self {
-            ring: vec![0; ring_len],
+            ring: vec![0; ring_bits / 64],
             head: 0,
-            ring_mask: ring_len - 1,
+            ring_mask: ring_bits - 1,
+            recent: 0,
+            pushed: 0,
             folds: vec![[0; LANES]; blocks.len()],
+            queues: vec![[0; LANES]; blocks.len()],
             blocks,
             len: folds.len(),
         }
@@ -118,23 +138,49 @@ impl GeometricHistory {
     /// Pushes one outcome and advances every fold.
     #[inline]
     pub fn track(&mut self, taken: bool) {
-        self.head = self.head.wrapping_sub(1) & self.ring_mask;
-        self.ring[self.head] = taken as u8;
-        let (ring, head, ring_mask) = (&self.ring, self.head, self.ring_mask);
-        let new = taken as u16;
-        for (block, folds) in self.blocks.iter().zip(&mut self.folds) {
-            // Gather each lane's evicted bit as all ones or all zeros, then
+        if self.pushed == QUEUE {
+            self.refill();
+        }
+        let (phase, new) = (0x8000 >> self.pushed, taken as u16);
+        self.pushed += 1;
+        self.recent = self.recent << 1 | new;
+        let recent = self.recent;
+        let lanes = self.folds.iter_mut().zip(&self.queues);
+        for (block, (folds, queue)) in self.blocks.iter().zip(lanes) {
+            // Pick each lane's evicted bit as all ones or all zeros, then
             // rotate left by one within the width, inject the new bit at 0
             // and cancel the evicted bit. The update is uniform shifts and
             // per-lane masks over a fixed eight lanes, which the compiler
             // turns into one vector pass.
-            let evicted: [u16; LANES] = std::array::from_fn(|k| {
-                0u16.wrapping_sub(ring[(head + block.evict[k]) & ring_mask] as u16)
-            });
             *folds = std::array::from_fn(|k| {
+                let out = queue[k] & phase | recent & block.recent_bit[k];
+                let evicted = 0u16.wrapping_sub((out != 0) as u16);
                 let fold = folds[k];
                 let carry = (fold & block.top_bit[k] != 0) as u16;
-                ((fold << 1 | carry) ^ new ^ (evicted[k] & block.out_bit[k])) & block.mask[k]
+                ((fold << 1 | carry) ^ new ^ (evicted & block.out_bit[k])) & block.mask[k]
+            });
+        }
+    }
+
+    /// Stores the newest 16 outcomes and queues, for each window of 16 or
+    /// more, the ones `hist_len - 16` to `hist_len - 1` before the newest.
+    fn refill(&mut self) {
+        self.pushed = 0;
+        self.head = self.head.wrapping_sub(QUEUE) & self.ring_mask;
+        let (word, shift) = (self.head / 64, self.head % 64);
+        self.ring[word] = self.ring[word] & !(0xffff << shift) | (self.recent as u64) << shift;
+        let (ring, head, ring_mask) = (&self.ring, self.head, self.ring_mask);
+        // The 16 bits from bit index `at` on, across at most two words.
+        let read = |at: usize| {
+            let (word, shift) = ((at & ring_mask) / 64, at % 64);
+            let next = (word + 1) & (ring.len() - 1);
+            let pair = ring[word] as u128 | (ring[next] as u128) << 64;
+            (pair >> shift) as u16
+        };
+        for (block, queue) in self.blocks.iter().zip(&mut self.queues) {
+            *queue = std::array::from_fn(|k| match block.hist_len[k] {
+                len if len >= QUEUE => read(head + len - QUEUE),
+                _ => 0,
             });
         }
     }
@@ -147,8 +193,8 @@ impl GeometricHistory {
 
     /// Host memory the buffer and the bank hold, in bytes.
     pub fn heap_bytes(&self) -> u64 {
-        let block = std::mem::size_of::<Block>() + std::mem::size_of::<[u16; LANES]>();
-        (self.ring.len() + self.blocks.len() * block) as u64
+        let block = std::mem::size_of::<Block>() + 2 * std::mem::size_of::<[u16; LANES]>();
+        (self.ring.len() * 8 + self.blocks.len() * block) as u64
     }
 }
 
@@ -159,7 +205,8 @@ mod tests {
 
     #[test]
     fn matches_register_folds_across_wraps() {
-        // A 5-bit window rides an 8-slot ring: 40 pushes wrap it five times.
+        // Windows shorter than the 16-outcome queue, over 40 pushes: each
+        // takes its evicted bit from the newest outcomes across two refills.
         let shapes = [(5, 3), (5, 5), (5, 9), (1, 1), (2, 16)];
         let mut bank = GeometricHistory::new(&shapes);
         let mut hist = HistoryRegister::new(5);
@@ -209,7 +256,10 @@ mod tests {
 
     #[test]
     fn heap_bytes_counts_ring_and_bank() {
+        // A 640-bit window rides a 1024-bit ring: 128 bytes, plus the two
+        // folds and their queues.
         let bank = GeometricHistory::new(&[(640, 10), (640, 12)]);
-        assert!(bank.heap_bytes() >= 1024 + 4);
+        assert!(bank.heap_bytes() >= 1024 / 8 + 2 * 4);
+        assert!(bank.heap_bytes() < 1024);
     }
 }

@@ -164,6 +164,12 @@ fn folded_history_equals_naive_fold_of_full_register() {
 /// every fold after every push against folding its window of a full
 /// history register and against a `FoldedHistory` of the same shape.
 fn check_bank(shapes: &[(usize, u32)], longest: usize, rng: &mut Xorshift64) {
+    let ring = (longest + 1).next_power_of_two();
+    check_bank_over(shapes, 3 * ring + 5, rng);
+}
+
+/// [`check_bank`] over `pushes` random outcomes.
+fn check_bank_over(shapes: &[(usize, u32)], pushes: usize, rng: &mut Xorshift64) {
     let mut bank = GeometricHistory::new(shapes);
     let mut windows: Vec<HistoryRegister> = shapes
         .iter()
@@ -173,8 +179,7 @@ fn check_bank(shapes: &[(usize, u32)], longest: usize, rng: &mut Xorshift64) {
         .iter()
         .map(|&(l, w)| FoldedHistory::new(l, w))
         .collect();
-    let ring = (longest + 1).next_power_of_two();
-    for step in 0..3 * ring + 5 {
+    for step in 0..pushes {
         let taken = rng.next_bool();
         bank.track(taken);
         for (window, single) in windows.iter_mut().zip(&mut singles) {
@@ -248,6 +253,22 @@ fn geometric_history_spanning_blocks_equals_naive_fold() {
         shapes.insert(at, (longest, rng.range_inclusive(1, 16) as u32));
         check_bank(&shapes, longest, &mut rng);
     }
+}
+
+#[test]
+fn geometric_history_queue_edges_equal_naive_fold() {
+    // Every 16th push refills each window of 16 or more with the bits that
+    // leave it next, read from a ring of 64-bit words; shorter windows read
+    // the newest outcomes. Windows on each side of 16, of one and two ring
+    // words and of 128 bits, and one of 640, each at every width: 5 000
+    // pushes cross 312 refills and wrap the 1024-bit ring four times.
+    let mut rng = Xorshift64::new(0x6e0_0016);
+    let windows = [1, 2, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 640];
+    let shapes: Vec<(usize, u32)> = windows
+        .iter()
+        .flat_map(|&len| (1..=16).map(move |width| (len, width)))
+        .collect();
+    check_bank_over(&shapes, 5_000, &mut rng);
 }
 
 /// Parts that count their fills, so a test can tell a memo hit from a

@@ -768,3 +768,28 @@ fn validate_trace_rejects_documents_that_are_not_traces() {
         }
     }
 }
+
+/// A timeline whose span end has lost its begin, as a journal that dropped
+/// its oldest events leaves one, fails with one line and exit 1.
+#[test]
+fn validate_trace_rejects_a_span_end_without_its_begin() {
+    let dir = temp_dir("validate-trace-spans");
+    let path = dir.join("unpaired.json");
+    let trace = r#"{"traceEvents": [
+        {"name": "sim.simulate", "ph": "E", "ts": 1.0, "pid": 1, "tid": 1}
+    ], "otherData": {"dropped_events": 287}}"#;
+    std::fs::write(&path, trace).expect("write");
+    let out = mbpsim()
+        .arg("validate-trace")
+        .arg(&path)
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.contains(r#"end of span "sim.simulate" on tid 1 closes no open begin"#)
+            && stderr.contains("dropped 287 events"),
+        "{stderr}"
+    );
+}
