@@ -387,23 +387,43 @@ echo "== checksum drain (a flipped checksum fails runs that stop early) =="
 # a run that stops early drains the rest of it through the checksum, so a
 # run, a comparison and an explain cut off after a thousand instructions,
 # and a sweep, must all reject a smoke trace whose checksum trailer (its
-# last eight bytes) has one bit flipped: exit 3, naming the mismatch.
+# last eight bytes) has one bit flipped: exit 3, naming the mismatch. So
+# must `info` and a translation to either format, and a translation of a
+# compressed BT9 trace with a flipped trailer, which inflates it whole;
+# a failed translation writes no output file.
+flip_last_byte() { # flip_last_byte <file>
+  local size last
+  size="$(stat -c %s "$1")"
+  last="$(tail -c 1 "$1" | od -An -tu1 | tr -d ' ')"
+  printf "$(printf '\\%03o' $((last ^ 1)))" \
+    | dd of="$1" bs=1 seek=$((size - 1)) conv=notrunc 2>/dev/null
+}
 flipped="$obs_tmp/flipped.sbbt.mzst"
 cp "$obs_tmp/traces/SMOKE-mobile.sbbt.mzst" "$flipped"
-size="$(stat -c %s "$flipped")"
-last="$(tail -c 1 "$flipped" | od -An -tu1 | tr -d ' ')"
-printf "$(printf '\\%03o' $((last ^ 1)))" \
-  | dd of="$flipped" bs=1 seek=$((size - 1)) conv=notrunc 2>/dev/null
-for cmd in "run --predictor gshare --max 1000" "sweep --predictors gshare,bimodal" \
-  "compare --predictors gshare,bimodal --max 1000" "explain --predictor gshare --max 1000"; do
+flip_last_byte "$flipped"
+flipped_bt9="$obs_tmp/flipped.bt9.mgz"
+target/release/mbpsim translate --from "$obs_tmp/traces/SMOKE-mobile.sbbt.mzst" \
+  --to "$flipped_bt9" >/dev/null
+flip_last_byte "$flipped_bt9"
+for cmd in "run --predictor gshare --max 1000 --trace $flipped" \
+  "sweep --predictors gshare,bimodal --trace $flipped" \
+  "compare --predictors gshare,bimodal --max 1000 --trace $flipped" \
+  "explain --predictor gshare --max 1000 --trace $flipped" \
+  "info --trace $flipped" \
+  "translate --from $flipped --to $obs_tmp/x.sbbt" \
+  "translate --from $flipped --to $obs_tmp/x.bt9" \
+  "translate --from $flipped_bt9 --to $obs_tmp/y.sbbt"; do
   code=0
   # shellcheck disable=SC2086
-  target/release/mbpsim $cmd --trace "$flipped" >/dev/null 2>"$obs_tmp/flipped.err" \
-    || code=$?
+  target/release/mbpsim $cmd >/dev/null 2>"$obs_tmp/flipped.err" || code=$?
   [ "$code" -eq 3 ] \
     || { echo "mbpsim $cmd on a flipped trailer exited $code, not 3" >&2; exit 1; }
   grep -q "content checksum mismatch" "$obs_tmp/flipped.err" \
     || { echo "mbpsim $cmd did not report the checksum mismatch" >&2; exit 1; }
+done
+for out in x.sbbt x.bt9 y.sbbt; do
+  [ ! -e "$obs_tmp/$out" ] \
+    || { echo "a failed translation left $out behind" >&2; exit 1; }
 done
 
 echo "== benchmark self-tests (mbpbench units, smoke runs, seed-1 digests) =="

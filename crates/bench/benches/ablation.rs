@@ -22,7 +22,7 @@ use mbp_workloads::{ProgramParams, TraceGenerator};
 fn bench_graph_indirection() {
     let records =
         TraceGenerator::from_params(&ProgramParams::server(), 0xab1a).take_instructions(1_000_000);
-    let bt9 = mbp_trace::bt9::parse_text(&translate::records_to_bt9(&records)).expect("bt9");
+    let bt9 = translate::records_to_bt9(&records);
     let sbbt = translate::records_to_sbbt(&records).expect("sbbt");
     let n = records.len() as u64;
 

@@ -16,7 +16,7 @@ fn main() {
     let records = TraceGenerator::from_params(&ProgramParams::int_speed(), 0xdec0)
         .take_instructions(2_000_000);
     let sbbt = translate::records_to_sbbt(&records).expect("encode");
-    let bt9 = translate::records_to_bt9(&records).into_bytes();
+    let bt9 = translate::records_to_bt9(&records).to_text().into_bytes();
 
     let mut group = BenchGroup::new("decompress_sbbt");
     group.throughput(Throughput::Bytes(sbbt.len() as u64));

@@ -30,7 +30,7 @@ fn main() {
     let records =
         TraceGenerator::from_params(&ProgramParams::server(), 0xbe_ec).take_instructions(400_000);
     let instructions: u64 = records.iter().map(|r| r.instructions()).sum();
-    let bt9 = translate::records_to_bt9(&records);
+    let bt9 = translate::records_to_bt9(&records).to_text();
 
     // MBPlib simulator per predictor (the top half of Table III).
     let mut group = BenchGroup::new("mbplib_simulator");

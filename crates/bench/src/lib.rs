@@ -57,7 +57,7 @@ impl TraceBundle {
         let records = spec.records();
         let instructions = records.iter().map(|r| r.instructions()).sum();
         let sbbt = translate::records_to_sbbt(&records).expect("generated records encode");
-        let bt9 = translate::records_to_bt9(&records);
+        let bt9 = translate::records_to_bt9(&records).to_text();
         let champsim = with_champsim
             .then(|| translate::records_to_champsim(&records).expect("in-memory write"));
         let raw_sizes = (sbbt.len(), bt9.len(), champsim.as_ref().map_or(0, Vec::len));

@@ -5,7 +5,6 @@ use std::io::Read;
 use std::path::Path;
 use std::time::Instant;
 
-use mbp_compress::DecompressReader;
 use mbp_trace::bt9;
 use mbp_trace::TraceError;
 
@@ -148,10 +147,12 @@ pub fn run_framework_text<P: CbpPredictor>(
 ///
 /// I/O, decompression and BT9 parsing errors.
 pub fn run_framework<P: CbpPredictor, R: Read>(
-    source: R,
+    mut source: R,
     predictor: &mut P,
 ) -> Result<Cbp5Result, TraceError> {
-    let data = DecompressReader::new(source)?.into_bytes();
+    let mut data = Vec::new();
+    source.read_to_end(&mut data)?;
+    let data = mbp_compress::inflate_if_compressed(data)?;
     let text = String::from_utf8(data).map_err(|_| TraceError::BadSignature { format: "BT9" })?;
     run_framework_text(&text, predictor)
 }
@@ -173,15 +174,10 @@ mod tests {
     use super::*;
     use crate::McbpAdapter;
     use mbp_predictors::{Bimodal, Gshare};
-    use mbp_trace::bt9::Bt9Writer;
-    use mbp_trace::{Branch, BranchRecord, Opcode};
+    use mbp_trace::{translate, Branch, BranchRecord, Opcode};
 
     fn bt9_text(records: &[BranchRecord]) -> String {
-        let mut w = Bt9Writer::new();
-        for r in records {
-            w.write_record(r);
-        }
-        w.to_text()
+        translate::records_to_bt9(records).to_text()
     }
 
     fn sample_records(n: usize) -> Vec<BranchRecord> {
@@ -269,5 +265,11 @@ mod tests {
         let mut p = McbpAdapter::new(Bimodal::new(8));
         let r = run_framework(&packed[..], &mut p).unwrap();
         assert_eq!(r.num_branches, 100);
+        // A corrupt stream fails as the codec's error, as `bt9::parse` does.
+        let cut = &packed[..packed.len() - 1];
+        assert!(matches!(
+            run_framework(cut, &mut p),
+            Err(TraceError::Decompress(_))
+        ));
     }
 }

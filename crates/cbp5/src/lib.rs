@@ -27,7 +27,7 @@
 //!         3,
 //!     ));
 //! }
-//! let text = w.to_text();
+//! let text = w.finish().to_text();
 //!
 //! let mut predictor = McbpAdapter::new(Bimodal::new(10));
 //! let result = run_framework_text(&text, &mut predictor)?;

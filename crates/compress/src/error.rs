@@ -41,9 +41,3 @@ impl fmt::Display for CompressError {
 }
 
 impl Error for CompressError {}
-
-impl From<CompressError> for std::io::Error {
-    fn from(e: CompressError) -> Self {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, e)
-    }
-}

@@ -19,7 +19,9 @@
 //! one resumable decoder ([`Inflater`]) and a common framing: a 4-byte
 //! magic, the uncompressed size, and a sequence of self-describing blocks. [`decompress`] auto-detects the codec
 //! from the magic, mirroring MBPlib's ability to read traces compressed with
-//! any of its supported algorithms.
+//! any of its supported algorithms; [`inflate_if_compressed`] also passes
+//! raw bytes through, which is how every reader that wants its whole input
+//! at once accepts raw and compressed traces alike.
 //!
 //! # Examples
 //!
@@ -39,11 +41,9 @@ mod inflate;
 mod lzss;
 mod mgz;
 mod mzst;
-mod stream;
 
 pub use error::CompressError;
 pub use inflate::Inflater;
-pub use stream::{CompressWriter, DecompressReader};
 
 /// The compression algorithms understood by the trace tooling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -145,6 +145,36 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CompressError> {
     Ok(out)
 }
 
+/// Inflates `data` if it starts with a known codec magic, and returns any
+/// other bytes unchanged.
+///
+/// This is how a reader that wants its whole content at once accepts raw
+/// or compressed input alike, mirroring MBPlib's readers, which take traces
+/// "compressed with xz, gzip, lz4 or zstd". A reader that walks its content
+/// once should drive an [`Inflater`] instead and hold only the codec
+/// window.
+///
+/// # Errors
+///
+/// The errors of [`decompress`], for data that starts with a known magic.
+///
+/// # Examples
+///
+/// ```
+/// use mbp_compress::{compress, inflate_if_compressed, Codec};
+///
+/// let packed = compress(b"branch trace bytes", Codec::Mzst, 3)?;
+/// assert_eq!(inflate_if_compressed(packed)?, b"branch trace bytes");
+/// assert_eq!(inflate_if_compressed(b"plain text".to_vec())?, b"plain text");
+/// # Ok::<(), mbp_compress::CompressError>(())
+/// ```
+pub fn inflate_if_compressed(data: Vec<u8>) -> Result<Vec<u8>, CompressError> {
+    match detect(&data) {
+        Some(_) => decompress(&data),
+        None => Ok(data),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,6 +251,15 @@ mod tests {
             Err(CompressError::BadMagic)
         ));
         assert!(decompress(&[]).is_err());
+    }
+
+    #[test]
+    fn inflate_if_compressed_fails_on_a_corrupt_stream() {
+        // A known magic commits to inflating: a truncated stream is an
+        // error, never passed through as raw bytes.
+        let mut packed = compress(b"hello hello hello hello", Codec::Mgz, 2).unwrap();
+        packed.truncate(10);
+        assert_eq!(inflate_if_compressed(packed), Err(CompressError::Truncated));
     }
 
     #[test]

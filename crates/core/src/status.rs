@@ -156,11 +156,6 @@ impl SweepStatusBoard {
         self.slots.is_empty()
     }
 
-    /// Resolves a predictor name to its slot index.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.slots.iter().position(|s| s.name == name)
-    }
-
     /// Publishes a lifecycle transition. Out-of-range indices are ignored
     /// (status is advisory; it must never take down a worker).
     pub fn set_state(&self, index: usize, state: PredictorState) {
@@ -309,8 +304,6 @@ mod tests {
     fn board_tracks_lifecycle_and_lookup() {
         let board = SweepStatusBoard::new(["a", "b"]);
         assert_eq!(board.len(), 2);
-        assert_eq!(board.index_of("b"), Some(1));
-        assert_eq!(board.index_of("missing"), None);
         board.set_state(1, PredictorState::Running);
         board.set_state(99, PredictorState::Failed); // ignored, no panic
         let snap = board.snapshot();

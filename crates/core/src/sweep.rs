@@ -81,11 +81,13 @@ pub struct SweepConfig {
     /// Checkpoint records carry the plan's `doc_hash`, and `--resume`
     /// refuses a checkpoint written under a different plan (or none).
     pub phases: Option<PhasesDoc>,
-    /// Live status board (slots keyed by predictor name) that workers and
-    /// the watchdog publish lifecycle transitions and progress counters
-    /// into — the data source of the `/snapshot` telemetry endpoint. `None`
-    /// (the default) skips all publishing, including the driver's per-batch
-    /// progress counts, so an unobserved sweep pays nothing.
+    /// Live status board (slot `i` for the `i`-th predictor given to
+    /// [`simulate_many`], so two runs of one name keep two slots) that
+    /// workers and the watchdog publish lifecycle transitions and progress
+    /// counters into — the data source of the `/snapshot` telemetry
+    /// endpoint. `None` (the default) skips all publishing, including the
+    /// driver's per-batch progress counts, so an unobserved sweep pays
+    /// nothing.
     pub status: Option<Arc<SweepStatusBoard>>,
 }
 
@@ -540,7 +542,8 @@ where
         }
         jobs.push(Job {
             board: (config.status.as_ref())
-                .and_then(|board| Some((Arc::clone(board), board.index_of(&name)?))),
+                .filter(|board| i < board.len())
+                .map(|board| (Arc::clone(board), i)),
             name,
             ..Job::default()
         });
@@ -1131,6 +1134,26 @@ mod tests {
         assert!(r.entries[0].result.metrics.mpki < r.entries[1].result.metrics.mpki);
         assert!(!r.interrupted);
         assert!(r.not_run.is_empty());
+    }
+
+    #[test]
+    fn same_named_predictors_settle_in_their_own_slots() {
+        let records = biased_records(100);
+        let board = Arc::new(SweepStatusBoard::new(["p", "p"]));
+        let config = SweepConfig {
+            status: Some(Arc::clone(&board)),
+            ..Default::default()
+        };
+        let pair = fixed_pair().into_iter().map(|(_, p)| ("p".to_string(), p));
+        let r = simulate_many(&mut SliceSource::new(&records), pair.collect(), &config).unwrap();
+        let snap = board.snapshot();
+        // The entries are ranked: "always" (the second job) misses least.
+        for (slot, entry) in snap.iter().zip([&r.entries[1], &r.entries[0]]) {
+            assert_eq!(slot.state, PredictorState::Settled);
+            assert_eq!(slot.instructions, entry.result.metadata.simulation_instr);
+            assert_eq!(slot.mispredictions, entry.result.metrics.mispredictions);
+        }
+        assert_ne!(snap[0].mispredictions, snap[1].mispredictions);
     }
 
     #[test]

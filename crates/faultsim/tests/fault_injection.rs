@@ -243,7 +243,7 @@ fn campaign_every_reader_fails_closed() {
     for r in &records {
         w.write_record(r);
     }
-    let text = w.to_text().into_bytes();
+    let text = w.finish().to_text().into_bytes();
     assert!(decode_bt9(&text).is_ok(), "baseline bt9 decodes");
 
     // The grammar requires a final EOF token, so any cut before the end of

@@ -821,57 +821,34 @@ fn cmd_validate_trace(args: &Args) -> Result<ExitCode, Failure> {
 }
 
 fn cmd_translate(args: &Args) -> Result<ExitCode, Failure> {
-    let from = PathBuf::from(args.required("--from")?);
-    let to = PathBuf::from(args.required("--to")?);
-    let from_name = from.to_string_lossy();
-    let records = if from_name.contains(".bt9") {
-        let trace = bt9::open(&from)
-            .map_err(|e| Failure::trace(format!("cannot parse {from_name}: {e}")))?;
-        trace.records().collect::<Vec<_>>()
+    let from = args.required("--from")?;
+    let to = args.required("--to")?;
+    let unreadable = |e| Failure::trace(format!("cannot read {from}: {e}"));
+    // Either format decodes to a BT9 trace, whose header keeps the input's
+    // instruction total: it also counts instructions after the last branch.
+    let trace = if from.contains(".bt9") {
+        bt9::open(from).map_err(unreadable)?
     } else {
-        open_trace(&from_name)?
-            .read_all()
-            .map_err(|e| Failure::trace(format!("cannot read {from_name}: {e}")))?
+        let mut reader = open_trace(from)?;
+        let mut trace = translate::records_to_bt9(&reader.read_all().map_err(unreadable)?);
+        trace.instruction_count = reader.header().instruction_count;
+        trace
     };
-
-    let to_name = to.to_string_lossy().to_string();
-    if to_name.contains(".bt9") {
-        let text = translate::records_to_bt9(&records);
-        let bytes = match codec_for(&to) {
-            Some((codec, level)) => mbp::compress::compress(text.as_bytes(), codec, level)
-                .map_err(|e| Failure::internal(format!("compress failed: {e}")))?,
-            None => text.into_bytes(),
-        };
-        write_file(&to_name, bytes)?;
+    let bytes = if to.contains(".bt9") {
+        trace.to_text().into_bytes()
     } else {
-        match codec_for(&to) {
-            Some((codec, level)) => {
-                let mut w = SbbtWriter::create_compressed(&to, codec, level)
-                    .map_err(|e| Failure::internal(format!("cannot create {to_name}: {e}")))?;
-                for r in &records {
-                    w.write_record(r)
-                        .map_err(|e| Failure::internal(format!("write failed: {e}")))?;
-                }
-                w.finish_compressed()
-                    .map_err(|e| Failure::internal(format!("finish failed: {e}")))?;
-            }
-            None => {
-                let mut w = SbbtWriter::create(&to)
-                    .map_err(|e| Failure::internal(format!("cannot create {to_name}: {e}")))?;
-                for r in &records {
-                    w.write_record(r)
-                        .map_err(|e| Failure::internal(format!("write failed: {e}")))?;
-                }
-                w.finish()
-                    .map_err(|e| Failure::internal(format!("finish failed: {e}")))?;
-            }
-        }
-    }
+        translate::bt9_to_sbbt(&trace)
+            .map_err(|e| Failure::internal(format!("cannot encode {to}: {e}")))?
+    };
+    let bytes = match codec_for(Path::new(to)) {
+        Some((codec, level)) => mbp::compress::compress(&bytes, codec, level)
+            .map_err(|e| Failure::internal(format!("compress failed: {e}")))?,
+        None => bytes,
+    };
+    write_file(to, bytes)?;
     println!(
-        "translated {} records: {} -> {}",
-        records.len(),
-        from_name,
-        to_name
+        "translated {} records: {from} -> {to}",
+        trace.branch_count()
     );
     Ok(ExitCode::SUCCESS)
 }

@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use mbp_utils::FastHashBuilder;
 use std::fmt::Write as _;
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::path::Path;
 
 use crate::{Branch, BranchKind, BranchRecord, Opcode, TraceError};
@@ -110,16 +110,44 @@ impl Bt9Trace {
     pub fn records(&self) -> impl Iterator<Item = BranchRecord> + '_ {
         (0..self.sequence.len()).map(move |i| self.record(i))
     }
+
+    /// Serializes the trace as BT9 text.
+    pub fn to_text(&self) -> String {
+        let mut out = String::new();
+        let _ = writeln!(out, "{SIGNATURE}");
+        let _ = writeln!(out, "total_instruction_count: {}", self.instruction_count);
+        let _ = writeln!(out, "branch_instruction_count: {}", self.branch_count());
+        let _ = writeln!(out, "BT9_NODES");
+        for (id, (ip, op)) in self.nodes.iter().enumerate() {
+            let _ = writeln!(out, "NODE {id} {ip:#x} {}", opcode_mnemonic(*op));
+        }
+        let _ = writeln!(out, "BT9_EDGES");
+        for (id, (node, taken, target, gap)) in self.edges.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                "EDGE {id} {node} {} {target:#x} {gap}",
+                if *taken { 'T' } else { 'N' }
+            );
+        }
+        let _ = writeln!(out, "BT9_EDGE_SEQUENCE");
+        for e in &self.sequence {
+            let _ = writeln!(out, "{e}");
+        }
+        let _ = writeln!(out, "EOF");
+        out
+    }
 }
 
 /// Builds BT9 traces from a stream of branch records.
 ///
 /// The builder interns the static branch (node) and its dynamic outcome
-/// (edge) on the fly, exactly like the original tracer.
+/// (edge) on the fly, exactly like the original tracer. A node is an
+/// address under one opcode, so an address seen under two opcodes gets two
+/// nodes and every record comes back as written.
 #[derive(Debug, Default)]
 pub struct Bt9Writer {
     trace: Bt9Trace,
-    node_ids: HashMap<u64, u32, FastHashBuilder>,
+    node_ids: HashMap<(u64, Opcode), u32, FastHashBuilder>,
     edge_ids: HashMap<(u32, bool, u64, u32), u32, FastHashBuilder>,
 }
 
@@ -133,7 +161,10 @@ impl Bt9Writer {
     pub fn write_record(&mut self, rec: &BranchRecord) {
         let b = rec.branch;
         let next_node = self.node_ids.len() as u32;
-        let node = *self.node_ids.entry(b.ip()).or_insert(next_node);
+        let node = *self
+            .node_ids
+            .entry((b.ip(), b.opcode()))
+            .or_insert(next_node);
         if node == next_node {
             self.trace.nodes.push((b.ip(), b.opcode()));
         }
@@ -151,44 +182,6 @@ impl Bt9Writer {
     pub fn finish(self) -> Bt9Trace {
         self.trace
     }
-
-    /// Serializes the trace as BT9 text.
-    pub fn to_text(&self) -> String {
-        let t = &self.trace;
-        let mut out = String::new();
-        let _ = writeln!(out, "{SIGNATURE}");
-        let _ = writeln!(out, "total_instruction_count: {}", t.instruction_count);
-        let _ = writeln!(out, "branch_instruction_count: {}", t.branch_count());
-        let _ = writeln!(out, "BT9_NODES");
-        for (id, (ip, op)) in t.nodes.iter().enumerate() {
-            let _ = writeln!(out, "NODE {id} {ip:#x} {}", opcode_mnemonic(*op));
-        }
-        let _ = writeln!(out, "BT9_EDGES");
-        for (id, (node, taken, target, gap)) in t.edges.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "EDGE {id} {node} {} {target:#x} {gap}",
-                if *taken { 'T' } else { 'N' }
-            );
-        }
-        let _ = writeln!(out, "BT9_EDGE_SEQUENCE");
-        for e in &t.sequence {
-            let _ = writeln!(out, "{e}");
-        }
-        let _ = writeln!(out, "EOF");
-        out
-    }
-
-    /// Writes the BT9 text to a file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_to<P: AsRef<Path>>(&self, path: P) -> Result<(), TraceError> {
-        let mut f = File::create(path)?;
-        f.write_all(self.to_text().as_bytes())?;
-        Ok(())
-    }
 }
 
 /// Parses BT9 text (raw or compressed source).
@@ -200,11 +193,7 @@ impl Bt9Writer {
 pub fn parse<R: Read>(mut source: R) -> Result<Bt9Trace, TraceError> {
     let mut data = Vec::new();
     source.read_to_end(&mut data)?;
-    let data = if mbp_compress::detect(&data).is_some() {
-        mbp_compress::decompress(&data)?
-    } else {
-        data
-    };
+    let data = mbp_compress::inflate_if_compressed(data)?;
     let text =
         std::str::from_utf8(&data).map_err(|_| TraceError::BadSignature { format: "BT9" })?;
     parse_text(text)
@@ -413,7 +402,7 @@ mod tests {
         for r in sample_records() {
             w.write_record(&r);
         }
-        let text = w.to_text();
+        let text = w.finish().to_text();
         let trace = parse_text(&text).unwrap();
         let back: Vec<_> = trace.records().collect();
         assert_eq!(back, sample_records());
@@ -430,6 +419,28 @@ mod tests {
         assert_eq!(t.nodes.len(), 3, "three static branches");
         assert_eq!(t.edges.len(), 4, "taken+not-taken for the loop branch");
         assert_eq!(t.sequence.len(), 5);
+    }
+
+    #[test]
+    fn an_address_under_two_opcodes_keeps_both() {
+        let (cond, call) = (Opcode::conditional_direct(), Opcode::call());
+        let cond_ind = Opcode::new(true, true, BranchKind::Jump);
+        let recs = [
+            BranchRecord::new(Branch::new(0x1000, 0x2000, cond, true), 1),
+            BranchRecord::new(Branch::new(0x1000, 0x2000, call, true), 1),
+            BranchRecord::new(
+                Branch::new(0x3000, 0x4000, Opcode::unconditional_direct(), true),
+                2,
+            ),
+            BranchRecord::new(Branch::new(0x3000, 0, cond_ind, false), 2),
+        ];
+        let mut w = Bt9Writer::new();
+        for r in &recs {
+            w.write_record(r);
+        }
+        let trace = parse_text(&w.finish().to_text()).unwrap();
+        assert_eq!(trace.nodes.len(), 4);
+        assert_eq!(trace.records().collect::<Vec<_>>(), recs);
     }
 
     #[test]
@@ -468,7 +479,7 @@ mod tests {
     fn rejects_missing_eof() {
         let mut w = Bt9Writer::new();
         w.write_record(&sample_records()[0]);
-        let text = w.to_text();
+        let text = w.finish().to_text();
         let truncated = text.trim_end_matches("EOF\n");
         assert!(matches!(parse_text(truncated), Err(TraceError::Truncated)));
     }
@@ -478,6 +489,7 @@ mod tests {
         let mut w = Bt9Writer::new();
         w.write_record(&sample_records()[0]);
         let text = w
+            .finish()
             .to_text()
             .replace("branch_instruction_count: 1", "branch_instruction_count: 9");
         assert!(matches!(parse_text(&text), Err(TraceError::Invalid { .. })));
@@ -489,7 +501,7 @@ mod tests {
         for r in sample_records() {
             w.write_record(&r);
         }
-        let text = w.to_text();
+        let text = w.finish().to_text();
         let packed = mbp_compress::compress(text.as_bytes(), mbp_compress::Codec::Mgz, 6).unwrap();
         let trace = parse(&packed[..]).unwrap();
         assert_eq!(trace.branch_count(), 5);

@@ -298,11 +298,7 @@ impl ChampsimReader {
     /// [`TraceError::Truncated`] if the length is not a whole number of
     /// 64-byte records.
     pub fn from_bytes(data: Vec<u8>) -> Result<Self, TraceError> {
-        let data = if mbp_compress::detect(&data).is_some() {
-            mbp_compress::decompress(&data)?
-        } else {
-            data
-        };
+        let data = mbp_compress::inflate_if_compressed(data)?;
         if data.len() % RECORD_BYTES != 0 {
             return Err(TraceError::Truncated);
         }

@@ -16,10 +16,14 @@
 //!   operands; this is why Table I reports a 42× size reduction for DPC3.
 //!
 //! [`translate`] converts between them, reproducing MBPlib's trace
-//! translation tooling. All readers transparently accept raw or
+//! translation tooling; a BT9 trace and an SBBT header both carry the
+//! instruction total, so a translation keeps instructions that ran after
+//! the last branch. All readers transparently accept raw or
 //! MGZ/MZST-compressed input: the BT9 and ChampSim readers inflate it
-//! whole, the SBBT reader streams it through the codec window with an
-//! [`mbp_compress::Inflater`].
+//! whole with [`mbp_compress::inflate_if_compressed`], the SBBT reader
+//! streams it through the codec window with an [`mbp_compress::Inflater`].
+//! The SBBT writer buffers the trace once and compresses that buffer
+//! when it finishes.
 //!
 //! # Examples
 //!

@@ -15,7 +15,7 @@ mod writer;
 pub use header::{SbbtHeader, SBBT_SIGNATURE, SBBT_VERSION};
 pub use packet::{decode_packet, encode_packet, PACKET_BYTES};
 pub use reader::{SbbtReader, BATCH_RECORDS};
-pub use writer::{SbbtWriter, StreamingSbbtWriter};
+pub use writer::SbbtWriter;
 
 #[cfg(test)]
 mod tests {

@@ -1,20 +1,23 @@
 //! SBBT writer.
 
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::Path;
 
-use mbp_compress::{Codec, CompressWriter};
+use mbp_compress::{compress, Codec, CompressError};
 
-use crate::sbbt::header::SbbtHeader;
+use crate::sbbt::header::{SbbtHeader, HEADER_BYTES};
 use crate::sbbt::packet::encode_packet;
 use crate::{BranchRecord, TraceError};
 
 /// Writes SBBT traces.
 ///
-/// Packets are buffered in memory because the header (written first on
-/// disk) carries the final instruction and branch totals, which are only
-/// known once the stream ends.
+/// The trace is buffered in memory, a header slot followed by the packets,
+/// because the header carries the final instruction and branch totals,
+/// which are only known once the stream ends. [`finish`](SbbtWriter::finish)
+/// fills the slot in and writes the buffer to the sink in one piece,
+/// compressed if the writer was made by
+/// [`create_compressed`](SbbtWriter::create_compressed).
 ///
 /// # Examples
 ///
@@ -35,55 +38,66 @@ use crate::{BranchRecord, TraceError};
 #[derive(Debug)]
 pub struct SbbtWriter<W: Write> {
     sink: W,
-    body: Vec<u8>,
+    /// The header slot, then the packets.
+    buf: Vec<u8>,
+    /// The codec and level `finish` compresses the trace with, if any.
+    codec: Option<(Codec, u32)>,
     branch_count: u64,
     instruction_count: u64,
 }
 
-impl SbbtWriter<BufWriter<File>> {
+impl SbbtWriter<File> {
     /// Creates a writer for an uncompressed trace file.
     ///
     /// # Errors
     ///
     /// I/O errors creating the file.
     pub fn create<P: AsRef<Path>>(path: P) -> Result<Self, TraceError> {
-        Ok(SbbtWriter::new(BufWriter::new(File::create(path)?)))
+        Ok(SbbtWriter::new(File::create(path)?))
+    }
+
+    /// Creates a writer that compresses the finished trace with `codec` at
+    /// `level` and writes it to `path`.
+    ///
+    /// # Errors
+    ///
+    /// [`CompressError::BadLevel`] for a level the codec does not have,
+    /// before the file is created; I/O errors creating the file.
+    pub fn create_compressed<P: AsRef<Path>>(
+        path: P,
+        codec: Codec,
+        level: u32,
+    ) -> Result<Self, TraceError> {
+        if level == 0 || level > codec.max_level() {
+            return Err(CompressError::BadLevel { codec, level }.into());
+        }
+        Ok(SbbtWriter {
+            codec: Some((codec, level)),
+            ..SbbtWriter::create(path)?
+        })
+    }
+
+    /// Finishes the trace like [`finish`](SbbtWriter::finish) and closes
+    /// the file.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`finish`](SbbtWriter::finish).
+    pub fn finish_compressed(self) -> Result<(), TraceError> {
+        self.finish().map(drop)
     }
 }
 
 impl<W: Write> SbbtWriter<W> {
-    /// Creates a writer over any sink.
+    /// Creates a writer of an uncompressed trace over any sink.
     pub fn new(sink: W) -> Self {
         Self {
             sink,
-            body: Vec::new(),
+            buf: vec![0; HEADER_BYTES],
+            codec: None,
             branch_count: 0,
             instruction_count: 0,
         }
-    }
-
-    /// Creates a *streaming* writer for a trace whose totals are known up
-    /// front (e.g. a translation of an existing trace): the header is
-    /// written immediately and packets go straight to the sink, so
-    /// arbitrarily long traces need no buffering.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sink I/O errors. [`finish`](SbbtWriter::finish) will
-    /// return [`TraceError::Unencodable`] if the written records do not
-    /// match the promised `branch_count`.
-    pub fn with_known_counts(
-        mut sink: W,
-        instruction_count: u64,
-        branch_count: u64,
-    ) -> Result<StreamingSbbtWriter<W>, TraceError> {
-        let header = SbbtHeader::new(instruction_count, branch_count);
-        sink.write_all(&header.encode())?;
-        Ok(StreamingSbbtWriter {
-            sink,
-            promised_branches: branch_count,
-            written: 0,
-        })
     }
 
     /// Appends one branch record.
@@ -93,7 +107,7 @@ impl<W: Write> SbbtWriter<W> {
     /// [`TraceError::Unencodable`] for records that do not fit the format.
     pub fn write_record(&mut self, rec: &BranchRecord) -> Result<(), TraceError> {
         let packet = encode_packet(rec)?;
-        self.body.extend_from_slice(&packet);
+        self.buf.extend_from_slice(&packet);
         self.branch_count += 1;
         self.instruction_count += rec.instructions();
         Ok(())
@@ -115,87 +129,18 @@ impl<W: Write> SbbtWriter<W> {
         self.instruction_count += count;
     }
 
-    /// Writes header and body to the sink and returns it.
+    /// Fills in the header, writes the trace to the sink, compressed if
+    /// the writer was made to compress, and returns the sink.
     ///
     /// # Errors
     ///
     /// Propagates sink I/O errors.
     pub fn finish(mut self) -> Result<W, TraceError> {
         let header = SbbtHeader::new(self.instruction_count, self.branch_count);
-        self.sink.write_all(&header.encode())?;
-        self.sink.write_all(&self.body)?;
-        self.sink.flush()?;
-        Ok(self.sink)
-    }
-}
-
-impl SbbtWriter<CompressWriter<BufWriter<File>>> {
-    /// Creates a writer that compresses the finished trace with `codec` at
-    /// `level` and writes it to `path`.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors creating the file; level validation errors.
-    pub fn create_compressed<P: AsRef<Path>>(
-        path: P,
-        codec: Codec,
-        level: u32,
-    ) -> Result<Self, TraceError> {
-        let file = BufWriter::new(File::create(path)?);
-        let sink = CompressWriter::new(file, codec, level)?;
-        Ok(SbbtWriter::new(sink))
-    }
-
-    /// Finishes the trace and completes the compression stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sink I/O errors.
-    pub fn finish_compressed(self) -> Result<(), TraceError> {
-        let compressor = self.finish()?;
-        compressor.finish()?;
-        Ok(())
-    }
-}
-
-/// The unbuffered writer created by [`SbbtWriter::with_known_counts`].
-#[derive(Debug)]
-pub struct StreamingSbbtWriter<W: Write> {
-    sink: W,
-    promised_branches: u64,
-    written: u64,
-}
-
-impl<W: Write> StreamingSbbtWriter<W> {
-    /// Writes one record straight to the sink.
-    ///
-    /// # Errors
-    ///
-    /// Encoding errors, sink I/O errors, or exceeding the promised count.
-    pub fn write_record(&mut self, rec: &BranchRecord) -> Result<(), TraceError> {
-        if self.written == self.promised_branches {
-            return Err(TraceError::Unencodable(format!(
-                "trace promised {} branches in its header",
-                self.promised_branches
-            )));
-        }
-        let packet = encode_packet(rec)?;
-        self.sink.write_all(&packet)?;
-        self.written += 1;
-        Ok(())
-    }
-
-    /// Flushes and returns the sink, verifying the promised branch count.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::Unencodable`] on a count mismatch; sink I/O errors.
-    pub fn finish(mut self) -> Result<W, TraceError> {
-        if self.written != self.promised_branches {
-            return Err(TraceError::Unencodable(format!(
-                "header promised {} branches but {} were written",
-                self.promised_branches, self.written
-            )));
+        self.buf[..HEADER_BYTES].copy_from_slice(&header.encode());
+        match self.codec {
+            Some((codec, level)) => self.sink.write_all(&compress(&self.buf, codec, level)?)?,
+            None => self.sink.write_all(&self.buf)?,
         }
         self.sink.flush()?;
         Ok(self.sink)
@@ -225,36 +170,6 @@ mod tests {
         let header = SbbtHeader::decode(&bytes).unwrap();
         assert_eq!(header.instruction_count, 21);
         assert_eq!(header.branch_count, 3);
-    }
-
-    #[test]
-    fn streaming_writer_roundtrips() {
-        let rec = BranchRecord::new(
-            Branch::new(0x1000, 0x2000, Opcode::conditional_direct(), true),
-            3,
-        );
-        let mut w = SbbtWriter::with_known_counts(Vec::new(), 8, 2).unwrap();
-        w.write_record(&rec).unwrap();
-        w.write_record(&rec).unwrap();
-        let bytes = w.finish().unwrap();
-        let mut r = crate::sbbt::SbbtReader::from_bytes(bytes).unwrap();
-        assert_eq!(r.header().instruction_count, 8);
-        assert_eq!(r.read_all().unwrap(), vec![rec, rec]);
-    }
-
-    #[test]
-    fn streaming_writer_enforces_promised_count() {
-        let rec = BranchRecord::new(
-            Branch::new(0x1000, 0x2000, Opcode::conditional_direct(), true),
-            3,
-        );
-        // Too many.
-        let mut w = SbbtWriter::with_known_counts(Vec::new(), 8, 1).unwrap();
-        w.write_record(&rec).unwrap();
-        assert!(w.write_record(&rec).is_err());
-        // Too few.
-        let w = SbbtWriter::with_known_counts(Vec::new(), 8, 2).unwrap();
-        assert!(matches!(w.finish(), Err(TraceError::Unencodable(_))));
     }
 
     #[test]

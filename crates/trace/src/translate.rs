@@ -49,13 +49,14 @@ pub fn bt9_to_sbbt(trace: &Bt9Trace) -> Result<Vec<u8>, TraceError> {
     w.finish()
 }
 
-/// Converts branch records to BT9 text.
-pub fn records_to_bt9(records: &[BranchRecord]) -> String {
+/// Converts branch records to a BT9 trace; [`Bt9Trace::to_text`] renders
+/// it.
+pub fn records_to_bt9(records: &[BranchRecord]) -> Bt9Trace {
     let mut w = Bt9Writer::new();
     for r in records {
         w.write_record(r);
     }
-    w.to_text()
+    w.finish()
 }
 
 /// Reduces a ChampSim-like per-instruction trace to SBBT bytes.
@@ -127,8 +128,7 @@ mod tests {
     #[test]
     fn bt9_to_sbbt_preserves_records() {
         let recs = sample();
-        let text = records_to_bt9(&recs);
-        let bt9 = crate::bt9::parse_text(&text).unwrap();
+        let bt9 = crate::bt9::parse_text(&records_to_bt9(&recs).to_text()).unwrap();
         let sbbt = bt9_to_sbbt(&bt9).unwrap();
         let back = sbbt_to_records(sbbt).unwrap();
         assert_eq!(back, recs);
@@ -136,12 +136,7 @@ mod tests {
 
     #[test]
     fn bt9_to_sbbt_preserves_instruction_total() {
-        let recs = sample();
-        let mut w = Bt9Writer::new();
-        for r in &recs {
-            w.write_record(r);
-        }
-        let mut trace = w.finish();
+        let mut trace = records_to_bt9(&sample());
         trace.instruction_count += 123; // program ran on after the last branch
         let sbbt = bt9_to_sbbt(&trace).unwrap();
         let r = SbbtReader::from_bytes(sbbt).unwrap();
@@ -206,7 +201,7 @@ mod tests {
         #[test]
         fn bt9_roundtrip_arbitrary() {
             for records in record_batches(0x7e_0002) {
-                let text = records_to_bt9(&records);
+                let text = records_to_bt9(&records).to_text();
                 let parsed = crate::bt9::parse_text(&text).unwrap();
                 let back: Vec<BranchRecord> = parsed.records().collect();
                 assert_eq!(back, records);
@@ -216,7 +211,7 @@ mod tests {
         #[test]
         fn bt9_to_sbbt_composes() {
             for records in record_batches(0x7e_0003) {
-                let text = records_to_bt9(&records);
+                let text = records_to_bt9(&records).to_text();
                 let parsed = crate::bt9::parse_text(&text).unwrap();
                 let bytes = bt9_to_sbbt(&parsed).unwrap();
                 assert_eq!(sbbt_to_records(bytes).unwrap(), records);

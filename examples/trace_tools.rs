@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // BT9 text.
-    let bt9_text = translate::records_to_bt9(&records);
+    let bt9_text = translate::records_to_bt9(&records).to_text();
     row(
         "BT9 (text + graph)",
         bt9_text.len(),

@@ -236,6 +236,102 @@ fn translate_roundtrip_through_bt9() {
     assert_eq!(original, roundtripped);
 }
 
+/// Every hop of a translation keeps the instruction total its input's
+/// header declares, instructions after the last branch included.
+#[test]
+fn translate_keeps_the_header_instruction_total() {
+    let dir = temp_dir("translate-total");
+    assert!(mbpsim()
+        .args(["gen", "--suite", "smoke", "--out"])
+        .arg(&dir)
+        .status()
+        .expect("spawn")
+        .success());
+    let translate = |from: &PathBuf, to: &str| {
+        let to = dir.join(to);
+        let out = mbpsim()
+            .args(["translate", "--from"])
+            .arg(from)
+            .arg("--to")
+            .arg(&to)
+            .output()
+            .expect("spawn");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        to
+    };
+    let bt9 = translate(&dir.join("SMOKE-server.sbbt.mzst"), "server.bt9");
+    // The program runs on for 500 instructions after its last branch.
+    let key = "total_instruction_count: ";
+    let text = std::fs::read_to_string(&bt9).expect("read");
+    let line = text.lines().find(|l| l.starts_with(key)).expect("total");
+    let total = line[key.len()..].parse::<u64>().expect("number") + 500;
+    std::fs::write(&bt9, text.replace(line, &format!("{key}{total}"))).expect("write");
+
+    let sbbt_total = |path: &PathBuf| {
+        let reader = mbp::trace::sbbt::SbbtReader::open(path).expect("open");
+        reader.header().instruction_count
+    };
+    let hop = translate(&bt9, "hop1.sbbt.mzst");
+    assert_eq!(sbbt_total(&hop), total, "BT9 -> SBBT");
+    let hop = translate(&hop, "hop2.bt9");
+    let back = mbp::trace::bt9::open(&hop).expect("parse");
+    assert_eq!(back.instruction_count, total, "SBBT -> BT9");
+    let hop = translate(&hop, "hop3.sbbt");
+    assert_eq!(sbbt_total(&hop), total, "BT9 -> SBBT");
+}
+
+/// SBBT stores an opcode per packet, so one address may appear under two
+/// opcodes; every hop of a translation keeps each record as it was.
+#[test]
+fn translate_keeps_an_address_seen_under_two_opcodes() {
+    use mbp::trace::{bt9, sbbt::SbbtReader, translate, Branch, BranchRecord, Opcode};
+    let dir = temp_dir("translate-opcodes");
+    let rec = |ip, target, opcode, taken, gap| {
+        BranchRecord::new(Branch::new(ip, target, opcode, taken), gap)
+    };
+    let (cond, call) = (Opcode::conditional_direct(), Opcode::call());
+    let cond_ind = Opcode::new(true, true, mbp::trace::BranchKind::Jump);
+    let records = [
+        rec(0x1000, 0x2000, cond, true, 1),
+        rec(0x1000, 0x2000, call, true, 1),
+        rec(0x1000, 0x2000, cond, false, 3),
+        rec(0x3000, 0x4000, Opcode::unconditional_direct(), true, 2),
+        rec(0x3000, 0, cond_ind, false, 2),
+    ];
+    let mut from = dir.join("two.sbbt");
+    let bytes = translate::records_to_sbbt(&records).expect("encode");
+    std::fs::write(&from, bytes).expect("write");
+    for to in ["two.sbbt.mzst", "two.bt9", "back.sbbt"] {
+        let to = dir.join(to);
+        let out = mbpsim()
+            .args(["translate", "--from"])
+            .arg(&from)
+            .arg("--to")
+            .arg(&to)
+            .output()
+            .expect("spawn");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let back: Vec<BranchRecord> = if to.to_string_lossy().ends_with(".bt9") {
+            bt9::open(&to).expect("parse").records().collect()
+        } else {
+            SbbtReader::open(&to)
+                .expect("open")
+                .read_all()
+                .expect("read")
+        };
+        assert_eq!(back, records, "{}", to.display());
+        from = to;
+    }
+}
+
 #[test]
 fn compare_emits_comparison_json() {
     let dir = temp_dir("compare");
@@ -412,33 +508,54 @@ fn every_command_refuses_a_flag_it_does_not_take() {
     }
 }
 
-/// The README agrees with the flag table `mbpsim help` renders: each
-/// `mbpsim <command>` line in its code blocks (with its `\` continuation
-/// lines) uses only flags that command takes, and each flag row of its
-/// "Applies to" table names exactly the commands that take the flag.
+/// The docs agree with the flag table `mbpsim help` renders: each
+/// `mbpsim <command>` invocation in the README, DESIGN.md, EXPERIMENTS.md,
+/// the manual and the verification notes, a code-block line (with its `\`
+/// continuation lines) or an inline code span, uses only flags that
+/// command takes, and each flag row of the README's "Applies to" table
+/// names exactly the commands that take the flag.
 #[test]
 fn readme_flags_match_mbpsim_help() {
     let help = Help::new();
     let readme = include_str!("../README.md");
+    let docs = [
+        ("README.md", readme),
+        ("DESIGN.md", include_str!("../DESIGN.md")),
+        ("EXPERIMENTS.md", include_str!("../EXPERIMENTS.md")),
+        ("docs/MANUAL.md", include_str!("../docs/MANUAL.md")),
+        (
+            "SKILL.md",
+            include_str!("../.claude/skills/verify/SKILL.md"),
+        ),
+    ];
     let mut invocations = Vec::new();
-    let (mut in_code, mut line) = (false, String::new());
-    for text in readme.lines() {
-        if text.starts_with("```") {
-            in_code = !in_code;
-            continue;
-        }
-        let code = text.split('#').next().unwrap_or_default().trim_end();
-        if in_code {
+    for (doc, text) in docs {
+        let (mut in_code, mut line, mut prose) = (false, String::new(), String::new());
+        for text in text.lines() {
+            if text.trim_start().starts_with("```") {
+                in_code = !in_code;
+                continue;
+            }
+            if !in_code {
+                prose = format!("{prose} {text}");
+                continue;
+            }
+            let code = text.split('#').next().unwrap_or_default().trim_end();
             line = format!("{line} {}", code.trim_end_matches('\\'));
             if !code.ends_with('\\') {
-                invocations.push(std::mem::take(&mut line));
+                invocations.push((doc, std::mem::take(&mut line)));
             }
         }
+        let spans = prose.split('`').skip(1).step_by(2);
+        invocations.extend(spans.map(|span| (doc, span.to_string())));
     }
     let mut checked = 0;
-    for line in &invocations {
+    for (doc, line) in &invocations {
         let words: Vec<&str> = line.split_whitespace().collect();
-        let Some(at) = words.iter().position(|&w| w == "mbpsim") else {
+        let Some(at) = words
+            .iter()
+            .position(|w| w.rsplit('/').next() == Some("mbpsim"))
+        else {
             continue;
         };
         let mut rest = words[at + 1..].iter().filter(|&&w| w != "--");
@@ -452,12 +569,12 @@ fn readme_flags_match_mbpsim_help() {
             let takers = help.commands_of(flag);
             assert!(
                 takers.contains(command),
-                "README: `{line}`: {command} takes no {flag}"
+                "{doc}: `{line}`: {command} takes no {flag}"
             );
         }
         checked += 1;
     }
-    assert!(checked >= 15, "only {checked} README invocations found");
+    assert!(checked >= 50, "only {checked} invocations found");
 
     let table = readme
         .split_once("| Applies to |")

@@ -24,7 +24,7 @@ where
     P: Predictor,
     Q: Predictor,
 {
-    let bt9 = translate::records_to_bt9(records);
+    let bt9 = translate::records_to_bt9(records).to_text();
     let mut adapter = McbpAdapter::new(fw_pred);
     let framework = run_framework_text(&bt9, &mut adapter).expect("framework run");
 

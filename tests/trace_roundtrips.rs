@@ -48,13 +48,25 @@ fn sbbt_file_roundtrip_both_codecs() {
 
         let mut r = SbbtReader::open(&path).unwrap();
         assert_eq!(r.read_all().unwrap(), records, "{codec} roundtrip");
+
+        // The writer compresses exactly the raw trace, and refuses a level
+        // the codec does not have.
+        let raw = translate::records_to_sbbt(&records).unwrap();
+        let packed = compress(&raw, codec, level).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), packed, "{codec} bytes");
+        for bad in [0, codec.max_level() + 1] {
+            assert!(
+                SbbtWriter::create_compressed(&path, codec, bad).is_err(),
+                "{codec} level {bad}"
+            );
+        }
     }
 }
 
 #[test]
 fn bt9_file_roundtrip_compressed() {
     let records = sample(3, 60_000);
-    let text = translate::records_to_bt9(&records);
+    let text = translate::records_to_bt9(&records).to_text();
     let dir = std::env::temp_dir().join("mbplib-tests");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("roundtrip.bt9.mgz");
@@ -84,7 +96,7 @@ fn full_translation_chain_preserves_branch_stream() {
         assert_eq!(a.gap, b.gap);
     }
 
-    let bt9_text = translate::records_to_bt9(&stage1);
+    let bt9_text = translate::records_to_bt9(&stage1).to_text();
     let parsed = bt9::parse_text(&bt9_text).unwrap();
     let stage2 = translate::sbbt_to_records(translate::bt9_to_sbbt(&parsed).unwrap()).unwrap();
     assert_eq!(stage2, stage1);
@@ -94,7 +106,7 @@ fn full_translation_chain_preserves_branch_stream() {
 fn format_sizes_are_ordered_like_table1() {
     let records = sample(5, 200_000);
     let sbbt = translate::records_to_sbbt(&records).unwrap();
-    let bt9 = translate::records_to_bt9(&records);
+    let bt9 = translate::records_to_bt9(&records).to_text();
     let champ = translate::records_to_champsim(&records).unwrap();
 
     // §IV: "the absence of the branch graph in the header makes the SBBT
