@@ -316,6 +316,49 @@ grep -q 'worst branch 0x' "$obs_tmp/tele_top.txt" \
   || { echo "top dashboard is missing the hot-branch drill-down row" >&2; exit 1; }
 wait "$tele_pid" \
   || { echo "telemetry-serving sweep failed" >&2; exit 1; }
+# Settled rows are the documents: a sampled sweep's settled /snapshot
+# row must carry its leaderboard row's (reconstructed) MPKI. The sweep
+# prints its document after the hold closes the listener, so the gate
+# scrapes until every row has settled, then pairs rows with the document.
+target/release/mbpsim sweep --predictors "$sp" \
+  --trace "$obs_tmp/traces/SMOKE-mobile.sbbt.mzst" --jobs 2 --quiet \
+  --phases "$obs_tmp/phases.json" \
+  --telemetry-listen 127.0.0.1:0 --telemetry-hold-ms 3000 \
+  > "$obs_tmp/tele_sampled.json" 2> "$obs_tmp/tele_sampled_stderr.txt" &
+tele_pid=$!
+port=""
+for _ in $(seq 1 100); do
+  port="$(grep -o 'telemetry listening on http://127\.0\.0\.1:[0-9]*' \
+    "$obs_tmp/tele_sampled_stderr.txt" 2>/dev/null | grep -o '[0-9]*$' | head -n 1 || true)"
+  [ -n "$port" ] && break
+  sleep 0.05
+done
+[ -n "$port" ] \
+  || { echo "sampled sweep's telemetry address never appeared" >&2; kill "$tele_pid" 2>/dev/null || true; exit 1; }
+rows="$(echo "$sp" | tr ',' '\n' | wc -l)"
+for _ in $(seq 1 200); do
+  scrape "$port" /snapshot "$obs_tmp/tele_settled.json" 2>/dev/null || true
+  settled="$(grep -c '"state": "settled"' "$obs_tmp/tele_settled.json" 2>/dev/null || true)"
+  [ "${settled:-0}" -eq "$rows" ] && break
+  sleep 0.05
+done
+wait "$tele_pid" \
+  || { echo "telemetry-serving sampled sweep failed" >&2; exit 1; }
+snapshot_rows() { # name, mpki and state of each /snapshot predictor row
+  awk '/"name": "/ {gsub(/[",]/,"",$2); p=$2}
+       /"state": "/ {gsub(/[",]/,"",$2); s=$2}
+       /"mpki":/ {if (p!="") {gsub(/,/,"",$2); print p, $2, s; p=""}}' "$1"
+}
+paste <(mpki_of "$obs_tmp/tele_sampled.json" | sort) \
+      <(snapshot_rows "$obs_tmp/tele_settled.json" | sort) \
+  | awk -v rows="$rows" '{
+      n++
+      if ($1 != $3 || $2 != $4 || $5 != "settled") {
+        printf "%s: leaderboard %s MPKI, /snapshot row %s %s MPKI (%s)\n", $1, $2, $3, $4, $5
+        bad=1
+      }
+    } END { exit bad || n != rows }' \
+  || { echo "settled /snapshot rows differ from the sampled sweep's document" >&2; exit 1; }
 
 echo "== misprediction forensics gate (explain coverage + report stability) =="
 # `mbpsim explain` on the smoke trace must produce a versioned forensic

@@ -10,7 +10,7 @@ use mbp_trace::{BranchBatch, TraceError};
 
 use crate::forensics::{self, ForensicsConfig};
 use crate::metrics::{accuracy, mpki, BranchStat, BranchTaxonomy, Metrics, MostFailed};
-use crate::status::{StatusFeed, SweepStatusBoard};
+use crate::status::SweepStatusBoard;
 use crate::timeseries::{TimeSeries, TimeSeriesBuilder};
 use crate::{PredictionBits, Predictor, TableProbe, TraceSource};
 
@@ -56,12 +56,13 @@ pub struct SimConfig {
     /// the per-record blame loop instead of `predict_batch`; the default
     /// `None` keeps every batch on the kernel path.
     pub forensics: Option<ForensicsConfig>,
-    /// Publish live progress (instructions, conditional branches,
-    /// mispredictions, the worst branch so far) into this slot of a status
-    /// board, once per batch — the `/snapshot` telemetry row. Progress
-    /// counts cover warm-up too; the worst branch is the running maximum
-    /// of the exact measured counts `most_failed` reports. The results are
-    /// unaffected, and the reference [`simulate_scalar`] ignores the slot.
+    /// Store the run's measured totals so far (instructions, conditional
+    /// branches, mispredictions, their MPKI and the worst branch) into this
+    /// slot of a status board once per batch — the `/snapshot` telemetry
+    /// row. Warm-up records are not in them, as they are not in the result;
+    /// the slot's epoch ticks on every batch. Settling the slot is the
+    /// caller's ([`SweepStatusBoard::settle`]). The results are unaffected,
+    /// and the reference [`simulate_scalar`] ignores the slot.
     pub status: Option<(Arc<SweepStatusBoard>, usize)>,
 }
 
@@ -266,7 +267,7 @@ pub(crate) struct SimState {
     timeseries: Option<TimeSeriesBuilder>,
     /// Measured batches run the forensics loop, which records them.
     forensic: bool,
-    status: Option<StatusFeed>,
+    status: Option<(Arc<SweepStatusBoard>, usize)>,
 }
 
 impl SimState {
@@ -282,10 +283,7 @@ impl SimState {
             kernel_records: 0,
             timeseries: config.timeseries_window.map(TimeSeriesBuilder::new),
             forensic: config.forensics.is_some(),
-            status: config
-                .status
-                .as_ref()
-                .map(|(board, slot)| StatusFeed::new(Arc::clone(board), *slot)),
+            status: config.status.clone(),
         }
     }
 
@@ -336,8 +334,10 @@ impl SimState {
             let bit = self.score(&batch, &bits, 0..measured_from, 0, false, recorded);
             self.score(&batch, &bits, measured_from..len, bit, true, recorded);
             count_records(len as u64, kernel, self.instructions - retired);
-            if let Some(status) = self.status.as_mut() {
-                status.publish(self.most_failed.worst_branch());
+            if let Some((board, slot)) = &self.status {
+                let worst = self.most_failed.worst_branch();
+                let (measured, conditional) = (self.measured_instructions, self.conditional);
+                board.publish(*slot, measured, conditional, self.mispredictions, worst);
             }
             if cut {
                 return Ok(());
@@ -424,9 +424,6 @@ impl SimState {
             self.mispredictions += mispredictions;
         } else {
             self.warmup_mispredictions += mispredictions;
-        }
-        if let Some(status) = self.status.as_mut() {
-            status.add(advanced, conditional, mispredictions);
         }
         bit
     }

@@ -58,17 +58,11 @@ pub trait TraceSource {
         Value::Null
     }
 
-    /// Total instructions the source spans, if known ahead of time.
-    fn instruction_count_hint(&self) -> Option<u64> {
-        None
-    }
-
     /// Branch records remaining in the source, if known ahead of time.
     ///
-    /// Unlike [`TraceSource::instruction_count_hint`] — which may come
-    /// straight from an untrusted file header — implementations must bound
-    /// this by the data they hold, so callers can size allocations from it
-    /// safely. The SBBT reader counts what is left of the trace's length:
+    /// Implementations must bound this by the data they hold, never by an
+    /// untrusted file header alone, so callers can size allocations from
+    /// it safely. The SBBT reader counts what is left of the trace's length:
     /// of a raw trace, the bytes it holds; of a compressed one, the length
     /// the codec frame declares, which the stream has not yet proven. That
     /// length is capped at the frame's payload times the codec's largest
@@ -107,10 +101,6 @@ impl TraceSource for SbbtReader {
 
     fn description(&self) -> Value {
         Value::from("sbbt trace")
-    }
-
-    fn instruction_count_hint(&self) -> Option<u64> {
-        Some(self.header().instruction_count)
     }
 
     fn record_count_hint(&self) -> Option<u64> {
@@ -179,10 +169,6 @@ impl TraceSource for SliceSource<'_> {
         }
     }
 
-    fn instruction_count_hint(&self) -> Option<u64> {
-        Some(self.records.iter().map(|r| r.instructions()).sum())
-    }
-
     fn record_count_hint(&self) -> Option<u64> {
         Some((self.records.len() - self.pos) as u64)
     }
@@ -216,15 +202,6 @@ mod tests {
         assert!(s.next_record().unwrap().is_none());
         s.reset();
         assert!(s.next_record().unwrap().is_some());
-    }
-
-    #[test]
-    fn sources_report_instruction_hint() {
-        let records = recs(4);
-        assert_eq!(
-            SliceSource::new(&records).instruction_count_hint(),
-            Some(12)
-        );
     }
 
     #[test]

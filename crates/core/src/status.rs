@@ -1,21 +1,24 @@
 //! Live per-predictor status for the telemetry plane.
 //!
 //! A [`SweepStatusBoard`] is a fixed set of lock-free slots, one per
-//! predictor, that the sweep machinery publishes lifecycle transitions and
-//! progress counters into while a serving thread (the `/snapshot` endpoint)
-//! reads them with relaxed loads. Nothing here synchronizes readers with
-//! writers beyond the atomics themselves: a snapshot is a statistically
-//! consistent view, which is all a dashboard needs.
+//! predictor, read by a serving thread (the `/snapshot` endpoint) with
+//! relaxed loads: a snapshot is a statistically consistent view, which is
+//! all a dashboard needs.
 //!
-//! Progress counters come from the driver itself: a run whose
-//! [`SimConfig::status`](crate::SimConfig::status) names a slot scores each
-//! batch's prediction bits once and publishes the batch's live instruction,
-//! branch and misprediction counts, plus the worst branch of its exact
-//! per-branch counts so far, into it. Without a slot nothing is published
-//! and the scoring loop is untouched.
+//! Each slot is a view of its own run, with one writer while it runs and
+//! one when it settles. A run whose [`SimConfig::status`] names a slot
+//! stores the measured totals its driver keeps (instructions, conditional
+//! branches, mispredictions, their MPKI and the worst branch so far) once
+//! per batch, so warm-up records never enter the row, though its epoch
+//! ticks. [`SweepStatusBoard::settle`] then stores the run's document:
+//! a settled row equals its result, sampled and resumed rows included.
+//!
+//! [`SimConfig::status`]: crate::SimConfig::status
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+
+use crate::metrics::mpki;
+use crate::SimResult;
 
 /// Lifecycle of one predictor within a sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,20 +63,19 @@ impl PredictorState {
     }
 }
 
-/// One predictor's live counters.
-#[derive(Debug)]
+/// One predictor's live counters; all zero, and `Queued`, by default.
+#[derive(Debug, Default)]
 struct StatusSlot {
     name: String,
     state: AtomicU8,
     /// Progress heartbeat: one tick per processed batch.
     epoch: AtomicU64,
-    /// Instructions retired so far.
     instructions: AtomicU64,
-    /// Conditional branches predicted so far.
     conditional: AtomicU64,
-    /// Mispredicted conditional branches so far.
     mispredictions: AtomicU64,
-    /// Address of the branch with the most mispredictions so far.
+    /// The MPKI's `f64` bits.
+    mpki: AtomicU64,
+    /// Address of the branch with the most mispredictions.
     worst_ip: AtomicU64,
     /// Misprediction count of that branch; zero means there is none yet.
     /// The pair is two relaxed stores, so a reader can see a torn (ip,
@@ -82,41 +84,53 @@ struct StatusSlot {
     worst_mispredictions: AtomicU64,
 }
 
-/// Plain-data copy of one slot, as read by the snapshot endpoint.
+impl StatusSlot {
+    /// Stores one view of the run's totals.
+    fn store(
+        &self,
+        instructions: u64,
+        conditional: u64,
+        mispredictions: u64,
+        mpki: f64,
+        worst: Option<(u64, u64)>,
+    ) {
+        let (ip, count) = worst.unwrap_or((0, 0));
+        self.instructions.store(instructions, Ordering::Relaxed);
+        self.conditional.store(conditional, Ordering::Relaxed);
+        self.mispredictions.store(mispredictions, Ordering::Relaxed);
+        self.mpki.store(mpki.to_bits(), Ordering::Relaxed);
+        self.worst_ip.store(ip, Ordering::Relaxed);
+        self.worst_mispredictions.store(count, Ordering::Relaxed);
+    }
+}
+
+/// Plain-data copy of one slot, as read by the snapshot endpoint: the
+/// run's measured totals so far, or its document's once settled.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PredictorStatus {
     /// The predictor's display name.
     pub name: String,
     /// Current lifecycle state.
     pub state: PredictorState,
-    /// Batches processed so far.
+    /// Batches processed so far, warm-up included.
     pub epoch: u64,
-    /// Instructions retired so far.
+    /// Measured instructions (`metadata.simulation_instr`).
     pub instructions: u64,
-    /// Conditional branches predicted so far.
+    /// Measured conditional branches (`num_conditional_branches`).
     pub conditional_branches: u64,
-    /// Mispredicted conditional branches so far.
+    /// Measured mispredictions (`metrics.mispredictions`).
     pub mispredictions: u64,
+    /// `metrics.mpki`: a sampled row shows its measured MPKI while it runs
+    /// and the reconstructed one once settled.
+    pub mpki: f64,
     /// The `(ip, mispredictions)` branch with the most measured
     /// mispredictions so far, ties toward the lower address; `None` before
-    /// the first. Once the run ends it is the first `most_failed` entry.
+    /// the first. Once settled it is the first `most_failed` entry.
     pub worst_branch: Option<(u64, u64)>,
 }
 
-impl PredictorStatus {
-    /// Live mispredictions-per-kilo-instruction, or zero before any
-    /// instruction retired.
-    pub fn mpki(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.mispredictions as f64 * 1000.0 / self.instructions as f64
-        }
-    }
-}
-
-/// A fixed board of per-predictor status slots, shared between the sweep's
-/// workers (writers) and the telemetry server (reader).
+/// A fixed board of per-predictor status slots, shared between the runs
+/// that write them and the telemetry server that reads them.
 #[derive(Debug, Default)]
 pub struct SweepStatusBoard {
     slots: Vec<StatusSlot>,
@@ -130,17 +144,10 @@ impl SweepStatusBoard {
         S: Into<String>,
     {
         Self {
-            slots: names
-                .into_iter()
+            slots: (names.into_iter())
                 .map(|name| StatusSlot {
                     name: name.into(),
-                    state: AtomicU8::new(PredictorState::Queued as u8),
-                    epoch: AtomicU64::new(0),
-                    instructions: AtomicU64::new(0),
-                    conditional: AtomicU64::new(0),
-                    mispredictions: AtomicU64::new(0),
-                    worst_ip: AtomicU64::new(0),
-                    worst_mispredictions: AtomicU64::new(0),
+                    ..StatusSlot::default()
                 })
                 .collect(),
         }
@@ -156,55 +163,64 @@ impl SweepStatusBoard {
         self.slots.is_empty()
     }
 
-    /// Publishes a lifecycle transition. Out-of-range indices are ignored
-    /// (status is advisory; it must never take down a worker).
+    /// Publishes a lifecycle transition. The store is a release that pairs
+    /// with [`snapshot`](Self::snapshot)'s acquire load, so a scrape that
+    /// reads a state also reads every total stored before it. Out-of-range
+    /// indices are ignored (status is advisory; it must never take down a
+    /// worker).
     pub fn set_state(&self, index: usize, state: PredictorState) {
         if let Some(slot) = self.slots.get(index) {
-            slot.state.store(state as u8, Ordering::Relaxed);
+            slot.state.store(state as u8, Ordering::Release);
         }
     }
 
-    /// Overwrites the progress counters with final, settle-time totals so
-    /// the dashboard converges on the reported metrics.
-    pub fn set_totals(&self, index: usize, instructions: u64, mispredictions: u64) {
+    /// Settles slot `index` on `result`: stores its document's
+    /// `simulation_instr`, `num_conditional_branches`, `mispredictions`,
+    /// `mpki` and first `most_failed` entry, then the `Settled` state.
+    pub fn settle(&self, index: usize, result: &SimResult) {
         if let Some(slot) = self.slots.get(index) {
-            slot.instructions.store(instructions, Ordering::Relaxed);
-            slot.mispredictions.store(mispredictions, Ordering::Relaxed);
+            let worst = (result.most_failed.first()).map(|b| (b.ip, b.mispredictions));
+            slot.store(
+                result.metadata.simulation_instr,
+                result.metadata.num_conditional_branches,
+                result.metrics.mispredictions,
+                result.metrics.mpki,
+                worst,
+            );
+            self.set_state(index, PredictorState::Settled);
         }
     }
 
-    /// Publishes the predictor's current worst branch (called by the driver
-    /// once per batch).
-    pub fn set_worst_branch(&self, index: usize, ip: u64, mispredictions: u64) {
-        if let Some(slot) = self.slots.get(index) {
-            slot.worst_ip.store(ip, Ordering::Relaxed);
-            slot.worst_mispredictions
-                .store(mispredictions, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds one batch worth of progress (called by the driver).
-    fn add_progress(&self, index: usize, instructions: u64, conditional: u64, mispredicted: u64) {
+    /// Stores a running slot's measured totals and worst branch so far and
+    /// ticks its epoch (called by the driver once per batch).
+    pub(crate) fn publish(
+        &self,
+        index: usize,
+        instructions: u64,
+        conditional: u64,
+        mispredictions: u64,
+        worst: Option<(u64, u64)>,
+    ) {
         if let Some(slot) = self.slots.get(index) {
             slot.epoch.fetch_add(1, Ordering::Relaxed);
-            slot.instructions.fetch_add(instructions, Ordering::Relaxed);
-            slot.conditional.fetch_add(conditional, Ordering::Relaxed);
-            slot.mispredictions
-                .fetch_add(mispredicted, Ordering::Relaxed);
+            let mpki = mpki(mispredictions, instructions);
+            slot.store(instructions, conditional, mispredictions, mpki, worst);
         }
     }
 
-    /// A statistically consistent copy of every slot, in creation order.
+    /// A statistically consistent copy of every slot, in creation order;
+    /// a `Settled` row carries its settled totals.
     pub fn snapshot(&self) -> Vec<PredictorStatus> {
         self.slots
             .iter()
             .map(|s| PredictorStatus {
                 name: s.name.clone(),
-                state: PredictorState::from_u8(s.state.load(Ordering::Relaxed)),
+                state: PredictorState::from_u8(s.state.load(Ordering::Acquire)),
                 epoch: s.epoch.load(Ordering::Relaxed),
                 instructions: s.instructions.load(Ordering::Relaxed),
                 conditional_branches: s.conditional.load(Ordering::Relaxed),
                 mispredictions: s.mispredictions.load(Ordering::Relaxed),
+                mpki: f64::from_bits(s.mpki.load(Ordering::Relaxed)),
                 worst_branch: match s.worst_mispredictions.load(Ordering::Relaxed) {
                     0 => None,
                     count => Some((s.worst_ip.load(Ordering::Relaxed), count)),
@@ -214,50 +230,12 @@ impl SweepStatusBoard {
     }
 }
 
-/// The driver's side of one status slot. While the driver scores a batch
-/// it adds the batch's progress here; [`publish`](Self::publish) hands it
-/// and the worst branch so far to the board once per batch, keeping the
-/// atomics off the scoring loop.
-pub(crate) struct StatusFeed {
-    board: Arc<SweepStatusBoard>,
-    slot: usize,
-    /// Unpublished `(instructions, conditional branches, mispredictions)`.
-    pending: (u64, u64, u64),
-}
-
-impl StatusFeed {
-    pub(crate) fn new(board: Arc<SweepStatusBoard>, slot: usize) -> Self {
-        Self {
-            board,
-            slot,
-            pending: (0, 0, 0),
-        }
-    }
-
-    /// Adds a scored piece of the current batch.
-    pub(crate) fn add(&mut self, instructions: u64, conditional: u64, mispredictions: u64) {
-        self.pending.0 += instructions;
-        self.pending.1 += conditional;
-        self.pending.2 += mispredictions;
-    }
-
-    /// Publishes the batch: one progress tick, plus the worst branch
-    /// `(ip, mispredictions)` once there is one.
-    pub(crate) fn publish(&mut self, worst: Option<(u64, u64)>) {
-        let (instructions, conditional, mispredictions) = std::mem::take(&mut self.pending);
-        self.board
-            .add_progress(self.slot, instructions, conditional, mispredictions);
-        if let Some((ip, mispredictions)) = worst {
-            self.board.set_worst_branch(self.slot, ip, mispredictions);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{simulate, ForensicsConfig, Predictor, SimConfig, SliceSource, BATCH_RECORDS};
     use mbp_trace::{Branch, BranchRecord, Opcode};
+    use std::sync::Arc;
 
     struct AlwaysTaken;
 
@@ -321,14 +299,13 @@ mod tests {
         assert_eq!(s.conditional_branches, 3);
         // Always-taken misses only the single not-taken conditional.
         assert_eq!(s.mispredictions, 1);
-        assert!((s.mpki() - 50.0).abs() < 1e-9);
+        assert!((s.mpki - 50.0).abs() < 1e-9);
     }
 
     #[test]
     fn live_counts_equal_the_result_before_settling() {
-        // Several batches, a time series and no warm-up: every record is
-        // measured, so the live counters must already equal the result
-        // before any settle-time `set_totals` overwrites them.
+        // Several batches and a time series: the live counters already
+        // equal the result before anything settles the slot.
         let records: Vec<BranchRecord> = (0..2 * BATCH_RECORDS as u64 + 77)
             .map(|i| match i % 5 {
                 0 => record(0x100 + i % 64, Opcode::unconditional_direct(), true),
@@ -418,14 +395,58 @@ mod tests {
     }
 
     #[test]
-    fn settle_totals_overwrite_live_counters() {
-        let board = SweepStatusBoard::new(["a"]);
-        board.add_progress(0, 10, 5, 2);
-        board.set_totals(0, 1000, 7);
-        board.set_state(0, PredictorState::Settled);
+    fn live_counts_leave_out_a_warm_up_longer_than_a_batch() {
+        // The warm-up spans more than one batch, so its records reach the
+        // slot in batches of their own and in the batch that crosses the
+        // boundary; none may enter the row, as none enter the result.
+        let records: Vec<BranchRecord> = (0..3 * BATCH_RECORDS as u64)
+            .map(|i| record(0x200 + i % 96, Opcode::conditional_direct(), i % 7 != 0))
+            .collect();
+        let (board, r) = run(
+            &records,
+            SimConfig {
+                warmup_instructions: 5 * (BATCH_RECORDS as u64 + 100),
+                ..SimConfig::default()
+            },
+        );
         let s = &board.snapshot()[0];
-        assert_eq!(s.instructions, 1000);
-        assert_eq!(s.mispredictions, 7);
-        assert_eq!(s.state.as_str(), "settled");
+        assert_eq!(s.state, PredictorState::Queued, "nothing settled the slot");
+        assert_eq!(s.epoch, 3, "warm-up batches still tick");
+        assert_eq!(s.instructions, r.metadata.simulation_instr);
+        assert_eq!(s.conditional_branches, r.metadata.num_conditional_branches);
+        assert_eq!(s.mispredictions, r.metrics.mispredictions);
+        assert_eq!(s.mpki, r.metrics.mpki);
+        assert!(r.metadata.simulation_instr < 5 * records.len() as u64);
+    }
+
+    #[test]
+    fn settle_stores_the_document_over_the_live_counters() {
+        // A sampled document's headline numbers are not the driver's
+        // totals; a settled row shows the document's, first `most_failed`
+        // entry included.
+        let (board, mut r) = run(&mixed_records(), SimConfig::default());
+        r.metadata.simulation_instr = 1000;
+        r.metadata.num_conditional_branches = 5;
+        r.metrics.mispredictions = 7;
+        r.metrics.mpki = 0.25;
+        r.most_failed[0].ip = 0x99;
+        board.settle(0, &r);
+        board.settle(7, &r); // ignored, no panic
+        let s = &board.snapshot()[0];
+        assert_eq!(s.state, PredictorState::Settled);
+        assert_eq!(s.epoch, 1, "settling is not a batch");
+        assert_eq!(
+            (
+                s.instructions,
+                s.conditional_branches,
+                s.mispredictions,
+                s.mpki
+            ),
+            (1000, 5, 7, 0.25)
+        );
+        assert_eq!(s.worst_branch, Some((0x99, 1)));
+        r.most_failed.clear();
+        board.settle(0, &r);
+        assert_eq!(board.snapshot()[0].worst_branch, None);
     }
 }

@@ -81,13 +81,14 @@ pub struct SweepConfig {
     /// Checkpoint records carry the plan's `doc_hash`, and `--resume`
     /// refuses a checkpoint written under a different plan (or none).
     pub phases: Option<PhasesDoc>,
-    /// Live status board (slot `i` for the `i`-th predictor given to
-    /// [`simulate_many`], so two runs of one name keep two slots) that
-    /// workers and the watchdog publish lifecycle transitions and progress
-    /// counters into — the data source of the `/snapshot` telemetry
-    /// endpoint. `None` (the default) skips all publishing, including the
-    /// driver's per-batch progress counts, so an unobserved sweep pays
-    /// nothing.
+    /// Live status board, the data source of the `/snapshot` telemetry
+    /// endpoint: slot `i` is the `i`-th predictor given to
+    /// [`simulate_many`], so two runs of one name keep two slots. Workers
+    /// and the watchdog publish lifecycle transitions into it, the driver
+    /// stores a running job's measured totals once per batch, and settling
+    /// a job that ran or was resumed stores its document's totals (see
+    /// [`SweepStatusBoard::settle`]). `None` (the default) skips all
+    /// publishing, so an unobserved sweep pays nothing.
     pub status: Option<Arc<SweepStatusBoard>>,
 }
 
@@ -363,11 +364,12 @@ struct SweepShared {
 
 impl SweepShared {
     /// Settles job `i` exactly once, whichever way it ended — its worker's
-    /// result or failure, a budget rejection, the watchdog's abandon, or a
-    /// drain: appends a predictor that ran or failed to the checkpoint
-    /// (fsync'd while the outcome lock is held, so a record is durable
-    /// before anyone can observe the job as settled), publishes its board
-    /// state, and writes its outcome. A later call — an abandoned worker's
+    /// result or failure, a resumed checkpoint record, a budget rejection,
+    /// the watchdog's abandon, or a drain: appends a predictor that ran or
+    /// failed to the checkpoint (fsync'd while the outcome lock is held, so
+    /// a record is durable before anyone can observe the job as settled),
+    /// settles its board slot on the result or publishes its end state, and
+    /// writes its outcome. A later call — an abandoned worker's
     /// late result — finds the outcome written and changes nothing.
     fn settle(&self, i: usize, outcome: Outcome) {
         let job = &self.jobs[i];
@@ -389,20 +391,15 @@ impl SweepShared {
             error.get_or_insert(e);
         }
         drop(checkpoint);
-        job.publish(match &outcome {
+        match &outcome {
             Outcome::Ran(result) => {
                 if let Some((board, slot)) = &job.board {
-                    board.set_totals(
-                        *slot,
-                        result.metadata.simulation_instr,
-                        result.metrics.mispredictions,
-                    );
+                    board.settle(*slot, result);
                 }
-                PredictorState::Settled
             }
-            Outcome::Failed(_) => PredictorState::Failed,
-            Outcome::NotRun => PredictorState::NotRun,
-        });
+            Outcome::Failed(_) => job.publish(PredictorState::Failed),
+            Outcome::NotRun => job.publish(PredictorState::NotRun),
+        }
         *settled = Some(outcome);
     }
 
@@ -1188,6 +1185,67 @@ mod tests {
             );
             assert_eq!(a.result.metrics.mpki, b.result.metrics.mpki);
         }
+    }
+
+    /// Each entry's board row equals its document: instructions,
+    /// conditional branches, mispredictions, MPKI and the first
+    /// `most_failed` entry as the worst branch.
+    fn assert_rows_equal_documents(board: &SweepStatusBoard, r: &SweepResult) {
+        let snap = board.snapshot();
+        assert_eq!(snap.len(), r.entries.len());
+        for e in &r.entries {
+            let s = snap.iter().find(|s| s.name == e.name).unwrap();
+            let (meta, metrics) = (&e.result.metadata, &e.result.metrics);
+            assert_eq!(s.state, PredictorState::Settled, "{}", s.name);
+            assert_eq!(s.instructions, meta.simulation_instr, "{}", s.name);
+            assert_eq!(s.conditional_branches, meta.num_conditional_branches);
+            assert_eq!(s.mispredictions, metrics.mispredictions, "{}", s.name);
+            assert_eq!(s.mpki, metrics.mpki, "{}", s.name);
+            let first = &e.result.most_failed[0];
+            assert_eq!(s.worst_branch, Some((first.ip, first.mispredictions)));
+        }
+    }
+
+    #[test]
+    fn settled_sampled_rows_equal_their_documents() {
+        // A sampled document reconstructs its MPKI and mispredictions from
+        // the phases, and its counts leave out every warm-up replay.
+        let records = phase_trace(4000);
+        let board = Arc::new(SweepStatusBoard::new(["never", "always"]));
+        let config = SweepConfig {
+            phases: Some(crate::simpoint::extract_phases(&records, 2000, 3)),
+            status: Some(Arc::clone(&board)),
+            ..SweepConfig::default()
+        };
+        let r = simulate_many(&mut SliceSource::new(&records), fixed_pair(), &config).unwrap();
+        assert_eq!(r.entries.len(), 2);
+        assert!(r.entries.iter().all(|e| e.result.metadata.warmup_instr > 0));
+        assert_rows_equal_documents(&board, &r);
+    }
+
+    #[test]
+    fn resumed_rows_equal_their_checkpointed_documents() {
+        let path = tmp("resumed_rows.jsonl");
+        let records = biased_records(80);
+        let cfg = SweepConfig {
+            checkpoint: Some(path.clone()),
+            ..SweepConfig::default()
+        };
+        simulate_many(&mut SliceSource::new(&records), fixed_pair(), &cfg).unwrap();
+        let board = Arc::new(SweepStatusBoard::new(["never", "always"]));
+        let resume_cfg = SweepConfig {
+            resume: true,
+            status: Some(Arc::clone(&board)),
+            ..cfg
+        };
+        let r = simulate_many(&mut SliceSource::new(&records), fixed_pair(), &resume_cfg).unwrap();
+        assert_eq!(r.workers_used, 0, "both rows come from the checkpoint");
+        assert!(board.snapshot().iter().all(|s| s.epoch == 0));
+        assert!(r
+            .entries
+            .iter()
+            .all(|e| e.result.metadata.num_conditional_branches > 0));
+        assert_rows_equal_documents(&board, &r);
     }
 
     #[test]

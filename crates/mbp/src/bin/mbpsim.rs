@@ -83,7 +83,7 @@ const COMMANDS: &[Command] = &[
     Command { name: "sweep", synopsis: "--predictors <a>,<b>,... --trace <file>", body: cmd_sweep },
     Command { name: "simpoint", synopsis: "--trace <file>", body: cmd_simpoint },
     Command { name: "gen", synopsis: "--suite <name> --out <dir>", body: cmd_gen },
-    Command { name: "translate", synopsis: "--from <file.bt9[.mgz]> --to <file.sbbt[.mzst|.mgz]>", body: cmd_translate },
+    Command { name: "translate", synopsis: "--from <file.{sbbt|bt9}[.mgz|.mzst]> --to <file.{sbbt|bt9}[.mgz|.mzst]>", body: cmd_translate },
     Command { name: "info", synopsis: "--trace <file>", body: cmd_info },
     Command { name: "stats-diff", synopsis: "<baseline.json> <candidate.json>", body: cmd_stats_diff },
     Command { name: "validate-trace", synopsis: "<run.trace.json>", body: cmd_validate_trace },
@@ -140,10 +140,10 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--warmup-windows", value: Some("N"), commands: &["simpoint"], help: "windows of warm-up replay before each slice (default 1)" },
     Flag { name: "--out", value: Some("phases.json"), commands: &["simpoint"], help: "write the phases document here instead of stdout" },
     Flag { name: "--suite", value: Some("name"), commands: &["gen"], help: "cbp5-training, cbp5-evaluation, dpc3 or smoke" },
-    Flag { name: "--scale", value: Some("N"), commands: &["gen"], help: "trace length multiplier (default 1)" },
+    Flag { name: "--scale", value: Some("N"), commands: &["gen"], help: "trace count multiplier; each trace keeps its length (default 1)" },
     Flag { name: "--out", value: Some("dir"), commands: &["gen"], help: "the directory to write the traces into" },
     Flag { name: "--from", value: Some("file"), commands: &["translate"], help: "the BT9 or SBBT trace to read" },
-    Flag { name: "--to", value: Some("file"), commands: &["translate"], help: "the trace to write; its extension picks format and codec" },
+    Flag { name: "--to", value: Some("file"), commands: &["translate"], help: "the trace to write: <file>.sbbt or <file>.bt9, optionally then .mgz or .mzst" },
     Flag { name: "--threshold", value: Some("PCT"), commands: &["stats-diff"], help: "the change that counts as a regression, in percent (default 5)" },
     Flag { name: "--out", value: Some("report.html"), commands: &["report"], help: "write the HTML here instead of stdout" },
     Flag { name: "--interval-ms", value: Some("N"), commands: &["top"], help: "repaint interval (default 500)" },
@@ -422,21 +422,19 @@ fn start_telemetry(
     Ok(Some((server, hold)))
 }
 
-/// The instruction total a command is expected to simulate per predictor:
-/// the trace header's count, clamped by `--max`. `None` when the header
-/// does not know (streamed/translated traces).
-fn expected_instructions(header_count: u64, config: &SimConfig) -> Option<u64> {
-    let total = match config.max_instructions {
-        Some(max) => header_count.min(max),
-        None => header_count,
+/// The format (`true` for BT9) and codec a trace file name names: it ends
+/// in `.sbbt` or `.bt9`, then optionally `.mgz` or `.mzst`. The file name
+/// alone decides; the directories above it do not.
+fn trace_form(path: &str) -> Option<(bool, Option<(Codec, u32)>)> {
+    let name = Path::new(path).file_name()?.to_str()?;
+    let (stem, codec) = match name.rsplit_once('.')? {
+        (stem, "mzst") => (stem, Some((Codec::Mzst, 22))),
+        (stem, "mgz") => (stem, Some((Codec::Mgz, 6))),
+        _ => (name, None),
     };
-    (total > 0).then_some(total)
-}
-
-fn codec_for(path: &Path) -> Option<(Codec, u32)> {
-    match path.extension().and_then(|e| e.to_str()) {
-        Some("mzst") => Some((Codec::Mzst, 22)),
-        Some("mgz") => Some((Codec::Mgz, 6)),
+    match stem.rsplit_once('.')?.1 {
+        "bt9" => Some((true, codec)),
+        "sbbt" => Some((false, codec)),
         _ => None,
     }
 }
@@ -491,8 +489,8 @@ fn simulate_one(
     };
     let label = explain.then_some("explain");
     // Telemetry wants a (single-slot) status board so /snapshot carries a
-    // predictor row, which the driver fills while it scores; without the
-    // flag the run pays for neither.
+    // predictor row, which the driver fills while it scores and the result
+    // settles; without the flag the run pays for neither.
     let board = args
         .get("--telemetry-listen")
         .map(|_| std::sync::Arc::new(mbp::sim::SweepStatusBoard::new([name])));
@@ -508,16 +506,18 @@ fn simulate_one(
         b.set_state(0, mbp::sim::PredictorState::Running);
         config.status = Some((std::sync::Arc::clone(b), 0));
     }
-    let total = expected_instructions(trace.header().instruction_count, &config);
-    let progress = mbp::progress::Progress::start(label, total, None, args.flag("--quiet"));
+    let plan = mbp::progress::Plan {
+        header_instructions: trace.header().instruction_count,
+        max_instructions: config.max_instructions,
+        sampled_instructions: None,
+        predictors: 1,
+    };
+    let progress = mbp::progress::Progress::start(label, plan, None, args.flag("--quiet"));
     let result = simulate(&mut trace, &mut predictor, &config);
     progress.finish();
     if let Some(b) = &board {
         match &result {
-            Ok(r) => {
-                b.set_totals(0, r.metadata.simulation_instr, r.metrics.mispredictions);
-                b.set_state(0, mbp::sim::PredictorState::Settled);
-            }
+            Ok(r) => b.settle(0, r),
             Err(_) => b.set_state(0, mbp::sim::PredictorState::Failed),
         }
     }
@@ -644,11 +644,19 @@ fn cmd_sweep(args: &Args) -> Result<ExitCode, Failure> {
             shutdown: Some(mbp::shutdown::requested),
         },
     )?;
-    let total = expected_instructions(trace.header().instruction_count, &config.sim)
-        .map(|per| per.saturating_mul(predictor_count as u64));
+    let plan = mbp::progress::Plan {
+        header_instructions: trace.header().instruction_count,
+        max_instructions: config.sim.max_instructions,
+        sampled_instructions: config.phases.as_ref().map(|plan| {
+            (plan.phases.iter())
+                .map(|p| p.instructions.saturating_add(p.warmup_instructions))
+                .fold(0, u64::saturating_add)
+        }),
+        predictors: predictor_count as u64,
+    };
     let sampled_fraction = config.phases.as_ref().map(|p| p.planned_fraction());
     let progress =
-        mbp::progress::Progress::start(None, total, sampled_fraction, args.flag("--quiet"));
+        mbp::progress::Progress::start(None, plan, sampled_fraction, args.flag("--quiet"));
     let result = simulate_many(&mut trace, predictors, &config);
     progress.finish();
     if let Some((server, hold)) = telemetry {
@@ -823,10 +831,17 @@ fn cmd_validate_trace(args: &Args) -> Result<ExitCode, Failure> {
 fn cmd_translate(args: &Args) -> Result<ExitCode, Failure> {
     let from = args.required("--from")?;
     let to = args.required("--to")?;
+    let Some((to_bt9, codec)) = trace_form(to) else {
+        return Err(Failure::usage(format!(
+            "--to {to}: name a trace <file>.sbbt or <file>.bt9, optionally \
+             followed by .mgz or .mzst"
+        )));
+    };
     let unreadable = |e| Failure::trace(format!("cannot read {from}: {e}"));
     // Either format decodes to a BT9 trace, whose header keeps the input's
     // instruction total: it also counts instructions after the last branch.
-    let trace = if from.contains(".bt9") {
+    // The readers tell a compressed input by its bytes.
+    let trace = if trace_form(from).is_some_and(|(bt9, _)| bt9) {
         bt9::open(from).map_err(unreadable)?
     } else {
         let mut reader = open_trace(from)?;
@@ -834,13 +849,13 @@ fn cmd_translate(args: &Args) -> Result<ExitCode, Failure> {
         trace.instruction_count = reader.header().instruction_count;
         trace
     };
-    let bytes = if to.contains(".bt9") {
+    let bytes = if to_bt9 {
         trace.to_text().into_bytes()
     } else {
         translate::bt9_to_sbbt(&trace)
             .map_err(|e| Failure::internal(format!("cannot encode {to}: {e}")))?
     };
-    let bytes = match codec_for(Path::new(to)) {
+    let bytes = match codec {
         Some((codec, level)) => mbp::compress::compress(&bytes, codec, level)
             .map_err(|e| Failure::internal(format!("compress failed: {e}")))?,
         None => bytes,

@@ -13,8 +13,38 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::report::rate;
+
 /// Minimum interval between repaints (4 Hz ceiling).
 const REFRESH: Duration = Duration::from_millis(250);
+
+/// What a command will simulate, for the completion estimate.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Plan {
+    /// The trace header's instruction count; 0 when it is unknown.
+    pub header_instructions: u64,
+    /// `--max`: where each predictor's run stops.
+    pub max_instructions: Option<u64>,
+    /// For a sampled sweep, the instructions each predictor replays or
+    /// measures: every phase's `instructions + warmup_instructions`.
+    pub sampled_instructions: Option<u64>,
+    /// Predictors the command runs.
+    pub predictors: u64,
+}
+
+impl Plan {
+    /// The instructions the command will simulate once `resumed` of its
+    /// predictors came from a checkpoint; `None` when unknown or zero.
+    pub fn instructions(&self, resumed: u64) -> Option<u64> {
+        let each = match (self.sampled_instructions, self.max_instructions) {
+            (Some(sampled), _) => sampled,
+            (None, Some(max)) => self.header_instructions.min(max),
+            (None, None) => self.header_instructions,
+        };
+        let total = each.saturating_mul(self.predictors.saturating_sub(resumed));
+        (total > 0).then_some(total)
+    }
+}
 
 /// Formats one progress line from rate/completion estimates.
 ///
@@ -29,7 +59,11 @@ pub fn format_progress_line(
     busy_fraction: Option<f64>,
     sampled: Option<(f64, u64)>,
 ) -> String {
-    let mut parts = vec![format!("{} records/s", rate(records_per_s))];
+    // The pipeline summary's rate, "8.1M/s", as "8.1M records/s".
+    let mut parts = vec![format!(
+        "{} records/s",
+        rate(records_per_s).trim_end_matches("/s")
+    )];
     if let Some(done) = done_fraction {
         parts.push(format!("{:.0}% done", (done.clamp(0.0, 1.0)) * 100.0));
     }
@@ -59,16 +93,6 @@ fn labeled_line(label: Option<&'static str>, line: String) -> String {
     }
 }
 
-fn rate(r: f64) -> String {
-    if r >= 1e6 {
-        format!("{:.1}M", r / 1e6)
-    } else if r >= 1e3 {
-        format!("{:.1}k", r / 1e3)
-    } else {
-        format!("{r:.0}")
-    }
-}
-
 fn duration(s: f64) -> String {
     if s >= 90.0 {
         format!("{:.0}m{:02.0}s", (s / 60.0).floor(), s % 60.0)
@@ -88,17 +112,16 @@ impl Progress {
     /// Starts the reporter thread.
     ///
     /// `label` leads every repaint, so a forensic `explain` pass is
-    /// distinguishable from a plain run at a glance. `total_instructions`
-    /// is the expected instruction total of the whole command (for a
-    /// sweep: per-predictor instructions × predictors), used for the
-    /// completion percentage and ETA; pass `None` when unknown.
+    /// distinguishable from a plain run at a glance. `plan` gives the
+    /// completion percentage and ETA; the predictors a resumed sweep takes
+    /// from its checkpoint (the pipeline's `resume_skips`) leave it.
     /// `sampled_fraction` is the sampling plan's planned simulated fraction
     /// when `--phases` is active; the slice counter comes from the pipeline
     /// statics. Returns an inert handle — no thread, no output — when
     /// `quiet` is set or stderr is not a terminal.
     pub fn start(
         label: Option<&'static str>,
-        total_instructions: Option<u64>,
+        plan: Plan,
         sampled_fraction: Option<f64>,
         quiet: bool,
     ) -> Self {
@@ -110,12 +133,15 @@ impl Progress {
         }
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
+        // The baselines are read before the command starts its work, so
+        // none of it (a resume's skips, say) lands in them.
+        let started = Instant::now();
+        let (sim, sweep) = (&mbp_stats::pipeline().sim, &mbp_stats::pipeline().sweep);
+        let (records0, instructions0) = (sim.records.get(), sim.instructions.get());
+        let (workers0, slices0) = (sweep.workers.get(), sweep.sampled_slices.get());
+        let skips0 = sweep.resume_skips.get();
+        let busy0 = sweep.worker_busy.seconds();
         let handle = std::thread::spawn(move || {
-            let started = Instant::now();
-            let (sim, sweep) = (&mbp_stats::pipeline().sim, &mbp_stats::pipeline().sweep);
-            let (records0, instructions0) = (sim.records.get(), sim.instructions.get());
-            let (workers0, slices0) = (sweep.workers.get(), sweep.sampled_slices.get());
-            let busy0 = sweep.worker_busy.seconds();
             let mut painted = false;
             while !stop_flag.load(Ordering::Relaxed) {
                 std::thread::sleep(REFRESH);
@@ -126,7 +152,8 @@ impl Progress {
                 let records = sim.records.get().saturating_sub(records0);
                 let instructions = sim.instructions.get().saturating_sub(instructions0);
                 let records_per_s = records as f64 / elapsed;
-                let (done, eta) = match total_instructions {
+                let resumed = sweep.resume_skips.get().saturating_sub(skips0);
+                let (done, eta) = match plan.instructions(resumed) {
                     Some(total) if total > 0 && instructions > 0 => {
                         let done = (instructions as f64 / total as f64).min(1.0);
                         let instr_per_s = instructions as f64 / elapsed;
@@ -225,6 +252,50 @@ mod tests {
     }
 
     #[test]
+    fn plan_counts_what_each_predictor_touches() {
+        let run = Plan {
+            header_instructions: 4_000_000,
+            predictors: 1,
+            ..Plan::default()
+        };
+        assert_eq!(run.instructions(0), Some(4_000_000));
+        let capped = Plan {
+            max_instructions: Some(100_000),
+            ..run
+        };
+        assert_eq!(capped.instructions(0), Some(100_000));
+        let unknown = Plan {
+            header_instructions: 0,
+            ..capped
+        };
+        assert_eq!(unknown.instructions(0), None);
+    }
+
+    #[test]
+    fn a_sampled_sweep_plans_its_slices() {
+        // Two predictors, each replaying and measuring 5.8% of the trace.
+        let sampled = Plan {
+            header_instructions: 48_000_000,
+            sampled_instructions: Some(2_784_000),
+            predictors: 2,
+            ..Plan::default()
+        };
+        assert_eq!(sampled.instructions(0), Some(5_568_000));
+    }
+
+    #[test]
+    fn a_resumed_sweep_plans_only_what_is_left() {
+        let sweep = Plan {
+            header_instructions: 48_000_000,
+            predictors: 4,
+            ..Plan::default()
+        };
+        assert_eq!(sweep.instructions(0), Some(192_000_000));
+        assert_eq!(sweep.instructions(3), Some(48_000_000));
+        assert_eq!(sweep.instructions(4), None, "all resumed");
+    }
+
+    #[test]
     fn label_prefixes_the_line() {
         assert_eq!(
             labeled_line(Some("explain"), "512 records/s".to_string()),
@@ -238,7 +309,7 @@ mod tests {
         // In a test harness stderr is typically not a TTY either, but the
         // quiet flag must force inertness regardless of environment — with
         // or without sampling state.
-        let p = Progress::start(None, Some(1_000_000), Some(0.3), true);
+        let p = Progress::start(None, Plan::default(), Some(0.3), true);
         assert!(p.handle.is_none());
         p.finish();
     }

@@ -73,8 +73,9 @@ pub fn metrics_document(stats: &PipelineStats, dropped: u64, doc: Option<&mut Va
     out.into()
 }
 
-/// `1234567` → `"1.2M"`; keeps the summary lines one screen wide.
-fn count(n: u64) -> String {
+/// `1234567` → `"1.2M"`; keeps the summary lines one screen wide and
+/// `top`'s table cells narrow.
+pub(crate) fn count(n: u64) -> String {
     match n {
         0..=9_999 => format!("{n}"),
         10_000..=999_999 => format!("{:.1}k", n as f64 / 1e3),
@@ -92,7 +93,7 @@ fn bytes(n: u64) -> String {
 }
 
 /// Events per second → `"3.9M/s"`.
-fn rate(r: f64) -> String {
+pub(crate) fn rate(r: f64) -> String {
     if r >= 1e6 {
         format!("{:.1}M/s", r / 1e6)
     } else if r >= 1e3 {

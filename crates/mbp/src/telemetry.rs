@@ -82,7 +82,7 @@ pub fn snapshot_json(state: &TelemetryState, elapsed_s: f64, scrapes: u64) -> Va
                         "instructions": s.instructions,
                         "conditional_branches": s.conditional_branches,
                         "mispredictions": s.mispredictions,
-                        "mpki": s.mpki(),
+                        "mpki": s.mpki,
                         "worst_branch": worst,
                     })
                 })
@@ -319,6 +319,26 @@ pub fn http_get(addr: &str, path: &str, timeout: Duration) -> std::io::Result<St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbp_core::{simulate, SimConfig, SliceSource};
+    use mbp_trace::{Branch, BranchRecord, Opcode};
+
+    /// Settles `slot` on an always-taken run over one not-taken
+    /// conditional branch at each address of `misses`, `gap` instructions
+    /// apart.
+    fn settle_always_taken(board: &SweepStatusBoard, slot: usize, misses: &[u64], gap: u32) {
+        let records: Vec<BranchRecord> = (misses.iter())
+            .map(|&ip| {
+                BranchRecord::new(Branch::new(ip, 0, Opcode::conditional_direct(), false), gap)
+            })
+            .collect();
+        let mut predictor = mbp_predictors::AlwaysTaken;
+        let r = simulate(
+            &mut SliceSource::new(&records),
+            &mut predictor,
+            &SimConfig::default(),
+        );
+        board.settle(slot, &r.unwrap());
+    }
 
     #[test]
     fn serves_all_three_endpoints_then_drains() {
@@ -355,9 +375,8 @@ mod tests {
         use mbp_core::{PredictorState, SweepStatusBoard};
         let board = Arc::new(SweepStatusBoard::new(["gshare", "tage"]));
         board.set_state(0, PredictorState::Running);
-        board.set_totals(1, 2_000, 4);
-        board.set_state(1, PredictorState::Settled);
-        board.set_worst_branch(1, 0x400, 3);
+        // 4 mispredictions in 2 000 instructions, 3 of them at 0x400.
+        settle_always_taken(&board, 1, &[0x400, 0x500, 0x400, 0x400], 499);
         let state = TelemetryState {
             kind: "sweep",
             board: Some(board),
@@ -393,8 +412,7 @@ mod tests {
         // and diff snapshots without a canonicalization step.
         use mbp_core::SweepStatusBoard;
         let board = Arc::new(SweepStatusBoard::new(["bimodal"]));
-        board.set_totals(0, 10_000, 25);
-        board.set_worst_branch(0, 0x88, 9);
+        settle_always_taken(&board, 0, &[0x88, 0x90, 0x88], 99);
         let state = TelemetryState {
             kind: "sweep",
             board: Some(board),

@@ -14,6 +14,7 @@ use std::time::Duration;
 
 use mbp_json::Value;
 
+use crate::report::count;
 use crate::spark::text_sparkline;
 use crate::telemetry::http_get;
 
@@ -63,8 +64,8 @@ pub fn render_frame(doc: &Value, history: &BTreeMap<String, Vec<f64>>) -> String
         .unwrap_or(0.0);
     out.push_str(&format!(
         "mbpsim {kind} | elapsed {elapsed:.1}s | {} instr ({}/s)",
-        human(instr),
-        human(ips as u64),
+        count(instr),
+        count(ips as u64),
     ));
     if let Some(fraction) = field(doc, &["sampling", "simulated_fraction"]).and_then(Value::as_f64)
     {
@@ -104,12 +105,12 @@ pub fn render_frame(doc: &Value, history: &BTreeMap<String, Vec<f64>>) -> String
                     name,
                     field(p, &["state"]).and_then(Value::as_str).unwrap_or("?"),
                     field(p, &["epoch"]).and_then(Value::as_u64).unwrap_or(0),
-                    human(
+                    count(
                         field(p, &["instructions"])
                             .and_then(Value::as_u64)
                             .unwrap_or(0)
                     ),
-                    human(
+                    count(
                         field(p, &["mispredictions"])
                             .and_then(Value::as_u64)
                             .unwrap_or(0)
@@ -126,7 +127,7 @@ pub fn render_frame(doc: &Value, history: &BTreeMap<String, Vec<f64>>) -> String
                     out.push_str(&format!(
                         "{:<name_w$}  └ worst branch {ip:#014x}  {} mispredictions\n",
                         "",
-                        human(misses),
+                        count(misses),
                     ));
                 }
             }
@@ -204,15 +205,6 @@ pub fn run_top(opts: &TopOptions) -> Result<(), String> {
             return Ok(());
         }
         std::thread::sleep(opts.interval);
-    }
-}
-
-/// `1234567` → `"1.2M"` (table cells stay narrow).
-fn human(n: u64) -> String {
-    match n {
-        0..=9_999 => format!("{n}"),
-        10_000..=999_999 => format!("{:.1}k", n as f64 / 1e3),
-        _ => format!("{:.1}M", n as f64 / 1e6),
     }
 }
 

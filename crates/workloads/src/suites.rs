@@ -5,8 +5,8 @@
 //! provided 95 SPEC17-based traces. Regenerating hundreds of traces at
 //! hundreds of millions of instructions each is out of scope for a laptop
 //! harness, so the presets default to a scaled-down count and length and
-//! expose a `scale` knob; the benchmark binaries report the scaling they
-//! used.
+//! expose a `scale` knob that multiplies the trace count; the benchmark
+//! binaries report the scaling they used.
 
 use crate::{ProgramParams, TraceGenerator};
 use mbp_trace::BranchRecord;
@@ -48,11 +48,12 @@ pub struct Suite {
 impl Suite {
     /// The CBP5 training-set stand-in.
     ///
-    /// `scale` multiplies both trace count and length; `scale = 1` yields
-    /// 10 traces of ~1 M instructions (seconds on a laptop), mirroring the
-    /// category mix of the original 223 traces, including a deliberately
-    /// long trace per category pair (the CBP5 sets contained billion-
-    /// instruction traces; here "long" means 4× the short length).
+    /// `scale` multiplies the trace count, and each trace keeps its length;
+    /// `scale = 1` yields 10 traces of ~1 M instructions (seconds on a
+    /// laptop), mirroring the category mix of the original 223 traces,
+    /// including a deliberately long trace per category pair (the CBP5 sets
+    /// contained billion-instruction traces; here "long" means 4× the short
+    /// length).
     pub fn cbp5_training(scale: u64) -> Suite {
         Self::cbp5(scale, "CBP5-training", 0x5eed_0000)
     }
@@ -305,5 +306,29 @@ mod tests {
     fn scale_multiplies_trace_count() {
         assert_eq!(Suite::cbp5_training(2).traces.len(), 20);
         assert_eq!(Suite::dpc3(2).traces.len(), 10);
+    }
+
+    #[test]
+    fn scale_two_doubles_each_suite_and_keeps_every_trace_length() {
+        type SuiteFn = fn(u64) -> Suite;
+        let suites: [SuiteFn; 3] = [Suite::cbp5_training, Suite::cbp5_evaluation, Suite::dpc3];
+        for suite in suites {
+            let (one, two) = (suite(1), suite(2));
+            assert_eq!(two.traces.len(), 2 * one.traces.len(), "{}", one.name);
+            // Scale 1's traces come first, unchanged; every added trace is
+            // as long as scale 1's trace of its category.
+            let length_of = |name: &str| {
+                let category = |n: &str| n.rsplit_once('-').map(|(c, _)| c.to_string());
+                (one.traces.iter())
+                    .find(|t| category(&t.name) == category(name))
+                    .map(|t| t.instructions)
+            };
+            for (i, t) in two.traces.iter().enumerate() {
+                if let Some(same) = one.traces.get(i) {
+                    assert_eq!((&t.name, t.seed), (&same.name, same.seed));
+                }
+                assert_eq!(Some(t.instructions), length_of(&t.name), "{}", t.name);
+            }
+        }
     }
 }

@@ -332,6 +332,78 @@ fn translate_keeps_an_address_seen_under_two_opcodes() {
     }
 }
 
+/// `--to` must name a trace `<file>.sbbt` or `<file>.bt9`, optionally
+/// followed by `.mgz` or `.mzst`; any other name is refused with exit 2,
+/// and nothing is written.
+#[test]
+fn translate_refuses_an_output_name_it_cannot_honour() {
+    let dir = temp_dir("translate-refused");
+    assert!(mbpsim()
+        .args(["gen", "--suite", "smoke", "--out"])
+        .arg(&dir)
+        .status()
+        .expect("spawn")
+        .success());
+    for to in ["x.sbbt.zst", "x.txt"] {
+        let out = mbpsim()
+            .args(["translate", "--from"])
+            .arg(dir.join("SMOKE-server.sbbt.mzst"))
+            .arg("--to")
+            .arg(dir.join(to))
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{to}: {stderr}");
+        for form in [".sbbt", ".bt9", ".mgz", ".mzst"] {
+            assert!(stderr.contains(form), "{to}: {stderr}");
+        }
+        assert!(!dir.join(to).exists(), "{to} was written");
+    }
+}
+
+/// The file name alone picks a translation's formats: a directory named
+/// like a BT9 trace changes neither the input's nor the output's.
+#[test]
+fn translate_reads_formats_from_the_file_name_alone() {
+    let dir = temp_dir("translate-dirs");
+    assert!(mbpsim()
+        .args(["gen", "--suite", "smoke", "--out"])
+        .arg(&dir)
+        .status()
+        .expect("spawn")
+        .success());
+    let runs = dir.join("runs.bt9");
+    std::fs::create_dir_all(&runs).expect("mkdir");
+    let smoke = dir.join("SMOKE-server.sbbt.mzst");
+    std::fs::copy(&smoke, runs.join("s.sbbt.mzst")).expect("copy");
+    let records = |path: &PathBuf| {
+        mbp::trace::sbbt::SbbtReader::open(path)
+            .expect("open")
+            .read_all()
+            .expect("read")
+    };
+    for (from, to) in [
+        (smoke.clone(), runs.join("z.sbbt")),
+        (runs.join("s.sbbt.mzst"), dir.join("back.sbbt")),
+    ] {
+        let out = mbpsim()
+            .args(["translate", "--from"])
+            .arg(&from)
+            .arg("--to")
+            .arg(&to)
+            .output()
+            .expect("spawn");
+        assert!(
+            out.status.success(),
+            "{} -> {}: {}",
+            from.display(),
+            to.display(),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(records(&to), records(&smoke), "{}", to.display());
+    }
+}
+
 #[test]
 fn compare_emits_comparison_json() {
     let dir = temp_dir("compare");

