@@ -227,6 +227,15 @@ target/release/mbpsim sweep --predictors "$sp" \
 target/release/mbpsim validate-trace "$obs_tmp/sampled.trace.json"
 grep -q 'simpoint.sampled_slice' "$obs_tmp/sampled.trace.json" \
   || { echo "simpoint.sampled_slice missing from the event timeline" >&2; exit 1; }
+# Every worker reads its slices from the one decoded store, so one worker
+# must produce the same document as two, apart from the clock fields and
+# the two lines that record the worker count.
+target/release/mbpsim sweep --predictors "$sp" \
+  --trace "$obs_tmp/traces/SMOKE-mobile.sbbt.mzst" --jobs 1 --quiet \
+  --phases "$obs_tmp/phases.json" > "$obs_tmp/sp_sampled_jobs1.json"
+diff <(canon "$obs_tmp/sp_sampled.json" | grep -vE '"(jobs|workers_used)":') \
+  <(canon "$obs_tmp/sp_sampled_jobs1.json" | grep -vE '"(jobs|workers_used)":') \
+  || { echo "the sampled sweep at --jobs 1 diverged from --jobs 2" >&2; exit 1; }
 # Leaderboard rows render "predictor" then "mpki" on consecutive pretty-
 # printed lines; pair them up per document and compare per predictor.
 mpki_of() {

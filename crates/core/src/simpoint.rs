@@ -13,6 +13,8 @@
 //! the same parameters produce byte-identical documents (`doc_hash`
 //! pins this, and `--resume` uses it to refuse mismatched sampling plans).
 
+use std::ops::Range;
+
 use mbp_json::{json, Value};
 use mbp_stats::events::{self, EventName};
 use mbp_trace::{BranchRecord, TraceError};
@@ -71,7 +73,12 @@ pub struct BbvWindow {
 /// `fnv1a64(ip) % BBV_FEATURE_DIM`; the vector is L1-normalized when the
 /// window closes. `window_size` is clamped to at least 1.
 pub fn extract_bbv(records: &[BranchRecord], window_size: u64) -> Vec<BbvWindow> {
-    bbv(records, &tile(records, window_size.max(1)))
+    bbv(records, &tile(instructions(records), window_size.max(1)))
+}
+
+/// Each record's instruction count (its gap plus the branch itself).
+fn instructions(records: &[BranchRecord]) -> impl ExactSizeIterator<Item = u64> + '_ {
+    records.iter().map(|r| r.instructions())
 }
 
 /// One window of the tiling that extraction and [`PhasesDoc::validate`]
@@ -84,15 +91,16 @@ struct Tile {
     instructions: u64,
 }
 
-/// The windows of [`extract_bbv`], without their BBVs; `window_size` must
-/// not be 0.
-fn tile(records: &[BranchRecord], window_size: u64) -> Vec<Tile> {
+/// The windows of [`extract_bbv`], without their BBVs, over each record's
+/// instruction count; `window_size` must not be 0.
+fn tile(instructions: impl ExactSizeIterator<Item = u64>, window_size: u64) -> Vec<Tile> {
     let mut tiles = Vec::new();
     let (mut start_record, mut start_instruction, mut cum) = (0, 0, 0);
     let mut next_boundary = window_size;
-    for (i, rec) in records.iter().enumerate() {
-        cum += rec.instructions();
-        if cum >= next_boundary || i + 1 == records.len() {
+    let records = instructions.len();
+    for (i, n) in instructions.enumerate() {
+        cum += n;
+        if cum >= next_boundary || i + 1 == records {
             tiles.push(Tile {
                 start_record,
                 num_records: i + 1 - start_record,
@@ -456,7 +464,16 @@ impl PhasesDoc {
     ///
     /// A description of the first mismatch.
     pub fn validate(&self, records: &[BranchRecord]) -> Result<(), String> {
-        let record_count = records.len() as u64;
+        self.validate_counts(instructions(records))
+    }
+
+    /// [`PhasesDoc::validate`] over each record's instruction count, which
+    /// is all the checks read: the sweep passes its store's `gaps` column.
+    pub(crate) fn validate_counts(
+        &self,
+        instructions: impl ExactSizeIterator<Item = u64>,
+    ) -> Result<(), String> {
+        let record_count = instructions.len() as u64;
         if self.record_count != record_count {
             return Err(format!(
                 "phases document was extracted from a trace with {} records, \
@@ -471,7 +488,7 @@ impl PhasesDoc {
                 self.window_size, self.feature_dim
             ));
         }
-        let tiles = tile(records, self.window_size);
+        let tiles = tile(instructions, self.window_size);
         let instruction_count: u64 = tiles.iter().map(|t| t.instructions).sum();
         if self.instruction_count != instruction_count {
             return Err(format!(
@@ -562,7 +579,7 @@ pub fn extract_phases_with_warmup(
     warmup_windows: usize,
 ) -> PhasesDoc {
     let window_size = window_size.max(1);
-    let tiles = tile(records, window_size);
+    let tiles = tile(instructions(records), window_size);
     let windows = bbv(records, &tiles);
     let (assignments, k_used, iterations) = kmeans(&windows, k);
     events::instant(EventName::SimpointExtract, windows.len() as u64);
@@ -617,10 +634,10 @@ struct SliceStats {
     mispredictions: u64,
 }
 
-/// `records[start..start + len]`, clamped to the trace.
-fn slice(records: &[BranchRecord], start: usize, len: usize) -> &[BranchRecord] {
-    let start = start.min(records.len());
-    &records[start..start.saturating_add(len).min(records.len())]
+/// Rows `start..start + len` of a trace of `records` rows, clamped to it.
+fn slice_rows(records: usize, start: usize, len: usize) -> Range<usize> {
+    let start = start.min(records);
+    start..start.saturating_add(len).min(records)
 }
 
 /// Simulates only the weighted representative slices of `phases` and
@@ -651,18 +668,21 @@ pub fn simulate_sampled<P: Predictor + ?Sized>(
     phases: &PhasesDoc,
     config: &SimConfig,
 ) -> SimResult {
-    sample(records, predictor, phases, config, SliceSource::new)
-        .expect("in-memory slices always decode")
+    sample(records.len(), predictor, phases, config, |rows| {
+        SliceSource::new(&records[rows])
+    })
+    .expect("in-memory slices always decode")
 }
 
-/// [`simulate_sampled`] reading each slice through the source `open`
-/// wraps it in (the sweep's cancellable source); propagates its errors.
-pub(crate) fn sample<'r, S, P>(
-    records: &'r [BranchRecord],
+/// [`simulate_sampled`] over a trace of `records` rows, reading each slice
+/// through the source `open` makes of its row range (the sweep's
+/// cancellable column source); propagates its errors.
+pub(crate) fn sample<S, P>(
+    records: usize,
     predictor: &mut P,
     phases: &PhasesDoc,
     config: &SimConfig,
-    mut open: impl FnMut(&'r [BranchRecord]) -> S,
+    mut open: impl FnMut(Range<usize>) -> S,
 ) -> Result<SimResult, TraceError>
 where
     S: TraceSource,
@@ -688,7 +708,7 @@ where
     for phase in order {
         let warmup = if phase.warmup_records > 0 {
             let (instructions, mispredictions) = (st.instructions, st.warmup_mispredictions);
-            let warm = slice(records, phase.warmup_start_record, phase.warmup_records);
+            let warm = slice_rows(records, phase.warmup_start_record, phase.warmup_records);
             st.replay(
                 &mut open(warm),
                 predictor,
@@ -703,7 +723,7 @@ where
             None
         };
         let before = (st.measured_instructions, st.conditional, st.mispredictions);
-        let measured = slice(records, phase.start_record, phase.num_records);
+        let measured = slice_rows(records, phase.start_record, phase.num_records);
         st.replay(
             &mut open(measured),
             predictor,

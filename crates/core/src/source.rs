@@ -1,5 +1,7 @@
 //! Trace sources: anything the simulator can pull branch records from.
 
+use std::ops::Range;
+
 use mbp_json::Value;
 use mbp_trace::sbbt::SbbtReader;
 use mbp_trace::{BranchBatch, BranchRecord, TraceError};
@@ -174,6 +176,49 @@ impl TraceSource for SliceSource<'_> {
     }
 }
 
+/// A trace source over a row range of a decoded trace held as one
+/// [`BranchBatch`]: the sweep's decode-once store. Each block is a column
+/// copy ([`BranchBatch::extend_from_batch`]), so no record is reassembled
+/// on the way to the driver.
+pub(crate) struct ColumnSource<'a> {
+    store: &'a BranchBatch,
+    pos: usize,
+    end: usize,
+}
+
+impl<'a> ColumnSource<'a> {
+    /// Reads rows `rows` of `store`, which must lie within it.
+    pub(crate) fn new(store: &'a BranchBatch, rows: Range<usize>) -> Self {
+        Self {
+            store,
+            pos: rows.start,
+            end: rows.end,
+        }
+    }
+}
+
+impl TraceSource for ColumnSource<'_> {
+    fn next_record(&mut self) -> Result<Option<BranchRecord>, TraceError> {
+        if self.pos == self.end {
+            return Ok(None);
+        }
+        self.pos += 1;
+        Ok(Some(self.store.record(self.pos - 1)))
+    }
+
+    fn fill_batch(&mut self, out: &mut BranchBatch) -> Result<usize, TraceError> {
+        out.clear();
+        let end = self.end.min(self.pos + BATCH_RECORDS);
+        out.extend_from_batch(self.store, self.pos..end);
+        self.pos = end;
+        Ok(out.len())
+    }
+
+    fn record_count_hint(&self) -> Option<u64> {
+        Some((self.end - self.pos) as u64)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,6 +277,52 @@ mod tests {
         let mut buf = BranchBatch::new();
         assert_eq!(s.fill_batch(&mut buf).unwrap(), 4);
         assert_eq!(buf.record(0), records[1]);
+    }
+
+    #[test]
+    fn column_source_streams_what_a_slice_source_streams() {
+        // Every field varies, so a column copied from the wrong row shows.
+        let records: Vec<BranchRecord> = (0..3 * BATCH_RECORDS as u64 + 500)
+            .map(|i| {
+                let opcode = match i % 3 {
+                    0 => Opcode::conditional_direct(),
+                    1 => Opcode::unconditional_direct(),
+                    _ => Opcode::ret(),
+                };
+                let branch = Branch::new(0x40_0000 + i * 4, i * 7, opcode, i % 5 < 2);
+                BranchRecord::new(branch, (i % 11) as u32)
+            })
+            .collect();
+        let store = BranchBatch::from_records(&records);
+        let n = records.len();
+        for rows in [0..n, 100..n - 37, 2047..2049, 3000..3000, 5000..n] {
+            let slice = &records[rows.clone()];
+            let (mut columns, mut reference) = (
+                ColumnSource::new(&store, rows.clone()),
+                SliceSource::new(slice),
+            );
+            assert_eq!(columns.record_count_hint(), Some(slice.len() as u64));
+            let (mut a, mut b) = (BranchBatch::new(), BranchBatch::new());
+            loop {
+                let got = columns.fill_batch(&mut a).unwrap();
+                assert_eq!(got, reference.fill_batch(&mut b).unwrap(), "{rows:?}");
+                assert_eq!(a, b, "{rows:?}");
+                if got == 0 {
+                    break;
+                }
+            }
+            let (mut columns, mut reference) = (
+                ColumnSource::new(&store, rows.clone()),
+                SliceSource::new(slice),
+            );
+            loop {
+                let rec = columns.next_record().unwrap();
+                assert_eq!(rec, reference.next_record().unwrap(), "{rows:?}");
+                if rec.is_none() {
+                    break;
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! The paper's prototyping workflow (§VI-A) runs the same trace through
 //! many predictor configurations. Doing that with N separate `mbpsim run`
 //! invocations decodes — and possibly decompresses — the trace N times;
-//! [`simulate_many`] decodes it exactly once into shared memory and then
-//! simulates every predictor against the same record block, in parallel,
-//! using only `std` threads.
+//! [`simulate_many`] decodes it exactly once into one shared
+//! [`BranchBatch`] — the decoder's own columns, 22 bytes a branch — and
+//! then simulates every predictor against it, in parallel, using only
+//! `std` threads.
 //!
 //! On top of the worker pool sits a resilience layer (all opt-in via
 //! [`SweepConfig`]):
@@ -44,8 +45,9 @@ use mbp_trace::{BranchBatch, BranchRecord, TraceError};
 use crate::checkpoint::{load_checkpoint, CheckpointLoad, CheckpointWriter};
 use crate::simpoint::{sample, PhasesDoc};
 use crate::simulator::{simulate, SimConfig, SimResult};
+use crate::source::ColumnSource;
 use crate::status::{PredictorState, SweepStatusBoard};
-use crate::{Predictor, Section, SliceSource, TraceSource};
+use crate::{Predictor, Section, TraceSource};
 
 /// Configuration of a sweep run.
 #[derive(Clone, Debug, Default)]
@@ -63,7 +65,8 @@ pub struct SweepConfig {
     pub deadline: Option<Duration>,
     /// Total bytes of predictor state allowed in flight at once, admitted
     /// against [`Predictor::size_hint`]; `None` admits everything
-    /// immediately.
+    /// immediately. The decoded trace, held once for every worker, is not
+    /// counted.
     pub mem_budget: Option<u64>,
     /// Checkpoint file: every settled predictor is appended (and fsync'd)
     /// here before it is reported.
@@ -339,7 +342,9 @@ impl Job {
 
 /// Everything the workers and the monitor share.
 struct SweepShared {
-    records: Vec<BranchRecord>,
+    /// The decoded trace, every record in one batch's columns; jobs read
+    /// row ranges of it through [`ColumnSource`].
+    store: BranchBatch,
     description: Value,
     sim: SimConfig,
     deadline: Option<Duration>,
@@ -416,13 +421,13 @@ fn ns_since(start: &Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Trace-source shim between the shared record block and one worker: bumps
+/// Trace-source shim between the shared store and one worker: bumps
 /// the job's progress epoch every batch and turns the watchdog's cancel
 /// flag into a clean [`TraceError::Cancelled`] unwind at the next batch
 /// boundary. It has no description of its own: the worker attributes
 /// every result to the real trace.
 struct CancelSource<'a> {
-    inner: SliceSource<'a>,
+    inner: ColumnSource<'a>,
     job: &'a Job,
 }
 
@@ -548,7 +553,7 @@ where
     stats.resume_skips.add(resumed.len() as u64);
     let m = queue.len();
     let mut shared = SweepShared {
-        records: Vec::new(),
+        store: BranchBatch::new(),
         description: Value::Null,
         sim: config.sim.clone(),
         deadline: config.deadline,
@@ -566,10 +571,10 @@ where
         shared.settle(i, outcome);
     }
 
-    // Phase 1: decode once into shared memory — skipped entirely when the
-    // checkpoint already settled every predictor, though the trace is still
-    // drained, so a corrupt one fails the sweep before the checkpoint is
-    // touched. The pre-size comes from `record_count_hint` — bounded by
+    // Phase 1: decode once into the shared store — skipped entirely when
+    // the checkpoint already settled every predictor, though the trace is
+    // still drained, so a corrupt one fails the sweep before the checkpoint
+    // is touched. The pre-size comes from `record_count_hint` — bounded by
     // data the source holds — never from a header-declared count alone.
     let mut decode_time = 0.0;
     if m > 0 {
@@ -577,11 +582,11 @@ where
         // is its clock.
         let decode = events::span(EventName::SweepDecode);
         shared
-            .records
+            .store
             .reserve(trace.record_count_hint().unwrap_or(0) as usize);
         let mut batch = BranchBatch::new();
         while trace.fill_batch(&mut batch)? > 0 {
-            batch.append_records_to(&mut shared.records);
+            shared.store.extend_from_batch(&batch, 0..batch.len());
             events::batch_tick();
         }
         decode_time = decode.finish().as_secs_f64();
@@ -594,8 +599,9 @@ where
     // from a different trace (or a stale one) would sample nonsense slices.
     if m > 0 {
         if let Some(phases) = &config.phases {
+            let instructions = shared.store.gaps().iter().map(|&g| u64::from(g) + 1);
             phases
-                .validate(&shared.records)
+                .validate_counts(instructions)
                 .map_err(|msg| TraceError::Io(io::Error::new(io::ErrorKind::InvalidData, msg)))?;
         }
     }
@@ -813,16 +819,18 @@ fn run_job(shared: &SweepShared, i: usize, mut predictor: Box<dyn Predictor + Se
     // Fault isolation: a predictor that panics takes down this one
     // simulation, not the sweep. The predictor and source are owned by the
     // closure, so no shared state is observed after an unwind. Full and
-    // sampled runs read the records through the same cancellable source,
-    // so the watchdog sees their progress and can stop either.
+    // sampled runs read row ranges of the store through the same
+    // cancellable source, so the watchdog sees their progress and can stop
+    // either.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let open = |records| CancelSource {
-            inner: SliceSource::new(records),
+        let open = |rows| CancelSource {
+            inner: ColumnSource::new(&shared.store, rows),
             job,
         };
+        let records = shared.store.len();
         match &shared.phases {
-            Some(phases) => sample(&shared.records, &mut *predictor, phases, &sim, open),
-            None => simulate(&mut open(&shared.records), &mut *predictor, &sim),
+            Some(phases) => sample(records, &mut *predictor, phases, &sim, open),
+            None => simulate(&mut open(0..records), &mut *predictor, &sim),
         }
     }));
     let outcome = match outcome {
@@ -1012,6 +1020,7 @@ fn effective_jobs(requested: usize, predictors: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SliceSource;
     use mbp_trace::{Branch, BranchRecord, Opcode};
     use std::sync::mpsc;
 
@@ -1087,7 +1096,7 @@ mod tests {
         }
     }
 
-    fn biased_records(n: usize) -> Vec<BranchRecord> {
+    fn biased_records(n: usize) -> Box<[BranchRecord]> {
         (0..n)
             .map(|i| {
                 BranchRecord::new(
@@ -1458,7 +1467,7 @@ mod tests {
         // 50-record slices each: every slice ends far inside the
         // watchdog's stall and grace windows, and the whole run far
         // outlasts the deadline.
-        let records: Vec<BranchRecord> = (0..3200u64)
+        let records: Box<[BranchRecord]> = (0..3200u64)
             .map(|i| {
                 // Consecutive ips land in distinct BBV buckets.
                 let ip = 0x40_0000 + (i / 50) % 16;
@@ -1832,7 +1841,7 @@ mod tests {
 
     /// Two alternating behavioural phases (different IPs, different bias)
     /// so BBV clustering has real structure to find.
-    fn phase_trace(n: usize) -> Vec<BranchRecord> {
+    fn phase_trace(n: usize) -> Box<[BranchRecord]> {
         (0..n)
             .map(|i| {
                 let phase = (i / 100) % 2;

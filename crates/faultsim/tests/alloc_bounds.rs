@@ -215,7 +215,9 @@ fn corrupt_length_fields_cannot_inflate_allocations() {
     // must fail typed through `read_all` and through `simulate_many`, with
     // peak growth bounded by that declared size, which the frame caps at
     // its payload times the codec's largest expansion. The bound is the
-    // 16 MB row's plus the declared records.
+    // 16 MB row's plus the declared records: as `BranchRecord`s for
+    // `read_all`, which returns them, and at the five columns' 22 bytes for
+    // `simulate_many`, which holds the trace as one batch.
     let held = 1usize << 16;
     let declared = 4 * held;
     let mut w = SbbtWriter::new(Vec::new());
@@ -236,13 +238,8 @@ fn corrupt_length_fields_cannot_inflate_allocations() {
     lying[16..24].copy_from_slice(&(declared as u64).to_le_bytes());
     let mut packed = mbp_compress::compress(&lying, codec, 3).expect("compress");
     packed[4..12].copy_from_slice(&(24 + 16 * declared as u64).to_le_bytes());
-    let bound = packed.len()
-        + codec.window()
-        + 16 * BATCH
-        + tables
-        + 22 * BATCH
-        + 4096
-        + declared * std::mem::size_of::<BranchRecord>();
+    let streaming = packed.len() + codec.window() + 16 * BATCH + tables + 22 * BATCH + 4096;
+    let bound = streaming + declared * std::mem::size_of::<BranchRecord>();
     let grew = peak_growth(|| {
         let mut r = SbbtReader::from_bytes(packed.clone()).expect("header and frame agree");
         assert_eq!(r.remaining(), declared as u64);
@@ -268,6 +265,7 @@ fn corrupt_length_fields_cannot_inflate_allocations() {
     let predictors: Vec<(String, Box<dyn mbp_core::Predictor + Send>)> =
         vec![("taken".to_string(), Box::new(Taken))];
     let config = mbp_core::SweepConfig::default();
+    let bound = streaming + declared * 22;
     let grew = peak_growth(|| {
         let mut r = SbbtReader::from_bytes(packed.clone()).expect("header and frame agree");
         assert!(

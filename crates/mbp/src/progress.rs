@@ -46,6 +46,16 @@ impl Plan {
     }
 }
 
+/// The share of a sweep's workers running a predictor at this moment: the
+/// predictors claimed (`sweep.predictors`) and not yet settled (the count
+/// of `sweep.predictor_us`), over the workers spawned. A predictor counts
+/// from its claim, so a worker on its first long predictor reads busy
+/// before anything settles. `None` when no worker was spawned.
+pub fn busy_share(workers: u64, claimed: u64, settled: u64) -> Option<f64> {
+    let running = claimed.saturating_sub(settled).min(workers);
+    (workers > 0).then(|| running as f64 / workers as f64)
+}
+
 /// Formats one progress line from rate/completion estimates.
 ///
 /// Pure so the rendering is unit-testable; any component that cannot be
@@ -140,7 +150,7 @@ impl Progress {
         let (records0, instructions0) = (sim.records.get(), sim.instructions.get());
         let (workers0, slices0) = (sweep.workers.get(), sweep.sampled_slices.get());
         let skips0 = sweep.resume_skips.get();
-        let busy0 = sweep.worker_busy.seconds();
+        let (claimed0, settled0) = (sweep.predictors.get(), sweep.predictor_us.count());
         let handle = std::thread::spawn(move || {
             let mut painted = false;
             while !stop_flag.load(Ordering::Relaxed) {
@@ -162,11 +172,11 @@ impl Progress {
                     }
                     _ => (None, None),
                 };
-                let workers = sweep.workers.get().saturating_sub(workers0);
-                let busy = (workers > 0).then(|| {
-                    let busy_s = sweep.worker_busy.seconds() - busy0;
-                    busy_s / (elapsed * workers as f64)
-                });
+                let busy = busy_share(
+                    sweep.workers.get().saturating_sub(workers0),
+                    sweep.predictors.get().saturating_sub(claimed0),
+                    sweep.predictor_us.count().saturating_sub(settled0),
+                );
                 let sampled = sampled_fraction
                     .map(|fraction| (fraction, sweep.sampled_slices.get().saturating_sub(slices0)));
                 let line = labeled_line(
@@ -293,6 +303,17 @@ mod tests {
         assert_eq!(sweep.instructions(0), Some(192_000_000));
         assert_eq!(sweep.instructions(3), Some(48_000_000));
         assert_eq!(sweep.instructions(4), None, "all resumed");
+    }
+
+    #[test]
+    fn busy_share_counts_running_predictors() {
+        // One worker on its first predictor: claimed, nothing settled.
+        assert_eq!(busy_share(1, 1, 0), Some(1.0));
+        // Two workers, eight predictors, seven settled: one job left.
+        assert_eq!(busy_share(2, 8, 7), Some(0.5));
+        // Every claimed predictor settled: the pool is idle.
+        assert_eq!(busy_share(2, 8, 8), Some(0.0));
+        assert_eq!(busy_share(0, 0, 0), None, "no workers, no share");
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //!   indirect, bits 2–3 the [`BranchKind`](crate::BranchKind)), which keeps
 //!   the common `is conditional?` test a one-byte AND.
 
+use std::ops::Range;
+
 use crate::{Branch, BranchRecord, Opcode};
 
 /// Mutable views of every column, in declaration order:
@@ -166,6 +168,22 @@ impl BranchBatch {
         self.ops.truncate(n);
     }
 
+    /// Appends rows `rows` of `other`, a column at a time: the copy a
+    /// decoded trace held as one batch hands out in blocks, with no record
+    /// reassembled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is not within `0..other.len()`.
+    pub fn extend_from_batch(&mut self, other: &BranchBatch, rows: Range<usize>) {
+        self.pcs.extend_from_slice(&other.pcs[rows.clone()]);
+        self.targets.extend_from_slice(&other.targets[rows.clone()]);
+        self.gaps.extend_from_slice(&other.gaps[rows.clone()]);
+        self.taken.extend_from_slice(&other.taken[rows.clone()]);
+        self.ops.extend_from_slice(&other.ops[rows]);
+        self.debug_assert_aligned();
+    }
+
     /// Appends every record of `records` column-wise.
     pub fn extend_from_records(&mut self, records: &[BranchRecord]) {
         self.pcs.extend(records.iter().map(|r| r.branch.ip()));
@@ -255,7 +273,7 @@ impl BranchBatch {
         (0..self.len()).map(|i| self.record(i))
     }
 
-    /// Appends every record to `out` (the sweep's decode-once pass).
+    /// Appends every record to `out` (`read_all`'s decode pass).
     pub fn append_records_to(&self, out: &mut Vec<BranchRecord>) {
         out.reserve(self.len());
         out.extend(self.iter_records());
@@ -337,6 +355,17 @@ mod tests {
         batch.append_records_to(&mut out);
         assert_eq!(out.len(), 2 * records.len());
         assert_eq!(&out[records.len()..], &records[..]);
+    }
+
+    #[test]
+    fn extend_from_batch_copies_a_row_range() {
+        let records = sample_records();
+        let source = BranchBatch::from_records(&records);
+        let mut batch = BranchBatch::from_records(&records[..1]);
+        batch.extend_from_batch(&source, 1..3);
+        assert_eq!(batch, BranchBatch::from_records(&records[..3]));
+        batch.extend_from_batch(&source, 4..4);
+        assert_eq!(batch.len(), 3, "an empty range appends nothing");
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! byte-identical JSON documents for the same predictor, trace and
 //! configuration — including warm-up and `max_instructions` cut-offs that
 //! land exactly on (or one instruction off) a batch boundary, with and
-//! without the forensics and time-series observers.
+//! without the forensics and time-series observers. A phase-sampled sweep
+//! matches `simulate_sampled` the same way.
 
 use mbp::examples::{by_name, Gshare, Tage, TageConfig, PREDICTOR_NAMES};
 use mbp::sim::{
-    simulate, simulate_many, simulate_scalar, ForensicsConfig, Predictor, SimConfig, SimResult,
-    SliceSource, SweepConfig, TraceSource,
+    extract_phases_with_warmup, simulate, simulate_many, simulate_sampled, simulate_scalar,
+    ForensicsConfig, Predictor, SimConfig, SimResult, SliceSource, SweepConfig, TraceSource,
 };
 use mbp::trace::sbbt::{SbbtReader, BATCH_RECORDS};
 use mbp::trace::{translate, Branch, BranchRecord, Opcode};
@@ -303,6 +304,49 @@ fn sweep_honours_cutoffs_like_standalone_runs() {
             canonical_json(entry.result.clone()),
             canonical_json(direct),
             "{}: sweep entry diverges from standalone under cut-offs",
+            entry.name
+        );
+    }
+}
+
+#[test]
+fn sampled_sweep_entries_match_standalone_sampled_runs() {
+    // Several batches of a server-like program, and a plan whose windows
+    // (in instructions) end mid-batch and which warms up on two windows, so
+    // the slices the sweep reads from its store start and end inside a
+    // batch.
+    let records = TraceGenerator::from_params(&ProgramParams::server(), 0x5A3D)
+        .take_records(7 * BATCH_RECORDS + 301);
+    let plan = extract_phases_with_warmup(&records, 7_919, 6, 2);
+    assert!(plan.phases.len() >= 3, "{} phases", plan.phases.len());
+    let mid_batch = |row: usize| !row.is_multiple_of(BATCH_RECORDS);
+    assert!(
+        plan.phases.iter().any(|p| p.warmup_records > 0
+            && mid_batch(p.warmup_start_record)
+            && mid_batch(p.start_record)
+            && mid_batch(p.start_record + p.num_records)),
+        "no warmed-up phase starts and ends mid-batch: {:?}",
+        plan.phases
+    );
+
+    let predictors: Vec<(String, Box<dyn Predictor + Send>)> = PREDICTOR_NAMES
+        .iter()
+        .map(|n| (n.to_string(), by_name(n).expect("roster predictor")))
+        .collect();
+    let config = SweepConfig {
+        jobs: 2,
+        phases: Some(plan.clone()),
+        ..SweepConfig::default()
+    };
+    let sweep = simulate_many(&mut SliceSource::new(&records), predictors, &config).expect("sweep");
+    assert_eq!(sweep.entries.len(), PREDICTOR_NAMES.len());
+    for entry in &sweep.entries {
+        let mut standalone = by_name(&entry.name).expect("roster predictor");
+        let direct = simulate_sampled(&records, &mut *standalone, &plan, &config.sim);
+        assert_eq!(
+            canonical_json(entry.result.clone()),
+            canonical_json(direct),
+            "{}: sampled sweep entry differs from simulate_sampled",
             entry.name
         );
     }
